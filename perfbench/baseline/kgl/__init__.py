@@ -1,0 +1,23 @@
+"""Pseudo-spectral laboratory for dyadic smoothing analysis of kinetic models.
+
+Subpackages cover the periodic velocity grid and Fourier calculus
+(:mod:`kgl.grid`, :mod:`kgl.multipliers`), the dyadic phase/frequency
+decomposition (:mod:`kgl.dyadic`), numerical verification of the standalone
+inequalities (:mod:`kgl.inequalities`), the model evolution with its sharp
+regularity-index law (:mod:`kgl.toy`), exact vector-field algebra
+(:mod:`kgl.vfields`), the regularized linear solver with Picard iteration
+(:mod:`kgl.solver`), and the experiment runner (:mod:`kgl.cli`).
+"""
+
+from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
+from kgl.grid import VelocityGrid, SpectralField
+
+__all__ = [
+    "SoftPotentialParams",
+    "inverse_power_law",
+    "predicted_index",
+    "VelocityGrid",
+    "SpectralField",
+]
+
+__version__ = "0.1.0"

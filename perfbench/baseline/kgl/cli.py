@@ -1,0 +1,681 @@
+"""Experiment runner: configuration, dispatch, reports, and plot data.
+
+Experiments are named sections of a flat ``key = value`` config file (or
+direct subcommands); every run writes a JSON report embedding the resolved
+configuration plus CSV artifacts, and exits 0 only if all enabled checks
+pass.  Runs are deterministic for a fixed (config, seed): corpus members
+are generated from the seed and reductions use a fixed summation order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import csv
+import json
+import math
+import os
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
+
+from kgl import dyadic, inequalities as ineq, solver, toy, vfields
+from kgl.corpus import standard_corpus
+from kgl.grid import SpectralField, VelocityGrid, save_field
+from kgl.params import SoftPotentialParams
+
+EXPERIMENTS = (
+    "sharpness",
+    "evolve-toy",
+    "verify-inequalities",
+    "vector-fields",
+    "picard",
+    "norms",
+)
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class ExperimentConfig:
+    experiment: str
+    params: dict
+    seed: int
+    out_dir: str
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        allowed = KNOWN_KEYS[self.experiment]
+        unknown = set(self.params) - set(allowed)
+        if unknown:
+            raise ConfigError(
+                f"unknown keys for {self.experiment}: {sorted(unknown)}"
+            )
+
+
+@dataclass
+class RunReport:
+    config: dict
+    checks: dict
+    metrics: dict
+    artifacts: list[str] = field(default_factory=list)
+    wall_clock: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+    def to_json(self) -> str:
+        payload = {
+            "config": self.config,
+            "checks": self.checks,
+            "metrics": self.metrics,
+            "artifacts": self.artifacts,
+            "wall_clock_seconds": self.wall_clock,
+            "passed": self.passed,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
+
+
+def _jsonable(x):
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"not JSON serializable: {type(x)}")
+
+
+def pairwise_sum(values) -> float:
+    """Fixed-order pairwise reduction; stable under worker parallelism."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [
+            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
+            for i in range(0, len(vals), 2)
+        ]
+        vals = nxt
+    return float(vals[0])
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# --- experiment implementations ----------------------------------------------
+
+KNOWN_KEYS = {
+    "sharpness": {"gamma", "s", "a0", "j_min", "j_max", "kmax", "t"},
+    "evolve-toy": {
+        "gamma",
+        "s",
+        "a0",
+        "t_final",
+        "grid_n",
+        "grid_l",
+        "steps",
+        "snapshot_every",
+        "rough_amplitude",
+    },
+    "verify-inequalities": {"gamma", "s", "grid_n", "grid_l", "corpus_size", "eps"},
+    "vector-fields": {"corpus_size", "max_k", "max_alpha", "rho", "conv_kmax"},
+    "picard": {
+        "gamma",
+        "s",
+        "eps",
+        "a0",
+        "t_final",
+        "steps",
+        "nmax",
+        "grid_n",
+        "grid_l",
+        "x_axis",
+    },
+    "norms": {"gamma", "s", "grid_n", "grid_l", "corpus_size"},
+}
+
+DEFAULTS = {
+    "sharpness": {"gamma": -1.0, "s": 0.5, "a0": 1.0, "j_min": 1, "j_max": 40, "kmax": 64, "t": 1.0},
+    "evolve-toy": {
+        "gamma": -1.0,
+        "s": 0.5,
+        "a0": 1.0,
+        "t_final": 1.0,
+        "grid_n": 4096,
+        "grid_l": 32.0,
+        "steps": 64,
+        "snapshot_every": 16,
+        "rough_amplitude": 0.5,
+    },
+    "verify-inequalities": {
+        "gamma": -1.0,
+        "s": 0.5,
+        "grid_n": 1024,
+        "grid_l": 16.0,
+        "corpus_size": 100,
+        "eps": 0.25,
+    },
+    "vector-fields": {"corpus_size": 30, "max_k": 5, "max_alpha": 4, "rho": 2.0, "conv_kmax": 10000},
+    "picard": {
+        "gamma": -1.0,
+        "s": 0.5,
+        "eps": 0.1,
+        "a0": 1.0,
+        "t_final": 0.2,
+        "steps": 64,
+        "nmax": 30,
+        "grid_n": 256,
+        "grid_l": 4.0,
+        "x_axis": "off",
+    },
+    "norms": {"gamma": -1.0, "s": 0.5, "grid_n": 1024, "grid_l": 16.0, "corpus_size": 50},
+}
+
+
+def run_sharpness(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
+    a0 = float(p["a0"])
+    rows = []
+    slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
+    ratios = []
+    for j in range(int(p["j_min"]), int(p["j_max"]) + 1):
+        res = toy.sharpness_infimum(j, prm, a0, kmax=int(p["kmax"]), t=float(p["t"]))
+        predicted = 2.0 ** (slope_target * j)
+        ratio = res.value / predicted
+        ratios.append(ratio)
+        rows.append([j, res.k_star, res.value, predicted, ratio])
+    out_csv = os.path.join(cfg.out_dir, "sharpness.csv")
+    write_csv(out_csv, ["j", "k_star", "inf_value", "predicted_2pow", "ratio"], rows)
+    js = np.array([r[0] for r in rows], dtype=float)
+    vals = np.array([r[2] for r in rows])
+    slope = float(np.polyfit(js, np.log2(vals), 1)[0])
+    checks = {
+        "ratio-bounded": bool(all(1.0 / 8.0 <= r <= 8.0 for r in ratios)),
+        "slope-matches-index-law": bool(abs(slope - slope_target) <= 0.05),
+    }
+    metrics = {"slope": slope, "slope_target": slope_target, "ratio_min": min(ratios), "ratio_max": max(ratios)}
+    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_csv])
+
+
+def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
+    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
+    params = toy.ToyParams(
+        prm=prm, a0=float(p["a0"]), t_final=float(p["t_final"]), grid=grid, steps=int(p["steps"])
+    )
+    f0 = toy.weighted_broadband_data(
+        grid, params.a0, seed=cfg.seed, rough_amplitude=float(p["rough_amplitude"])
+    )
+    snap = int(p["snapshot_every"]) or None
+    traj = toy.evolve_toy(f0, params, snapshot_every=snap)
+    artifacts = []
+    for t_snap, fsnap in traj.snapshots:
+        path = os.path.join(cfg.out_dir, f"toy_t{t_snap:.4f}.kgl")
+        save_field(fsnap, path)
+        artifacts.append(path)
+    pair = dyadic.build_bump_pair()
+    consistency = toy.block_law_consistency(f0, params, pair)
+    lo, hi = consistency.worst_ratios()
+    j_range = range(0, 8)
+    exponents = toy.trajectory_shell_exponents(f0, traj.final, pair, j_range)
+    fit = toy.estimate_gevrey_index(exponents, np.array(list(j_range)))
+    fit_path = os.path.join(cfg.out_dir, "gevrey_fit.json")
+    fit_payload = fit.summary()
+    fit_payload["shell_exponents"] = [float(e) for e in fit.shell_exponents]
+    with open(fit_path, "w") as fh:
+        json.dump(fit_payload, fh, sort_keys=True, indent=2)
+    artifacts.append(fit_path)
+    norms_final = dyadic.block_norms(traj.final, pair)
+    heat_rows = []
+    for jj in range(norms_final.shape[0]):
+        for kk in range(norms_final.shape[1]):
+            mag = norms_final[jj, kk]
+            heat_rows.append([jj - 1, kk - 1, math.log(mag) if mag > 0 else float("-inf")])
+    heat_path = os.path.join(cfg.out_dir, "block_magnitudes.csv")
+    write_csv(heat_path, ["j", "k", "log_magnitude"], heat_rows)
+    artifacts.append(heat_path)
+    slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
+    checks = {
+        "l2-monotone": bool(np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1] + 0.0)),
+        "block-rate-within-factor-4": bool(0.25 <= lo and hi <= 4.0),
+        "slope-within-15pct": bool(abs(fit.slope - slope_target) <= 0.15 * slope_target),
+    }
+    metrics = {
+        "fit": fit.summary(),
+        "rate_ratio_min": lo,
+        "rate_ratio_max": hi,
+        "blocks_compared": len(consistency.included()),
+        "final_l2": traj.norms[-1],
+    }
+    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=artifacts)
+
+
+def _witness_batch(args):
+    """Worker: evaluate the inequality battery on one corpus member."""
+    (samples, n, l, gamma, s, eps, theta, idx) = args
+    grid = VelocityGrid(1, n, l)
+    u = SpectralField.from_samples(grid, samples)
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    w_tau = ineq.verify_interpolation_tau(u, prm, function_id=f"u{idx}")
+    w_eps = ineq.verify_weighted_eps_split(u, s, eps, function_id=f"u{idx}")
+    w_reg = ineq.verify_regularizer_bounds(u, theta, function_id=f"u{idx}")
+    return (
+        (w_tau.lhs, w_tau.extras["weighted_l2"], w_tau.extras["coercive"], w_tau.extras["product_ratio"]),
+        (w_eps.lhs, w_eps.extras["gradient_norm"], w_eps.extras["weight_norm"]),
+        (w_reg.lhs, w_reg.rhs),
+    )
+
+
+def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    gamma, s = float(p["gamma"]), float(p["s"])
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
+    corpus = standard_corpus(grid, int(p["corpus_size"]), cfg.seed)
+    eps = float(p["eps"])
+    theta_grid = (1e-3, 1e-2, 1e-1, 1.0)
+    tasks = [
+        (u.samples.real, grid.points_per_axis, grid.half_width, gamma, s, eps, theta_grid[i % 4], i)
+        for i, u in enumerate(corpus)
+    ]
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            results = list(pool.map(_witness_batch, tasks))
+    else:
+        results = [_witness_batch(t) for t in tasks]
+    tau_ratio = max(r[0][0] / (r[0][1] + r[0][2]) for r in results)
+    product_ratio = max(r[0][3] for r in results)
+    eps_consts = [(r[1][0] - eps * r[1][1]) / r[1][2] for r in results if r[1][2] > 0]
+    c_eps = max(max(eps_consts, default=0.0), 1e-12)
+    reg_margin = min(r[2][1] - r[2][0] for r in results)
+    fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
+    fine_corpus = standard_corpus(fine_grid, max(20, len(corpus) // 5), cfg.seed)
+    fine_wits = [
+        ineq.verify_interpolation_tau(u, prm, function_id=f"f{i}")
+        for i, u in enumerate(fine_corpus)
+    ]
+    coarse_sub = [
+        ineq.verify_interpolation_tau(u, prm, function_id=f"c{i}")
+        for i, u in enumerate(standard_corpus(grid, max(20, len(corpus) // 5), cfg.seed))
+    ]
+    refinement_ratio = ineq.fit_constant(fine_wits) / max(ineq.fit_constant(coarse_sub), 1e-300)
+    scaling = ineq.eps_constant_scaling(grid, s)
+    slope_ok = (
+        abs(scaling["slope"] - scaling["target_slope"]) <= 0.25 * abs(scaling["target_slope"])
+    )
+    comp_pass = True
+    comp_agree = []
+    nonneg = [u for u in corpus if float(np.min(u.samples.real)) >= -1e-12][: max(10, len(corpus) // 10)]
+    for i, u in enumerate(nonneg):
+        for name in ineq.COMPOSITION_MAPS:
+            w = ineq.verify_composition_bound(u, s, name, constant=4.0, function_id=f"g{i}")
+            comp_pass &= w.passed and w.extras["agreement_ok"]
+            comp_agree.extend(w.extras["agreement_factors"])
+    report_rows = []
+    for ineq_id, fitted, margin, refine in (
+        ("interpolation-tau", tau_ratio, 0.0, refinement_ratio),
+        ("weighted-eps-split", c_eps, 0.0, None),
+        ("regularizer-triple", 3.0, reg_margin, None),
+    ):
+        report_rows.append(
+            ineq.InequalityReport(
+                inequality_id=ineq_id,
+                params={"gamma": gamma, "s": s},
+                corpus_size=len(corpus),
+                min_margin=margin,
+                fitted_constant=fitted,
+                refinement_ratio=refine,
+            ).to_json_dict()
+        )
+    out_json = os.path.join(cfg.out_dir, "inequalities.json")
+    with open(out_json, "w") as fh:
+        json.dump(report_rows, fh, sort_keys=True, indent=2)
+    checks = {
+        "interpolation-finite-constant": bool(math.isfinite(tau_ratio) and tau_ratio > 0),
+        "interpolation-refinement-stable": bool(abs(refinement_ratio - 1.0) <= 0.1),
+        "product-form-bounded": bool(product_ratio < 10 * tau_ratio + 10),
+        "regularizer-margin-nonnegative": bool(reg_margin >= 0.0),
+        "eps-constant-scaling": bool(slope_ok),
+        "composition-bounded": bool(comp_pass),
+    }
+    metrics = {
+        "fitted_interpolation_constant": tau_ratio,
+        "fitted_eps_constant": c_eps,
+        "eps_scaling": scaling,
+        "regularizer_min_margin": reg_margin,
+        "composition_agreement_range": [min(comp_agree), max(comp_agree)] if comp_agree else [],
+    }
+    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_json])
+
+
+def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    rng = np.random.default_rng(cfg.seed)
+    size = int(p["corpus_size"])
+    polys = [vfields.random_poly(rng) for _ in range(size)]
+    deltas = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3)]
+    failures = []
+    for i, f in enumerate(polys):
+        for delta in deltas:
+            for k in range(0, int(p["max_k"]) + 1):
+                if not vfields.commutator_residual(f, delta, k).is_zero():
+                    failures.append(f"commutator f{i} delta={delta} k={k}")
+    vp_cases = [
+        vfields.VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2)),
+        vfields.VFParams(gamma=Fraction(-1), s=Fraction(3, 4), lam=Fraction(2)),
+        vfields.VFParams(gamma=Fraction(-2), s=Fraction(3, 4), lam=Fraction(3)),
+    ]
+    for i, f in enumerate(polys):
+        for vp in vp_cases:
+            rx, rv = vfields.reconstruction_residuals(f, vp)
+            if not (rx.is_zero() and rv.is_zero()):
+                failures.append(f"reconstruction f{i} lam={vp.lam}")
+            for a1 in range(0, int(p["max_alpha"]) + 1):
+                for a2 in range(0, int(p["max_alpha"]) + 1 - a1):
+                    res = vfields.mixed_commutator_residual(
+                        f, vp.delta1, vp.delta2, (a1, a2)
+                    )
+                    if not res.is_zero():
+                        failures.append(f"mixed f{i} alpha=({a1},{a2})")
+    rho = float(p["rho"])
+    ledger_rows = []
+    exponent = 1.5
+    worst_rt = 0.0
+    for k in range(0, 201):
+        lv = vfields.log_ledger_value(rho, k, exponent)
+        ledger_rows.append([k, math.exp(lv) if lv > -700 else 0.0, lv])
+        worst_rt = max(worst_rt, abs(vfields.ledger_round_trip_residual(rho, k, exponent)))
+    conv = vfields.convolution_bound(int(p["conv_kmax"]))
+    csv_path = os.path.join(cfg.out_dir, "ledger.csv")
+    write_csv(csv_path, ["k", "L_value", "log_L"], ledger_rows)
+    id_json = os.path.join(cfg.out_dir, "identities.json")
+    with open(id_json, "w") as fh:
+        json.dump(
+            {
+                "identity_id": "transport-commutators",
+                "params": {"max_k": p["max_k"], "max_alpha": p["max_alpha"]},
+                "corpus_size": size,
+                "failures": failures,
+            },
+            fh,
+            sort_keys=True,
+            indent=2,
+        )
+    checks = {
+        "identities-exact": not failures,
+        "ledger-round-trip": bool(worst_rt == 0.0),
+        "convolution-sup-stabilizes": bool(conv["stabilization_gap"] <= 1e-6),
+    }
+    metrics = {"convolution": conv, "ledger_round_trip_worst": worst_rt, "failure_count": len(failures)}
+    return RunReport(
+        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, id_json]
+    )
+
+
+def run_picard(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
+    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
+    rp = solver.RegularizedProblem(
+        eps=float(p["eps"]),
+        prm=prm,
+        a0=float(p["a0"]),
+        grid=grid,
+        t_final=float(p["t_final"]),
+        steps=int(p["steps"]),
+        x_points=0 if str(p["x_axis"]) in ("off", "0") else int(p["x_axis"]),
+    )
+    f_in = SpectralField.from_samples(grid, np.exp(-rp.a0 * grid.v_bracket_sq))
+    state = solver.picard_iterate(f_in, rp, n_max=int(p["nmax"]))
+    traj = state.final_trajectory
+    rows = []
+    mins = solver.positivity_series(traj)
+    for n in range(traj.states.shape[0]):
+        snap = SpectralField.from_samples(grid, traj.states[n])
+        mom = solver.moments(snap)
+        rows.append(
+            [
+                traj.times[n],
+                state.energy.weighted_norms[n],
+                state.energy.dissipation_integrand[n],
+                mom.mass,
+                mom.energy,
+                mom.entropy,
+                mins[n],
+            ]
+        )
+    csv_path = os.path.join(cfg.out_dir, "picard_series.csv")
+    write_csv(
+        csv_path,
+        ["t", "weighted_norm", "dissipation", "mass", "energy", "entropy", "min_value"],
+        rows,
+    )
+    json_path = os.path.join(cfg.out_dir, "picard_state.json")
+    with open(json_path, "w") as fh:
+        json.dump(state.summary(), fh, sort_keys=True, indent=2, default=_jsonable)
+    checks = {
+        "contraction": state.contraction,
+        "fixed-point-residual": bool(state.fixed_point_residual <= 1e-6),
+        "groenwall-residuals-nonnegative": not state.energy.violations,
+    }
+    metrics = state.summary()
+    return RunReport(
+        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, json_path]
+    )
+
+
+def run_norms(cfg: ExperimentConfig) -> RunReport:
+    p = cfg.params
+    gamma, s = float(p["gamma"]), float(p["s"])
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
+    pair = dyadic.build_bump_pair()
+    corpus = standard_corpus(grid, int(p["corpus_size"]), cfg.seed)
+    pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (gamma / 2.0, s)]
+    rows = []
+    worst = (np.inf, 0.0)
+    from kgl.multipliers import weighted_sobolev_norm
+
+    for i, u in enumerate(corpus):
+        norms_matrix = dyadic.block_norms(u, pair)
+        for (pp, mm) in pairs_pm:
+            value = dyadic.block_sum(norms_matrix, pp, mm)
+            direct = weighted_sobolev_norm(u, pp, mm)
+            ratio = value / direct if direct > 0 else np.nan
+            worst = (min(worst[0], ratio), max(worst[1], ratio))
+            rows.append([i, pp, mm, value, direct, ratio])
+    csv_path = os.path.join(cfg.out_dir, "norm_ratios.csv")
+    write_csv(
+        csv_path,
+        ["function", "p", "m", "block_norm", "direct_norm", "ratio"],
+        rows,
+    )
+    rep0 = dyadic.block_norm_characterization(corpus[0], gamma / 2.0, s, pair)
+    blocks_path = os.path.join(cfg.out_dir, "block_report.csv")
+    dyadic.write_block_report_csv(rep0, blocks_path)
+    checks = {
+        "ratios-within-factor-8": bool(worst[0] >= 1 / 8 and worst[1] <= 8),
+        "tail-converged": bool(rep0.tail_converged),
+    }
+    metrics = {"ratio_min": worst[0], "ratio_max": worst[1], "pairs": pairs_pm}
+    return RunReport(
+        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, blocks_path]
+    )
+
+
+RUNNERS = {
+    "sharpness": run_sharpness,
+    "evolve-toy": run_evolve_toy,
+    "verify-inequalities": run_verify_inequalities,
+    "vector-fields": run_vector_fields,
+    "picard": run_picard,
+    "norms": run_norms,
+}
+
+
+def _echo(cfg: ExperimentConfig) -> dict:
+    return {
+        "experiment": cfg.experiment,
+        "params": {k: cfg.params[k] for k in sorted(cfg.params)},
+        "seed": cfg.seed,
+        "out_dir": cfg.out_dir,
+        "jobs": cfg.jobs,
+    }
+
+
+def run(cfg: ExperimentConfig) -> RunReport:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    start = time.perf_counter()
+    report = RUNNERS[cfg.experiment](cfg)
+    report.wall_clock = time.perf_counter() - start
+    report_path = os.path.join(cfg.out_dir, f"report_{cfg.experiment}.json")
+    with open(report_path, "w") as fh:
+        fh.write(report.to_json())
+    report.artifacts.append(report_path)
+    return report
+
+
+def emit_plot_data(report_dir: str, kind: str, out_path: str) -> str:
+    """Reshape a run's artifacts into tidy one-observation-per-row CSV."""
+    if kind == "gevrey-fit":
+        with open(os.path.join(report_dir, "gevrey_fit.json")) as fh:
+            fit = json.load(fh)
+        j0, j1 = fit["j_range"]
+        slope, c = fit["slope"], math.log2(fit["constant"])
+        exps = fit.get("shell_exponents") or [""] * (j1 - j0 + 1)
+        rows = [
+            [j, e, 2.0 ** (slope * j + c)]
+            for j, e in zip(range(j0, j1 + 1), exps)
+        ]
+        write_csv(out_path, ["j", "E_j", "fitted_line"], rows)
+    elif kind == "picard-ratios":
+        with open(os.path.join(report_dir, "picard_state.json")) as fh:
+            st = json.load(fh)
+        diffs = st["difference_norms"]
+        ratios = [""] + st["ratios"]
+        rows = [[n + 1, d, ratios[n] if n < len(ratios) else ""] for n, d in enumerate(diffs)]
+        write_csv(out_path, ["n", "diff_norm", "ratio"], rows)
+    elif kind == "block-heatmap":
+        rows = []
+        with open(os.path.join(report_dir, "block_magnitudes.csv")) as fh:
+            for i, line in enumerate(fh):
+                if i == 0:
+                    continue
+                rows.append(line.strip().split(","))
+        write_csv(out_path, ["j", "k", "log_magnitude"], rows)
+    else:
+        raise ConfigError(f"unknown plot kind {kind!r}")
+    return out_path
+
+
+# --- command line ---------------------------------------------------------------
+
+
+def load_config(path: str, seed: int, out_dir: str, jobs: int) -> list[ExperimentConfig]:
+    parser = configparser.ConfigParser()
+    read = parser.read(path)
+    if not read:
+        raise ConfigError(f"cannot read config {path}")
+    configs = []
+    for section in parser.sections():
+        if section not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment section [{section}]")
+        params = dict(DEFAULTS[section])
+        for key, value in parser.items(section):
+            if key not in KNOWN_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            params[key] = value
+        configs.append(
+            ExperimentConfig(
+                experiment=section,
+                params=params,
+                seed=seed,
+                out_dir=os.path.join(out_dir, section),
+                jobs=jobs,
+            )
+        )
+    return configs
+
+
+def _add_common(sp):
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default="out")
+    sp.add_argument("--jobs", type=int, default=int(os.environ.get("KGL_JOBS", "1")))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="kgl", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    run_p = sub.add_parser("run", help="run experiments from a config file")
+    run_p.add_argument("--config", required=True)
+    run_p.add_argument("--check-only", action="store_true")
+    _add_common(run_p)
+
+    for name in EXPERIMENTS:
+        sp = sub.add_parser(name, help=f"run the {name} experiment with flag overrides")
+        _add_common(sp)
+        for key, default in DEFAULTS[name].items():
+            flag = "--" + key.replace("_", "-")
+            aliases = ["--T"] if (name == "picard" and key == "t_final") else []
+            sp.add_argument(flag, *aliases, dest=key, default=default)
+
+    plot_p = sub.add_parser("plot-data", help="emit tidy CSV from a report directory")
+    plot_p.add_argument("--report-dir", required=True)
+    plot_p.add_argument("--kind", required=True, choices=["gevrey-fit", "picard-ratios", "block-heatmap"])
+    plot_p.add_argument("--out", required=True)
+
+    args = ap.parse_args(argv)
+
+    if args.command == "plot-data":
+        emit_plot_data(args.report_dir, args.kind, args.out)
+        print(args.out)
+        return 0
+
+    if args.command == "run":
+        configs = load_config(args.config, args.seed, args.out, args.jobs)
+        if args.check_only:
+            for cfg in configs:
+                print(f"ok: [{cfg.experiment}] {len(cfg.params)} keys")
+            return 0
+    else:
+        params = {key: getattr(args, key) for key in DEFAULTS[args.command]}
+        configs = [
+            ExperimentConfig(
+                experiment=args.command,
+                params=params,
+                seed=args.seed,
+                out_dir=os.path.join(args.out, args.command),
+                jobs=args.jobs,
+            )
+        ]
+
+    all_pass = True
+    for cfg in configs:
+        report = run(cfg)
+        status = "PASS" if report.passed else "FAIL"
+        print(f"[{cfg.experiment}] {status} ({report.wall_clock:.1f}s)")
+        for name, ok in report.checks.items():
+            print(f"    {name}: {'pass' if ok else 'FAIL'}")
+        all_pass &= report.passed
+    return 0 if all_pass else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

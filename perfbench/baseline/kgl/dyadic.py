@@ -1,0 +1,263 @@
+"""Dyadic phase/frequency decomposition with a telescoping bump pair.
+
+The low cutoff psi is 1 inside |xi| <= 1, falls smoothly to 0 across
+[1, 4/3] through a bridge built from exp(-a/x), and the ring profile is
+defined by the telescope phi(xi) := psi(xi/2) - psi(xi).  The partition
+
+    psi(xi) + sum_{j>=0} phi(2^-j xi) = psi(2^-(J+1) xi) -> 1
+
+is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
+and rings two apart are disjoint.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.interpolate import PchipInterpolator
+
+from kgl.grid import SpectralField, VelocityGrid, scale_pointwise, scale_spectrum
+
+PSI_FLAT_RADIUS = 1.0
+PSI_SUPPORT_RADIUS = 4.0 / 3.0
+RING_INNER = 3.0 / 4.0
+RING_OUTER = 8.0 / 3.0
+
+
+class DyadicError(ValueError):
+    pass
+
+
+def _bridge(x: np.ndarray, steepness: float) -> np.ndarray:
+    """Smooth 1 -> 0 transition on [0, 1] from the exp(-a/x) glue."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        up = np.where(x > 0, np.exp(-steepness / np.maximum(x, 1e-300)), 0.0)
+        dn = np.where(x < 1, np.exp(-steepness / np.maximum(1.0 - x, 1e-300)), 0.0)
+    return dn / (up + dn)
+
+
+@dataclass
+class BumpPair:
+    """Tabulated radial cutoff pair (psi, phi) with monotone interpolation.
+
+    psi is stored on a fine radial mesh over the transition band; outside
+    the band it is exactly 1 or exactly 0.  phi is always evaluated as
+    psi(r/2) - psi(r), which keeps the dyadic partition identity exact
+    independently of the interpolation error.
+    """
+
+    mesh_resolution: int = 4096
+    steepness: float = 4.0
+    _interp: PchipInterpolator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.mesh_resolution < 1024:
+            raise DyadicError(
+                f"mesh_resolution {self.mesh_resolution} < 1024 is too coarse"
+            )
+        if self.steepness <= 0:
+            raise DyadicError("steepness must be positive")
+        mesh = np.linspace(PSI_FLAT_RADIUS, PSI_SUPPORT_RADIUS, self.mesh_resolution)
+        width = PSI_SUPPORT_RADIUS - PSI_FLAT_RADIUS
+        vals = _bridge((mesh - PSI_FLAT_RADIUS) / width, self.steepness)
+        vals[0], vals[-1] = 1.0, 0.0
+        with np.errstate(over="ignore", divide="ignore"):  # flat saturated segments
+            self._interp = PchipInterpolator(mesh, vals, extrapolate=False)
+
+    def psi(self, r) -> np.ndarray:
+        r = np.abs(np.asarray(r, dtype=float))
+        out = np.ones_like(r)
+        out[r >= PSI_SUPPORT_RADIUS] = 0.0
+        band = (r > PSI_FLAT_RADIUS) & (r < PSI_SUPPORT_RADIUS)
+        if np.any(band):
+            out[band] = self._interp(r[band])
+        return out
+
+    def phi(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return self.psi(r / 2.0) - self.psi(r)
+
+    def ring_weight(self, r, shell: int) -> np.ndarray:
+        """phi(2^-shell r) for shell >= 0, psi(r) for shell = -1."""
+        if shell == -1:
+            return self.psi(r)
+        return self.phi(np.asarray(r, dtype=float) / 2.0**shell)
+
+
+def build_bump_pair(mesh_resolution: int = 4096, steepness: float = 4.0) -> BumpPair:
+    """Construct the pair and verify its defining properties numerically."""
+    pair = BumpPair(mesh_resolution=mesh_resolution, steepness=steepness)
+    probe = np.linspace(0.0, 64.0, 20001)
+    jmax = 7
+    total = pair.psi(probe) + sum(pair.phi(probe / 2.0**j) for j in range(jmax + 1))
+    mask = probe <= 2.0**jmax  # partition saturates once the last ring covers
+    err = np.max(np.abs(total[mask] - 1.0))
+    if err > 1e-12:
+        raise DyadicError(f"partition error {err:.3e} exceeds 1e-12; refine the mesh")
+    for fn in (pair.psi, pair.phi):
+        vals = fn(probe)
+        if vals.min() < -1e-14 or vals.max() > 1.0 + 1e-14:
+            raise DyadicError("cutoff values escape [0, 1]")
+    return pair
+
+
+def max_phase_shell(grid: VelocityGrid) -> int:
+    """Largest k whose ring still intersects the box: 2^k * 3/4 <= L."""
+    k = -1
+    while 2.0 ** (k + 1) * RING_INNER <= grid.half_width:
+        k += 1
+    return k
+
+
+def max_freq_shell(grid: VelocityGrid) -> int:
+    """Largest representable j: reject once 2^j * 3/4 exceeds the Nyquist."""
+    j = -1
+    while 2.0 ** (j + 1) * RING_INNER <= grid.nyquist:
+        j += 1
+    return j
+
+
+def project_phase(f: SpectralField, k: int, pair: BumpPair) -> SpectralField:
+    """Pointwise ring restriction: psi(v) f for k = -1, phi(2^-k v) f else."""
+    if k < -1:
+        raise DyadicError(f"phase shell {k} < -1")
+    return scale_pointwise(f, pair.ring_weight(f.grid.v_abs, k))
+
+
+def project_frequency(f: SpectralField, j: int, pair: BumpPair) -> SpectralField:
+    """Fourier-side ring restriction on shell j."""
+    if j < -1:
+        raise DyadicError(f"frequency shell {j} < -1")
+    if j >= 0 and 2.0**j * RING_INNER > f.grid.nyquist:
+        raise DyadicError(
+            f"shell {j} not representable: 2^j * 3/4 = {2.0 ** j * RING_INNER:.1f} "
+            f"exceeds Nyquist {f.grid.nyquist:.1f}"
+        )
+    return scale_spectrum(f, pair.ring_weight(f.grid.eta_abs, j))
+
+
+def block(f: SpectralField, j: int, k: int, pair: BumpPair) -> SpectralField:
+    """The (j, k) block: frequency projection applied after the phase one."""
+    return project_frequency(project_phase(f, k, pair), j, pair)
+
+
+def block_norms(
+    f: SpectralField,
+    pair: BumpPair,
+    jmax: int | None = None,
+    kmax: int | None = None,
+) -> np.ndarray:
+    """Matrix of block L2 norms, rows j = -1..jmax, cols k = -1..kmax."""
+    grid = f.grid
+    jmax = max_freq_shell(grid) if jmax is None else jmax
+    kmax = max_phase_shell(grid) if kmax is None else kmax
+    scale = np.sqrt(grid.cell_volume)
+    out = np.zeros((jmax + 2, kmax + 2))
+    for k in range(-1, kmax + 1):
+        g = f.samples * pair.ring_weight(grid.v_abs, k)
+        gh = np.fft.fftn(g, norm="ortho")
+        for j in range(-1, jmax + 1):
+            wj = pair.ring_weight(grid.eta_abs, j)
+            out[j + 1, k + 1] = scale * np.linalg.norm((gh * wj).ravel())
+    return out
+
+
+def shell_norms(f: SpectralField, pair: BumpPair, jmax: int | None = None) -> np.ndarray:
+    """Frequency-shell norms ||Delta_j f|| for j = -1..jmax (no phase cutoff)."""
+    grid = f.grid
+    jmax = max_freq_shell(grid) if jmax is None else jmax
+    scale = np.sqrt(grid.cell_volume)
+    fh = f.coefficients
+    return np.array(
+        [
+            scale * np.linalg.norm((fh * pair.ring_weight(grid.eta_abs, j)).ravel())
+            for j in range(-1, jmax + 1)
+        ]
+    )
+
+
+def block_sum(norms: np.ndarray, p: float, m: float) -> float:
+    """Weighted block-sum norm from a precomputed block-norm matrix.
+
+    ``norms[j+1, k+1]`` must hold the (j, k) block L2 norms as produced by
+    :func:`block_norms`; reusing one matrix across several (p, m) pairs
+    avoids recomputing the projections.
+    """
+    jmax = norms.shape[0] - 2
+    kmax = norms.shape[1] - 2
+    js = np.arange(-1, jmax + 1)[:, None]
+    ks = np.arange(-1, kmax + 1)[None, :]
+    weights = 2.0 ** (2.0 * p * ks) * 2.0 ** (2.0 * m * js)
+    return float(np.sqrt(np.sum(weights * norms**2)))
+
+
+@dataclass
+class BlockNormReport:
+    value: float
+    rows: list[dict]
+    tail_converged: bool
+    jmax: int
+    kmax: int
+
+
+BLOCK_REPORT_COLUMNS = ["j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"]
+
+
+def write_block_report_csv(report: BlockNormReport, path: str) -> None:
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=BLOCK_REPORT_COLUMNS)
+        writer.writeheader()
+        writer.writerows(report.rows)
+
+
+def block_norm_characterization(
+    f: SpectralField,
+    p: float,
+    m: float,
+    pair: BumpPair,
+    tail_tol: float = 1e-8,
+) -> BlockNormReport:
+    """Block-sum norm (sum_{j,k} 2^{2kp} 2^{2mj} ||block||^2)^(1/2).
+
+    The k sum stops at the last ring meeting the box; the report flags a
+    non-convergent tail when the outermost ring still contributes more
+    than ``tail_tol`` of the total.
+    """
+    grid = f.grid
+    jmax = max_freq_shell(grid)
+    kmax = max_phase_shell(grid)
+    norms = block_norms(f, pair, jmax=jmax, kmax=kmax)
+    rows = []
+    total = 0.0
+    last_ring = 0.0
+    for k in range(-1, kmax + 1):
+        for j in range(-1, jmax + 1):
+            b = norms[j + 1, k + 1]
+            wk = 2.0 ** (2 * k * p)
+            wj = 2.0 ** (2 * m * j)
+            contrib = wk * wj * b * b
+            total += contrib
+            if k == kmax:
+                last_ring += contrib
+            rows.append(
+                {
+                    "j": j,
+                    "k": k,
+                    "block_l2": b,
+                    "weight_2kp": wk,
+                    "weight_2mj": wj,
+                    "contribution": contrib,
+                }
+            )
+    tail_ok = last_ring <= tail_tol * max(total, 1e-300)
+    return BlockNormReport(
+        value=float(np.sqrt(total)),
+        rows=rows,
+        tail_converged=bool(tail_ok),
+        jmax=jmax,
+        kmax=kmax,
+    )
