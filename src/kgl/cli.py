@@ -262,6 +262,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
         "rate_ratio_max": hi,
         "blocks_compared": len(consistency.included()),
         "final_l2": traj.norms[-1],
+        "propagator_rank": traj.propagator_rank,
     }
     return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=artifacts)
 

@@ -456,7 +456,7 @@ def _picard_once(
     energy = energy_monitor(traj, rp, source_traj=final_source)
     return PicardState(
         problem=rp,
-        iterations=n_max,
+        iterations=len(diffs),
         difference_norms=diffs,
         ratios=ratios,
         contraction=contraction,

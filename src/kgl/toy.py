@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+from scipy.fft import dct
 
 from kgl.dyadic import BumpPair, block_norms, build_bump_pair, max_freq_shell, max_phase_shell
 from kgl.grid import SpectralField, VelocityGrid
-from kgl.params import SoftPotentialParams, predicted_index
+from kgl.params import SoftPotentialParams
 
 
 class ToyModelError(ValueError):
@@ -79,58 +81,124 @@ def effective_coefficient(
     return raw * chi + edge * (1.0 - chi)
 
 
-class ToyStepper:
-    """One-step propagator for the model on a fixed grid.
+CHEBYSHEV_NODES = 48  # first node count tried; doubled until the series resolves
+MAX_CHEBYSHEV_NODES = 3072  # beyond this the kernel is rejected as unresolved
+RESOLVED_TAIL = 64 * np.finfo(float).eps  # top-half coefficients of a resolved series
+PLATEAU_FACTOR = 2.0  # coefficients within this factor of the floor are rounding
 
-    gamma = 0: the flow is an exact Fourier multiplier exp(-dt <eta>^(2s)).
-    gamma < 0 (d = 1): the step is the exact Fourier half-multiplier
-    composed with the pointwise-exponential coefficient correction, which
-    amounts to applying the frozen two-parameter kernel
-    exp(-dt m(v) <eta>^(2s)) mode by mode.  Every kernel element lies in
-    (0, 1], the step is unconditionally stable, and it reduces to the exact
-    multiplier flow when the coefficient is constant.
+
+def chebyshev_symbols(
+    coefficient: np.ndarray, sigma: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Separate exp(-dt m sigma) in m over the range of ``coefficient``.
+
+    With x = (m - center) / half mapping [min m, max m] onto [-1, 1],
+
+        exp(-dt m sigma) = sum_r b_r(sigma) T_r(x),
+
+    where b_r is the DCT of the kernel sampled at Chebyshev nodes m_k.  The
+    computed coefficients level off at a rounding plateau instead of
+    decaying further, so the rank is read from the plateau: the floor is
+    the largest coefficient in the top half of the series (at least eps
+    times b_0), and the rank keeps every term above PLATEAU_FACTOR times
+    it.  The node count doubles until the top half sits at rounding level.
+    A constant coefficient gives rank 1.  Returns (b, x) with b of shape
+    (rank,) + sigma.shape.
+    """
+    lo, hi = float(np.min(coefficient)), float(np.max(coefficient))
+    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    n = CHEBYSHEV_NODES
+    while True:
+        nodes = center + half * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        kernel = np.exp(-dt * nodes.reshape((n,) + (1,) * sigma.ndim) * sigma)
+        b = dct(kernel, type=2, axis=0) / n
+        b[0] /= 2.0
+        size = np.max(np.abs(b.reshape(n, -1)), axis=1)
+        floor = max(float(np.max(size[n // 2 :])), np.finfo(float).eps * size[0])
+        if floor <= RESOLVED_TAIL * size[0]:
+            break
+        if n >= MAX_CHEBYSHEV_NODES:
+            raise ToyModelError(
+                f"toy kernel not resolved by {n} Chebyshev nodes (tail {floor:.1e})"
+            )
+        n *= 2
+    rank = int(np.nonzero(size > PLATEAU_FACTOR * floor)[0][-1]) + 1
+    x = (coefficient - center) / half if half > 0 else np.zeros_like(coefficient)
+    return b[:rank], x
+
+
+class ToyStepper:
+    """One-step propagator for the model on a fixed grid, any dimension d.
+
+    The step applies the frozen kernel exp(-dt m(v) <eta>^(2s)), with m the
+    effective coefficient, mode by mode.  The kernel depends on v only
+    through m, so a Chebyshev expansion in m separates it:
+
+        step(u) = sum_r a_r(v) * irfftn(b_r(eta) * rfftn(u)),
+
+    with a_r = T_r(x(v)) and b_r the Chebyshev coefficients of the kernel
+    (see :func:`chebyshev_symbols` for the rank rule; ``rank`` holds it).
+    A constant coefficient (gamma = 0) is the rank-1 case, the exact
+    multiplier flow.  Every kernel element lies in (0, 1], so the step is
+    unconditionally stable.
+
+    The operator is real (a_r, b_r real, b_r even in eta) and marches real
+    arrays with real transforms; complex input is split by linearity,
+    S(u) = S(Re u) + i S(Im u), and input whose imaginary part is zero
+    returns a real array.
     """
 
     def __init__(self, p: ToyParams):
         grid = p.grid
         self.params = p
         self.dt = p.t_final / p.steps
-        self.sigma = grid.eta_bracket_sq ** p.prm.s
         self.coefficient = effective_coefficient(
             grid, p.prm.gamma, p.coefficient_blend_start
         )
-        if p.prm.gamma == 0.0:
-            self._kernel = None
-            self._mult = np.exp(-self.dt * self.sigma)
-            return
-        if grid.dimension != 1:
-            raise ToyModelError(
-                "variable-coefficient evolution implemented for d = 1 only"
-            )
-        n = grid.points_per_axis
-        # synthesis phases relative to DFT coefficients are the plain
-        # inverse-DFT twiddles W^(i m); arguments are reduced mod N before
-        # exponentiation so no large-angle phase error accumulates
-        i_idx = np.arange(n, dtype=np.int64)
-        m_idx = (np.fft.fftfreq(n) * n).astype(np.int64)
-        table = np.exp(2j * np.pi * np.arange(n) / n)
-        phase = table[np.mod(np.outer(i_idx, m_idx), n)]
-        kernel = np.exp(-self.dt * np.outer(self.coefficient, self.sigma))
-        self._kernel = (phase * kernel) / math.sqrt(n)
-        self._mult = None
+        sigma = _rfft_half(grid.eta_bracket_sq) ** p.prm.s
+        self.symbols, x = chebyshev_symbols(self.coefficient, sigma, self.dt)
+        self.rank = len(self.symbols)
+        # T_0(x) .. T_(rank-1)(x) by the three-term recurrence
+        self.weights = np.ascontiguousarray(np.moveaxis(chebvander(x, self.rank - 1), -1, 0))
 
     def step(self, samples: np.ndarray) -> np.ndarray:
-        if self._kernel is None:
-            coeff = np.fft.fftn(samples, norm="ortho") * self._mult
-            return np.fft.ifftn(coeff, norm="ortho")
-        return self._kernel @ np.fft.fft(samples, norm="ortho")
+        """Advance one field of the grid's shape by dt."""
+        return _by_parts(self._apply, samples)
 
     def step_batch(self, columns: np.ndarray) -> np.ndarray:
-        """Advance many fields at once; columns has shape (N, batch)."""
-        if self._kernel is None:
-            coeff = np.fft.fft(columns, axis=0, norm="ortho")
-            return np.fft.ifft(coeff * self._mult[:, None], axis=0, norm="ortho")
-        return self._kernel @ np.fft.fft(columns, axis=0, norm="ortho")
+        """Advance many fields at once; columns has shape (N^d, batch)."""
+        points, batch = columns.shape
+        fields = columns.T.reshape((batch,) + self.params.grid.shape)
+        return _by_parts(self._apply, fields).reshape(batch, points).T
+
+    def _apply(self, u: np.ndarray) -> np.ndarray:
+        """The step on real fields over the trailing d axes of u."""
+        shape = self.params.grid.shape
+        axes = tuple(range(-len(shape), 0))
+        coeff = np.fft.rfftn(u, axes=axes)
+        scaled = np.empty_like(coeff)
+        out = np.zeros(u.shape)
+        # in-place products: a fresh temporary per term costs about as much
+        # as the term's transform
+        for a, b in zip(self.weights, self.symbols):
+            y = np.fft.irfftn(np.multiply(b, coeff, out=scaled), s=shape, axes=axes)
+            y *= a
+            out += y
+        return out
+
+
+def _rfft_half(symbol: np.ndarray) -> np.ndarray:
+    """An even Fourier symbol on the rfftn layout (last axis 0 .. N/2)."""
+    return symbol[..., : symbol.shape[-1] // 2 + 1]
+
+
+def _by_parts(apply, u: np.ndarray) -> np.ndarray:
+    """Apply a real linear operator to u, splitting complex u by linearity."""
+    if not np.iscomplexobj(u):
+        return apply(u)
+    if not np.any(u.imag):
+        return apply(u.real)
+    return apply(u.real) + 1j * apply(u.imag)
 
 
 @dataclass
@@ -139,6 +207,7 @@ class ToyTrajectory:
     times: np.ndarray
     norms: np.ndarray
     final: SpectralField
+    propagator_rank: int
     snapshots: list[tuple[float, SpectralField]] = field(default_factory=list)
 
 
@@ -155,14 +224,14 @@ def evolve_toy(
     """
     if f0.grid != p.grid:
         raise ToyModelError("initial field lives on a different grid")
-    boundary = float(np.max(np.abs(f0.samples[_boundary_slice(p.grid)])))
+    boundary = _edge_peak(f0.samples)
     peak = float(np.max(np.abs(f0.samples)))
     if peak > 0 and boundary > 1e-14 * peak:
         raise ToyModelError(
             f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
         )
     stepper = ToyStepper(p)
-    u = f0.samples.astype(complex)
+    u = f0.samples
     norms = [float(np.linalg.norm(u.ravel()))]
     times = [0.0]
     snaps: list[tuple[float, SpectralField]] = []
@@ -183,14 +252,14 @@ def evolve_toy(
         times=np.asarray(times),
         norms=scale * np.asarray(norms),
         final=SpectralField.from_samples(p.grid, u),
+        propagator_rank=stepper.rank,
         snapshots=snaps,
     )
 
 
-def _boundary_slice(grid: VelocityGrid):
-    idx = [slice(None)] * grid.dimension
-    idx[0] = 0  # v = -L face
-    return tuple(idx)
+def _edge_peak(samples: np.ndarray) -> float:
+    """Largest |f| on the v_i = -L face of every axis i."""
+    return max(float(np.max(np.abs(np.take(samples, 0, axis=a)))) for a in range(samples.ndim))
 
 
 # --- closed-form block decay law -------------------------------------------
@@ -427,12 +496,18 @@ def block_law_consistency(
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
     scale = math.sqrt(grid.cell_volume)
+    eta_half = _rfft_half(grid.eta_abs)
+    rings = np.array([pair.ring_weight(eta_half, j) for j in range(-1, jmax + 1)])
+    axes = tuple(range(-grid.dimension, 0))
+
+    def project(g):
+        gh = np.fft.rfftn(g, axes=axes)
+        return np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
+
     cols, meta = [], []
     for k in range(-1, kmax + 1):
         g = f0.samples * pair.ring_weight(grid.v_abs, k)
-        gh = np.fft.fftn(g, norm="ortho")
-        for j in range(-1, jmax + 1):
-            b = np.fft.ifftn(gh * pair.ring_weight(grid.eta_abs, j), norm="ortho")
+        for j, b in enumerate(_by_parts(project, g), start=-1):
             nb = scale * float(np.linalg.norm(b.ravel()))
             if nb >= floor:
                 cols.append(b.ravel())
@@ -518,7 +593,3 @@ def weighted_broadband_data(
     q = q / max(float(np.max(np.abs(q))), 1e-300) * rough_amplitude
     samples = np.exp(-a0 * grid.v_bracket_sq) * (1.0 + q)
     return SpectralField.from_samples(grid, samples)
-
-
-def toy_predicted_index(prm: SoftPotentialParams) -> float:
-    return predicted_index(prm)

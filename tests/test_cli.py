@@ -124,3 +124,9 @@ def test_verify_inequalities_parallel_matches_serial(tmp_path):
     a = json.dumps(serial.metrics, sort_keys=True, default=str)
     b = json.dumps(parallel.metrics, sort_keys=True, default=str)
     assert a == b
+
+
+def test_evolve_toy_reports_propagator_rank(tmp_path):
+    rep = run(make_cfg(tmp_path, "evolve-toy", grid_n=1024, grid_l=16.0, snapshot_every=0))
+    rank = rep.metrics["propagator_rank"]
+    assert isinstance(rank, int) and rank > 1

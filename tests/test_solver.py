@@ -261,3 +261,12 @@ def test_problem_validation():
         RegularizedProblem(eps=1.5, prm=PRM, a0=1.0, grid=grid, t_final=0.4, steps=64)
     with pytest.raises(SolverError):
         RegularizedProblem(eps=0.1, prm=PRM, a0=1.0, grid=grid, t_final=0.6, steps=64)
+
+
+def test_picard_iterations_count_the_rounding_floor_break():
+    rp = make_problem()
+    state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=30)
+    d = state.difference_norms
+    # the break fired: far below the peak, the difference stopped decreasing
+    assert d[-1] >= d[-2] and d[-1] <= 1e-6 * max(d)
+    assert state.iterations == len(d) < 30

@@ -38,6 +38,7 @@ def test_gamma_zero_evolution_is_exact():
     v = grid.v_meshes[0]
     f0 = SpectralField.from_samples(grid, np.exp(-(v**2)))
     traj = evolve_toy(f0, p)
+    assert traj.propagator_rank == 1
     sym = grid.eta_bracket_sq**0.5
     exact = SpectralField.from_coefficients(grid, np.exp(-0.5 * sym) * f0.coefficients)
     err = (traj.final - exact).l2_norm() / exact.l2_norm()
@@ -212,3 +213,80 @@ def test_gamma_zero_commutes_with_multipliers():
     a = stepper.step(multiply(f0.samples))
     b = multiply(stepper.step(f0.samples))
     assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# --- low-rank propagator against the dense kernel -----------------------------
+
+
+def dense_propagator(stepper):
+    """The frozen kernel exp(-dt m(v) <eta>^(2s)) as a dense matrix.
+
+    It acts on flattened fields; N^d <= 1024 keeps it small.
+    """
+    grid = stepper.params.grid
+    n = grid.points_per_axis
+    dft = axis_dft = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+    for _ in range(grid.dimension - 1):
+        dft = np.kron(dft, axis_dft)
+    sigma = (grid.eta_bracket_sq ** stepper.params.prm.s).ravel()
+    kernel = np.exp(-stepper.dt * np.outer(stepper.coefficient.ravel(), sigma))
+    return (dft.conj().T * kernel) @ dft
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -2.0, -3.0])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_low_rank_step_matches_dense_kernel(gamma, s):
+    grid = VelocityGrid(1, 1024, 16.0)
+    prm = SoftPotentialParams(gamma=gamma, s=s, strict=False)
+    stepper = ToyStepper(ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid, steps=16))
+    assert stepper.rank > 1
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((1024, 3))
+    complex_ = real + 1j * rng.standard_normal((1024, 3))
+    dense = dense_propagator(stepper)
+    for columns in (real, complex_):
+        want = dense @ columns
+        got = stepper.step_batch(columns)
+        assert np.iscomplexobj(got) == np.iscomplexobj(columns)
+        assert relative_error(got, want) <= 1e-12
+        assert relative_error(stepper.step(columns[:, 0]), want[:, 0]) <= 1e-12
+
+
+def test_two_dimensional_evolution_matches_dense_kernel():
+    grid = VelocityGrid(2, 32, 8.0)
+    p = ToyParams(prm=PRM, a0=1.0, t_final=0.5, grid=grid, steps=16)
+    f0 = weighted_broadband_data(grid, p.a0, seed=5)
+    traj = evolve_toy(f0, p)
+    assert np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1])
+    assert traj.norms[-1] < traj.norms[0]
+    dense = dense_propagator(ToyStepper(p))
+    u = f0.samples.ravel()
+    for _ in range(p.steps):
+        u = dense @ u
+    assert relative_error(traj.final.samples.ravel(), u) <= 1e-12
+
+
+def test_rejects_data_not_decaying_along_second_axis():
+    grid = VelocityGrid(2, 32, 8.0)
+    p = ToyParams(prm=PRM, a0=1.0, t_final=0.5, grid=grid, steps=16)
+    v1 = grid.v_meshes[0]  # decays in v_1, constant in v_2
+    with pytest.raises(ToyModelError, match="decay"):
+        evolve_toy(SpectralField.from_samples(grid, np.exp(-(v1**2))), p)
+    v2 = grid.v_meshes[1]
+    evolve_toy(SpectralField.from_samples(grid, np.exp(-(v1**2) - v2**2)), p)
+
+
+def test_unresolved_kernel_is_rejected(monkeypatch):
+    # s = 3/4 over 16 steps needs 96 Chebyshev nodes on this grid
+    import kgl.toy
+
+    prm = SoftPotentialParams(gamma=-1.0, s=0.75)
+    p = ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=VelocityGrid(1, 1024, 16.0), steps=16)
+    assert ToyStepper(p).rank > kgl.toy.CHEBYSHEV_NODES // 2
+    monkeypatch.setattr(kgl.toy, "MAX_CHEBYSHEV_NODES", kgl.toy.CHEBYSHEV_NODES)
+    with pytest.raises(ToyModelError, match="not resolved"):
+        ToyStepper(p)
