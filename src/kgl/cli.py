@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,7 +47,6 @@ class ExperimentConfig:
     params: dict
     seed: int
     out_dir: str
-    jobs: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -93,20 +91,6 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
     raise TypeError(f"not JSON serializable: {type(x)}")
-
-
-def pairwise_sum(values) -> float:
-    """Fixed-order pairwise reduction; stable under worker parallelism."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [
-            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-            for i in range(0, len(vals), 2)
-        ]
-        vals = nxt
-    return float(vals[0])
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -267,22 +251,6 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=artifacts)
 
 
-def _witness_batch(args):
-    """Worker: evaluate the inequality battery on one corpus member."""
-    (samples, n, l, gamma, s, eps, theta, idx) = args
-    grid = VelocityGrid(1, n, l)
-    u = SpectralField.from_samples(grid, samples)
-    prm = SoftPotentialParams(gamma=gamma, s=s)
-    w_tau = ineq.verify_interpolation_tau(u, prm, function_id=f"u{idx}")
-    w_eps = ineq.verify_weighted_eps_split(u, s, eps, function_id=f"u{idx}")
-    w_reg = ineq.verify_regularizer_bounds(u, theta, function_id=f"u{idx}")
-    return (
-        (w_tau.lhs, w_tau.extras["weighted_l2"], w_tau.extras["coercive"], w_tau.extras["product_ratio"]),
-        (w_eps.lhs, w_eps.extras["gradient_norm"], w_eps.extras["weight_norm"]),
-        (w_reg.lhs, w_reg.rhs),
-    )
-
-
 def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     gamma, s = float(p["gamma"]), float(p["s"])
@@ -291,20 +259,16 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     corpus = standard_corpus(grid, int(p["corpus_size"]), cfg.seed)
     eps = float(p["eps"])
     theta_grid = (1e-3, 1e-2, 1e-1, 1.0)
-    tasks = [
-        (u.samples.real, grid.points_per_axis, grid.half_width, gamma, s, eps, theta_grid[i % 4], i)
-        for i, u in enumerate(corpus)
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_witness_batch, tasks))
-    else:
-        results = [_witness_batch(t) for t in tasks]
-    tau_ratio = max(r[0][0] / (r[0][1] + r[0][2]) for r in results)
-    product_ratio = max(r[0][3] for r in results)
-    eps_consts = [(r[1][0] - eps * r[1][1]) / r[1][2] for r in results if r[1][2] > 0]
-    c_eps = max(max(eps_consts, default=0.0), 1e-12)
-    reg_margin = min(r[2][1] - r[2][0] for r in results)
+    tau_wits, eps_wits, reg_wits = [], [], []
+    for i, u in enumerate(corpus):
+        tau_wits.append(ineq.verify_interpolation_tau(u, prm, function_id=f"u{i}"))
+        eps_wits.append(ineq.verify_weighted_eps_split(u, s, eps, function_id=f"u{i}"))
+        reg_wits.append(ineq.verify_regularizer_bounds(u, theta_grid[i % 4], function_id=f"u{i}"))
+    product_ratio = max(w.extras["product_ratio"] for w in tau_wits)
+    eps_norms = [(w.lhs, w.extras["gradient_norm"], w.extras["weight_norm"]) for w in eps_wits]
+    c_eps = ineq.eps_constant(eps_norms, eps)
+    eps_margin = min(eps * grad + c_eps * wpart - lhs for lhs, grad, wpart in eps_norms)
+    reg_margin = min(w.margin for w in reg_wits)
     fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
     fine_corpus = standard_corpus(fine_grid, max(20, len(corpus) // 5), cfg.seed)
     fine_wits = [
@@ -316,6 +280,11 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
         for i, u in enumerate(standard_corpus(grid, max(20, len(corpus) // 5), cfg.seed))
     ]
     refinement_ratio = ineq.fit_constant(fine_wits) / max(ineq.fit_constant(coarse_sub), 1e-300)
+    params = {"gamma": gamma, "s": s}
+    tau_report = ineq.aggregate(
+        "interpolation-tau", params, tau_wits, refinement_ratio=refinement_ratio
+    )
+    tau_ratio = tau_report.fitted_constant
     scaling = ineq.eps_constant_scaling(grid, s)
     slope_ok = (
         abs(scaling["slope"] - scaling["target_slope"]) <= 0.25 * abs(scaling["target_slope"])
@@ -328,22 +297,19 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
             w = ineq.verify_composition_bound(u, s, name, constant=4.0, function_id=f"g{i}")
             comp_pass &= w.passed and w.extras["agreement_ok"]
             comp_agree.extend(w.extras["agreement_factors"])
-    report_rows = []
-    for ineq_id, fitted, margin, refine in (
-        ("interpolation-tau", tau_ratio, 0.0, refinement_ratio),
-        ("weighted-eps-split", c_eps, 0.0, None),
-        ("regularizer-triple", 3.0, reg_margin, None),
-    ):
-        report_rows.append(
-            ineq.InequalityReport(
-                inequality_id=ineq_id,
-                params={"gamma": gamma, "s": s},
-                corpus_size=len(corpus),
-                min_margin=margin,
-                fitted_constant=fitted,
-                refinement_ratio=refine,
-            ).to_json_dict()
+    report_rows = [tau_report.to_json_dict()] + [
+        ineq.InequalityReport(
+            inequality_id=ineq_id,
+            params=params,
+            corpus_size=len(corpus),
+            min_margin=margin,
+            fitted_constant=fitted,
+        ).to_json_dict()
+        for ineq_id, fitted, margin in (
+            ("weighted-eps-split", c_eps, eps_margin),
+            ("regularizer-triple", 3.0, reg_margin),
         )
+    ]
     out_json = os.path.join(cfg.out_dir, "inequalities.json")
     with open(out_json, "w") as fh:
         json.dump(report_rows, fh, sort_keys=True, indent=2)
@@ -536,7 +502,6 @@ def _echo(cfg: ExperimentConfig) -> dict:
         "params": {k: cfg.params[k] for k in sorted(cfg.params)},
         "seed": cfg.seed,
         "out_dir": cfg.out_dir,
-        "jobs": cfg.jobs,
     }
 
 
@@ -588,7 +553,7 @@ def emit_plot_data(report_dir: str, kind: str, out_path: str) -> str:
 # --- command line ---------------------------------------------------------------
 
 
-def load_config(path: str, seed: int, out_dir: str, jobs: int) -> list[ExperimentConfig]:
+def load_config(path: str, seed: int, out_dir: str) -> list[ExperimentConfig]:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -608,7 +573,6 @@ def load_config(path: str, seed: int, out_dir: str, jobs: int) -> list[Experimen
                 params=params,
                 seed=seed,
                 out_dir=os.path.join(out_dir, section),
-                jobs=jobs,
             )
         )
     return configs
@@ -617,7 +581,8 @@ def load_config(path: str, seed: int, out_dir: str, jobs: int) -> list[Experimen
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="out")
-    sp.add_argument("--jobs", type=int, default=int(os.environ.get("KGL_JOBS", "1")))
+    # a no-op kept for one release so existing command lines still parse
+    sp.add_argument("--jobs", type=int, default=1, help="ignored; every run is serial")
 
 
 def main(argv=None) -> int:
@@ -650,7 +615,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        configs = load_config(args.config, args.seed, args.out, args.jobs)
+        configs = load_config(args.config, args.seed, args.out)
         if args.check_only:
             for cfg in configs:
                 print(f"ok: [{cfg.experiment}] {len(cfg.params)} keys")
@@ -663,7 +628,6 @@ def main(argv=None) -> int:
                 params=params,
                 seed=args.seed,
                 out_dir=os.path.join(args.out, args.command),
-                jobs=args.jobs,
             )
         ]
 

@@ -1,10 +1,15 @@
-"""Periodic velocity grid and spectral fields kept in sample/coefficient sync.
+"""Periodic velocity grid and spectral fields.
 
 The truncated domain is the box [-L, L)^d, periodized, with N samples per
 axis (N a power of two).  Transforms are unitary (1/sqrt(N) per axis), so
 the quadrature L2 norm of the samples and the scaled l2 norm of the
 coefficients coincide.  Dual frequencies are eta_m = (pi/L) * m with
 m in [-N/2, N/2)^d.
+
+A :class:`SpectralField` keeps one canonical array, its samples; the
+coefficients are derived from them once and cached, and both are
+read-only.  Fields are validated only where data enters the program:
+``SpectralField.from_pair`` and ``load_field``.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ class VelocityGrid:
             raise GridError(
                 f"points_per_axis {self.points_per_axis} must be a power of two >= 8"
             )
-        if not self.half_width > 0:
-            raise GridError(f"half_width {self.half_width} must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise GridError(f"half_width {self.half_width} must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -109,32 +114,35 @@ class VelocityGrid:
 
 
 class SpectralField:
-    """A grid function stored as samples together with its Fourier coefficients.
+    """A grid function held as its samples, with Fourier coefficients derived.
 
-    Both representations are held and kept in sync; constructors derive one
-    from the other through the unitary transform, so a freshly built field
-    always satisfies the round-trip invariant.  `from_pair` validates
-    externally supplied representations and rejects inconsistent input.
+    ``samples`` is the one canonical array.  ``coefficients`` is its unitary
+    transform, computed on first access and cached; constructors that start
+    from coefficients (``from_coefficients``, ``scale_spectrum``) seed that
+    cache with them.  Both arrays are read-only, so the two views cannot
+    drift apart and operators need not re-check them.  Data entering the
+    program is validated where it enters: ``from_pair`` checks an external
+    sample/coefficient pair and ``load_field`` checks a binary container.
     """
 
-    __slots__ = ("grid", "samples", "coefficients")
+    __slots__ = ("grid", "samples", "_coefficients")
 
-    def __init__(self, grid: VelocityGrid, samples: np.ndarray, coefficients: np.ndarray):
+    def __init__(
+        self, grid: VelocityGrid, samples: np.ndarray, coefficients: np.ndarray | None = None
+    ):
+        """Take ownership of fresh complex arrays of the grid's shape."""
         self.grid = grid
-        self.samples = samples
-        self.coefficients = coefficients
+        self.samples = _read_only(samples)
+        self._coefficients = None if coefficients is None else _read_only(coefficients)
 
     @classmethod
     def from_samples(cls, grid: VelocityGrid, samples: np.ndarray) -> "SpectralField":
-        samples = np.asarray(samples, dtype=complex).reshape(grid.shape)
-        coeff = np.fft.fftn(samples, norm="ortho")
-        return cls(grid, samples, coeff)
+        return cls(grid, np.array(samples, dtype=complex).reshape(grid.shape))
 
     @classmethod
     def from_coefficients(cls, grid: VelocityGrid, coeff: np.ndarray) -> "SpectralField":
-        coeff = np.asarray(coeff, dtype=complex).reshape(grid.shape)
-        samples = np.fft.ifftn(coeff, norm="ortho")
-        return cls(grid, samples, coeff)
+        coeff = np.array(coeff, dtype=complex).reshape(grid.shape)
+        return cls(grid, np.fft.ifftn(coeff, norm="ortho"), coeff)
 
     @classmethod
     def from_pair(
@@ -144,10 +152,11 @@ class SpectralField:
         coefficients: np.ndarray,
         tol: float = 1e-12,
     ) -> "SpectralField":
+        """Accept an external sample/coefficient pair only if the two agree."""
         f = cls(
             grid,
-            np.asarray(samples, dtype=complex).reshape(grid.shape),
-            np.asarray(coefficients, dtype=complex).reshape(grid.shape),
+            np.array(samples, dtype=complex).reshape(grid.shape),
+            np.array(coefficients, dtype=complex).reshape(grid.shape),
         )
         err = f.round_trip_error()
         if err > tol:
@@ -156,51 +165,34 @@ class SpectralField:
             )
         return f
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        if self._coefficients is None:
+            self._coefficients = _read_only(np.fft.fftn(self.samples, norm="ortho"))
+        return self._coefficients
+
     def round_trip_error(self) -> float:
         """Relative mismatch between samples and the synthesis of coefficients."""
         synth = np.fft.ifftn(self.coefficients, norm="ortho")
         scale = max(np.linalg.norm(self.samples.ravel()), 1e-300)
         return float(np.linalg.norm((synth - self.samples).ravel()) / scale)
 
-    def require_consistent(self, tol: float = 1e-10) -> None:
-        err = self.round_trip_error()
-        if err > tol:
-            raise FieldConsistencyError(
-                f"field inconsistent: round-trip error {err:.3e} > {tol:.1e}"
-            )
-
     def l2_norm(self) -> float:
-        """Quadrature-weighted L2 norm, equal to the scaled coefficient norm."""
-        return float(
-            np.sqrt(self.grid.cell_volume) * np.linalg.norm(self.coefficients.ravel())
-        )
-
-    def samples_l2_norm(self) -> float:
+        """Quadrature-weighted L2 norm of the samples."""
         return float(
             np.sqrt(self.grid.cell_volume) * np.linalg.norm(self.samples.ravel())
         )
 
-    @property
-    def real_samples(self) -> np.ndarray:
-        return self.samples.real
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.samples.copy(), self.coefficients.copy())
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(
-            self.grid, self.samples + other.samples, self.coefficients + other.coefficients
-        )
+        return SpectralField(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(
-            self.grid, self.samples - other.samples, self.coefficients - other.coefficients
-        )
+        return SpectralField(self.grid, self.samples - other.samples)
 
     def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.samples * scalar, self.coefficients * scalar)
+        return SpectralField(self.grid, self.samples * scalar)
 
     __rmul__ = __mul__
 
@@ -209,10 +201,14 @@ class SpectralField:
             raise GridError("fields live on different grids")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def scale_pointwise(f: SpectralField, factor: np.ndarray) -> SpectralField:
-    """Multiply samples pointwise and resynchronize coefficients."""
-    samples = f.samples * factor
-    return SpectralField(f.grid, samples, np.fft.fftn(samples, norm="ortho"))
+    """Multiply samples pointwise."""
+    return SpectralField(f.grid, f.samples * factor)
 
 
 def scale_spectrum(f: SpectralField, symbol: np.ndarray) -> SpectralField:
@@ -242,20 +238,32 @@ def save_field(f: SpectralField, path: str) -> None:
         fh.write(buf.tobytes())
 
 
+def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise GridError(f"container truncated at byte {len(data)}") from None
+
+
 def load_field(path: str) -> SpectralField:
+    """Read the flat binary container; a malformed one raises GridError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CONTAINER_MAGIC:
-            raise GridError(f"bad container magic {magic!r}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        ns = [struct.unpack("<I", fh.read(4))[0] for _ in range(d)]
-        if len(set(ns)) != 1:
-            raise GridError(f"anisotropic axis counts {ns} unsupported")
-        (half_width,) = struct.unpack("<d", fh.read(8))
-        grid = VelocityGrid(dimension=d, points_per_axis=ns[0], half_width=half_width)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        expected = 2 * ns[0] ** d
-        if raw.size != expected:
-            raise GridError(f"payload has {raw.size} floats, expected {expected}")
-        coeff = raw[0::2] + 1j * raw[1::2]
-        return SpectralField.from_coefficients(grid, coeff.reshape(grid.shape))
+        data = fh.read()
+    if data[:4] != CONTAINER_MAGIC:
+        raise GridError(f"bad container magic {data[:4]!r}")
+    (d,) = _unpack("<I", data, 4)
+    if d not in (1, 2, 3):
+        raise GridError(f"dimension {d} not in {{1,2,3}}")
+    ns = _unpack(f"<{d}I", data, 8)
+    if len(set(ns)) != 1:
+        raise GridError(f"anisotropic axis counts {list(ns)} unsupported")
+    (half_width,) = _unpack("<d", data, 8 + 4 * d)
+    grid = VelocityGrid(dimension=d, points_per_axis=ns[0], half_width=half_width)
+    payload = data[16 + 4 * d :]
+    expected = 2 * ns[0] ** d
+    if len(payload) != 8 * expected:
+        raise GridError(f"payload has {len(payload)} bytes, expected {8 * expected}")
+    raw = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise GridError("payload holds non-finite coefficients")
+    return SpectralField.from_coefficients(grid, raw[0::2] + 1j * raw[1::2])

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kgl.corpus import dilation_family
-from kgl.grid import SpectralField, VelocityGrid, scale_pointwise
-from kgl.multipliers import (
-    MultiplierSpec,
-    RegularizerSpec,
-    apply_multiplier,
-    apply_regularizer,
-    weighted_sobolev_norm,
-)
+from kgl.grid import SpectralField, VelocityGrid
+from kgl.multipliers import RegularizerSpec, apply_regularizer, weighted_sobolev_norm
 from kgl.params import SoftPotentialParams
 
 
@@ -162,13 +156,18 @@ def _eps_split_norms(fields: list[SpectralField], s: float) -> list[tuple[float,
     ]
 
 
-def fit_eps_constant(fields: list[SpectralField], s: float, eps: float) -> float:
-    """Smallest C_eps making the split inequality hold on the whole family."""
+def eps_constant(norms: list[tuple[float, float, float]], eps: float) -> float:
+    """Smallest C_eps making the split hold for every (lhs, grad, wpart) triple."""
     worst = max(
-        ((lhs - eps * grad) / wpart for lhs, grad, wpart in _eps_split_norms(fields, s) if wpart > 0),
+        ((lhs - eps * grad) / wpart for lhs, grad, wpart in norms if wpart > 0),
         default=0.0,
     )
     return max(worst, 1e-12)
+
+
+def fit_eps_constant(fields: list[SpectralField], s: float, eps: float) -> float:
+    """Smallest C_eps making the split inequality hold on the whole family."""
+    return eps_constant(_eps_split_norms(fields, s), eps)
 
 
 def eps_constant_scaling(
@@ -185,13 +184,7 @@ def eps_constant_scaling(
     """
     fields = dilation_family(grid, scale_min=grid.spacing, scale_max=8.0, count=family_size)
     norms = _eps_split_norms(fields, s)
-    consts = [
-        max(
-            max(((lhs - e * grad) / wpart for lhs, grad, wpart in norms if wpart > 0), default=0.0),
-            1e-12,
-        )
-        for e in eps_grid
-    ]
+    consts = [eps_constant(norms, e) for e in eps_grid]
     slope, intercept = np.polyfit(np.log(eps_grid), np.log(consts), 1)
     return {
         "eps_grid": list(eps_grid),
@@ -413,11 +406,3 @@ def amgm_implication_holds(w: InequalityWitness) -> bool:
     theta = w.extras["theta"]
     lhs = a**theta * b ** (1.0 - theta)
     return lhs <= theta * a + (1.0 - theta) * b + 1e-12 * (a + b + 1.0)
-
-
-def weighted_field(u: SpectralField, p: float) -> SpectralField:
-    return scale_pointwise(u, u.grid.v_bracket_sq ** (p / 2.0))
-
-
-def bracket_derivative(u: SpectralField, m: float) -> SpectralField:
-    return apply_multiplier(u, MultiplierSpec(order=m, kind="bracket"))

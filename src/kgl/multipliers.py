@@ -100,12 +100,10 @@ class RegularizerSpec:
 
 
 def apply_multiplier(f: SpectralField, spec: MultiplierSpec) -> SpectralField:
-    f.require_consistent()
     return scale_spectrum(f, spec.symbol(f.grid))
 
 
 def apply_weight(f: SpectralField, w: WeightFunction) -> SpectralField:
-    f.require_consistent()
     return scale_pointwise(f, w.values(f.grid))
 
 
@@ -124,7 +122,6 @@ def apply_regularizer(
         raise MultiplierError(f"derivative_order {derivative_order} not in {{0,1,2}}")
     if not (0 <= axis < f.grid.dimension):
         raise MultiplierError(f"axis {axis} out of range for d={f.grid.dimension}")
-    f.require_consistent()
     sym = spec.symbol(f.grid).astype(complex)
     if derivative_order > 0:
         eta_axis = f.grid.eta_meshes[axis]
@@ -133,7 +130,10 @@ def apply_regularizer(
 
 
 def weighted_sobolev_norm(f: SpectralField, p: float, m: float) -> float:
-    """|| <v>^p <D>^m f || by multiplier-then-weight composition."""
+    """|| <v>^p <D>^m f || by multiplier-then-weight composition.
+
+    One inverse transform, plus the forward one if f's coefficients are
+    not cached yet.
+    """
     g = apply_multiplier(f, MultiplierSpec(order=m, kind="bracket"))
-    g = scale_pointwise(g, g.grid.v_bracket_sq ** (p / 2.0))
-    return g.samples_l2_norm()
+    return scale_pointwise(g, g.grid.v_bracket_sq ** (p / 2.0)).l2_norm()

@@ -38,11 +38,6 @@ class SoftPotentialParams:
         return 2.0 * self.s / (2.0 - self.gamma)
 
     @property
-    def gevrey_exponent(self) -> float:
-        """max{1/(2 tau), 1}; equals the regularity-class index of solutions."""
-        return max(1.0 / (2.0 * self.tau), 1.0)
-
-    @property
     def strong_singularity(self) -> bool:
         """True when gamma/2 + 2s >= 1 (selects the single-field regime)."""
         return self.gamma / 2.0 + 2.0 * self.s >= 1.0

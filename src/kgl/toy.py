@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
-from kgl.dyadic import BumpPair, block_norms, build_bump_pair, max_freq_shell, max_phase_shell
+from kgl.dyadic import BumpPair, _bridge, build_bump_pair, max_freq_shell, max_phase_shell
 from kgl.grid import SpectralField, VelocityGrid
 from kgl.params import SoftPotentialParams
 
@@ -72,11 +72,7 @@ def effective_coefficient(
     r = grid.v_abs
     lo = blend_start * grid.half_width
     hi = grid.half_width
-    x = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        up = np.where(x > 0, np.exp(-4.0 / np.maximum(x, 1e-300)), 0.0)
-        dn = np.where(x < 1, np.exp(-4.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    chi = dn / (up + dn)
+    chi = _bridge((r - lo) / (hi - lo), 4.0)
     edge = (1.0 + hi * hi) ** (gamma / 2.0)
     return raw * chi + edge * (1.0 - chi)
 

@@ -170,11 +170,13 @@ def test_weight_multiplier_ordering_equivalence(grid1d):
 def test_multiplier_rejects_tampered_field(grid1d_small):
     rng = np.random.default_rng(31)
     f = SpectralField.from_samples(grid1d_small, rng.standard_normal(grid1d_small.shape))
-    f.coefficients[3] += 0.5  # break the sample/coefficient sync
-    from kgl.grid import FieldConsistencyError
-
-    with pytest.raises(FieldConsistencyError):
-        apply_multiplier(f, MultiplierSpec(order=1.0))
+    before = apply_multiplier(f, MultiplierSpec(order=1.0)).samples.copy()
+    with pytest.raises(ValueError):
+        f.coefficients[3] += 0.5  # the field's arrays are read-only
+    with pytest.raises(ValueError):
+        f.samples[3] += 0.5
+    after = apply_multiplier(f, MultiplierSpec(order=1.0)).samples
+    assert np.array_equal(before, after)
 
 
 def test_regularizer_small_theta_limit(grid1d_small):
@@ -187,3 +189,42 @@ def test_regularizer_small_theta_limit(grid1d_small):
     base = f.l2_norm()
     assert n0 == pytest.approx(base, rel=1e-4)
     assert n1 <= 1e-3 * base and n2 <= 1e-3 * base
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft functions called while the test runs."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_field_operators_cost_only_their_own_transforms(grid1d_small, fft_calls, monkeypatch):
+    rng = np.random.default_rng(33)
+    f = SpectralField.from_samples(grid1d_small, rng.standard_normal(grid1d_small.shape))
+    assert fft_calls == []  # coefficients are derived on first access
+    f.coefficients
+    f.coefficients
+    assert fft_calls == ["fftn"]  # ... and cached
+
+    def no_check(self):
+        raise AssertionError("operators must not re-check a field")
+
+    monkeypatch.setattr(SpectralField, "round_trip_error", no_check)
+    del fft_calls[:]
+    weighted_sobolev_norm(f, 1.0, 0.5)
+    assert fft_calls == ["ifftn"]
+    del fft_calls[:]
+    apply_multiplier(f, MultiplierSpec(order=1.0))
+    apply_weight(f, WeightFunction("polynomial", exponent=2.0))
+    g = apply_regularizer(f, RegularizerSpec(theta=0.5), derivative_order=1)
+    assert fft_calls == ["ifftn", "ifftn"]
+    g.coefficients  # seeded by scale_spectrum, no forward transform
+    assert fft_calls == ["ifftn", "ifftn"]
