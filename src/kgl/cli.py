@@ -24,39 +24,82 @@ import numpy as np
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
-from kgl.grid import SpectralField, VelocityGrid, save_field
-from kgl.params import SoftPotentialParams
-
-EXPERIMENTS = (
-    "sharpness",
-    "evolve-toy",
-    "verify-inequalities",
-    "vector-fields",
-    "picard",
-    "norms",
-)
+from kgl.grid import GridError, SpectralField, VelocityGrid, save_field
+from kgl.multipliers import weighted_sobolev_norm
+from kgl.params import AdmissibilityError, SoftPotentialParams
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _coerce(experiment: str, key: str, value, default):
+    """``value`` as the type of ``default``: an integral int or a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"[{experiment}] {key} = {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"[{experiment}] {key} = {value!r} is not finite")
+    if isinstance(default, float):
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"[{experiment}] {key} = {value!r} is not an integer")
+    return int(number)
+
+
 @dataclass
 class ExperimentConfig:
+    """One run's settings: the boundary every parameter passes through.
+
+    Missing keys take their defaults and every value (string or number) is
+    coerced to its default's type.  The library objects the run needs are
+    built here, once: ``prm``, ``grid`` and ``problem`` (the ``ToyParams`` of
+    evolve-toy, the ``RegularizedProblem`` of picard); their validation
+    errors surface as :class:`ConfigError` before any work starts.
+    """
+
     experiment: str
     params: dict
     seed: int
     out_dir: str
+    prm: SoftPotentialParams | None = field(default=None, init=False, repr=False, compare=False)
+    grid: VelocityGrid | None = field(default=None, init=False, repr=False, compare=False)
+    problem: toy.ToyParams | solver.RegularizedProblem | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        allowed = KNOWN_KEYS[self.experiment]
-        unknown = set(self.params) - set(allowed)
+        name = self.experiment
+        if name not in DEFAULTS:
+            raise ConfigError(f"unknown experiment {name!r}")
+        unknown = set(self.params) - set(DEFAULTS[name])
         if unknown:
-            raise ConfigError(
-                f"unknown keys for {self.experiment}: {sorted(unknown)}"
-            )
+            raise ConfigError(f"[{name}] unknown keys {sorted(unknown)}")
+        p = self.params = {
+            key: _coerce(name, key, self.params.get(key, default), default)
+            for key, default in DEFAULTS[name].items()
+        }
+        try:
+            if "gamma" in p:
+                self.prm = SoftPotentialParams(gamma=p["gamma"], s=p["s"])
+            if "grid_n" in p:
+                self.grid = VelocityGrid(1, p["grid_n"], p["grid_l"])
+            if name == "evolve-toy":
+                self.problem = toy.ToyParams(
+                    prm=self.prm, a0=p["a0"], t_final=p["t_final"], grid=self.grid, steps=p["steps"]
+                )
+            elif name == "picard":
+                self.problem = solver.RegularizedProblem(
+                    eps=p["eps"], prm=self.prm, a0=p["a0"], grid=self.grid,
+                    t_final=p["t_final"], steps=p["steps"],
+                )
+        except (AdmissibilityError, GridError, toy.ToyModelError, solver.SolverError) as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
+        if p.get("corpus_size", 1) < 1:
+            raise ConfigError(f"[{name}] corpus_size = {p['corpus_size']} must be at least 1")
+        if name == "sharpness" and p["j_min"] >= p["j_max"]:
+            raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
 
 
 @dataclass
@@ -102,36 +145,8 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 # --- experiment implementations ----------------------------------------------
 
-KNOWN_KEYS = {
-    "sharpness": {"gamma", "s", "a0", "j_min", "j_max", "kmax", "t"},
-    "evolve-toy": {
-        "gamma",
-        "s",
-        "a0",
-        "t_final",
-        "grid_n",
-        "grid_l",
-        "steps",
-        "snapshot_every",
-        "rough_amplitude",
-    },
-    "verify-inequalities": {"gamma", "s", "grid_n", "grid_l", "corpus_size", "eps"},
-    "vector-fields": {"corpus_size", "max_k", "max_alpha", "rho", "conv_kmax"},
-    "picard": {
-        "gamma",
-        "s",
-        "eps",
-        "a0",
-        "t_final",
-        "steps",
-        "nmax",
-        "grid_n",
-        "grid_l",
-        "x_axis",
-    },
-    "norms": {"gamma", "s", "grid_n", "grid_l", "corpus_size"},
-}
-
+# The one parameter schema: each experiment's keys, whose defaults fix
+# their types (int or float).
 DEFAULTS = {
     "sharpness": {"gamma": -1.0, "s": 0.5, "a0": 1.0, "j_min": 1, "j_max": 40, "kmax": 64, "t": 1.0},
     "evolve-toy": {
@@ -164,21 +179,18 @@ DEFAULTS = {
         "nmax": 30,
         "grid_n": 256,
         "grid_l": 4.0,
-        "x_axis": "off",
     },
     "norms": {"gamma": -1.0, "s": 0.5, "grid_n": 1024, "grid_l": 16.0, "corpus_size": 50},
 }
 
 
 def run_sharpness(cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
-    a0 = float(p["a0"])
+    p, prm = cfg.params, cfg.prm
     rows = []
     slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
     ratios = []
-    for j in range(int(p["j_min"]), int(p["j_max"]) + 1):
-        res = toy.sharpness_infimum(j, prm, a0, kmax=int(p["kmax"]), t=float(p["t"]))
+    for j in range(p["j_min"], p["j_max"] + 1):
+        res = toy.sharpness_infimum(j, prm, p["a0"], kmax=p["kmax"], t=p["t"])
         predicted = 2.0 ** (slope_target * j)
         ratio = res.value / predicted
         ratios.append(ratio)
@@ -197,16 +209,11 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
-    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
-    params = toy.ToyParams(
-        prm=prm, a0=float(p["a0"]), t_final=float(p["t_final"]), grid=grid, steps=int(p["steps"])
-    )
+    p, prm, params = cfg.params, cfg.prm, cfg.problem
     f0 = toy.weighted_broadband_data(
-        grid, params.a0, seed=cfg.seed, rough_amplitude=float(p["rough_amplitude"])
+        cfg.grid, params.a0, seed=cfg.seed, rough_amplitude=p["rough_amplitude"]
     )
-    snap = int(p["snapshot_every"]) or None
+    snap = p["snapshot_every"] or None
     traj = toy.evolve_toy(f0, params, snapshot_every=snap)
     artifacts = []
     for t_snap, fsnap in traj.snapshots:
@@ -252,12 +259,9 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    gamma, s = float(p["gamma"]), float(p["s"])
-    prm = SoftPotentialParams(gamma=gamma, s=s)
-    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
-    corpus = standard_corpus(grid, int(p["corpus_size"]), cfg.seed)
-    eps = float(p["eps"])
+    p, prm, grid = cfg.params, cfg.prm, cfg.grid
+    gamma, s, eps = prm.gamma, prm.s, p["eps"]
+    corpus = standard_corpus(grid, p["corpus_size"], cfg.seed)
     theta_grid = (1e-3, 1e-2, 1e-1, 1.0)
     tau_wits, eps_wits, reg_wits = [], [], []
     for i, u in enumerate(corpus):
@@ -334,13 +338,13 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
 def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
-    size = int(p["corpus_size"])
+    size = p["corpus_size"]
     polys = [vfields.random_poly(rng) for _ in range(size)]
     deltas = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3)]
     failures = []
     for i, f in enumerate(polys):
         for delta in deltas:
-            for k in range(0, int(p["max_k"]) + 1):
+            for k in range(0, p["max_k"] + 1):
                 if not vfields.commutator_residual(f, delta, k).is_zero():
                     failures.append(f"commutator f{i} delta={delta} k={k}")
     vp_cases = [
@@ -353,22 +357,21 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
             rx, rv = vfields.reconstruction_residuals(f, vp)
             if not (rx.is_zero() and rv.is_zero()):
                 failures.append(f"reconstruction f{i} lam={vp.lam}")
-            for a1 in range(0, int(p["max_alpha"]) + 1):
-                for a2 in range(0, int(p["max_alpha"]) + 1 - a1):
+            for a1 in range(0, p["max_alpha"] + 1):
+                for a2 in range(0, p["max_alpha"] + 1 - a1):
                     res = vfields.mixed_commutator_residual(
                         f, vp.delta1, vp.delta2, (a1, a2)
                     )
                     if not res.is_zero():
                         failures.append(f"mixed f{i} alpha=({a1},{a2})")
-    rho = float(p["rho"])
+    rho = p["rho"]
     ledger_rows = []
     exponent = 1.5
-    worst_rt = 0.0
     for k in range(0, 201):
         lv = vfields.log_ledger_value(rho, k, exponent)
         ledger_rows.append([k, math.exp(lv) if lv > -700 else 0.0, lv])
-        worst_rt = max(worst_rt, abs(vfields.ledger_round_trip_residual(rho, k, exponent)))
-    conv = vfields.convolution_bound(int(p["conv_kmax"]))
+    worst_rt = vfields.ledger_round_trip_residual(rho, exponent)
+    conv = vfields.convolution_bound(p["conv_kmax"])
     csv_path = os.path.join(cfg.out_dir, "ledger.csv")
     write_csv(csv_path, ["k", "L_value", "log_L"], ledger_rows)
     id_json = os.path.join(cfg.out_dir, "identities.json")
@@ -386,30 +389,20 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
         )
     checks = {
         "identities-exact": not failures,
-        "ledger-round-trip": bool(worst_rt == 0.0),
+        "ledger-round-trip": bool(worst_rt <= vfields.LEDGER_TOLERANCE),
         "convolution-sup-stabilizes": bool(conv["stabilization_gap"] <= 1e-6),
     }
-    metrics = {"convolution": conv, "ledger_round_trip_worst": worst_rt, "failure_count": len(failures)}
+    metrics = {"convolution": conv, "ledger_round_trip_worst": worst_rt,
+               "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE, "failure_count": len(failures)}
     return RunReport(
         config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, id_json]
     )
 
 
 def run_picard(cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    prm = SoftPotentialParams(gamma=float(p["gamma"]), s=float(p["s"]))
-    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
-    rp = solver.RegularizedProblem(
-        eps=float(p["eps"]),
-        prm=prm,
-        a0=float(p["a0"]),
-        grid=grid,
-        t_final=float(p["t_final"]),
-        steps=int(p["steps"]),
-        x_points=0 if str(p["x_axis"]) in ("off", "0") else int(p["x_axis"]),
-    )
+    rp, grid = cfg.problem, cfg.grid
     f_in = SpectralField.from_samples(grid, np.exp(-rp.a0 * grid.v_bracket_sq))
-    state = solver.picard_iterate(f_in, rp, n_max=int(p["nmax"]))
+    state = solver.picard_iterate(f_in, rp, n_max=cfg.params["nmax"])
     traj = state.final_trajectory
     rows = []
     mins = solver.positivity_series(traj)
@@ -448,17 +441,13 @@ def run_picard(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_norms(cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    gamma, s = float(p["gamma"]), float(p["s"])
-    prm = SoftPotentialParams(gamma=gamma, s=s)
-    grid = VelocityGrid(1, int(p["grid_n"]), float(p["grid_l"]))
+    prm = cfg.prm
+    gamma, s = prm.gamma, prm.s
     pair = dyadic.build_bump_pair()
-    corpus = standard_corpus(grid, int(p["corpus_size"]), cfg.seed)
+    corpus = standard_corpus(cfg.grid, cfg.params["corpus_size"], cfg.seed)
     pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (gamma / 2.0, s)]
     rows = []
     worst = (np.inf, 0.0)
-    from kgl.multipliers import weighted_sobolev_norm
-
     for i, u in enumerate(corpus):
         norms_matrix = dyadic.block_norms(u, pair)
         for (pp, mm) in pairs_pm:
@@ -555,27 +544,18 @@ def emit_plot_data(report_dir: str, kind: str, out_path: str) -> str:
 
 def load_config(path: str, seed: int, out_dir: str) -> list[ExperimentConfig]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config {path}")
-    configs = []
-    for section in parser.sections():
-        if section not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment section [{section}]")
-        params = dict(DEFAULTS[section])
-        for key, value in parser.items(section):
-            if key not in KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            params[key] = value
-        configs.append(
-            ExperimentConfig(
-                experiment=section,
-                params=params,
-                seed=seed,
-                out_dir=os.path.join(out_dir, section),
-            )
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config {path}")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+    return [
+        ExperimentConfig(
+            experiment=name, params=params, seed=seed, out_dir=os.path.join(out_dir, name)
         )
-    return configs
+        for name, params in sections.items()
+    ]
 
 
 def _add_common(sp):
@@ -585,7 +565,7 @@ def _add_common(sp):
     sp.add_argument("--jobs", type=int, default=1, help="ignored; every run is serial")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kgl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -594,42 +574,46 @@ def main(argv=None) -> int:
     run_p.add_argument("--check-only", action="store_true")
     _add_common(run_p)
 
-    for name in EXPERIMENTS:
+    for name, defaults in DEFAULTS.items():
         sp = sub.add_parser(name, help=f"run the {name} experiment with flag overrides")
         _add_common(sp)
-        for key, default in DEFAULTS[name].items():
+        for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
             aliases = ["--T"] if (name == "picard" and key == "t_final") else []
-            sp.add_argument(flag, *aliases, dest=key, default=default)
+            sp.add_argument(flag, *aliases, dest=key, help=f"default {default}")
 
     plot_p = sub.add_parser("plot-data", help="emit tidy CSV from a report directory")
     plot_p.add_argument("--report-dir", required=True)
     plot_p.add_argument("--kind", required=True, choices=["gevrey-fit", "picard-ratios", "block-heatmap"])
     plot_p.add_argument("--out", required=True)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def configs_from_args(args: argparse.Namespace) -> list[ExperimentConfig]:
+    """The validated configs of a ``run`` or experiment command line."""
+    if args.command == "run":
+        return load_config(args.config, args.seed, args.out)
+    given = {key: value for key in DEFAULTS[args.command] if (value := getattr(args, key)) is not None}
+    return [ExperimentConfig(args.command, given, args.seed, os.path.join(args.out, args.command))]
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.command == "plot-data":
         emit_plot_data(args.report_dir, args.kind, args.out)
         print(args.out)
         return 0
 
-    if args.command == "run":
-        configs = load_config(args.config, args.seed, args.out)
-        if args.check_only:
-            for cfg in configs:
-                print(f"ok: [{cfg.experiment}] {len(cfg.params)} keys")
-            return 0
-    else:
-        params = {key: getattr(args, key) for key in DEFAULTS[args.command]}
-        configs = [
-            ExperimentConfig(
-                experiment=args.command,
-                params=params,
-                seed=args.seed,
-                out_dir=os.path.join(args.out, args.command),
-            )
-        ]
+    try:
+        configs = configs_from_args(args)
+    except ConfigError as exc:
+        print(f"kgl: error: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "run" and args.check_only:
+        for cfg in configs:
+            print(f"ok: [{cfg.experiment}] {len(cfg.params)} keys")
+        return 0
 
     all_pass = True
     for cfg in configs:

