@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -96,10 +97,13 @@ class ExperimentConfig:
                 )
         except (AdmissibilityError, GridError, toy.ToyModelError, solver.SolverError) as exc:
             raise ConfigError(f"[{name}] {exc}") from exc
-        if p.get("corpus_size", 1) < 1:
-            raise ConfigError(f"[{name}] corpus_size = {p['corpus_size']} must be at least 1")
+        for key, least in (("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2)):
+            if p.get(key, least) < least:
+                raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
         if name == "sharpness" and p["j_min"] >= p["j_max"]:
             raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
+        if p.get("rho", 1.0) <= 0:
+            raise ConfigError(f"[{name}] rho = {p['rho']} must be positive")
 
 
 @dataclass
@@ -148,7 +152,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 # The one parameter schema: each experiment's keys, whose defaults fix
 # their types (int or float).
 DEFAULTS = {
-    "sharpness": {"gamma": -1.0, "s": 0.5, "a0": 1.0, "j_min": 1, "j_max": 40, "kmax": 64, "t": 1.0},
+    "sharpness": {"gamma": -1.0, "s": 0.5, "a0": 1.0, "j_min": 1, "j_max": 40, "t": 1.0},
     "evolve-toy": {
         "gamma": -1.0,
         "s": 0.5,
@@ -190,7 +194,7 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
     ratios = []
     for j in range(p["j_min"], p["j_max"] + 1):
-        res = toy.sharpness_infimum(j, prm, p["a0"], kmax=p["kmax"], t=p["t"])
+        res = toy.sharpness_infimum(j, prm, p["a0"], t=p["t"])
         predicted = 2.0 ** (slope_target * j)
         ratio = res.value / predicted
         ratios.append(ratio)
@@ -565,8 +569,24 @@ def _add_common(sp):
     sp.add_argument("--jobs", type=int, default=1, help="ignored; every run is serial")
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line errors; ``--key -1e-3`` reads as ``--key=-1e-3`` (argparse before
+    3.13 takes it for an option; no kgl option starts with ``-<digit>``)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(args))):
+            flag = args[i - 1]
+            if flag[:2] == "--" and "=" not in flag and re.match(r"-\.?\d", args[i]):
+                args[i - 1 : i + 1] = [f"{flag}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kgl", description=__doc__)
+    ap = _Parser(prog="kgl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run experiments from a config file")

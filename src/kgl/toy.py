@@ -150,14 +150,8 @@ class ToyStepper:
         self.weights = np.ascontiguousarray(np.moveaxis(chebvander(x, self.rank - 1), -1, 0))
 
     def step(self, samples: np.ndarray) -> np.ndarray:
-        """Advance one field of the grid's shape by dt."""
+        """Advance by dt the fields on the trailing d axes (leading axes stack them)."""
         return _by_parts(self._apply, samples)
-
-    def step_batch(self, columns: np.ndarray) -> np.ndarray:
-        """Advance many fields at once; columns has shape (N^d, batch)."""
-        points, batch = columns.shape
-        fields = columns.T.reshape((batch,) + self.params.grid.shape)
-        return _by_parts(self._apply, fields).reshape(batch, points).T
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
         """The step on real fields over the trailing d axes of u."""
@@ -443,7 +437,6 @@ class BlockComparison:
 @dataclass
 class BlockLawConsistency:
     comparisons: list[BlockComparison]
-    measured_log_blocks: dict  # (j, k) -> ln of measured evolved block norm
 
     def included(self) -> list[BlockComparison]:
         return [c for c in self.comparisons if c.included]
@@ -451,16 +444,6 @@ class BlockLawConsistency:
     def worst_ratios(self) -> tuple[float, float]:
         rats = [c.rate_ratio for c in self.included()]
         return (min(rats), max(rats)) if rats else (1.0, 1.0)
-
-    def shell_exponents(self, j_range: range) -> np.ndarray:
-        """E_j = -max_k ln(measured block), composed from per-block runs."""
-        out = []
-        for j in j_range:
-            logs = [v for (jj, _), v in self.measured_log_blocks.items() if jj == j]
-            if not logs:
-                raise ToyModelError(f"no measured blocks on shell {j}")
-            out.append(-max(logs))
-        return np.asarray(out)
 
 
 def block_law_consistency(
@@ -492,23 +475,22 @@ def block_law_consistency(
         gh = np.fft.rfftn(g, axes=axes)
         return np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
 
-    cols, meta = [], []
+    blocks, meta = [], []
     for k in range(-1, kmax + 1):
         g = f0.samples * pair.ring_weight(grid.v_abs, k)
         for j, b in enumerate(_by_parts(project, g), start=-1):
             nb = scale * float(np.linalg.norm(b.ravel()))
             if nb >= floor:
-                cols.append(b.ravel())
+                blocks.append(b)
                 meta.append((j, k, nb))
-    if not cols:
+    if not blocks:
         raise ToyModelError("no blocks above the magnitude floor")
-    batch = np.array(cols).T
+    batch = np.array(blocks)  # shape (blocks,) + grid.shape
     for _ in range(p.steps):
-        batch = stepper.step_batch(batch)
+        batch = stepper.step(batch)
     comparisons = []
-    measured_logs = {}
     for i, (j, k, nb0) in enumerate(meta):
-        nbT = scale * float(np.linalg.norm(batch[:, i]))
+        nbT = scale * float(np.linalg.norm(batch[i].ravel()))
         measured = -math.log(max(nbT, 1e-300) / nb0)
         rate = block_decay_rate(j, k, p.prm)
         predicted = p.t_final * rate
@@ -523,8 +505,7 @@ def block_law_consistency(
                 included=included,
             )
         )
-        measured_logs[(j, k)] = math.log(max(nbT, 1e-300))
-    return BlockLawConsistency(comparisons=comparisons, measured_log_blocks=measured_logs)
+    return BlockLawConsistency(comparisons=comparisons)
 
 
 def trajectory_shell_exponents(

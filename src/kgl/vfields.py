@@ -373,23 +373,21 @@ def ledger_round_trip_residual(rho: float, exponent: float) -> float:
 def convolution_bound(kmax: int) -> dict:
     """sup over k <= kmax of sum_{j=1}^{k-1} (k+1)^3 / ((j+1)^3 (k-j+1)^3).
 
-    The running sup stabilizes quickly (the summand is maximized near
-    k = 6); the result records the sup at kmax and at kmax // 2.
+    With a_0 = 0 and a_m = (m+1)^-3 the k-th sum is (k+1)^3 (a * a)_k, one
+    direct convolution (an FFT one loses ~1e-4 absolute at k = 10^4).  The
+    running sup stabilizes quickly (the summand is maximized near k = 6);
+    the result records the sup at kmax and at kmax // 2.
     """
     import numpy as np
 
     if kmax < 2:
         raise VFError("kmax must be at least 2")
-    sup_val, sup_arg = 0.0, 0
-    sup_at_half = 0.0
-    half = kmax // 2
-    for k in range(2, kmax + 1):
-        j = np.arange(1, k, dtype=float)
-        s = float(np.sum((k + 1) ** 3 / ((j + 1) ** 3 * (k - j + 1) ** 3)))
-        if s > sup_val:
-            sup_val, sup_arg = s, k
-        if k == half:
-            sup_at_half = sup_val
+    k = np.arange(kmax + 1, dtype=float)
+    a = np.where(k > 0, (k + 1.0) ** -3, 0.0)
+    sums = (k + 1.0) ** 3 * np.convolve(a, a)[: kmax + 1]
+    sup_arg = int(np.argmax(sums))  # the first maximum
+    sup_val = float(sums[sup_arg])
+    sup_at_half = float(np.max(sums[: kmax // 2 + 1])) if kmax // 2 >= 2 else 0.0
     return {
         "sup": sup_val,
         "arg_k": sup_arg,

@@ -155,13 +155,13 @@ def test_defaults_and_runners_cover_the_same_experiments():
 
 
 def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):
-    cfg = ExperimentConfig("sharpness", {"j_max": "12", "gamma": "-1", "kmax": 64.0}, 0, str(tmp_path))
-    assert cfg.params == dict(DEFAULTS["sharpness"], j_max=12, gamma=-1.0)
-    assert type(cfg.params["kmax"]) is int and type(cfg.params["gamma"]) is float
+    cfg = ExperimentConfig("sharpness", {"j_min": "2", "gamma": "-1", "j_max": 12.0}, 0, str(tmp_path))
+    assert cfg.params == dict(DEFAULTS["sharpness"], j_min=2, j_max=12, gamma=-1.0)
+    assert type(cfg.params["j_max"]) is int and type(cfg.params["gamma"]) is float
     typed = dict(DEFAULTS["picard"])
     assert ExperimentConfig("picard", typed, 0, str(tmp_path)).params == typed
     for key, value in (("j_max", "12.5"), ("j_max", 3.5), ("gamma", "nan"), ("t", "inf"),
-                       ("s", "half"), ("kmax", None)):
+                       ("s", "half"), ("j_min", None)):
         with pytest.raises(ConfigError, match=f"\\[sharpness\\] {key} "):
             ExperimentConfig("sharpness", {key: value}, 0, str(tmp_path))
 
@@ -211,6 +211,9 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["norms", "--corpus-size", "0"],
         ["sharpness", "--j-min", "5", "--j-max", "3"],
         ["evolve-toy", "--steps", "3.5"],
+        ["picard", "--nmax", "2"],
+        ["vector-fields", "--rho", "0"],
+        ["vector-fields", "--conv-kmax", "1"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -218,6 +221,31 @@ def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("kgl: error: [")
     assert not (tmp_path / "out").exists()
+
+
+def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--kmax", "10", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["kgl: error: unrecognized arguments: --kmax 10"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_exponent_form_parses_like_the_joined_flag(tmp_path):
+    configs = []
+    for argv in (["sharpness", "--gamma", "-1e-3"], ["sharpness", "--gamma=-1e-3"]):
+        args = build_parser().parse_args(argv + ["--out", "out"])
+        assert args.gamma == "-1e-3"
+        (cfg,) = configs_from_args(args)
+        configs.append(cfg)
+    assert configs[0] == configs[1] and configs[0].params["gamma"] == -1e-3
+    argv = ["picard", "--eps", "-1e-05", "--gamma", "-1E+0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2  # eps must be positive: rejected before any work
+    assert not (tmp_path / "out").exists()
+    assert main(["sharpness", "--gamma", "-1.5e0", "--j-max", "4", "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "sharpness" / "report_sharpness.json") as fh:
+        assert json.load(fh)["config"]["params"]["gamma"] == -1.5
 
 
 def test_flag_override_echoes_like_the_default_run(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgl.corpus import standard_corpus
 from kgl.grid import SpectralField, VelocityGrid
@@ -13,13 +14,13 @@ from kgl.inequalities import (
     eps_constant_scaling,
     fit_constant,
     gagliardo_hs_norm_sq,
-    multiplier_hs_norm,
     triple_norm_radial,
     verify_composition_bound,
     verify_interpolation_tau,
     verify_regularizer_bounds,
     verify_weighted_eps_split,
 )
+from kgl.multipliers import weighted_sobolev_norm
 from kgl.params import SoftPotentialParams
 from tests.conftest import random_band_limited
 
@@ -134,8 +135,43 @@ def test_gagliardo_vs_multiplier_factor(grid1d):
     v = grid1d.v_meshes[0]
     g = SpectralField.from_samples(grid1d, np.exp(-(v**2)))
     s = 0.5
-    ratio = math.sqrt(gagliardo_hs_norm_sq(g, s)) / multiplier_hs_norm(g, s)
+    ratio = math.sqrt(gagliardo_hs_norm_sq(g, s)) / weighted_sobolev_norm(g, 0.0, s)
     assert 0.25 <= ratio <= 4.0
+
+
+def direct_lag_sum_hs_norm_sq(f: SpectralField, s: float) -> float:
+    """The pairwise-difference quadrature as a direct sum over lags."""
+    g = f.samples.real
+    h, n = f.grid.spacing, f.grid.points_per_axis
+    l2sq = h * float(np.sum(g * g))
+    total = 0.0
+    for lag in range(1, n // 2):
+        diff = np.roll(g, -lag) - g
+        total += float(np.sum(diff * diff)) * h * h / (lag * h) ** (1.0 + 2.0 * s)
+    tail = 4.0 * l2sq * 2.0 * f.grid.half_width ** (-2.0 * s) / (2.0 * s)
+    return l2sq + 2.0 * total + tail
+
+
+@st.composite
+def real_fields(draw):
+    """A real field on N = 8 .. 256 points of [-16, 16), scaled to max |g| = 1.
+
+    The autocorrelation carries rounding of order eps * sum g^2 into every
+    lag; the lag weights amplify it by at most h^(-2s) <= 64 at L = 16.
+    """
+    n = 2 ** draw(st.integers(min_value=3, max_value=8))
+    g = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    peak = float(np.max(np.abs(g)))
+    return SpectralField.from_samples(VelocityGrid(1, n, 16.0), g / peak if peak > 0 else g)
+
+
+# s >= 1e-6: the analytic tail grows like 1/s and overflows both forms near s = 1e-308
+@settings(max_examples=200, deadline=None)
+@given(f=real_fields(), s=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+def test_gagliardo_autocorrelation_matches_direct_lag_sum(f, s):
+    want = direct_lag_sum_hs_norm_sq(f, s)
+    got = gagliardo_hs_norm_sq(f, s)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_regularizer_bounds_corpus(grid1d):

@@ -211,6 +211,30 @@ def test_convolution_bound_values():
     assert res["arg_k"] == 6
 
 
+def direct_convolution_bound(kmax):
+    """The convolution sup as a loop over k, each sum taken directly."""
+    sup_val, sup_arg, sup_at_half = 0.0, 0, 0.0
+    for k in range(2, kmax + 1):
+        j = np.arange(1, k, dtype=float)
+        s = float(np.sum((k + 1) ** 3 / ((j + 1) ** 3 * (k - j + 1) ** 3)))
+        if s > sup_val:
+            sup_val, sup_arg = s, k
+        if k == kmax // 2:
+            sup_at_half = sup_val
+    return {
+        "sup": sup_val,
+        "arg_k": sup_arg,
+        "sup_at_half_range": sup_at_half,
+        "stabilization_gap": abs(sup_val - sup_at_half),
+        "kmax": kmax,
+    }
+
+
+@pytest.mark.parametrize("kmax", [2, 3, 64, 2000])
+def test_convolution_bound_matches_the_direct_k_loop(kmax):
+    assert convolution_bound(kmax) == direct_convolution_bound(kmax)
+
+
 def test_convolution_bound_stabilizes():
     res = convolution_bound(10_000)
     assert res["stabilization_gap"] <= 1e-6
