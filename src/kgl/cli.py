@@ -97,7 +97,7 @@ class ExperimentConfig:
                 )
         except (AdmissibilityError, GridError, toy.ToyModelError, solver.SolverError) as exc:
             raise ConfigError(f"[{name}] {exc}") from exc
-        for key, least in (("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2)):
+        for key, least in (("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0)):
             if p.get(key, least) < least:
                 raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
         if name == "sharpness" and p["j_min"] >= p["j_max"]:
@@ -283,10 +283,15 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
         ineq.verify_interpolation_tau(u, prm, function_id=f"f{i}")
         for i, u in enumerate(fine_corpus)
     ]
-    coarse_sub = [
-        ineq.verify_interpolation_tau(u, prm, function_id=f"c{i}")
-        for i, u in enumerate(standard_corpus(grid, max(20, len(corpus) // 5), cfg.seed))
-    ]
+    # members shared with the main corpus reuse its witnesses: a strided sample finds
+    # the candidate (hashing whole fields costs more than it saves), equality confirms it
+    known = {u.samples.ravel()[::64].tobytes(): (u, w) for u, w in zip(corpus, tau_wits)}
+    coarse_sub = []
+    for i, u in enumerate(standard_corpus(grid, max(20, len(corpus) // 5), cfg.seed)):
+        twin, w = known.get(u.samples.ravel()[::64].tobytes(), (u, None))
+        if w is None or not np.array_equal(twin.samples, u.samples):
+            w = ineq.verify_interpolation_tau(u, prm, function_id=f"c{i}")
+        coarse_sub.append(w)
     refinement_ratio = ineq.fit_constant(fine_wits) / max(ineq.fit_constant(coarse_sub), 1e-300)
     params = {"gamma": gamma, "s": s}
     tau_report = ineq.aggregate(
@@ -348,8 +353,8 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     failures = []
     for i, f in enumerate(polys):
         for delta in deltas:
-            for k in range(0, p["max_k"] + 1):
-                if not vfields.commutator_residual(f, delta, k).is_zero():
+            for k, res in enumerate(vfields.commutator_residuals(f, delta, p["max_k"])):
+                if not res.is_zero():
                     failures.append(f"commutator f{i} delta={delta} k={k}")
     vp_cases = [
         vfields.VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2)),
@@ -361,13 +366,10 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
             rx, rv = vfields.reconstruction_residuals(f, vp)
             if not (rx.is_zero() and rv.is_zero()):
                 failures.append(f"reconstruction f{i} lam={vp.lam}")
-            for a1 in range(0, p["max_alpha"] + 1):
-                for a2 in range(0, p["max_alpha"] + 1 - a1):
-                    res = vfields.mixed_commutator_residual(
-                        f, vp.delta1, vp.delta2, (a1, a2)
-                    )
-                    if not res.is_zero():
-                        failures.append(f"mixed f{i} alpha=({a1},{a2})")
+            mixed = vfields.mixed_commutator_residuals(f, vp.delta1, vp.delta2, p["max_alpha"])
+            for (a1, a2), res in mixed.items():
+                if not res.is_zero():
+                    failures.append(f"mixed f{i} alpha=({a1},{a2})")
     rho = p["rho"]
     ledger_rows = []
     exponent = 1.5
@@ -565,8 +567,6 @@ def load_config(path: str, seed: int, out_dir: str) -> list[ExperimentConfig]:
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="out")
-    # a no-op kept for one release so existing command lines still parse
-    sp.add_argument("--jobs", type=int, default=1, help="ignored; every run is serial")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,6 +3,8 @@
 Polynomials in (t, x_1..x_3, v_1..v_3) carry Fraction coefficients and
 rational t-exponents, so the commutator and derivative-generation
 identities are verified as exact polynomial cancellations, not numerically.
+Each check builds its chains of H powers once, from f and from transport f
+(H_chain, H_table), and reads the residual of every order off them.
 The module also evaluates the factorial ledger weights, the combinatorial
 convolution bound, and the ledger-weighted norm aggregates.
 """
@@ -49,10 +51,6 @@ class PolyFunction:
     def _prune(self):
         for key in [k for k, c in self.terms.items() if c == 0]:
             del self.terms[key]
-
-    @staticmethod
-    def zero() -> "PolyFunction":
-        return PolyFunction()
 
     @staticmethod
     def constant(c) -> "PolyFunction":
@@ -174,56 +172,58 @@ def apply_H(f: PolyFunction, delta, j: int = 1) -> PolyFunction:
     return part_x + part_v
 
 
-def apply_H_power(f: PolyFunction, delta, k: int, j: int = 1) -> PolyFunction:
-    for _ in range(k):
-        f = apply_H(f, delta, j)
-    return f
+def H_chain(f: PolyFunction, delta, kmax: int, j: int = 1) -> list[PolyFunction]:
+    """[f, H f, ..., H^kmax f], each power applied once to the one before."""
+    if kmax < 0:
+        raise VFError("order must be nonnegative")
+    chain = [f]
+    for _ in range(kmax):
+        chain.append(apply_H(chain[-1], delta, j))
+    return chain
 
 
-def commutator_residual(f: PolyFunction, delta, k: int, j: int = 1) -> PolyFunction:
-    """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f.
+def H_table(f: PolyFunction, delta1, delta2, max_alpha: int, j: int = 1) -> dict:
+    """{(a1, a2): H1^a1 H2^a2 f for a1 + a2 <= max_alpha}, H2 applied first."""
+    return {
+        (a1, a2): h
+        for a2, g in enumerate(H_chain(f, delta2, max_alpha, j))
+        for a1, h in enumerate(H_chain(g, delta1, max_alpha - a2, j))
+    }
+
+
+def _ladder(g: PolyFunction, delta, k: int, j: int) -> PolyFunction:
+    """delta k t^(delta-1) d/dv_j g, the term one more H adds to the commutator."""
+    return g.diff_v(j).mul_t_power(delta - 1).scale(delta * k)
+
+
+def commutator_residuals(f: PolyFunction, delta, kmax: int, j: int = 1) -> list[PolyFunction]:
+    """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f, k = 0..kmax.
 
     Identically zero for every polynomial; a nonzero residual exposes the
     offending monomials.
     """
-    if k < 0:
-        raise VFError("k must be nonnegative")
-    delta = Fraction(delta)
-    hk = apply_H_power(f, delta, k, j)
-    lhs = transport(hk) - apply_H_power(transport(f), delta, k, j)
-    if k == 0:
-        return lhs
-    rhs = apply_H_power(f, delta, k - 1, j).diff_v(j).mul_t_power(delta - 1).scale(
-        delta * k
-    )
-    return lhs - rhs
+    h = H_chain(f, delta, kmax, j)
+    th = H_chain(transport(f), delta, kmax, j)
+    below = [PolyFunction()] + h  # H^(k-1) f; at k = 0 its coefficient delta k is 0
+    return [transport(h[k]) - th[k] - _ladder(below[k], delta, k, j) for k in range(kmax + 1)]
 
 
-def mixed_commutator_residual(
-    f: PolyFunction, delta1, delta2, alpha: tuple[int, int], j: int = 1
-) -> PolyFunction:
-    """Residual of the two-field commutator expansion.
+def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int, j: int = 1) -> dict:
+    """Residuals of the two-field commutator expansion, |alpha| <= max_alpha.
 
     [transport, H1^a1 H2^a2] = a1 d1 t^(d1-1) d/dv H1^(a1-1) H2^a2
                              + a2 d2 t^(d2-1) d/dv H1^a1 H2^(a2-1),
-    the two fields commuting with each other.
+    the two fields commuting with each other; keyed by alpha in order.  A term
+    whose power would be H^(-1) has coefficient 0 and is taken as zero.
     """
-    a1, a2 = alpha
-    d1, d2 = Fraction(delta1), Fraction(delta2)
-    mixed = apply_H_power(apply_H_power(f, d2, a2, j), d1, a1, j)
-    lhs = transport(mixed) - apply_H_power(
-        apply_H_power(transport(f), d2, a2, j), d1, a1, j
-    )
-    rhs = PolyFunction.zero()
-    if a1 > 0:
-        rhs = rhs + apply_H_power(
-            apply_H_power(f, d2, a2, j), d1, a1 - 1, j
-        ).diff_v(j).mul_t_power(d1 - 1).scale(d1 * a1)
-    if a2 > 0:
-        rhs = rhs + apply_H_power(
-            apply_H_power(f, d2, a2 - 1, j), d1, a1, j
-        ).diff_v(j).mul_t_power(d2 - 1).scale(d2 * a2)
-    return lhs - rhs
+    m = H_table(f, delta1, delta2, max_alpha, j)
+    tm = H_table(transport(f), delta1, delta2, max_alpha, j)
+    return {
+        (a1, a2): transport(m[a1, a2]) - tm[a1, a2]
+        - _ladder(m.get((a1 - 1, a2), PolyFunction()), delta1, a1, j)
+        - _ladder(m.get((a1, a2 - 1), PolyFunction()), delta2, a2, j)
+        for a1, a2 in sorted(m)
+    }
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,7 @@ def xy_norms_mixed(
 
 def random_poly(rng, max_total_degree: int = 6, n_terms: int = 5) -> PolyFunction:
     """Deterministic random polynomial with small integer coefficients."""
-    out = PolyFunction.zero()
+    out = PolyFunction()
     for _ in range(n_terms):
         c = int(rng.integers(-4, 5))
         if c == 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgl import inequalities as ineq
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -20,6 +21,7 @@ from kgl.cli import (
     main,
     run,
 )
+from kgl.corpus import standard_corpus
 from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
@@ -135,11 +137,24 @@ def test_verify_inequalities_is_deterministic(tmp_path):
     assert tau["failures"] == [] and abs(tau["min_margin"]) <= 1e-12
 
 
-def test_jobs_flag_is_accepted_and_ignored(tmp_path):
-    code = main(["sharpness", "--j-max", "12", "--jobs", "2", "--out", str(tmp_path)])
-    assert code == 0
-    with open(tmp_path / "sharpness" / "report_sharpness.json") as fh:
-        assert "jobs" not in json.load(fh)["config"]
+def test_refinement_ratio_reuses_shared_witnesses_bit_for_bit(tmp_path, monkeypatch):
+    cfg = make_cfg(tmp_path, "verify-inequalities", corpus_size=100)
+    grid, prm = cfg.grid, cfg.prm
+    fine = standard_corpus(VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width), 20, cfg.seed)
+    coarse = standard_corpus(grid, 20, cfg.seed)
+    expected = ineq.fit_constant([ineq.verify_interpolation_tau(u, prm) for u in fine]) / max(
+        ineq.fit_constant([ineq.verify_interpolation_tau(u, prm) for u in coarse]), 1e-300
+    )
+    calls = []
+    exact = ineq.verify_interpolation_tau
+    monkeypatch.setattr(ineq, "verify_interpolation_tau", lambda *a, **kw: calls.append(1) or exact(*a, **kw))
+    assert run(cfg).passed
+    with open(tmp_path / "verify-inequalities" / "inequalities.json") as fh:
+        rows = {row["inequality_id"]: row for row in json.load(fh)}
+    assert rows["interpolation-tau"]["refinement_ratio"] == expected
+    # 12 Gaussians and 4 Hermite functions of the coarse 20 are main-corpus members;
+    # only its 4 band-limited fields need a witness of their own
+    assert len(calls) == 100 + 20 + 4
 
 
 def test_evolve_toy_reports_propagator_rank(tmp_path):
@@ -214,6 +229,8 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["picard", "--nmax", "2"],
         ["vector-fields", "--rho", "0"],
         ["vector-fields", "--conv-kmax", "1"],
+        ["vector-fields", "--max-k", "-1"],
+        ["vector-fields", "--max-alpha", "-1"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -229,6 +246,15 @@ def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["kgl: error: unrecognized arguments: --kmax 10"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_jobs_flag_exits_2_with_one_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["kgl: error: unrecognized arguments: --jobs 2"]
     assert not (tmp_path / "out").exists()
 
 

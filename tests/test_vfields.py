@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,21 +6,23 @@ import numpy as np
 import pytest
 
 from kgl import vfields
+from kgl.cli import DEFAULTS, ExperimentConfig, run
 from kgl.vfields import (
     LEDGER_TOLERANCE,
     MissingTableEntries,
     PolyFunction,
     VFError,
     VFParams,
+    H_chain,
+    H_table,
     apply_H,
-    apply_H_power,
-    commutator_residual,
+    commutator_residuals,
     convolution_bound,
     generation_coefficients,
     ledger_round_trip_residual,
     ledger_value,
     log_ledger_value,
-    mixed_commutator_residual,
+    mixed_commutator_residuals,
     random_poly,
     reconstruct_derivatives,
     reconstruction_residuals,
@@ -29,6 +32,42 @@ from kgl.vfields import (
 )
 
 X1V1 = PolyFunction.monomial(1, x=(1, 0, 0), v=(1, 0, 0))
+
+
+# --- single-order oracle: every power rebuilt from f, one order at a time ---
+
+
+def apply_H_power(f, delta, k, j=1):
+    for _ in range(k):
+        f = vfields.apply_H(f, delta, j)
+    return f
+
+
+def commutator_residual(f, delta, k, j=1):
+    delta = Fraction(delta)
+    lhs = vfields.transport(apply_H_power(f, delta, k, j)) - apply_H_power(
+        vfields.transport(f), delta, k, j
+    )
+    if k == 0:
+        return lhs
+    rhs = apply_H_power(f, delta, k - 1, j).diff_v(j).mul_t_power(delta - 1).scale(delta * k)
+    return lhs - rhs
+
+
+def mixed_commutator_residual(f, delta1, delta2, alpha, j=1):
+    a1, a2 = alpha
+    d1, d2 = Fraction(delta1), Fraction(delta2)
+
+    def power(g, b1, b2):
+        return apply_H_power(apply_H_power(g, d2, b2, j), d1, b1, j)
+
+    lhs = vfields.transport(power(f, a1, a2)) - power(vfields.transport(f), a1, a2)
+    rhs = PolyFunction()
+    if a1 > 0:
+        rhs = rhs + power(f, a1 - 1, a2).diff_v(j).mul_t_power(d1 - 1).scale(d1 * a1)
+    if a2 > 0:
+        rhs = rhs + power(f, a1, a2 - 1).diff_v(j).mul_t_power(d2 - 1).scale(d2 * a2)
+    return lhs - rhs
 
 
 def test_apply_H_worked_example():
@@ -64,16 +103,16 @@ def test_commutator_hand_expansion():
     )
     assert (th - expected_th).is_zero()
     assert (ht - PolyFunction.monomial(2, t=1, v=(1, 0, 0))).is_zero()
-    assert commutator_residual(X1V1, 1, 1).is_zero()
+    assert commutator_residuals(X1V1, 1, 1)[1].is_zero()
 
 
 def test_commutator_k0_convention():
-    assert commutator_residual(X1V1, 2, 0).is_zero()
+    assert commutator_residuals(X1V1, 2, 0)[0].is_zero()
 
 
 def test_commutator_nontrivial_instance():
     f = PolyFunction.monomial(1, x=(2, 0, 0), v=(3, 0, 0))
-    assert commutator_residual(f, 2, 3).is_zero()
+    assert commutator_residuals(f, 2, 3)[3].is_zero()
 
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3)])
@@ -81,8 +120,9 @@ def test_commutator_corpus(delta):
     rng = np.random.default_rng(int(delta * 6))
     for i in range(12):
         f = random_poly(rng)
-        for k in range(0, 6):
-            res = commutator_residual(f, delta, k)
+        residuals = commutator_residuals(f, delta, 5)
+        assert len(residuals) == 6
+        for k, res in enumerate(residuals):
             assert res.is_zero(), f"poly {i}, k={k}: residual {res}"
 
 
@@ -91,10 +131,10 @@ def test_mixed_commutator_exact():
     vp = VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2))
     for i in range(10):
         f = random_poly(rng)
-        for a1 in range(0, 5):
-            for a2 in range(0, 5 - a1):
-                res = mixed_commutator_residual(f, vp.delta1, vp.delta2, (a1, a2))
-                assert res.is_zero(), f"poly {i}, alpha=({a1},{a2})"
+        residuals = mixed_commutator_residuals(f, vp.delta1, vp.delta2, 4)
+        assert list(residuals) == [(a1, a2) for a1 in range(0, 5) for a2 in range(0, 5 - a1)]
+        for (a1, a2), res in residuals.items():
+            assert res.is_zero(), f"poly {i}, alpha=({a1},{a2})"
 
 
 def test_field_pair_commute():
@@ -298,5 +338,111 @@ def test_xy_norms_mixed_regime():
 def test_H_power_composition():
     f = random_poly(np.random.default_rng(2))
     once = apply_H(apply_H(f, Fraction(3, 2)), Fraction(3, 2))
-    twice = apply_H_power(f, Fraction(3, 2), 2)
+    twice = H_chain(f, Fraction(3, 2), 2)[2]
     assert (once - twice).is_zero()
+
+
+def test_chain_and_table_entries_equal_the_composed_powers():
+    rng = np.random.default_rng(31)
+    d1, d2 = Fraction(2), Fraction(5, 3)
+    for _ in range(4):
+        f = random_poly(rng)
+        chain = H_chain(f, d1, 5)
+        assert len(chain) == 6
+        for k, h in enumerate(chain):
+            assert h == apply_H_power(f, d1, k)
+        table = H_table(f, d1, d2, 4)
+        assert sorted(table) == [(a1, a2) for a1 in range(5) for a2 in range(5 - a1)]
+        for (a1, a2), h in table.items():
+            assert h == apply_H_power(apply_H_power(f, d2, a2), d1, a1)
+
+
+def test_negative_order_is_rejected():
+    with pytest.raises(VFError):
+        commutator_residuals(X1V1, 1, -1)
+    with pytest.raises(VFError):
+        mixed_commutator_residuals(X1V1, 2, Fraction(5, 3), -1)
+
+
+def _x_blind_H(f, delta, j=1):
+    """H without its x-part: its commutator with transport leaves -t^delta d/dx."""
+    return f.diff_v(j).mul_t_power(Fraction(delta))
+
+
+@pytest.mark.parametrize("field", [None, _x_blind_H], ids=["H", "x-blind-H"])
+def test_batched_residuals_equal_the_single_order_oracle(monkeypatch, field):
+    # under the x-blind field the residuals are nonzero, so equality is not 0 == 0
+    if field is not None:
+        monkeypatch.setattr(vfields, "apply_H", field)
+    rng = np.random.default_rng(17)
+    vp = VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2))
+    nonzero = 0
+    for _ in range(4):
+        f = random_poly(rng)
+        for delta in (Fraction(1), Fraction(5, 3)):
+            for k, res in enumerate(commutator_residuals(f, delta, 5)):
+                assert res == commutator_residual(f, delta, k)
+                nonzero += not res.is_zero()
+        for alpha, res in mixed_commutator_residuals(f, vp.delta1, vp.delta2, 4).items():
+            assert res == mixed_commutator_residual(f, vp.delta1, vp.delta2, alpha)
+            nonzero += not res.is_zero()
+    assert (nonzero > 0) == (field is not None)
+
+
+def _vector_fields_config(tmp_path, **overrides):
+    params = dict(DEFAULTS["vector-fields"], conv_kmax=64, **overrides)
+    return ExperimentConfig("vector-fields", params, 0, str(tmp_path / "vector-fields"))
+
+
+def apply_H_budget(corpus, max_k, max_alpha):
+    """apply_H calls of one vector-fields run: 4 deltas x 2 chains of max_k,
+    3 field pairs x 2 tables of (max_alpha+1)(max_alpha+2)/2 - 1 entries, and
+    3 reconstructions of 2 fields each, per polynomial."""
+    per_poly = 4 * 2 * max_k + 3 * ((max_alpha + 1) * (max_alpha + 2) - 2) + 3 * 2
+    return corpus * per_poly
+
+
+@pytest.mark.parametrize("corpus,max_k,max_alpha", [(2, 5, 4), (3, 2, 1), (1, 0, 0)])
+def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, corpus, max_k, max_alpha):
+    calls = []
+    exact = vfields.apply_H
+    monkeypatch.setattr(vfields, "apply_H", lambda *a, **kw: calls.append(1) or exact(*a, **kw))
+    cfg = _vector_fields_config(tmp_path, corpus_size=corpus, max_k=max_k, max_alpha=max_alpha)
+    assert run(cfg).metrics["failure_count"] == 0
+    assert len(calls) == apply_H_budget(corpus, max_k, max_alpha)
+    assert apply_H_budget(60, 5, 4) == 7800  # the exact-algebra benchmark settings
+
+
+def _off_by_one_ladder(g, delta, k, j):
+    return g.diff_v(j).mul_t_power(delta - 1).scale(delta * (k + 1))
+
+
+def _wrong_generation_coefficient(vp):
+    co = generation_coefficients(vp)
+    co["cv1"] += 1
+    return co
+
+
+@pytest.mark.parametrize(
+    "name,mutant,kinds",
+    [
+        (None, None, set()),
+        ("_ladder", _off_by_one_ladder, {"commutator", "mixed"}),
+        ("apply_H", _x_blind_H, {"commutator", "mixed", "reconstruction"}),
+        ("generation_coefficients", _wrong_generation_coefficient, {"reconstruction"}),
+    ],
+    ids=["exact", "delta-k-off-by-one", "H-without-x-part", "wrong-generation-coefficient"],
+)
+def test_identity_checks_fail_under_a_mutant(tmp_path, monkeypatch, name, mutant, kinds):
+    if mutant is not None:
+        monkeypatch.setattr(vfields, name, mutant)
+    cfg = _vector_fields_config(tmp_path, corpus_size=3, max_k=2, max_alpha=2)
+    rep = run(cfg)
+    with open(tmp_path / "vector-fields" / "identities.json") as fh:
+        failures = json.load(fh)["failures"]
+    assert rep.metrics["failure_count"] == len(failures)
+    assert rep.checks["identities-exact"] == (not kinds)
+    assert {line.split()[0] for line in failures} == kinds
+    if "commutator" in kinds:
+        # the k = 0 residual carries no delta k term and no H, so it never fails
+        assert all(" k=0" not in line for line in failures)
