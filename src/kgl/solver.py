@@ -5,19 +5,26 @@ The Cauchy problem marched here is
     d/dt g + v . d/dx g + eps (<v>^(2/(1-s)) - Lap_{x,v}) g = S(t),
 
 in reduced dimension (one velocity axis, optional periodic space axis).
-Each step composes exact factors: half a pointwise decay
-exp(-(eps dt/2) <v>^(2/(1-s))), the exact transport phase shift, the exact
-Fourier diffusion factor, the second pointwise half, then a trapezoidal
-source update.  All homogeneous factors have symbol <= 1, so the step is
-an unweighted L2 contraction; with the time-decreasing Gaussian weight it
-remains a weighted contraction for eps < 1/(2 a0)^2-type smallness, which
-the energy monitor checks step by step.
+Each step composes exact factors into the homogeneous map H: half a
+pointwise decay exp(-(eps dt/2) <v>^(2/(1-s))), the exact transport phase
+shift, the exact Fourier diffusion factor, the second pointwise half; then
+a trapezoidal source update, g_{n+1} = H g_n + (dt/2) H S_n + (dt/2) S_{n+1}.
+All homogeneous factors have symbol <= 1, so the step is an unweighted L2
+contraction; with the time-decreasing Gaussian weight it remains a weighted
+contraction for eps < 1/(2 a0)^2-type smallness, which the energy monitor
+checks step by step.
+
+The march keeps only sequential work in its loop: one forward and one
+inverse transform of H g_n per step (per axis with the space axis on).
+The source halves H S_n are transformed as one batch before it, and the
+states are checked for non-finite values once after it.  The additions keep
+the order of the formula above, so the states are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +38,7 @@ class SolverError(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    """Non-finite values appeared during a step."""
+    """Non-finite values appeared in a march."""
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,12 @@ class RegularizedProblem:
     def weight_power(self) -> float:
         return 2.0 / (1.0 - self.prm.s)
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.steps + 1)
+
     def with_final_time(self, t_final: float) -> "RegularizedProblem":
-        return RegularizedProblem(
-            eps=self.eps,
-            prm=self.prm,
-            a0=self.a0,
-            grid=self.grid,
-            t_final=t_final,
-            steps=self.steps,
-            x_points=self.x_points,
-        )
+        return replace(self, t_final=t_final)
 
 
 class RegularizedStepper:
@@ -102,30 +105,45 @@ class RegularizedStepper:
             self.fourier = np.exp(-rp.eps * dt * eta**2)
             self.transport = None
 
-    def homogeneous(self, g: np.ndarray) -> np.ndarray:
-        rp = self.rp
-        g = self.pointwise_half * g
-        if rp.x_points:
-            gh = np.fft.fft(g, axis=0, norm="ortho")
-            gh *= self.transport
-            gh = np.fft.fft(gh, axis=1, norm="ortho")
-            gh *= self.fourier
-            g = np.fft.ifft(np.fft.ifft(gh, axis=1, norm="ortho"), axis=0, norm="ortho")
-        else:
-            g = np.fft.ifft(np.fft.fft(g, norm="ortho") * self.fourier, norm="ortho")
-        return self.pointwise_half * g
+    def homogeneous(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H applied to a state or to a stack of states (last axes), into ``out``."""
+        if out is None:
+            out = np.empty(np.shape(g), dtype=complex)
+        np.multiply(self.pointwise_half, g, out=out)
+        if self.transport is not None:
+            np.fft.fft(out, axis=-2, norm="ortho", out=out)
+            out *= self.transport
+        np.fft.fft(out, axis=-1, norm="ortho", out=out)
+        out *= self.fourier
+        np.fft.ifft(out, axis=-1, norm="ortho", out=out)
+        if self.transport is not None:
+            np.fft.ifft(out, axis=-2, norm="ortho", out=out)
+        return np.multiply(self.pointwise_half, out, out=out)
 
-    def step(self, g: np.ndarray, source_now: np.ndarray | None, source_next: np.ndarray | None) -> np.ndarray:
-        out = self.homogeneous(g)
-        if source_now is not None:
-            out = out + 0.5 * self.rp.dt * self.homogeneous(source_now)
-        if source_next is not None:
-            out = out + 0.5 * self.rp.dt * source_next
-        if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-            raise SolverAbort(
-                f"non-finite state after step (dt={self.rp.dt}, eps={self.rp.eps})"
-            )
-        return out
+
+def _march(
+    stepper: RegularizedStepper, g0: np.ndarray, steps: int, source_traj: np.ndarray | None = None
+) -> np.ndarray:
+    """States g_0..g_steps of the trapezoidal step; ``source_traj[n]`` is S_n."""
+    states = np.empty((steps + 1,) + g0.shape, dtype=complex)
+    states[0] = g0
+    if source_traj is None:
+        for n in range(steps):
+            stepper.homogeneous(states[n], out=states[n + 1])
+    else:
+        # states[n+1] holds (dt/2) H S_n until H g_n is added (addition commutes)
+        half_dt = 0.5 * stepper.rp.dt
+        stepper.homogeneous(source_traj[:steps], out=states[1:])
+        states[1:] *= half_dt
+        hg = np.empty_like(g0)
+        for n in range(steps):
+            states[n + 1] += stepper.homogeneous(states[n], out=hg)
+            states[n + 1] += half_dt * source_traj[n + 1]
+    finite = np.isfinite(states).reshape(steps + 1, -1).all(axis=1)
+    if not finite.all():
+        rp = stepper.rp
+        raise SolverAbort(f"non-finite state {np.argmin(finite)} (dt={rp.dt}, eps={rp.eps})")
+    return states
 
 
 def step_regularized(
@@ -136,10 +154,9 @@ def step_regularized(
     """Single public step on velocity-only fields (source frozen over the step)."""
     if rp.x_points:
         raise SolverError("field-level stepping covers the velocity-only reduction")
-    stepper = RegularizedStepper(rp)
-    s = source.samples if source is not None else None
-    out = stepper.step(g.samples.astype(complex), s, s)
-    return SpectralField.from_samples(g.grid, out)
+    frozen = None if source is None else np.stack([source.samples, source.samples])
+    states = _march(RegularizedStepper(rp), g.samples.astype(complex), 1, frozen)
+    return SpectralField.from_samples(g.grid, states[1])
 
 
 @dataclass
@@ -157,18 +174,10 @@ def integrate(
     source_traj: np.ndarray | None = None,
 ) -> Trajectory:
     """March the problem from f_in; ``source_traj[n]`` is S at time n dt."""
-    stepper = RegularizedStepper(rp)
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else (rp.grid.points_per_axis,)
-    g = np.asarray(f_in, dtype=complex).reshape(shape)
-    states = np.empty((rp.steps + 1,) + shape, dtype=complex)
-    states[0] = g
-    for n in range(rp.steps):
-        s_now = source_traj[n] if source_traj is not None else None
-        s_next = source_traj[n + 1] if source_traj is not None else None
-        g = stepper.step(g, s_now, s_next)
-        states[n + 1] = g
-    times = rp.dt * np.arange(rp.steps + 1)
-    return Trajectory(times=times, states=states)
+    g0 = np.asarray(f_in, dtype=complex).reshape(shape)
+    states = _march(RegularizedStepper(rp), g0, rp.steps, source_traj)
+    return Trajectory(times=rp.times, states=states)
 
 
 # --- scalar reduction oracle --------------------------------------------------
@@ -233,36 +242,25 @@ def energy_monitor(
     grid = rp.grid
     if rp.x_points:
         raise SolverError("energy monitor covers the velocity-only reduction")
-    eta = grid.axis_frequencies
     vsq = grid.v_bracket_sq
-    n_t = traj.states.shape[0]
-    wnorms = np.empty(n_t)
-    diss = np.empty(n_t)
-    for n in range(n_t):
-        t = traj.times[n]
-        w = weight_values(grid, rp.a0, t)
-        wg = w * traj.states[n]
-        wnorms[n] = _l2(grid, wg)
-        grad = np.fft.ifft(1j * eta * np.fft.fft(wg, norm="ortho"), norm="ortho")
-        diss[n] = (
-            _l2(grid, np.sqrt(vsq) * wg) ** 2
-            + rp.eps * _l2(grid, grad) ** 2
-            + rp.eps * _l2(grid, vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))) * wg) ** 2
-        )
+    weights = weight_values(grid, rp.a0, traj.times[:, None])  # one table for all terms
+    wg = weights * traj.states
+    wnorms = np.array([_l2(grid, row) for row in wg])
+    sqrt_vsq, vsq_pow = np.sqrt(vsq), vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s)))
+    weight_terms = [(_l2(grid, sqrt_vsq * row) ** 2, _l2(grid, vsq_pow * row) ** 2) for row in wg]
+    grad = np.fft.fft(wg, axis=-1, norm="ortho", out=wg)  # wg is not read again
+    np.multiply(1j * grid.axis_frequencies, grad, out=grad)
+    np.fft.ifft(grad, axis=-1, norm="ortho", out=grad)
+    diss = np.array([
+        a + rp.eps * _l2(grid, g) ** 2 + rp.eps * c for (a, c), g in zip(weight_terms, grad)
+    ])
     integral = float(_trapezoid(diss, traj.times))
-    residuals = np.zeros(n_t - 1)
-    violations = []
-    for n in range(n_t - 1):
-        src = 0.0
-        if source_traj is not None:
-            w_now = weight_values(grid, rp.a0, traj.times[n])
-            w_next = weight_values(grid, rp.a0, traj.times[n + 1])
-            src = 0.5 * rp.dt * (
-                _l2(grid, w_now * source_traj[n]) + _l2(grid, w_next * source_traj[n + 1])
-            )
-        residuals[n] = wnorms[n] + src - wnorms[n + 1]
-        if residuals[n] < -tol * max(wnorms[n], 1.0):
-            violations.append(n)
+    src = 0.0
+    if source_traj is not None:
+        snorms = np.array([_l2(grid, w * s) for w, s in zip(weights, source_traj)])
+        src = 0.5 * rp.dt * (snorms[:-1] + snorms[1:])
+    residuals = wnorms[:-1] + src - wnorms[1:]
+    violations = np.flatnonzero(residuals < -tol * np.maximum(wnorms[:-1], 1.0)).tolist()
     return EnergyReport(
         times=traj.times,
         weighted_norms=wnorms,
@@ -375,18 +373,14 @@ def _dissipative_source(rp: RegularizedProblem, states: np.ndarray) -> np.ndarra
     """Source surrogate -<v>^gamma <D>^(2s) applied to a trajectory."""
     grid = rp.grid
     coeff = effective_coefficient(grid, rp.prm.gamma)
-    sym = grid.eta_bracket_sq ** rp.prm.s
-    spec = np.fft.fft(states, axis=-1, norm="ortho") * sym
-    return -coeff * np.fft.ifft(spec, axis=-1, norm="ortho")
+    out = np.fft.fft(states, axis=-1, norm="ortho")
+    out *= grid.eta_bracket_sq ** rp.prm.s
+    np.fft.ifft(out, axis=-1, norm="ortho", out=out)
+    return np.multiply(-coeff, out, out=out)
 
 
-def _weighted_sup_diff(rp: RegularizedProblem, a: np.ndarray, b: np.ndarray, times: np.ndarray) -> float:
-    grid = rp.grid
-    worst = 0.0
-    for n in range(a.shape[0]):
-        w = weight_values(grid, rp.a0, times[n])
-        worst = max(worst, _l2(grid, w * (a[n] - b[n])))
-    return worst
+def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return max(0.0, *(_l2(grid, wn * (an - bn)) for wn, an, bn in zip(w, a, b)))
 
 
 def picard_iterate(
@@ -407,9 +401,7 @@ def picard_iterate(
     """
     if n_max < 3:
         raise SolverError("n_max must be at least 3")
-    if not math.isfinite(
-        _l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in.samples)
-    ):
+    if not math.isfinite(_l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in.samples)):
         raise SolverError("weighted norm of the initial datum is not finite")
     problem = rp
     retries = 0
@@ -429,14 +421,16 @@ def _picard_once(
     ratio_threshold: float,
 ) -> PicardState:
     shape = (rp.steps + 1, rp.grid.points_per_axis)
+    weights = weight_values(rp.grid, rp.a0, rp.times[:, None])  # one table per attempt
     prev = np.zeros(shape, dtype=complex)
     diffs: list[float] = []
     ratios: list[float] = []
     for n in range(1, n_max + 1):
         source = _dissipative_source(rp, prev) if n > 1 else np.zeros(shape, dtype=complex)
         traj = integrate(rp, f_in.samples, source_traj=source)
+        del source  # freed before the next source or the monitor's buffer is built
         current = traj.states
-        diffs.append(_weighted_sup_diff(rp, current, prev, traj.times))
+        diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
         prev = current
@@ -452,7 +446,7 @@ def _picard_once(
     # fixed-point residual: rerun with the source built from the limit
     final_source = _dissipative_source(rp, prev)
     traj = integrate(rp, f_in.samples, source_traj=final_source)
-    residual = _weighted_sup_diff(rp, traj.states, prev, traj.times)
+    residual = _weighted_sup_diff(rp.grid, weights, traj.states, prev)
     energy = energy_monitor(traj, rp, source_traj=final_source)
     return PicardState(
         problem=rp,

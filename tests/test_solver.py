@@ -7,6 +7,8 @@ from kgl.grid import SpectralField, VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.solver import (
     RegularizedProblem,
+    RegularizedStepper,
+    SolverAbort,
     SolverError,
     energy_monitor,
     integrate,
@@ -104,6 +106,120 @@ def test_single_mode_pure_diffusion_factor():
         )
         expected = np.exp(-0.5 * rp.eps * rp.dt * grid.v_bracket_sq ** 2) * expected
     assert np.max(np.abs(traj.final() - expected)) <= 1e-12
+
+
+def _per_step_oracle(rp, f_in, source_traj=None, steps=None):
+    """The per-step formula H g + (dt/2) H S_n + (dt/2) S_{n+1}, one state at a time.
+
+    H is written out factor by factor, one transform call per axis and per
+    state, independent of the solver's batched march.
+    """
+    st = RegularizedStepper(rp)
+
+    def homogeneous(g):
+        g = st.pointwise_half * g
+        if rp.x_points:
+            gh = np.fft.fft(g, axis=0, norm="ortho")
+            gh *= st.transport
+            gh = np.fft.fft(gh, axis=1, norm="ortho")
+            gh *= st.fourier
+            g = np.fft.ifft(np.fft.ifft(gh, axis=1, norm="ortho"), axis=0, norm="ortho")
+        else:
+            g = np.fft.ifft(np.fft.fft(g, norm="ortho") * st.fourier, norm="ortho")
+        return st.pointwise_half * g
+
+    shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else rp.grid.shape
+    g = np.asarray(f_in, dtype=complex).reshape(shape)
+    states = [g]
+    for n in range(rp.steps if steps is None else steps):
+        g = homogeneous(g)
+        if source_traj is not None:
+            g = g + 0.5 * rp.dt * homogeneous(source_traj[n])
+            g = g + 0.5 * rp.dt * source_traj[n + 1]
+        states.append(g)
+    return np.array(states)
+
+
+def _band_source(grid, steps, seed):
+    rng = np.random.default_rng(seed)
+    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    spec[grid.eta_abs > 0.3 * grid.nyquist] = 0.0
+    band = np.exp(-grid.v_bracket_sq) * np.fft.ifft(spec, norm="ortho").real
+    return np.broadcast_to(band, (steps + 1,) + grid.shape).copy()
+
+
+def _complex_source(shape, seed):
+    rng = np.random.default_rng(seed)
+    return 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_march_is_bit_identical_to_the_per_step_formula():
+    rp = make_problem(steps=32)
+    g0 = gaussian_datum(rp.grid).samples
+    full = (rp.steps + 1,) + rp.grid.shape
+    for src in (None, _band_source(rp.grid, rp.steps, 1), _complex_source(full, 2)):
+        states = integrate(rp, g0, source_traj=src).states
+        assert np.array_equal(states, _per_step_oracle(rp, g0, src))
+    # space axis on: the batched source half is the full two-axis H
+    grid = VelocityGrid(1, 64, 4.0)
+    rpx = make_problem(grid=grid, steps=16, x_points=8)
+    x = np.arange(8)[:, None] / 8.0
+    gx = np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * np.sin(2 * np.pi * x))
+    src = _complex_source((rpx.steps + 1, 8) + grid.shape, 3)
+    states = integrate(rpx, gx, source_traj=src).states
+    assert np.array_equal(states, _per_step_oracle(rpx, gx, src))
+
+
+def test_step_regularized_is_a_one_step_march_with_frozen_source():
+    rp = make_problem()
+    g = gaussian_datum(rp.grid)
+    s = _band_source(rp.grid, 1, 4)
+    out = step_regularized(g, rp, SpectralField.from_samples(rp.grid, s[0]))
+    assert np.array_equal(out.samples, _per_step_oracle(rp, g.samples, s, steps=1)[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x_points", [0, 8])
+def test_solver_abort_names_the_first_non_finite_state(x_points):
+    grid = VelocityGrid(1, 64, 4.0)
+    rp = make_problem(grid=grid, steps=16, x_points=x_points)
+    shape = ((x_points,) if x_points else ()) + grid.shape
+    g0 = np.broadcast_to(np.exp(-grid.v_bracket_sq), shape)
+    src = np.zeros((rp.steps + 1,) + shape)
+    src[5] = np.inf  # enters state 5 through (dt/2) S_5, state 6 through H S_5
+    with pytest.raises(SolverAbort, match=r"non-finite state 5 \("):
+        integrate(rp, g0, source_traj=src)
+    bad = g0.copy()
+    bad[..., 7] = np.nan
+    with pytest.raises(SolverAbort, match=r"non-finite state 0 \("):
+        integrate(rp, bad)
+
+
+def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
+    calls = {"n": 0}
+    for name in ("fft", "ifft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def count(fn, *args, **kwargs):
+        calls["n"] = 0
+        result = fn(*args, **kwargs)
+        return calls["n"], result
+
+    monitor_counts = set()
+    for steps in (8, 32):
+        rp = make_problem(steps=steps)
+        g0 = gaussian_datum(rp.grid).samples
+        src = _band_source(rp.grid, steps, 5)
+        # two sequential transforms per step, two batched ones for the source
+        assert count(integrate, rp, g0)[0] == 2 * steps
+        n, traj = count(integrate, rp, g0, source_traj=src)
+        assert n == 2 * steps + 2
+        monitor_counts.add(count(energy_monitor, traj, rp, source_traj=src)[0])
+    assert len(monitor_counts) == 1
 
 
 def test_step_regularized_field_level():
