@@ -470,7 +470,11 @@ def run_norms(cfg: ExperimentConfig) -> RunReport:
     )
     rep0 = dyadic.block_norm_characterization(corpus[0], gamma / 2.0, s, pair)
     blocks_path = os.path.join(cfg.out_dir, "block_report.csv")
-    dyadic.write_block_report_csv(rep0, blocks_path)
+    write_csv(
+        blocks_path,
+        dyadic.BLOCK_REPORT_COLUMNS,
+        [[row[c] for c in dyadic.BLOCK_REPORT_COLUMNS] for row in rep0.rows],
+    )
     checks = {
         "ratios-within-factor-8": bool(worst[0] >= 1 / 8 and worst[1] <= 8),
         "tail-converged": bool(rep0.tail_converged),

@@ -1,21 +1,24 @@
 """Dyadic phase/frequency decomposition with a telescoping bump pair.
 
-The low cutoff psi is 1 inside |xi| <= 1, falls smoothly to 0 across
-[1, 4/3] through a bridge built from exp(-a/x), and the ring profile is
-defined by the telescope phi(xi) := psi(xi/2) - psi(xi).  The partition
+The low cutoff psi is 1 inside |xi| <= 1 and falls smoothly to 0 across
+[1, 4/3] through a bridge built from exp(-a/x); it is evaluated in closed
+form.  The ring profile is defined by the telescope
+phi(xi) := psi(xi/2) - psi(xi).  The partition
 
     psi(xi) + sum_{j>=0} phi(2^-j xi) = psi(2^-(J+1) xi) -> 1
 
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
-and rings two apart are disjoint.
+and rings two apart are disjoint.  The ring weights on a grid's |v| and
+|eta| are tabulated once per (grid, shell range) as read-only arrays
+(:func:`phase_rings`, :func:`frequency_rings`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from kgl.grid import SpectralField, VelocityGrid, scale_pointwise, scale_spectrum
 
@@ -23,57 +26,39 @@ PSI_FLAT_RADIUS = 1.0
 PSI_SUPPORT_RADIUS = 4.0 / 3.0
 RING_INNER = 3.0 / 4.0
 RING_OUTER = 8.0 / 3.0
+BRIDGE_STEEPNESS = 4.0  # a in the exp(-a/x) glue
 
 
 class DyadicError(ValueError):
     pass
 
 
-def _bridge(x: np.ndarray, steepness: float) -> np.ndarray:
-    """Smooth 1 -> 0 transition on [0, 1] from the exp(-a/x) glue."""
+def _bridge(x: np.ndarray) -> np.ndarray:
+    """Smooth 1 -> 0 transition on [0, 1] from the exp(-a/x) glue.
+
+    Exactly 1 for x <= 0 and exactly 0 for x >= 1.
+    """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        up = np.where(x > 0, np.exp(-steepness / np.maximum(x, 1e-300)), 0.0)
-        dn = np.where(x < 1, np.exp(-steepness / np.maximum(1.0 - x, 1e-300)), 0.0)
+        up = np.where(x > 0, np.exp(-BRIDGE_STEEPNESS / np.maximum(x, 1e-300)), 0.0)
+        dn = np.where(x < 1, np.exp(-BRIDGE_STEEPNESS / np.maximum(1.0 - x, 1e-300)), 0.0)
     return dn / (up + dn)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BumpPair:
-    """Tabulated radial cutoff pair (psi, phi) with monotone interpolation.
+    """Radial cutoff pair (psi, phi) in closed form.
 
-    psi is stored on a fine radial mesh over the transition band; outside
-    the band it is exactly 1 or exactly 0.  phi is always evaluated as
-    psi(r/2) - psi(r), which keeps the dyadic partition identity exact
-    independently of the interpolation error.
+    psi(r) is the bridge across [PSI_FLAT_RADIUS, PSI_SUPPORT_RADIUS], so it
+    is exactly 1 for |r| <= 1 and exactly 0 for |r| >= 4/3.  phi is always
+    evaluated as psi(r/2) - psi(r), which keeps the dyadic partition
+    identity exact.  The pair has no parameters, so all instances are equal
+    and share the cached ring tables.
     """
-
-    mesh_resolution: int = 4096
-    steepness: float = 4.0
-    _interp: PchipInterpolator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.mesh_resolution < 1024:
-            raise DyadicError(
-                f"mesh_resolution {self.mesh_resolution} < 1024 is too coarse"
-            )
-        if self.steepness <= 0:
-            raise DyadicError("steepness must be positive")
-        mesh = np.linspace(PSI_FLAT_RADIUS, PSI_SUPPORT_RADIUS, self.mesh_resolution)
-        width = PSI_SUPPORT_RADIUS - PSI_FLAT_RADIUS
-        vals = _bridge((mesh - PSI_FLAT_RADIUS) / width, self.steepness)
-        vals[0], vals[-1] = 1.0, 0.0
-        with np.errstate(over="ignore", divide="ignore"):  # flat saturated segments
-            self._interp = PchipInterpolator(mesh, vals, extrapolate=False)
 
     def psi(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        out = np.ones_like(r)
-        out[r >= PSI_SUPPORT_RADIUS] = 0.0
-        band = (r > PSI_FLAT_RADIUS) & (r < PSI_SUPPORT_RADIUS)
-        if np.any(band):
-            out[band] = self._interp(r[band])
-        return out
+        return _bridge((r - PSI_FLAT_RADIUS) / (PSI_SUPPORT_RADIUS - PSI_FLAT_RADIUS))
 
     def phi(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -86,21 +71,27 @@ class BumpPair:
         return self.phi(np.asarray(r, dtype=float) / 2.0**shell)
 
 
-def build_bump_pair(mesh_resolution: int = 4096, steepness: float = 4.0) -> BumpPair:
-    """Construct the pair and verify its defining properties numerically."""
-    pair = BumpPair(mesh_resolution=mesh_resolution, steepness=steepness)
-    probe = np.linspace(0.0, 64.0, 20001)
-    jmax = 7
-    total = pair.psi(probe) + sum(pair.phi(probe / 2.0**j) for j in range(jmax + 1))
-    mask = probe <= 2.0**jmax  # partition saturates once the last ring covers
-    err = np.max(np.abs(total[mask] - 1.0))
-    if err > 1e-12:
-        raise DyadicError(f"partition error {err:.3e} exceeds 1e-12; refine the mesh")
-    for fn in (pair.psi, pair.phi):
-        vals = fn(probe)
-        if vals.min() < -1e-14 or vals.max() > 1.0 + 1e-14:
-            raise DyadicError("cutoff values escape [0, 1]")
-    return pair
+def build_bump_pair() -> BumpPair:
+    """The bump pair every decomposition uses."""
+    return BumpPair()
+
+
+def _ring_table(pair: BumpPair, radii: np.ndarray, top: int) -> np.ndarray:
+    table = np.array([pair.ring_weight(radii, shell) for shell in range(-1, top + 1)])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def phase_rings(pair: BumpPair, grid: VelocityGrid, kmax: int) -> np.ndarray:
+    """Read-only phase ring weights on |v|: row k + 1 for k = -1..kmax."""
+    return _ring_table(pair, grid.v_abs, kmax)
+
+
+@lru_cache(maxsize=8)
+def frequency_rings(pair: BumpPair, grid: VelocityGrid, jmax: int) -> np.ndarray:
+    """Read-only frequency ring weights on |eta|: row j + 1 for j = -1..jmax."""
+    return _ring_table(pair, grid.eta_abs, jmax)
 
 
 def max_phase_shell(grid: VelocityGrid) -> int:
@@ -154,13 +145,12 @@ def block_norms(
     jmax = max_freq_shell(grid) if jmax is None else jmax
     kmax = max_phase_shell(grid) if kmax is None else kmax
     scale = np.sqrt(grid.cell_volume)
-    rings = [pair.ring_weight(grid.eta_abs, j) for j in range(-1, jmax + 1)]
+    rings = frequency_rings(pair, grid, jmax)
     out = np.zeros((jmax + 2, kmax + 2))
-    for k in range(-1, kmax + 1):
-        g = f.samples * pair.ring_weight(grid.v_abs, k)
-        gh = np.fft.fftn(g, norm="ortho")
+    for k, wk in enumerate(phase_rings(pair, grid, kmax)):
+        gh = np.fft.fftn(f.samples * wk, norm="ortho")
         for j, wj in enumerate(rings):
-            out[j, k + 1] = scale * np.linalg.norm((gh * wj).ravel())
+            out[j, k] = scale * np.linalg.norm((gh * wj).ravel())
     return out
 
 
@@ -171,10 +161,7 @@ def shell_norms(f: SpectralField, pair: BumpPair, jmax: int | None = None) -> np
     scale = np.sqrt(grid.cell_volume)
     fh = f.coefficients
     return np.array(
-        [
-            scale * np.linalg.norm((fh * pair.ring_weight(grid.eta_abs, j)).ravel())
-            for j in range(-1, jmax + 1)
-        ]
+        [scale * np.linalg.norm((fh * w).ravel()) for w in frequency_rings(pair, grid, jmax)]
     )
 
 
@@ -203,15 +190,6 @@ class BlockNormReport:
 
 
 BLOCK_REPORT_COLUMNS = ["j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"]
-
-
-def write_block_report_csv(report: BlockNormReport, path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BLOCK_REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(report.rows)
 
 
 def block_norm_characterization(

@@ -426,7 +426,7 @@ def _picard_once(
     diffs: list[float] = []
     ratios: list[float] = []
     for n in range(1, n_max + 1):
-        source = _dissipative_source(rp, prev) if n > 1 else np.zeros(shape, dtype=complex)
+        source = _dissipative_source(rp, prev) if n > 1 else None
         traj = integrate(rp, f_in.samples, source_traj=source)
         del source  # freed before the next source or the monitor's buffer is built
         current = traj.states

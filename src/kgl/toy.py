@@ -20,7 +20,16 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
-from kgl.dyadic import BumpPair, _bridge, build_bump_pair, max_freq_shell, max_phase_shell
+from kgl.dyadic import (
+    BumpPair,
+    _bridge,
+    build_bump_pair,
+    frequency_rings,
+    max_freq_shell,
+    max_phase_shell,
+    phase_rings,
+    shell_norms,
+)
 from kgl.grid import SpectralField, VelocityGrid
 from kgl.params import SoftPotentialParams
 
@@ -66,7 +75,7 @@ def effective_coefficient(
     r = grid.v_abs
     lo = blend_start * grid.half_width
     hi = grid.half_width
-    chi = _bridge((r - lo) / (hi - lo), 4.0)
+    chi = _bridge((r - lo) / (hi - lo))
     edge = (1.0 + hi * hi) ** (gamma / 2.0)
     return raw * chi + edge * (1.0 - chi)
 
@@ -467,8 +476,7 @@ def block_law_consistency(
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
     scale = math.sqrt(grid.cell_volume)
-    eta_half = _rfft_half(grid.eta_abs)
-    rings = np.array([pair.ring_weight(eta_half, j) for j in range(-1, jmax + 1)])
+    rings = _rfft_half(frequency_rings(pair, grid, jmax))
     axes = tuple(range(-grid.dimension, 0))
 
     def project(g):
@@ -476,9 +484,8 @@ def block_law_consistency(
         return np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
 
     blocks, meta = [], []
-    for k in range(-1, kmax + 1):
-        g = f0.samples * pair.ring_weight(grid.v_abs, k)
-        for j, b in enumerate(_by_parts(project, g), start=-1):
+    for k, wk in enumerate(phase_rings(pair, grid, kmax), start=-1):
+        for j, b in enumerate(_by_parts(project, f0.samples * wk), start=-1):
             nb = scale * float(np.linalg.norm(b.ravel()))
             if nb >= floor:
                 blocks.append(b)
@@ -522,8 +529,6 @@ def trajectory_shell_exponents(
     (evolution is linear, so this equals evolving f0 / c).  Shell content
     is measured purely on the Fourier side, which is leakage-free.
     """
-    from kgl.dyadic import shell_norms
-
     j_lo, j_hi = j_range.start, j_range.stop - 1
     init = shell_norms(f0, pair, jmax=j_hi)[j_lo + 1 :]
     evolved = shell_norms(final, pair, jmax=j_hi)[j_lo + 1 :]

@@ -2,11 +2,14 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kgl
 from kgl import inequalities as ineq
 from kgl.cli import (
     ConfigError,
@@ -111,6 +114,18 @@ def test_report_json_shape(tmp_path):
     assert payload["passed"] is True
     assert payload["config"]["params"]["j_max"] == 12
     assert "wall_clock_seconds" in payload
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate alone adds ~0.75 s and ~24 MB to start-up, and kgl
+    # needs none of it
+    src = str(Path(kgl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kgl.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_main_exit_codes(tmp_path):

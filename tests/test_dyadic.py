@@ -3,19 +3,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl.dyadic import (
+    BumpPair,
     DyadicError,
+    _bridge,
     block,
     block_norms,
     block_sum,
     block_norm_characterization,
     build_bump_pair,
+    frequency_rings,
     max_freq_shell,
     max_phase_shell,
+    phase_rings,
     project_frequency,
     project_phase,
+    shell_norms,
 )
 from kgl.grid import SpectralField, VelocityGrid
 from kgl.multipliers import weighted_sobolev_norm
+from kgl.params import SoftPotentialParams
+from kgl.toy import ToyParams, block_law_consistency
 from tests.conftest import random_band_limited
 
 
@@ -73,9 +80,119 @@ def test_ring_disjointness_two_apart(bump_pair):
     assert np.all(prod_psi == 0.0)
 
 
-def test_mesh_resolution_guard():
-    with pytest.raises(DyadicError):
-        build_bump_pair(mesh_resolution=512)
+@settings(max_examples=200, deadline=None)
+@given(
+    inside=st.floats(min_value=0.0, max_value=1.0),
+    outside=st.floats(min_value=4.0 / 3.0, max_value=1e300),
+)
+def test_psi_is_exactly_one_inside_and_zero_outside(bump_pair, inside, outside):
+    r = np.array([inside, -inside, outside, -outside])
+    assert bump_pair.psi(r).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(min_value=0.9, max_value=1.5), b=st.floats(min_value=0.9, max_value=1.5))
+def test_psi_is_non_increasing(bump_pair, a, b):
+    lo, hi = bump_pair.psi(np.array([min(a, b), max(a, b)]))
+    assert lo >= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(min_value=0.0, max_value=1.0))
+def test_psi_bridge_symmetry(bump_pair, x):
+    # psi(1 + x/3) + psi(4/3 - x/3) = 1.  The two radii carry ~1 ulp of
+    # rounding each and |psi'| <= 24, which allows up to ~50 eps here (26.5
+    # measured on 2e6 points); the bridge itself at exactly symmetric
+    # arguments (y and 1 - y, y >= 1/2, so 1 - y is exact) is held to 2 eps.
+    eps = np.finfo(float).eps
+    total = bump_pair.psi(np.array([1.0 + x / 3.0, 4.0 / 3.0 - x / 3.0])).sum()
+    assert abs(total - 1.0) <= 64 * eps
+    y = max(x, 1.0 - x)
+    assert abs(_bridge(y) + _bridge(1.0 - y) - 1.0) <= 2 * eps
+
+
+# per-shell oracles for the cached ring tables: every ring weight is
+# evaluated by pair.ring_weight where it is used
+
+
+def _block_norms_oracle(f, pair):
+    grid = f.grid
+    jmax, kmax = max_freq_shell(grid), max_phase_shell(grid)
+    out = np.zeros((jmax + 2, kmax + 2))
+    for k in range(-1, kmax + 1):
+        gh = np.fft.fftn(f.samples * pair.ring_weight(grid.v_abs, k), norm="ortho")
+        for j in range(-1, jmax + 1):
+            wj = pair.ring_weight(grid.eta_abs, j)
+            out[j + 1, k + 1] = np.sqrt(grid.cell_volume) * np.linalg.norm((gh * wj).ravel())
+    return out
+
+
+def _shell_norms_oracle(f, pair):
+    grid = f.grid
+    return np.array(
+        [
+            np.sqrt(grid.cell_volume)
+            * np.linalg.norm((f.coefficients * pair.ring_weight(grid.eta_abs, j)).ravel())
+            for j in range(-1, max_freq_shell(grid) + 1)
+        ]
+    )
+
+
+def _initial_blocks_oracle(f0, pair, floor):
+    """(j, k, ||block||) of every block of a real f0 at or above ``floor``."""
+    grid = f0.grid
+    axes = tuple(range(-grid.dimension, 0))
+    eta_half = grid.eta_abs[..., : grid.points_per_axis // 2 + 1]
+    out = []
+    for k in range(-1, max_phase_shell(grid) + 1):
+        gh = np.fft.rfftn((f0.samples * pair.ring_weight(grid.v_abs, k)).real, axes=axes)
+        for j in range(-1, max_freq_shell(grid) + 1):
+            wj = pair.ring_weight(eta_half, j)
+            b = np.fft.irfftn(wj * gh, s=grid.shape, axes=axes)
+            nb = np.sqrt(grid.cell_volume) * float(np.linalg.norm(b.ravel()))
+            if nb >= floor:
+                out.append((j, k, nb))
+    return out
+
+
+@pytest.mark.parametrize("grid", [VelocityGrid(1, 256, 8.0), VelocityGrid(2, 32, 8.0)])
+def test_ring_tables_match_the_per_shell_oracle_bit_for_bit(bump_pair, grid):
+    rng = np.random.default_rng(21)
+    f = SpectralField.from_samples(
+        grid, np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * rng.standard_normal(grid.shape))
+    )
+    assert np.array_equal(block_norms(f, bump_pair), _block_norms_oracle(f, bump_pair))
+    assert np.array_equal(shell_norms(f, bump_pair), _shell_norms_oracle(f, bump_pair))
+    p = ToyParams(
+        prm=SoftPotentialParams(gamma=-1.0, s=0.5), a0=1.0, t_final=1.0, grid=grid, steps=16
+    )
+    res = block_law_consistency(f, p, bump_pair)
+    got = [(c.j, c.k, c.initial_norm) for c in res.comparisons]
+    assert got == _initial_blocks_oracle(f, bump_pair, floor=1e-12)
+
+
+def test_ring_tables_are_built_once_per_grid(grid1d, monkeypatch):
+    calls = []
+    psi = BumpPair.psi
+    monkeypatch.setattr(BumpPair, "psi", lambda self, r: calls.append(1) or psi(self, r))
+    phase_rings.cache_clear()
+    frequency_rings.cache_clear()
+    f = SpectralField.from_samples(grid1d, np.exp(-grid1d.v_bracket_sq))
+    first = block_norms(f, build_bump_pair())
+    assert calls
+    calls.clear()
+    second = block_norms(f * 2.0, build_bump_pair())
+    assert not calls
+    assert np.array_equal(second, 2.0 * first)
+
+
+def test_ring_tables_are_read_only(grid1d, bump_pair):
+    for table in (
+        phase_rings(bump_pair, grid1d, max_phase_shell(grid1d)),
+        frequency_rings(bump_pair, grid1d, max_freq_shell(grid1d)),
+    ):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
 
 
 def test_phase_partition_telescopes(grid1d, bump_pair):

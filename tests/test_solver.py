@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kgl.solver as solver
 from kgl.grid import SpectralField, VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.solver import (
@@ -357,6 +358,20 @@ def test_picard_first_difference_is_first_iterate():
         w = weight_values(rp.grid, rp.a0, traj.times[n])
         worst = max(worst, math.sqrt(rp.grid.spacing) * np.linalg.norm(w * traj.states[n]))
     assert state.difference_norms[0] == pytest.approx(worst, rel=1e-12)
+
+
+def test_picard_first_iterate_is_marched_without_a_source(monkeypatch):
+    sources = []
+
+    def recording(rp, f_in, source_traj=None):
+        sources.append(source_traj)
+        return integrate(rp, f_in, source_traj=source_traj)
+
+    monkeypatch.setattr(solver, "integrate", recording)
+    rp = make_problem(steps=16)
+    picard_iterate(gaussian_datum(rp.grid), rp, n_max=3)
+    assert sources[0] is None
+    assert isinstance(sources[1], np.ndarray)  # the second iterate's source
 
 
 def test_picard_contracts_on_gaussian():
