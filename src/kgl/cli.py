@@ -26,7 +26,7 @@ import numpy as np
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
 from kgl.grid import GridError, SpectralField, VelocityGrid, save_field
-from kgl.multipliers import weighted_sobolev_norm
+from kgl.multipliers import weighted_sobolev_norms
 from kgl.params import AdmissibilityError, SoftPotentialParams
 
 
@@ -236,7 +236,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     with open(fit_path, "w") as fh:
         json.dump(fit_payload, fh, sort_keys=True, indent=2)
     artifacts.append(fit_path)
-    norms_final = dyadic.block_norms(traj.final, pair)
+    norms_final = dyadic.block_norms(cfg.grid, traj.final.samples, pair)
     heat_rows = []
     for jj in range(norms_final.shape[0]):
         for kk in range(norms_final.shape[1]):
@@ -266,36 +266,24 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     p, prm, grid = cfg.params, cfg.prm, cfg.grid
     gamma, s, eps = prm.gamma, prm.s, p["eps"]
     corpus = standard_corpus(grid, p["corpus_size"], cfg.seed)
-    theta_grid = (1e-3, 1e-2, 1e-1, 1.0)
-    tau_wits, eps_wits, reg_wits = [], [], []
-    for i, u in enumerate(corpus):
-        tau_wits.append(ineq.verify_interpolation_tau(u, prm, function_id=f"u{i}"))
-        eps_wits.append(ineq.verify_weighted_eps_split(u, s, eps, function_id=f"u{i}"))
-        reg_wits.append(ineq.verify_regularizer_bounds(u, theta_grid[i % 4], function_id=f"u{i}"))
-    product_ratio = max(w.extras["product_ratio"] for w in tau_wits)
-    eps_norms = [(w.lhs, w.extras["gradient_norm"], w.extras["weight_norm"]) for w in eps_wits]
-    c_eps = ineq.eps_constant(eps_norms, eps)
-    eps_margin = min(eps * grad + c_eps * wpart - lhs for lhs, grad, wpart in eps_norms)
-    reg_margin = min(w.margin for w in reg_wits)
+    theta = np.array([1e-3, 1e-2, 1e-1, 1.0])[np.arange(len(corpus)) % 4]
+    tau_wit = ineq.verify_interpolation_tau(grid, corpus, prm)
+    eps_wit = ineq.verify_weighted_eps_split(grid, corpus, s, eps)
+    reg_margin = float(np.min(ineq.verify_regularizer_bounds(grid, corpus, theta).margin))
+    product_ratio = float(np.max(tau_wit.extras["product_ratio"]))
+    lhs, grad, wpart = eps_wit.lhs, eps_wit.extras["gradient_norm"], eps_wit.extras["weight_norm"]
+    c_eps = ineq.eps_constant((lhs, grad, wpart), eps)
+    eps_margin = float(np.min(eps * grad + c_eps * wpart - lhs))
     fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
-    fine_corpus = standard_corpus(fine_grid, max(20, len(corpus) // 5), cfg.seed)
-    fine_wits = [
-        ineq.verify_interpolation_tau(u, prm, function_id=f"f{i}")
-        for i, u in enumerate(fine_corpus)
-    ]
-    # members shared with the main corpus reuse its witnesses: a strided sample finds
-    # the candidate (hashing whole fields costs more than it saves), equality confirms it
-    known = {u.samples.ravel()[::64].tobytes(): (u, w) for u, w in zip(corpus, tau_wits)}
-    coarse_sub = []
-    for i, u in enumerate(standard_corpus(grid, max(20, len(corpus) // 5), cfg.seed)):
-        twin, w = known.get(u.samples.ravel()[::64].tobytes(), (u, None))
-        if w is None or not np.array_equal(twin.samples, u.samples):
-            w = ineq.verify_interpolation_tau(u, prm, function_id=f"c{i}")
-        coarse_sub.append(w)
-    refinement_ratio = ineq.fit_constant(fine_wits) / max(ineq.fit_constant(coarse_sub), 1e-300)
+    sub_size = max(20, len(corpus) // 5)
+    fine = ineq.verify_interpolation_tau(
+        fine_grid, standard_corpus(fine_grid, sub_size, cfg.seed), prm
+    )
+    coarse = ineq.verify_interpolation_tau(grid, standard_corpus(grid, sub_size, cfg.seed), prm)
+    refinement_ratio = ineq.fit_constant(fine) / max(ineq.fit_constant(coarse), 1e-300)
     params = {"gamma": gamma, "s": s}
     tau_report = ineq.aggregate(
-        "interpolation-tau", params, tau_wits, refinement_ratio=refinement_ratio
+        "interpolation-tau", params, tau_wit, refinement_ratio=refinement_ratio
     )
     tau_ratio = tau_report.fitted_constant
     scaling = ineq.eps_constant_scaling(grid, s)
@@ -304,12 +292,11 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     )
     comp_pass = True
     comp_agree = []
-    nonneg = [u for u in corpus if float(np.min(u.samples.real)) >= -1e-12][: max(10, len(corpus) // 10)]
-    for i, u in enumerate(nonneg):
-        for name in ineq.COMPOSITION_MAPS:
-            w = ineq.verify_composition_bound(u, s, name, constant=4.0, function_id=f"g{i}")
-            comp_pass &= w.passed and w.extras["agreement_ok"]
-            comp_agree.extend(w.extras["agreement_factors"])
+    nonneg = corpus[np.min(corpus, axis=-1) >= -1e-12][: max(10, len(corpus) // 10)]
+    for name in ineq.COMPOSITION_MAPS:
+        w = ineq.verify_composition_bound(grid, nonneg, s, name, constant=4.0)
+        comp_pass &= bool(np.all(w.passed) and np.all(w.extras["agreement_ok"]))
+        comp_agree.extend(np.ravel(w.extras["agreement_factors"]))
     report_rows = [tau_report.to_json_dict()] + [
         ineq.InequalityReport(
             inequality_id=ineq_id,
@@ -337,6 +324,9 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     metrics = {
         "fitted_interpolation_constant": tau_ratio,
         "fitted_eps_constant": c_eps,
+        "refinement_ratio": refinement_ratio,
+        "refinement_fine_member": int(np.argmax(fine.ratio_without_constant())),
+        "refinement_coarse_member": int(np.argmax(coarse.ratio_without_constant())),
         "eps_scaling": scaling,
         "regularizer_min_margin": reg_margin,
         "composition_agreement_range": [min(comp_agree), max(comp_agree)] if comp_agree else [],
@@ -447,28 +437,29 @@ def run_picard(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_norms(cfg: ExperimentConfig) -> RunReport:
-    prm = cfg.prm
+    prm, grid = cfg.prm, cfg.grid
     gamma, s = prm.gamma, prm.s
     pair = dyadic.build_bump_pair()
-    corpus = standard_corpus(cfg.grid, cfg.params["corpus_size"], cfg.seed)
+    corpus = standard_corpus(grid, cfg.params["corpus_size"], cfg.seed)
     pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (gamma / 2.0, s)]
-    rows = []
-    worst = (np.inf, 0.0)
-    for i, u in enumerate(corpus):
-        norms_matrix = dyadic.block_norms(u, pair)
-        for (pp, mm) in pairs_pm:
-            value = dyadic.block_sum(norms_matrix, pp, mm)
-            direct = weighted_sobolev_norm(u, pp, mm)
-            ratio = value / direct if direct > 0 else np.nan
-            worst = (min(worst[0], ratio), max(worst[1], ratio))
-            rows.append([i, pp, mm, value, direct, ratio])
+    norms_matrices = dyadic.block_norms(grid, corpus, pair)
+    values = np.array([dyadic.block_sum(norms_matrices, pp, mm) for pp, mm in pairs_pm])
+    direct = weighted_sobolev_norms(grid, corpus, pairs_pm)
+    ratios = np.divide(values, direct, out=np.full(values.shape, np.nan), where=direct > 0)
+    valid = ratios[direct > 0]
+    worst = (float(np.min(valid, initial=np.inf)), float(np.max(valid, initial=0.0)))
+    rows = [
+        [i, pp, mm, values[n, i], direct[n, i], ratios[n, i]]
+        for i in range(len(corpus))
+        for n, (pp, mm) in enumerate(pairs_pm)
+    ]
     csv_path = os.path.join(cfg.out_dir, "norm_ratios.csv")
     write_csv(
         csv_path,
         ["function", "p", "m", "block_norm", "direct_norm", "ratio"],
         rows,
     )
-    rep0 = dyadic.block_norm_characterization(corpus[0], gamma / 2.0, s, pair)
+    rep0 = dyadic.block_norm_characterization(grid, corpus[0], gamma / 2.0, s, pair)
     blocks_path = os.path.join(cfg.out_dir, "block_report.csv")
     write_csv(
         blocks_path,

@@ -3,53 +3,66 @@
 Three families span the weight-dominated and derivative-dominated regimes:
 shifted Gaussians exp(-c (v - v0)^2) with c in [1/4, 4] and |v0| <= L/4,
 Hermite functions up to degree 12, and random band-limited fields whose
-spectra decay like <eta>^-2.
+spectra decay like <eta>^-2.  A corpus is one real array of shape
+``(members,) + grid.shape``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid, l2_norms, trailing_axes
 
 
-def gaussian(grid: VelocityGrid, c: float = 0.5, center: float = 0.0) -> SpectralField:
+def _column(grid: VelocityGrid, values) -> np.ndarray:
+    """Per-member scalars shaped to broadcast against a stack of fields."""
+    return np.reshape(values, (-1,) + (1,) * grid.dimension)
+
+
+def _normalized(grid: VelocityGrid, fields: np.ndarray) -> np.ndarray:
+    """Each member scaled to unit L2 norm; zero members stay zero.
+
+    The norm reads the real part of a complex copy: at that stride the dot
+    product sums exactly as ``SpectralField.l2_norm`` does.
+    """
+    n = l2_norms(grid, fields.astype(complex).real)
+    return fields * _column(grid, np.divide(1.0, n, out=np.ones_like(n), where=n > 0))
+
+
+def gaussians(grid: VelocityGrid, c, center) -> np.ndarray:
+    """exp(-c |v - center|^2) for each pair of the sequences c and center."""
+    center = _column(grid, center)
     shifted_sq = sum((m - center) ** 2 for m in grid.v_meshes)
-    return SpectralField.from_samples(grid, np.exp(-c * shifted_sq))
+    return np.exp(-_column(grid, c) * shifted_sq)
 
 
-def hermite_function(grid: VelocityGrid, degree: int) -> SpectralField:
-    """L2-normalized Hermite function of one variable (tensorized via axis 0)."""
-    coeffs = np.zeros(degree + 1)
-    coeffs[degree] = 1.0
+def hermite_functions(grid: VelocityGrid, degrees) -> np.ndarray:
+    """L2-normalized Hermite functions of one variable (tensorized via axis 0)."""
     x = grid.v_meshes[0]
-    vals = np.polynomial.hermite.hermval(x, coeffs) * np.exp(-(x**2) / 2.0)
+    polys = [np.polynomial.hermite.hermval(x, np.eye(deg + 1)[deg]) for deg in degrees]
+    out = np.reshape(polys, (len(polys),) + grid.shape) * np.exp(-(x**2) / 2.0)
     if grid.dimension > 1:
-        vals = vals * np.exp(-sum(m**2 for m in grid.v_meshes[1:]) / 2.0)
-    f = SpectralField.from_samples(grid, vals)
-    n = f.l2_norm()
-    return f * (1.0 / n) if n > 0 else f
+        out *= np.exp(-sum(m**2 for m in grid.v_meshes[1:]) / 2.0)
+    return _normalized(grid, out)
 
 
 def band_limited(
     grid: VelocityGrid,
     rng: np.random.Generator,
+    count: int,
     band_fraction: float = 0.5,
     decay: float = 2.0,
-) -> SpectralField:
-    """Random real field with spectrum supported in a Nyquist fraction.
+) -> np.ndarray:
+    """Random real fields with spectra supported in a Nyquist fraction.
 
     Coefficient magnitudes follow <eta>^-decay with uniform random phases;
-    Hermitian symmetry is imposed by taking the real part.
+    Hermitian symmetry is imposed by taking the real part.  Each member
+    draws its real then its imaginary parts from ``rng``.
     """
-    amp = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (
-        grid.eta_bracket_sq ** (-decay / 2.0)
-    )
-    amp[grid.eta_abs > band_fraction * grid.nyquist] = 0.0
-    samples = np.fft.ifftn(amp, norm="ortho").real
-    f = SpectralField.from_samples(grid, samples)
-    n = f.l2_norm()
-    return f * (1.0 / n) if n > 0 else f
+    draws = rng.standard_normal((count, 2) + grid.shape)
+    amp = (draws[:, 0] + 1j * draws[:, 1]) * (grid.eta_bracket_sq ** (-decay / 2.0))
+    amp[:, grid.eta_abs > band_fraction * grid.nyquist] = 0.0
+    return _normalized(grid, np.fft.ifftn(amp, axes=trailing_axes(grid), norm="ortho").real)
 
 
 def standard_corpus(
@@ -57,22 +70,27 @@ def standard_corpus(
     size: int,
     seed: int,
     hermite_max_degree: int = 12,
-) -> list[SpectralField]:
-    """Deterministic mixed corpus of the three families, `size` members."""
+) -> np.ndarray:
+    """Deterministic mixed corpus of the three families, ``size`` members."""
     rng = np.random.default_rng(seed)
-    out: list[SpectralField] = []
     n_hermite = min(hermite_max_degree + 1, max(size // 5, 0))
     n_band = max(size // 5, 0)
     n_gauss = size - n_hermite - n_band
-    for _ in range(n_gauss):
-        c = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        v0 = float(rng.uniform(-grid.half_width / 4.0, grid.half_width / 4.0))
-        out.append(gaussian(grid, c=c, center=v0))
-    for deg in range(n_hermite):
-        out.append(hermite_function(grid, deg))
-    for _ in range(n_band):
-        out.append(band_limited(grid, rng))
-    return out
+    params = [
+        (
+            float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))),
+            float(rng.uniform(-grid.half_width / 4.0, grid.half_width / 4.0)),
+        )
+        for _ in range(n_gauss)
+    ]
+    c, center = np.reshape(params, (n_gauss, 2)).T
+    return np.concatenate(
+        [
+            gaussians(grid, c, center),
+            hermite_functions(grid, range(n_hermite)),
+            band_limited(grid, rng, n_band),
+        ]
+    )
 
 
 def dilation_family(
@@ -80,10 +98,8 @@ def dilation_family(
     scale_min: float,
     scale_max: float,
     count: int,
-) -> list[SpectralField]:
+) -> np.ndarray:
     """Centered Gaussians exp(-v^2 / (2 sigma^2)) on a log grid of scales."""
     sigmas = np.geomspace(scale_min, scale_max, count)
     vsq = sum(m**2 for m in grid.v_meshes)
-    return [
-        SpectralField.from_samples(grid, np.exp(-vsq / (2.0 * s * s))) for s in sigmas
-    ]
+    return np.exp(-vsq / _column(grid, 2.0 * sigmas * sigmas))

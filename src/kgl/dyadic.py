@@ -10,7 +10,9 @@ phi(xi) := psi(xi/2) - psi(xi).  The partition
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
 and rings two apart are disjoint.  The ring weights on a grid's |v| and
 |eta| are tabulated once per (grid, shell range) as read-only arrays
-(:func:`phase_rings`, :func:`frequency_rings`).
+(:func:`phase_rings`, :func:`frequency_rings`).  :func:`block_norms` takes
+a whole stack of fields, ``(members,) + grid.shape``, through the real
+transform.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from kgl.grid import SpectralField, VelocityGrid, scale_pointwise, scale_spectrum
+from kgl.grid import (
+    SpectralField,
+    VelocityGrid,
+    by_parts,
+    half_power,
+    half_spectrum,
+    half_symbol,
+    scale_pointwise,
+    scale_spectrum,
+    summed,
+)
 
 PSI_FLAT_RADIUS = 1.0
 PSI_SUPPORT_RADIUS = 4.0 / 3.0
@@ -135,22 +147,31 @@ def block(f: SpectralField, j: int, k: int, pair: BumpPair) -> SpectralField:
 
 
 def block_norms(
-    f: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     pair: BumpPair,
     jmax: int | None = None,
     kmax: int | None = None,
 ) -> np.ndarray:
-    """Matrix of block L2 norms, rows j = -1..jmax, cols k = -1..kmax."""
-    grid = f.grid
+    """Block L2 norms of each field on the trailing grid axes of u.
+
+    Shape ``u.shape[:-d] + (jmax + 2, kmax + 2)``: rows j = -1..jmax, cols
+    k = -1..kmax.  Per phase shell, one real transform of the whole stack;
+    all frequency shells of it come from one matrix product of the
+    half-spectrum power with the squared ring weights.
+    """
+    if np.iscomplexobj(u):
+        return by_parts(lambda v: block_norms(grid, v, pair, jmax, kmax), u)
     jmax = max_freq_shell(grid) if jmax is None else jmax
     kmax = max_phase_shell(grid) if kmax is None else kmax
-    scale = np.sqrt(grid.cell_volume)
-    rings = frequency_rings(pair, grid, jmax)
-    out = np.zeros((jmax + 2, kmax + 2))
+    rings_sq = half_symbol(frequency_rings(pair, grid, jmax)) ** 2
+    out = np.empty(u.shape[: u.ndim - grid.dimension] + (jmax + 2, kmax + 2))
+    buf = coeff = power = None  # one physical, one spectral and one power buffer
     for k, wk in enumerate(phase_rings(pair, grid, kmax)):
-        gh = np.fft.fftn(f.samples * wk, norm="ortho")
-        for j, wj in enumerate(rings):
-            out[j, k] = scale * np.linalg.norm((gh * wj).ravel())
+        buf = np.multiply(u, wk, out=buf)
+        coeff = half_spectrum(grid, buf, out=coeff)
+        power = half_power(grid, coeff, out=power)
+        out[..., k] = np.sqrt(summed(grid, power, rings_sq))
     return out
 
 
@@ -165,19 +186,19 @@ def shell_norms(f: SpectralField, pair: BumpPair, jmax: int | None = None) -> np
     )
 
 
-def block_sum(norms: np.ndarray, p: float, m: float) -> float:
-    """Weighted block-sum norm from a precomputed block-norm matrix.
+def block_sum(norms: np.ndarray, p: float, m: float) -> np.ndarray:
+    """Weighted block-sum norm from precomputed block-norm matrices.
 
-    ``norms[j+1, k+1]`` must hold the (j, k) block L2 norms as produced by
-    :func:`block_norms`; reusing one matrix across several (p, m) pairs
-    avoids recomputing the projections.
+    ``norms[..., j+1, k+1]`` must hold the (j, k) block L2 norms as produced
+    by :func:`block_norms`; reusing them across several (p, m) pairs avoids
+    recomputing the projections.  Leading axes stack fields.
     """
-    jmax = norms.shape[0] - 2
-    kmax = norms.shape[1] - 2
+    jmax = norms.shape[-2] - 2
+    kmax = norms.shape[-1] - 2
     js = np.arange(-1, jmax + 1)[:, None]
     ks = np.arange(-1, kmax + 1)[None, :]
     weights = 2.0 ** (2.0 * p * ks) * 2.0 ** (2.0 * m * js)
-    return float(np.sqrt(np.sum(weights * norms**2)))
+    return np.sqrt(np.sum(weights * norms**2, axis=(-2, -1)))
 
 
 @dataclass
@@ -193,7 +214,8 @@ BLOCK_REPORT_COLUMNS = ["j", "k", "block_l2", "weight_2kp", "weight_2mj", "contr
 
 
 def block_norm_characterization(
-    f: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     p: float,
     m: float,
     pair: BumpPair,
@@ -205,10 +227,9 @@ def block_norm_characterization(
     non-convergent tail when the outermost ring still contributes more
     than ``tail_tol`` of the total.
     """
-    grid = f.grid
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
-    norms = block_norms(f, pair, jmax=jmax, kmax=kmax)
+    norms = block_norms(grid, u, pair, jmax=jmax, kmax=kmax)
     rows = []
     total = 0.0
     last_ring = 0.0

@@ -10,6 +10,12 @@ A :class:`SpectralField` keeps one canonical array, its samples; the
 coefficients are derived from them once and cached, and both are
 read-only.  Fields are validated only where data enters the program:
 ``SpectralField.from_pair`` and ``load_field``.
+
+Many fields at once are one real array of shape ``(members,) + grid.shape``
+(any leading axes stack them).  Every operator applied to such a stack here
+is real, so it goes through the real transform along the trailing grid axes
+(:func:`half_spectrum`), and a norm of the form ||a(D) u|| is read off the
+half spectrum by Parseval (:func:`half_power`).
 """
 
 from __future__ import annotations
@@ -111,6 +117,18 @@ class VelocityGrid:
     @cached_property
     def eta_bracket_sq(self) -> np.ndarray:
         return 1.0 + self.eta_abs**2
+
+    @cached_property
+    def half_multiplicity(self) -> np.ndarray:
+        """Cell volume times the columns each half-spectrum column stands for.
+
+        The rfftn layout keeps the last axis at 0 .. N/2; columns 1 .. N/2-1
+        also stand for their conjugate mirrors, so |u_hat|^2 times this sums
+        to the squared L2 norm.
+        """
+        mult = np.full(self.points_per_axis // 2 + 1, 2.0 * self.cell_volume)
+        mult[[0, -1]] = self.cell_volume
+        return mult
 
 
 class SpectralField:
@@ -215,6 +233,68 @@ def scale_spectrum(f: SpectralField, symbol: np.ndarray) -> SpectralField:
     """Multiply coefficients by a symbol and resynthesize samples."""
     coeff = f.coefficients * symbol
     return SpectralField(f.grid, np.fft.ifftn(coeff, norm="ortho"), coeff)
+
+
+def trailing_axes(grid: VelocityGrid) -> tuple[int, ...]:
+    return tuple(range(-grid.dimension, 0))
+
+
+def half_symbol(symbol: np.ndarray) -> np.ndarray:
+    """An even Fourier symbol on the rfftn layout (last axis 0 .. N/2)."""
+    return symbol[..., : symbol.shape[-1] // 2 + 1]
+
+
+def half_spectrum(grid: VelocityGrid, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary real transform of the real fields on the trailing grid axes of u."""
+    return np.fft.rfftn(u, axes=trailing_axes(grid), norm="ortho", out=out)
+
+
+def from_half_spectrum(
+    grid: VelocityGrid, coeff: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of :func:`half_spectrum`: real fields from their half spectra."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=trailing_axes(grid), norm="ortho", out=out)
+
+
+def half_power(grid: VelocityGrid, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|coeff|^2 weighted so that a sum over the half spectrum is a squared L2 norm."""
+    out = np.abs(coeff, out=out)
+    out *= out
+    out *= grid.half_multiplicity
+    return out
+
+
+def _flat(grid: VelocityGrid, a: np.ndarray) -> np.ndarray:
+    """a with its trailing grid axes (full or half spectrum) merged into one."""
+    d = grid.dimension
+    return a.reshape(a.shape[: a.ndim - d] + (int(np.prod(a.shape[a.ndim - d :])),))
+
+
+def summed(grid: VelocityGrid, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum of values * weights over the trailing grid axes, as one matrix product.
+
+    Leading axes of ``weights`` become trailing axes of the result.
+    """
+    return _flat(grid, values) @ _flat(grid, weights).T
+
+
+def l2_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
+    """Quadrature L2 norms of the real fields on the trailing grid axes of u."""
+    flat = _flat(grid, u)
+    return np.sqrt(grid.cell_volume) * np.sqrt(np.vecdot(flat, flat))
+
+
+def by_parts(apply, u: np.ndarray, join=np.hypot) -> np.ndarray:
+    """``apply``, a real linear map or norms of one, on u; complex u splits by linearity.
+
+    The two parts are joined by ``join``: hypot for norms (their squares add),
+    ``re + 1j * im`` for a map.
+    """
+    if not np.iscomplexobj(u):
+        return apply(u)
+    if not np.any(u.imag):
+        return apply(u.real)
+    return join(apply(u.real), apply(u.imag))
 
 
 def save_field(f: SpectralField, path: str) -> None:

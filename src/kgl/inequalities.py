@@ -1,20 +1,28 @@
 """Numerical verification of the standalone weighted-interpolation inequalities.
 
-Each operation produces an :class:`InequalityWitness`; corpus-level drivers
-fit the smallest admissible constant, track margins, and check the scaling
-laws the constants must obey.
+Each operation checks a whole stack of fields at once (a real array of
+shape ``(members,) + grid.shape``, or one field) and produces one
+:class:`InequalityWitness` for it; corpus-level drivers fit the smallest
+admissible constant, track margins, and check the scaling laws the
+constants must obey.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from kgl.corpus import dilation_family
-from kgl.grid import SpectralField, VelocityGrid
-from kgl.multipliers import RegularizerSpec, apply_regularizer, weighted_sobolev_norm
+from kgl.grid import (
+    VelocityGrid,
+    by_parts,
+    half_power,
+    half_spectrum,
+    half_symbol,
+    trailing_axes,
+)
+from kgl.multipliers import MultiplierError, weighted_sobolev_norm, weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 
 
@@ -24,25 +32,32 @@ class InequalityInputError(ValueError):
 
 @dataclass
 class InequalityWitness:
+    """One inequality checked on a stack of fields.
+
+    ``lhs``, ``rhs`` and the array-valued extras have the stack's leading
+    shape (a 0-d value for a single field); member i is named
+    ``f"{test_function_id}{i}"`` in reports.
+    """
+
     inequality_id: str
-    lhs: float
-    rhs: float
+    lhs: np.ndarray
+    rhs: np.ndarray
     constant_used: float
     test_function_id: str
     extras: dict = field(default_factory=dict)
 
     @property
-    def margin(self) -> float:
+    def margin(self) -> np.ndarray:
         return self.rhs - self.lhs
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.margin >= 0.0
 
-    def ratio_without_constant(self) -> float:
-        """lhs / (rhs / C): the constant this witness alone would require."""
+    def ratio_without_constant(self) -> np.ndarray:
+        """lhs / (rhs / C): the constant each member alone would require."""
         base = self.rhs / self.constant_used if self.constant_used != 0 else np.inf
-        return self.lhs / base if base > 0 else 0.0
+        return _ratio(self.lhs, base, 0.0)
 
 
 @dataclass
@@ -70,17 +85,24 @@ class InequalityReport:
         return out
 
 
-def _finite_or_raise(*vals: float) -> None:
+def _ratio(num, den, fallback: float) -> np.ndarray:
+    """num / den where den > 0, else ``fallback``."""
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.full(num.shape, fallback), where=den > 0)
+
+
+def _finite_or_raise(*vals: np.ndarray) -> None:
     for v in vals:
-        if not math.isfinite(v):
-            raise InequalityInputError(f"non-finite norm {v}")
+        if not np.all(np.isfinite(v)):
+            raise InequalityInputError(f"non-finite norm in {np.ravel(v)[:4]}")
 
 
 # --- interpolation between the weighted space and the coercive norm -------
 
 
 def verify_interpolation_tau(
-    u: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     prm: SoftPotentialParams,
     constant: float = 1.0,
     function_id: str = "u",
@@ -93,10 +115,9 @@ def verify_interpolation_tau(
     Young inequality a^t b^(1-t) <= t a + (1-t) b makes the product form
     imply the sum form.
     """
-    tau = prm.tau
-    lhs = weighted_sobolev_norm(u, 0.0, tau)
-    a_term = weighted_sobolev_norm(u, 1.0, 0.0)
-    b_term = weighted_sobolev_norm(u, prm.gamma / 2.0, prm.s)
+    lhs, a_term, b_term = weighted_sobolev_norms(
+        grid, u, [(0.0, prm.tau), (1.0, 0.0), (prm.gamma / 2.0, prm.s)]
+    )
     _finite_or_raise(lhs, a_term, b_term)
     theta = 2.0 / (2.0 - prm.gamma)
     product_rhs = constant * b_term**theta * a_term ** (1.0 - theta)
@@ -111,7 +132,7 @@ def verify_interpolation_tau(
             "coercive": b_term,
             "theta": theta,
             "product_rhs": product_rhs,
-            "product_ratio": lhs / product_rhs if product_rhs > 0 else 0.0,
+            "product_ratio": _ratio(lhs, product_rhs, 0.0),
         },
     )
 
@@ -120,7 +141,8 @@ def verify_interpolation_tau(
 
 
 def verify_weighted_eps_split(
-    u: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     s: float,
     eps: float,
     constant: float = 1.0,
@@ -129,11 +151,7 @@ def verify_weighted_eps_split(
     """||<v>^s <D>^s u|| <= eps ||<D> u|| + C_eps ||<v>^(s/(1-s)) u||."""
     if eps <= 0:
         raise InequalityInputError(f"eps={eps} must be positive")
-    if not (0.0 < s < 1.0):
-        raise InequalityInputError(f"s={s} outside (0, 1)")
-    lhs = weighted_sobolev_norm(u, s, s)
-    grad = weighted_sobolev_norm(u, 0.0, 1.0)
-    wpart = weighted_sobolev_norm(u, s / (1.0 - s), 0.0)
+    lhs, grad, wpart = _eps_split_norms(grid, u, s)
     _finite_or_raise(lhs, grad, wpart)
     return InequalityWitness(
         inequality_id="weighted-eps-split",
@@ -145,29 +163,23 @@ def verify_weighted_eps_split(
     )
 
 
-def _eps_split_norms(fields: list[SpectralField], s: float) -> list[tuple[float, float, float]]:
-    return [
-        (
-            weighted_sobolev_norm(u, s, s),
-            weighted_sobolev_norm(u, 0.0, 1.0),
-            weighted_sobolev_norm(u, s / (1.0 - s), 0.0),
-        )
-        for u in fields
-    ]
+def _eps_split_norms(grid: VelocityGrid, u: np.ndarray, s: float) -> np.ndarray:
+    """Rows lhs, grad, wpart of the split inequality for each field of u."""
+    if not (0.0 < s < 1.0):
+        raise InequalityInputError(f"s={s} outside (0, 1)")
+    return weighted_sobolev_norms(grid, u, [(s, s), (0.0, 1.0), (s / (1.0 - s), 0.0)])
 
 
-def eps_constant(norms: list[tuple[float, float, float]], eps: float) -> float:
-    """Smallest C_eps making the split hold for every (lhs, grad, wpart) triple."""
-    worst = max(
-        ((lhs - eps * grad) / wpart for lhs, grad, wpart in norms if wpart > 0),
-        default=0.0,
-    )
-    return max(worst, 1e-12)
+def eps_constant(norms, eps: float) -> float:
+    """Smallest C_eps making the split hold for every (lhs, grad, wpart) member."""
+    lhs, grad, wpart = norms
+    worst = np.max(_ratio(lhs - eps * grad, wpart, -np.inf), initial=0.0)
+    return max(float(worst), 1e-12)
 
 
-def fit_eps_constant(fields: list[SpectralField], s: float, eps: float) -> float:
+def fit_eps_constant(grid: VelocityGrid, fields: np.ndarray, s: float, eps: float) -> float:
     """Smallest C_eps making the split inequality hold on the whole family."""
-    return eps_constant(_eps_split_norms(fields, s), eps)
+    return eps_constant(_eps_split_norms(grid, fields, s), eps)
 
 
 def eps_constant_scaling(
@@ -183,7 +195,7 @@ def eps_constant_scaling(
     -s/(1-s).
     """
     fields = dilation_family(grid, scale_min=grid.spacing, scale_max=8.0, count=family_size)
-    norms = _eps_split_norms(fields, s)
+    norms = _eps_split_norms(grid, fields, s)
     consts = [eps_constant(norms, e) for e in eps_grid]
     slope, intercept = np.polyfit(np.log(eps_grid), np.log(consts), 1)
     return {
@@ -203,7 +215,7 @@ COMPOSITION_MAPS = {
 }
 
 
-def gagliardo_hs_norm_sq(f: SpectralField, s: float) -> float:
+def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norm via the pairwise-difference quadrature (d = 1).
 
     The lag sum is truncated at |y| <= L/2; the remainder is bounded
@@ -211,27 +223,28 @@ def gagliardo_hs_norm_sq(f: SpectralField, s: float) -> float:
     added, so the result is an upper estimate of the truncated kernel form.
     Each lag's sum of squared differences comes from the circular
     autocorrelation R = irfft(|rfft g|^2): sum_i (g_(i+l) - g_i)^2 =
-    2 R(0) - 2 R(l).
+    2 R(0) - 2 R(l).  The real parts of the fields on the last axis of f
+    are used, all in one transform pair.
     """
-    if f.grid.dimension != 1:
+    if grid.dimension != 1:
         raise InequalityInputError("pairwise-difference form implemented for d = 1")
     if not (0.0 < s < 1.0):
         raise InequalityInputError(f"s={s} outside (0, 1)")
-    g = f.samples.real
-    h = f.grid.spacing
-    n = f.grid.points_per_axis
-    l2sq = h * float(np.sum(g * g))
+    g = np.real(f)
+    h = grid.spacing
+    n = grid.points_per_axis
+    l2sq = h * np.vecdot(g, g)
     corr = np.fft.irfft(np.abs(np.fft.rfft(g)) ** 2, n)
     lags = np.arange(1, n // 2)
-    diff_sq = 2.0 * (corr[0] - corr[lags])
-    total = 2.0 * float(np.sum(diff_sq * h * h / (lags * h) ** (1.0 + 2.0 * s)))  # both lag signs
-    half = f.grid.half_width
-    tail = 4.0 * l2sq * 2.0 * half ** (-2.0 * s) / (2.0 * s)
+    diff_sq = 2.0 * (corr[..., :1] - corr[..., lags])
+    total = 2.0 * (diff_sq @ (h * h / (lags * h) ** (1.0 + 2.0 * s)))  # both lag signs
+    tail = 4.0 * l2sq * 2.0 * grid.half_width ** (-2.0 * s) / (2.0 * s)
     return l2sq + total + tail
 
 
 def verify_composition_bound(
-    g: SpectralField,
+    grid: VelocityGrid,
+    g: np.ndarray,
     s: float,
     map_name: str,
     constant: float = 1.0,
@@ -242,24 +255,25 @@ def verify_composition_bound(
 
     The H^s norms are computed two ways (bracket multiplier and the
     pairwise-difference quadrature); the extras record their agreement,
-    which must stay within ``agreement_factor``.
+    which must stay within ``agreement_factor``.  Every member of g must be
+    nonnegative (to 1e-12 of its peak).
     """
     if map_name not in COMPOSITION_MAPS:
         raise InequalityInputError(f"unknown composition map {map_name!r}")
-    vals = g.samples.real
-    if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1.0):
+    vals = np.real(g)
+    axes = trailing_axes(grid)
+    peak = np.maximum(np.max(np.abs(vals), axis=axes), 1.0)
+    if np.any(np.min(vals, axis=axes) < -1e-12 * peak):
         raise InequalityInputError("composition input must be nonnegative")
-    F = COMPOSITION_MAPS[map_name]
-    fg = SpectralField.from_samples(g.grid, F(np.maximum(vals, 0.0)))
-    lhs = weighted_sobolev_norm(fg, 0.0, s)
-    rhs_norm = weighted_sobolev_norm(g, 0.0, s)
-    gag_lhs = math.sqrt(gagliardo_hs_norm_sq(fg, s))
-    gag_rhs = math.sqrt(gagliardo_hs_norm_sq(g, s))
-    agree = [
-        gag_lhs / lhs if lhs > 0 else 1.0,
-        gag_rhs / rhs_norm if rhs_norm > 0 else 1.0,
-    ]
-    agree_ok = all(1.0 / agreement_factor <= a <= agreement_factor for a in agree)
+    fg = COMPOSITION_MAPS[map_name](np.maximum(vals, 0.0))
+    lhs = weighted_sobolev_norm(grid, fg, 0.0, s)
+    rhs_norm = weighted_sobolev_norm(grid, vals, 0.0, s)
+    gag_lhs = np.sqrt(gagliardo_hs_norm_sq(grid, fg, s))
+    gag_rhs = np.sqrt(gagliardo_hs_norm_sq(grid, vals, s))
+    agree = [_ratio(gag_lhs, lhs, 1.0), _ratio(gag_rhs, rhs_norm, 1.0)]
+    agree_ok = (np.minimum(*agree) >= 1.0 / agreement_factor) & (
+        np.maximum(*agree) <= agreement_factor
+    )
     return InequalityWitness(
         inequality_id="composition-hs",
         lhs=lhs,
@@ -281,8 +295,9 @@ def verify_composition_bound(
 
 
 def verify_regularizer_bounds(
-    g: SpectralField,
-    theta: float,
+    grid: VelocityGrid,
+    g: np.ndarray,
+    theta,
     axis: int = 0,
     function_id: str = "g",
 ) -> InequalityWitness:
@@ -290,50 +305,64 @@ def verify_regularizer_bounds(
 
     Symbol-exact: the three factors are bounded by 1, 1/2 and 1 pointwise,
     so the margin is nonnegative for every field and every theta in (0, 1].
+    ``theta`` is one value or one per field of g.  The four norms are read
+    off one half spectrum by Parseval.
     """
-    spec = RegularizerSpec(theta=theta)
-    norms = [
-        apply_regularizer(g, spec, derivative_order=q, axis=axis).l2_norm()
-        for q in (0, 1, 2)
-    ]
-    base = g.l2_norm()
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta > 0.0) & (theta <= 1.0)):
+        raise MultiplierError(f"theta={theta} outside (0, 1]")
+    if not (0 <= axis < grid.dimension):
+        raise MultiplierError(f"axis {axis} out of range for d={grid.dimension}")
+    th = theta.reshape(theta.shape + (1,) * grid.dimension)
+    derivative_sq = th * half_symbol(grid.eta_meshes[axis]) ** 2
+    resolvent_sq = 1.0 / (1.0 + th * half_symbol(grid.eta_abs) ** 2) ** 2
+    axes = trailing_axes(grid)
+
+    def norms(v):
+        power = half_power(grid, half_spectrum(grid, v))
+        sums = [np.sum(power, axis=axes)]
+        for factor in (resolvent_sq, derivative_sq, derivative_sq):  # |symbol|^2, q = 0, 1, 2
+            power *= factor
+            sums.append(np.sum(power, axis=axes))
+        return np.sqrt(sums)
+
+    base, *term_norms = by_parts(norms, g)
     return InequalityWitness(
         inequality_id="regularizer-triple",
-        lhs=float(sum(norms)),
+        lhs=term_norms[0] + term_norms[1] + term_norms[2],
         rhs=3.0 * base,
         constant_used=3.0,
         test_function_id=function_id,
-        extras={"theta": theta, "term_norms": norms},
+        extras={"theta": theta, "term_norms": term_norms},
     )
 
 
 # --- coercive norm in the radial reduction ---------------------------------
 
 
-def _require_radial(u: SpectralField, tol: float = 1e-9) -> None:
+def _require_radial(grid: VelocityGrid, u: np.ndarray, tol: float = 1e-9) -> None:
     """Reject non-radial data in d >= 2 by comparing equal-|v| grid classes."""
-    if u.grid.dimension == 1:
+    if grid.dimension == 1:
         return
-    n = u.grid.points_per_axis
+    n = grid.points_per_axis
     # axis point i sits at (i - N/2) h, so the squared radius in grid units
     # is an exact integer key grouping all equal-|v| samples
     idx = np.arange(n, dtype=np.int64) - n // 2
-    meshes = np.meshgrid(*([idx] * u.grid.dimension), indexing="ij")
-    r2 = sum(m**2 for m in meshes)
-    keys = r2.ravel()
-    vals = u.samples.ravel()
+    meshes = np.meshgrid(*([idx] * grid.dimension), indexing="ij")
+    keys = sum(m**2 for m in meshes).ravel()
+    vals = u.reshape(u.shape[: u.ndim - grid.dimension] + (keys.size,))
     order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    vals_sorted = vals[order]
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    boundaries = np.flatnonzero(np.diff(keys_sorted)) + 1
-    for seg in np.split(vals_sorted, boundaries):
-        if seg.size > 1 and np.max(np.abs(seg - seg[0])) > tol * scale:
+    vals_sorted = vals[..., order]
+    scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-300)
+    boundaries = np.flatnonzero(np.diff(keys[order])) + 1
+    for seg in np.split(vals_sorted, boundaries, axis=-1):
+        if np.any(np.max(np.abs(seg - seg[..., :1]), axis=-1) > tol * scale):
             raise InequalityInputError("input is not radial on the grid")
 
 
 def triple_norm_radial(
-    u: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     prm: SoftPotentialParams,
     constant: float = 1.0,
     function_id: str = "u",
@@ -345,10 +374,10 @@ def triple_norm_radial(
     fractional norm; the witness checks the interpolation consequence
     ||<D>^tau u|| <= C (||<v> u|| + seminorm).
     """
-    _require_radial(u)
-    seminorm = weighted_sobolev_norm(u, prm.gamma / 2.0, prm.s)
-    lhs = weighted_sobolev_norm(u, 0.0, prm.tau)
-    a_term = weighted_sobolev_norm(u, 1.0, 0.0)
+    _require_radial(grid, u)
+    seminorm, lhs, a_term = weighted_sobolev_norms(
+        grid, u, [(prm.gamma / 2.0, prm.s), (0.0, prm.tau), (1.0, 0.0)]
+    )
     _finite_or_raise(seminorm, lhs, a_term)
     return InequalityWitness(
         inequality_id="triple-norm-radial",
@@ -363,40 +392,35 @@ def triple_norm_radial(
 # --- corpus drivers ---------------------------------------------------------
 
 
-def fit_constant(witnesses: list[InequalityWitness]) -> float:
-    """Empirical best constant: max over the corpus of lhs/(rhs/C)."""
-    return max((w.ratio_without_constant() for w in witnesses), default=0.0)
+def fit_constant(w: InequalityWitness) -> float:
+    """Empirical best constant: max over the members of lhs/(rhs/C)."""
+    return float(np.max(w.ratio_without_constant(), initial=0.0))
 
 
 def aggregate(
     inequality_id: str,
     params: dict,
-    witnesses: list[InequalityWitness],
+    w: InequalityWitness,
     refinement_ratio: float | None = None,
     extras: dict | None = None,
 ) -> InequalityReport:
-    fitted = fit_constant(witnesses)
-    margins = []
-    failures = []
-    for w in witnesses:
-        scaled_rhs = (w.rhs / w.constant_used) * fitted if w.constant_used else w.rhs
-        margin = scaled_rhs - w.lhs
-        margins.append(margin)
-        if margin < -1e-12 * max(abs(scaled_rhs), 1.0):
-            failures.append(w.test_function_id)
+    fitted = fit_constant(w)
+    scaled_rhs = np.ravel((w.rhs / w.constant_used) * fitted if w.constant_used else w.rhs)
+    margins = scaled_rhs - np.ravel(w.lhs)
+    failed = margins < -1e-12 * np.maximum(np.abs(scaled_rhs), 1.0)
     return InequalityReport(
         inequality_id=inequality_id,
         params=params,
-        corpus_size=len(witnesses),
-        min_margin=float(min(margins)) if margins else 0.0,
-        fitted_constant=float(fitted),
+        corpus_size=margins.size,
+        min_margin=float(np.min(margins, initial=np.inf)) if margins.size else 0.0,
+        fitted_constant=fitted,
         refinement_ratio=refinement_ratio,
-        failures=failures,
+        failures=[f"{w.test_function_id}{i}" for i in np.flatnonzero(failed)],
         extras=extras or {},
     )
 
 
-def amgm_implication_holds(w: InequalityWitness) -> bool:
+def amgm_implication_holds(w: InequalityWitness) -> np.ndarray:
     """Product-form witnesses imply the sum form via a^t b^(1-t) <= ta + (1-t)b."""
     a = w.extras["coercive"]
     b = w.extras["weighted_l2"]

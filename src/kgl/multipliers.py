@@ -6,7 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kgl.grid import SpectralField, VelocityGrid, scale_pointwise, scale_spectrum
+from kgl.grid import (
+    SpectralField,
+    VelocityGrid,
+    by_parts,
+    from_half_spectrum,
+    half_power,
+    half_spectrum,
+    half_symbol,
+    l2_norms,
+    scale_pointwise,
+    scale_spectrum,
+    summed,
+)
 
 
 class MultiplierError(ValueError):
@@ -129,11 +141,42 @@ def apply_regularizer(
     return scale_spectrum(f, sym)
 
 
-def weighted_sobolev_norm(f: SpectralField, p: float, m: float) -> float:
-    """|| <v>^p <D>^m f || by multiplier-then-weight composition.
+def weighted_sobolev_norms(grid: VelocityGrid, u: np.ndarray, pairs) -> np.ndarray:
+    """|| <v>^p <D>^m u || for each (p, m) in ``pairs``, row i for pair i.
 
-    One inverse transform, plus the forward one if f's coefficients are
-    not cached yet.
+    ``u`` holds fields on the trailing grid axes (a stack of them, or one);
+    the result has shape ``(len(pairs),) + u.shape[:-d]``.  One real
+    transform of ``u`` serves every pair: m = 0 norms are taken on the
+    samples, p = 0 norms by Parseval on the half spectrum (all in one
+    matrix product), and each other pair costs one inverse transform.
     """
-    g = apply_multiplier(f, MultiplierSpec(order=m, kind="bracket"))
-    return scale_pointwise(g, g.grid.v_bracket_sq ** (p / 2.0)).l2_norm()
+    if np.iscomplexobj(u):
+        return by_parts(lambda v: weighted_sobolev_norms(grid, v, pairs), u)
+    out = np.empty((len(pairs),) + u.shape[: u.ndim - grid.dimension])
+    bracket_sq = half_symbol(grid.eta_bracket_sq)
+    parseval = [i for i, (p, m) in enumerate(pairs) if p == 0 and m != 0]
+    inverse = [i for i, (p, m) in enumerate(pairs) if p != 0 and m != 0]
+    coeff = half_spectrum(grid, u) if parseval or inverse else None
+    if parseval:
+        symbols = np.array([bracket_sq ** pairs[i][1] for i in parseval])
+        out[parseval] = np.moveaxis(np.sqrt(summed(grid, half_power(grid, coeff), symbols)), -1, 0)
+    buf = None  # one physical buffer for every remaining pair
+    for i, (p, m) in enumerate(pairs):
+        if i in parseval:
+            continue
+        if m == 0:
+            buf = np.multiply(u, grid.v_bracket_sq ** (p / 2.0), out=buf)
+        else:
+            # no pair after the last inverse one reads the spectrum: scale it in place
+            in_place = coeff if i == inverse[-1] else None
+            buf = from_half_spectrum(
+                grid, np.multiply(coeff, bracket_sq ** (m / 2.0), out=in_place), out=buf
+            )
+            buf *= grid.v_bracket_sq ** (p / 2.0)
+        out[i] = l2_norms(grid, buf)
+    return out
+
+
+def weighted_sobolev_norm(grid: VelocityGrid, u: np.ndarray, p: float, m: float) -> np.ndarray:
+    """|| <v>^p <D>^m u || of each field on the trailing grid axes of u."""
+    return weighted_sobolev_norms(grid, u, [(p, m)])[0]

@@ -204,10 +204,10 @@ def weight_values(grid: VelocityGrid, a0: float, t: float) -> np.ndarray:
     return np.exp((a0 - t) * grid.v_bracket_sq)
 
 
-def _l2(grid: VelocityGrid, arr: np.ndarray) -> float:
-    # velocity cell is h; with the space axis on, the unit x-torus adds 1/Mx
-    cell = grid.spacing if arr.ndim == 1 else grid.spacing / arr.shape[0]
-    return float(np.sqrt(cell) * np.linalg.norm(arr.ravel()))
+def _l2(grid: VelocityGrid, arr: np.ndarray) -> np.ndarray:
+    """Quadrature L2 norm of each state on the last (velocity) axis of arr."""
+    flat = arr.view(np.float64) if np.iscomplexobj(arr) else arr  # (re, im) pairs
+    return np.sqrt(grid.spacing) * np.sqrt(np.vecdot(flat, flat))
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -245,19 +245,18 @@ def energy_monitor(
     vsq = grid.v_bracket_sq
     weights = weight_values(grid, rp.a0, traj.times[:, None])  # one table for all terms
     wg = weights * traj.states
-    wnorms = np.array([_l2(grid, row) for row in wg])
-    sqrt_vsq, vsq_pow = np.sqrt(vsq), vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s)))
-    weight_terms = [(_l2(grid, sqrt_vsq * row) ** 2, _l2(grid, vsq_pow * row) ** 2) for row in wg]
+    wnorms = _l2(grid, wg)
+    work = np.multiply(np.sqrt(vsq), wg)  # the one work buffer
+    a = _l2(grid, work) ** 2
+    c = _l2(grid, np.multiply(vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))), wg, out=work)) ** 2
     grad = np.fft.fft(wg, axis=-1, norm="ortho", out=wg)  # wg is not read again
     np.multiply(1j * grid.axis_frequencies, grad, out=grad)
     np.fft.ifft(grad, axis=-1, norm="ortho", out=grad)
-    diss = np.array([
-        a + rp.eps * _l2(grid, g) ** 2 + rp.eps * c for (a, c), g in zip(weight_terms, grad)
-    ])
+    diss = a + rp.eps * _l2(grid, grad) ** 2 + rp.eps * c
     integral = float(_trapezoid(diss, traj.times))
     src = 0.0
     if source_traj is not None:
-        snorms = np.array([_l2(grid, w * s) for w, s in zip(weights, source_traj)])
+        snorms = _l2(grid, np.multiply(weights, source_traj, out=work))
         src = 0.5 * rp.dt * (snorms[:-1] + snorms[1:])
     residuals = wnorms[:-1] + src - wnorms[1:]
     violations = np.flatnonzero(residuals < -tol * np.maximum(wnorms[:-1], 1.0)).tolist()
@@ -380,7 +379,10 @@ def _dissipative_source(rp: RegularizedProblem, states: np.ndarray) -> np.ndarra
 
 
 def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return max(0.0, *(_l2(grid, wn * (an - bn)) for wn, an, bn in zip(w, a, b)))
+    """max over states of ||w (a - b)||; b is overwritten with w (a - b)."""
+    np.subtract(a, b, out=b)
+    b *= w
+    return float(np.max(_l2(grid, b), initial=0.0))
 
 
 def picard_iterate(
@@ -430,7 +432,7 @@ def _picard_once(
         traj = integrate(rp, f_in.samples, source_traj=source)
         del source  # freed before the next source or the monitor's buffer is built
         current = traj.states
-        diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))
+        diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))  # prev is spent
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
         prev = current
@@ -447,6 +449,7 @@ def _picard_once(
     final_source = _dissipative_source(rp, prev)
     traj = integrate(rp, f_in.samples, source_traj=final_source)
     residual = _weighted_sup_diff(rp.grid, weights, traj.states, prev)
+    del prev, current  # spent; freed before the monitor's work buffer is built
     energy = energy_monitor(traj, rp, source_traj=final_source)
     return PicardState(
         problem=rp,

@@ -30,7 +30,7 @@ from kgl.dyadic import (
     phase_rings,
     shell_norms,
 )
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import SpectralField, VelocityGrid, by_parts, half_symbol, trailing_axes
 from kgl.params import SoftPotentialParams
 
 
@@ -152,7 +152,7 @@ class ToyStepper:
         self.params = p
         self.dt = p.t_final / p.steps
         self.coefficient = effective_coefficient(grid, p.prm.gamma)
-        sigma = _rfft_half(grid.eta_bracket_sq) ** p.prm.s
+        sigma = half_symbol(grid.eta_bracket_sq) ** p.prm.s
         self.symbols, x = chebyshev_symbols(self.coefficient, sigma, self.dt)
         self.rank = len(self.symbols)
         # T_0(x) .. T_(rank-1)(x) by the three-term recurrence
@@ -160,12 +160,12 @@ class ToyStepper:
 
     def step(self, samples: np.ndarray) -> np.ndarray:
         """Advance by dt the fields on the trailing d axes (leading axes stack them)."""
-        return _by_parts(self._apply, samples)
+        return by_parts(self._apply, samples, join=_complex)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
         """The step on real fields over the trailing d axes of u."""
         shape = self.params.grid.shape
-        axes = tuple(range(-len(shape), 0))
+        axes = trailing_axes(self.params.grid)
         coeff = np.fft.rfftn(u, axes=axes)
         scaled = np.empty_like(coeff)
         out = np.zeros(u.shape)
@@ -178,18 +178,8 @@ class ToyStepper:
         return out
 
 
-def _rfft_half(symbol: np.ndarray) -> np.ndarray:
-    """An even Fourier symbol on the rfftn layout (last axis 0 .. N/2)."""
-    return symbol[..., : symbol.shape[-1] // 2 + 1]
-
-
-def _by_parts(apply, u: np.ndarray) -> np.ndarray:
-    """Apply a real linear operator to u, splitting complex u by linearity."""
-    if not np.iscomplexobj(u):
-        return apply(u)
-    if not np.any(u.imag):
-        return apply(u.real)
-    return apply(u.real) + 1j * apply(u.imag)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return re + 1j * im
 
 
 @dataclass
@@ -476,8 +466,8 @@ def block_law_consistency(
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
     scale = math.sqrt(grid.cell_volume)
-    rings = _rfft_half(frequency_rings(pair, grid, jmax))
-    axes = tuple(range(-grid.dimension, 0))
+    rings = half_symbol(frequency_rings(pair, grid, jmax))
+    axes = trailing_axes(grid)
 
     def project(g):
         gh = np.fft.rfftn(g, axes=axes)
@@ -485,7 +475,7 @@ def block_law_consistency(
 
     blocks, meta = [], []
     for k, wk in enumerate(phase_rings(pair, grid, kmax), start=-1):
-        for j, b in enumerate(_by_parts(project, f0.samples * wk), start=-1):
+        for j, b in enumerate(by_parts(project, f0.samples * wk, join=_complex), start=-1):
             nb = scale * float(np.linalg.norm(b.ravel()))
             if nb >= floor:
                 blocks.append(b)

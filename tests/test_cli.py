@@ -6,11 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgl
-from kgl import inequalities as ineq
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -24,11 +24,11 @@ from kgl.cli import (
     main,
     run,
 )
-from kgl.corpus import standard_corpus
 from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
 from kgl.toy import ToyParams
+from tests import per_field
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -152,24 +152,29 @@ def test_verify_inequalities_is_deterministic(tmp_path):
     assert tau["failures"] == [] and abs(tau["min_margin"]) <= 1e-12
 
 
-def test_refinement_ratio_reuses_shared_witnesses_bit_for_bit(tmp_path, monkeypatch):
+REFINEMENT_RTOL = 1e-13  # a quotient of two maxima, each held to NORM_RTOL
+
+
+def test_refinement_ratio_matches_the_per_member_oracle(tmp_path):
     cfg = make_cfg(tmp_path, "verify-inequalities", corpus_size=100)
     grid, prm = cfg.grid, cfg.prm
-    fine = standard_corpus(VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width), 20, cfg.seed)
-    coarse = standard_corpus(grid, 20, cfg.seed)
-    expected = ineq.fit_constant([ineq.verify_interpolation_tau(u, prm) for u in fine]) / max(
-        ineq.fit_constant([ineq.verify_interpolation_tau(u, prm) for u in coarse]), 1e-300
+    fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
+    fine, coarse = (
+        [
+            per_field.interpolation_ratio(f, prm.gamma, prm.s, prm.tau)
+            for f in per_field.standard_corpus(g, 20, cfg.seed)
+        ]
+        for g in (fine_grid, grid)
     )
-    calls = []
-    exact = ineq.verify_interpolation_tau
-    monkeypatch.setattr(ineq, "verify_interpolation_tau", lambda *a, **kw: calls.append(1) or exact(*a, **kw))
-    assert run(cfg).passed
+    rep = run(cfg)
+    assert rep.passed
     with open(tmp_path / "verify-inequalities" / "inequalities.json") as fh:
         rows = {row["inequality_id"]: row for row in json.load(fh)}
-    assert rows["interpolation-tau"]["refinement_ratio"] == expected
-    # 12 Gaussians and 4 Hermite functions of the coarse 20 are main-corpus members;
-    # only its 4 band-limited fields need a witness of their own
-    assert len(calls) == 100 + 20 + 4
+    ratio = rows["interpolation-tau"]["refinement_ratio"]
+    assert ratio == rep.metrics["refinement_ratio"]
+    assert ratio == pytest.approx(max(fine) / max(coarse), rel=REFINEMENT_RTOL, abs=0)
+    assert rep.metrics["refinement_fine_member"] == int(np.argmax(fine))
+    assert rep.metrics["refinement_coarse_member"] == int(np.argmax(coarse))
 
 
 def test_evolve_toy_reports_propagator_rank(tmp_path):

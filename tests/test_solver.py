@@ -223,6 +223,39 @@ def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
     assert len(monitor_counts) == 1
 
 
+def _row_l2(grid, row):
+    """The per-state norm the stacked one replaced: one complex row at a time."""
+    return float(np.sqrt(grid.spacing) * np.linalg.norm(row.ravel()))
+
+
+ROW_NORM_RTOL = 8 * np.finfo(float).eps  # stacked norms against _row_l2
+
+
+def test_stacked_norms_match_the_per_row_oracle():
+    rp = make_problem(steps=32)
+    grid, steps = rp.grid, rp.steps
+    src = _band_source(grid, steps, 7)
+    traj = integrate(rp, gaussian_datum(grid).samples, source_traj=src)
+    prev = integrate(rp, gaussian_datum(grid).samples).states
+    w = weight_values(grid, rp.a0, traj.times[:, None])
+    want = max(_row_l2(grid, wn * (a - b)) for wn, a, b in zip(w, traj.states, prev))
+    got = solver._weighted_sup_diff(grid, w, traj.states, prev)
+    assert got == pytest.approx(want, rel=ROW_NORM_RTOL, abs=0)
+    rep = energy_monitor(traj, rp, source_traj=src)
+    wnorms = np.array([_row_l2(grid, wn * g) for wn, g in zip(w, traj.states)])
+    np.testing.assert_allclose(rep.weighted_norms, wnorms, rtol=ROW_NORM_RTOL, atol=0)
+    vsq = grid.v_bracket_sq
+    spectrum = np.fft.fft(w * traj.states, norm="ortho")
+    grad = np.fft.ifft(1j * grid.axis_frequencies * spectrum, norm="ortho")
+    diss = [
+        _row_l2(grid, np.sqrt(vsq) * row) ** 2
+        + rp.eps * _row_l2(grid, g) ** 2
+        + rp.eps * _row_l2(grid, vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))) * row) ** 2
+        for row, g in zip(w * traj.states, grad)
+    ]
+    np.testing.assert_allclose(rep.dissipation_integrand, diss, rtol=ROW_NORM_RTOL, atol=0)
+
+
 def test_step_regularized_field_level():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
