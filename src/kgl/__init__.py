@@ -7,17 +7,21 @@ inequalities (:mod:`kgl.inequalities`), the model evolution with its sharp
 regularity-index law (:mod:`kgl.toy`), exact vector-field algebra
 (:mod:`kgl.vfields`), the regularized linear solver with Picard iteration
 (:mod:`kgl.solver`), and the experiment runner (:mod:`kgl.cli`).
+
+A field is a plain numpy array of its samples, of shape ``grid.shape``; a
+stack of fields carries leading axes, ``(members,) + grid.shape``.  Library
+functions take the samples together with their grid, either directly as
+``(grid, u)`` or through a problem object that holds the grid.
 """
 
 from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
-from kgl.grid import VelocityGrid, SpectralField
+from kgl.grid import VelocityGrid
 
 __all__ = [
     "SoftPotentialParams",
     "inverse_power_law",
     "predicted_index",
     "VelocityGrid",
-    "SpectralField",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
-from kgl.grid import GridError, SpectralField, VelocityGrid, save_field
+from kgl.grid import GridError, VelocityGrid, save_field
 from kgl.multipliers import weighted_sobolev_norms
 from kgl.params import AdmissibilityError, SoftPotentialParams
 
@@ -222,13 +222,13 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     artifacts = []
     for t_snap, fsnap in traj.snapshots:
         path = os.path.join(cfg.out_dir, f"toy_t{t_snap:.4f}.kgl")
-        save_field(fsnap, path)
+        save_field(cfg.grid, fsnap, path)
         artifacts.append(path)
     pair = dyadic.build_bump_pair()
     consistency = toy.block_law_consistency(f0, params, pair)
     lo, hi = consistency.worst_ratios()
     j_range = range(0, 8)
-    exponents = toy.trajectory_shell_exponents(f0, traj.final, pair, j_range)
+    exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, pair, j_range)
     fit = toy.estimate_gevrey_index(exponents, np.array(list(j_range)))
     fit_path = os.path.join(cfg.out_dir, "gevrey_fit.json")
     fit_payload = fit.summary()
@@ -236,7 +236,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     with open(fit_path, "w") as fh:
         json.dump(fit_payload, fh, sort_keys=True, indent=2)
     artifacts.append(fit_path)
-    norms_final = dyadic.block_norms(cfg.grid, traj.final.samples, pair)
+    norms_final = dyadic.block_norms(cfg.grid, traj.final, pair)
     heat_rows = []
     for jj in range(norms_final.shape[0]):
         for kk in range(norms_final.shape[1]):
@@ -397,14 +397,14 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
 
 def run_picard(cfg: ExperimentConfig) -> RunReport:
     rp, grid = cfg.problem, cfg.grid
-    f_in = SpectralField.from_samples(grid, np.exp(-rp.a0 * grid.v_bracket_sq))
-    state = solver.picard_iterate(f_in, rp, n_max=cfg.params["nmax"])
+    state = solver.picard_iterate(
+        np.exp(-rp.a0 * grid.v_bracket_sq), rp, n_max=cfg.params["nmax"]
+    )
     traj = state.final_trajectory
     rows = []
     mins = solver.positivity_series(traj)
     for n in range(traj.states.shape[0]):
-        snap = SpectralField.from_samples(grid, traj.states[n])
-        mom = solver.moments(snap)
+        mom = solver.moments(grid, traj.states[n])
         rows.append(
             [
                 traj.times[n],

@@ -10,9 +10,10 @@ phi(xi) := psi(xi/2) - psi(xi).  The partition
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
 and rings two apart are disjoint.  The ring weights on a grid's |v| and
 |eta| are tabulated once per (grid, shell range) as read-only arrays
-(:func:`phase_rings`, :func:`frequency_rings`).  :func:`block_norms` takes
-a whole stack of fields, ``(members,) + grid.shape``, through the real
-transform.
+(:func:`phase_rings`, :func:`frequency_rings`).  The (j, k) block of a
+field u is the product of frequency ring j with the unitary transform of
+(phase ring k) * u, transformed back.  :func:`block_norms` takes a whole
+stack of fields, ``(members,) + grid.shape``, through the real transform.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ from functools import lru_cache
 import numpy as np
 
 from kgl.grid import (
-    SpectralField,
     VelocityGrid,
     by_parts,
     half_power,
     half_spectrum,
     half_symbol,
-    scale_pointwise,
-    scale_spectrum,
     summed,
 )
 
@@ -39,10 +37,6 @@ PSI_SUPPORT_RADIUS = 4.0 / 3.0
 RING_INNER = 3.0 / 4.0
 RING_OUTER = 8.0 / 3.0
 BRIDGE_STEEPNESS = 4.0  # a in the exp(-a/x) glue
-
-
-class DyadicError(ValueError):
-    pass
 
 
 def _bridge(x: np.ndarray) -> np.ndarray:
@@ -122,30 +116,6 @@ def max_freq_shell(grid: VelocityGrid) -> int:
     return j
 
 
-def project_phase(f: SpectralField, k: int, pair: BumpPair) -> SpectralField:
-    """Pointwise ring restriction: psi(v) f for k = -1, phi(2^-k v) f else."""
-    if k < -1:
-        raise DyadicError(f"phase shell {k} < -1")
-    return scale_pointwise(f, pair.ring_weight(f.grid.v_abs, k))
-
-
-def project_frequency(f: SpectralField, j: int, pair: BumpPair) -> SpectralField:
-    """Fourier-side ring restriction on shell j."""
-    if j < -1:
-        raise DyadicError(f"frequency shell {j} < -1")
-    if j >= 0 and 2.0**j * RING_INNER > f.grid.nyquist:
-        raise DyadicError(
-            f"shell {j} not representable: 2^j * 3/4 = {2.0 ** j * RING_INNER:.1f} "
-            f"exceeds Nyquist {f.grid.nyquist:.1f}"
-        )
-    return scale_spectrum(f, pair.ring_weight(f.grid.eta_abs, j))
-
-
-def block(f: SpectralField, j: int, k: int, pair: BumpPair) -> SpectralField:
-    """The (j, k) block: frequency projection applied after the phase one."""
-    return project_frequency(project_phase(f, k, pair), j, pair)
-
-
 def block_norms(
     grid: VelocityGrid,
     u: np.ndarray,
@@ -175,12 +145,13 @@ def block_norms(
     return out
 
 
-def shell_norms(f: SpectralField, pair: BumpPair, jmax: int | None = None) -> np.ndarray:
-    """Frequency-shell norms ||Delta_j f|| for j = -1..jmax (no phase cutoff)."""
-    grid = f.grid
+def shell_norms(
+    grid: VelocityGrid, u: np.ndarray, pair: BumpPair, jmax: int | None = None
+) -> np.ndarray:
+    """Frequency-shell norms ||Delta_j u|| of one field for j = -1..jmax (no phase cutoff)."""
     jmax = max_freq_shell(grid) if jmax is None else jmax
     scale = np.sqrt(grid.cell_volume)
-    fh = f.coefficients
+    fh = np.fft.fftn(u, norm="ortho")
     return np.array(
         [scale * np.linalg.norm((fh * w).ravel()) for w in frequency_rings(pair, grid, jmax)]
     )

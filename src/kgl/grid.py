@@ -1,4 +1,4 @@
-"""Periodic velocity grid and spectral fields.
+"""Periodic velocity grid and the transforms of fields on it.
 
 The truncated domain is the box [-L, L)^d, periodized, with N samples per
 axis (N a power of two).  Transforms are unitary (1/sqrt(N) per axis), so
@@ -6,16 +6,13 @@ the quadrature L2 norm of the samples and the scaled l2 norm of the
 coefficients coincide.  Dual frequencies are eta_m = (pi/L) * m with
 m in [-N/2, N/2)^d.
 
-A :class:`SpectralField` keeps one canonical array, its samples; the
-coefficients are derived from them once and cached, and both are
-read-only.  Fields are validated only where data enters the program:
-``SpectralField.from_pair`` and ``load_field``.
-
-Many fields at once are one real array of shape ``(members,) + grid.shape``
-(any leading axes stack them).  Every operator applied to such a stack here
-is real, so it goes through the real transform along the trailing grid axes
+A field is the array of its samples on the grid, of shape ``grid.shape``;
+many fields at once are one array of shape ``(members,) + grid.shape`` (any
+leading axes stack them).  Every operator applied to such a stack here is
+real, so it goes through the real transform along the trailing grid axes
 (:func:`half_spectrum`), and a norm of the form ||a(D) u|| is read off the
-half spectrum by Parseval (:func:`half_power`).
+half spectrum by Parseval (:func:`half_power`).  Data entering the program
+from a file is validated where it enters: :func:`load_field`.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ CONTAINER_MAGIC = b"KGL1"
 
 class GridError(ValueError):
     pass
-
-
-class FieldConsistencyError(ValueError):
-    """Samples and coefficients disagree beyond the round-trip tolerance."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -131,110 +124,6 @@ class VelocityGrid:
         return mult
 
 
-class SpectralField:
-    """A grid function held as its samples, with Fourier coefficients derived.
-
-    ``samples`` is the one canonical array.  ``coefficients`` is its unitary
-    transform, computed on first access and cached; constructors that start
-    from coefficients (``from_coefficients``, ``scale_spectrum``) seed that
-    cache with them.  Both arrays are read-only, so the two views cannot
-    drift apart and operators need not re-check them.  Data entering the
-    program is validated where it enters: ``from_pair`` checks an external
-    sample/coefficient pair and ``load_field`` checks a binary container.
-    """
-
-    __slots__ = ("grid", "samples", "_coefficients")
-
-    def __init__(
-        self, grid: VelocityGrid, samples: np.ndarray, coefficients: np.ndarray | None = None
-    ):
-        """Take ownership of fresh complex arrays of the grid's shape."""
-        self.grid = grid
-        self.samples = _read_only(samples)
-        self._coefficients = None if coefficients is None else _read_only(coefficients)
-
-    @classmethod
-    def from_samples(cls, grid: VelocityGrid, samples: np.ndarray) -> "SpectralField":
-        return cls(grid, np.array(samples, dtype=complex).reshape(grid.shape))
-
-    @classmethod
-    def from_coefficients(cls, grid: VelocityGrid, coeff: np.ndarray) -> "SpectralField":
-        coeff = np.array(coeff, dtype=complex).reshape(grid.shape)
-        return cls(grid, np.fft.ifftn(coeff, norm="ortho"), coeff)
-
-    @classmethod
-    def from_pair(
-        cls,
-        grid: VelocityGrid,
-        samples: np.ndarray,
-        coefficients: np.ndarray,
-        tol: float = 1e-12,
-    ) -> "SpectralField":
-        """Accept an external sample/coefficient pair only if the two agree."""
-        f = cls(
-            grid,
-            np.array(samples, dtype=complex).reshape(grid.shape),
-            np.array(coefficients, dtype=complex).reshape(grid.shape),
-        )
-        err = f.round_trip_error()
-        if err > tol:
-            raise FieldConsistencyError(
-                f"sample/coefficient round-trip error {err:.3e} exceeds {tol:.1e}"
-            )
-        return f
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        if self._coefficients is None:
-            self._coefficients = _read_only(np.fft.fftn(self.samples, norm="ortho"))
-        return self._coefficients
-
-    def round_trip_error(self) -> float:
-        """Relative mismatch between samples and the synthesis of coefficients."""
-        synth = np.fft.ifftn(self.coefficients, norm="ortho")
-        scale = max(np.linalg.norm(self.samples.ravel()), 1e-300)
-        return float(np.linalg.norm((synth - self.samples).ravel()) / scale)
-
-    def l2_norm(self) -> float:
-        """Quadrature-weighted L2 norm of the samples."""
-        return float(
-            np.sqrt(self.grid.cell_volume) * np.linalg.norm(self.samples.ravel())
-        )
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.samples + other.samples)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.samples - other.samples)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.samples * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "SpectralField") -> None:
-        if self.grid != other.grid:
-            raise GridError("fields live on different grids")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def scale_pointwise(f: SpectralField, factor: np.ndarray) -> SpectralField:
-    """Multiply samples pointwise."""
-    return SpectralField(f.grid, f.samples * factor)
-
-
-def scale_spectrum(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Multiply coefficients by a symbol and resynthesize samples."""
-    coeff = f.coefficients * symbol
-    return SpectralField(f.grid, np.fft.ifftn(coeff, norm="ortho"), coeff)
-
-
 def trailing_axes(grid: VelocityGrid) -> tuple[int, ...]:
     return tuple(range(-grid.dimension, 0))
 
@@ -297,21 +186,22 @@ def by_parts(apply, u: np.ndarray, join=np.hypot) -> np.ndarray:
     return join(apply(u.real), apply(u.imag))
 
 
-def save_field(f: SpectralField, path: str) -> None:
-    """Write the flat binary container.
+def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:
+    """Write the field ``u`` on ``grid`` as the flat binary container.
 
     Layout: magic ``KGL1``, uint32 dimension, uint32 N per axis, float64
-    half-width, then little-endian float64 (re, im) pairs of the Fourier
-    coefficients in row-major frequency order.
+    half-width, then little-endian float64 (re, im) pairs of the unitary
+    Fourier coefficients in row-major frequency order.
     """
-    g = f.grid
+    if np.shape(u) != grid.shape:
+        raise GridError(f"field of shape {np.shape(u)} is not on a grid of shape {grid.shape}")
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<I", g.dimension))
-        for _ in range(g.dimension):
-            fh.write(struct.pack("<I", g.points_per_axis))
-        fh.write(struct.pack("<d", g.half_width))
-        flat = np.ascontiguousarray(f.coefficients).ravel()
+        fh.write(struct.pack("<I", grid.dimension))
+        for _ in range(grid.dimension):
+            fh.write(struct.pack("<I", grid.points_per_axis))
+        fh.write(struct.pack("<d", grid.half_width))
+        flat = np.fft.fftn(u, norm="ortho").ravel()
         buf = np.empty(2 * flat.size, dtype="<f8")
         buf[0::2] = flat.real
         buf[1::2] = flat.imag
@@ -325,8 +215,11 @@ def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
         raise GridError(f"container truncated at byte {len(data)}") from None
 
 
-def load_field(path: str) -> SpectralField:
-    """Read the flat binary container; a malformed one raises GridError."""
+def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
+    """Read the flat binary container as (grid, complex samples).
+
+    A malformed container raises GridError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CONTAINER_MAGIC:
@@ -346,4 +239,8 @@ def load_field(path: str) -> SpectralField:
     raw = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(raw)):
         raise GridError("payload holds non-finite coefficients")
-    return SpectralField.from_coefficients(grid, raw[0::2] + 1j * raw[1::2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.fft.ifftn((raw[0::2] + 1j * raw[1::2]).reshape(grid.shape), norm="ortho")
+    if not np.all(np.isfinite(samples)):
+        raise GridError("payload coefficients synthesize non-finite samples")
+    return grid, samples

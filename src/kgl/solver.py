@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.toy import effective_coefficient
 
@@ -146,17 +146,24 @@ def _march(
     return states
 
 
+def _check_shape(name: str, u: np.ndarray, grid: VelocityGrid) -> None:
+    if np.shape(u) != grid.shape:
+        raise SolverError(f"{name} has shape {np.shape(u)}, the grid expects {grid.shape}")
+
+
 def step_regularized(
-    g: SpectralField,
+    g: np.ndarray,
     rp: RegularizedProblem,
-    source: SpectralField | None = None,
-) -> SpectralField:
+    source: np.ndarray | None = None,
+) -> np.ndarray:
     """Single public step on velocity-only fields (source frozen over the step)."""
     if rp.x_points:
         raise SolverError("field-level stepping covers the velocity-only reduction")
-    frozen = None if source is None else np.stack([source.samples, source.samples])
-    states = _march(RegularizedStepper(rp), g.samples.astype(complex), 1, frozen)
-    return SpectralField.from_samples(g.grid, states[1])
+    _check_shape("state", g, rp.grid)
+    if source is not None:
+        _check_shape("source", source, rp.grid)
+    frozen = None if source is None else np.stack([source, source])
+    return _march(RegularizedStepper(rp), np.asarray(g, dtype=complex), 1, frozen)[1]
 
 
 @dataclass
@@ -280,22 +287,23 @@ class KineticMoments:
 
 
 def moments(
-    f: SpectralField,
+    grid: VelocityGrid,
+    u: np.ndarray,
     m0: float = 0.0,
     m_cap: float = np.inf,
     e_cap: float = np.inf,
     h_cap: float = np.inf,
 ) -> KineticMoments:
-    """Quadrature moments with the away-from-vacuum / boundedness flags.
+    """Quadrature moments of the field u with the away-from-vacuum / boundedness flags.
 
-    Flags report mass >= m0/2, mass <= 2 M0, energy <= 2 E0 and
-    entropy <= 2 H0 against the supplied reference constants.
+    Only the real part of u enters.  Flags report mass >= m0/2,
+    mass <= 2 M0, energy <= 2 E0 and entropy <= 2 H0 against the supplied
+    reference constants.
     """
-    grid = f.grid
     if grid.dimension != 1:
         raise SolverError("moments implemented for the one-dimensional reduction")
     h = grid.spacing
-    vals = f.samples.real
+    vals = np.real(u)
     v = grid.axis_points
     mass = float(h * np.sum(vals))
     energy = float(h * np.sum(vals * v**2))
@@ -311,14 +319,18 @@ def moments(
     return KineticMoments(mass=mass, energy=energy, entropy=entropy, flags=flags)
 
 
+def _state_axes(traj: Trajectory) -> tuple[int, ...]:
+    return tuple(range(1, traj.states.ndim))
+
+
 def positivity_series(traj: Trajectory) -> np.ndarray:
     """Minimum real sample per snapshot; measurement only, never judged."""
-    return np.array([float(np.min(s.real)) for s in traj.states])
+    return np.min(traj.states.real, axis=_state_axes(traj))
 
 
 def mass_series(rp: RegularizedProblem, traj: Trajectory) -> np.ndarray:
     cell = rp.grid.spacing if not rp.x_points else rp.grid.spacing / rp.x_points
-    return np.array([cell * float(np.sum(s.real)) for s in traj.states])
+    return cell * np.sum(traj.states.real, axis=_state_axes(traj))
 
 
 def _eventually_contracting(diffs: list[float], threshold: float, window: int = 3) -> bool:
@@ -386,7 +398,7 @@ def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.n
 
 
 def picard_iterate(
-    f_in: SpectralField,
+    f_in: np.ndarray,
     rp: RegularizedProblem,
     n_max: int = 25,
     ratio_threshold: float = 0.6,
@@ -403,7 +415,8 @@ def picard_iterate(
     """
     if n_max < 3:
         raise SolverError("n_max must be at least 3")
-    if not math.isfinite(_l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in.samples)):
+    _check_shape("initial datum", f_in, rp.grid)
+    if not math.isfinite(_l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
         raise SolverError("weighted norm of the initial datum is not finite")
     problem = rp
     retries = 0
@@ -417,7 +430,7 @@ def picard_iterate(
 
 
 def _picard_once(
-    f_in: SpectralField,
+    f_in: np.ndarray,
     rp: RegularizedProblem,
     n_max: int,
     ratio_threshold: float,
@@ -429,7 +442,7 @@ def _picard_once(
     ratios: list[float] = []
     for n in range(1, n_max + 1):
         source = _dissipative_source(rp, prev) if n > 1 else None
-        traj = integrate(rp, f_in.samples, source_traj=source)
+        traj = integrate(rp, f_in, source_traj=source)
         del source  # freed before the next source or the monitor's buffer is built
         current = traj.states
         diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))  # prev is spent
@@ -447,7 +460,7 @@ def _picard_once(
     contraction = _eventually_contracting(diffs, ratio_threshold)
     # fixed-point residual: rerun with the source built from the limit
     final_source = _dissipative_source(rp, prev)
-    traj = integrate(rp, f_in.samples, source_traj=final_source)
+    traj = integrate(rp, f_in, source_traj=final_source)
     residual = _weighted_sup_diff(rp.grid, weights, traj.states, prev)
     del prev, current  # spent; freed before the monitor's work buffer is built
     energy = energy_monitor(traj, rp, source_traj=final_source)

@@ -30,7 +30,7 @@ from kgl.dyadic import (
     phase_rings,
     shell_norms,
 )
-from kgl.grid import SpectralField, VelocityGrid, by_parts, half_symbol, trailing_axes
+from kgl.grid import VelocityGrid, by_parts, half_symbol, trailing_axes
 from kgl.params import SoftPotentialParams
 
 
@@ -187,35 +187,41 @@ class ToyTrajectory:
     params: ToyParams
     times: np.ndarray
     norms: np.ndarray
-    final: SpectralField
+    final: np.ndarray
     propagator_rank: int
-    snapshots: list[tuple[float, SpectralField]] = field(default_factory=list)
+    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+
+
+def _check_shape(u: np.ndarray, grid: VelocityGrid) -> None:
+    if np.shape(u) != grid.shape:
+        raise ToyModelError(
+            f"initial field has shape {np.shape(u)}, the grid expects {grid.shape}"
+        )
 
 
 def evolve_toy(
-    f0: SpectralField,
+    f0: np.ndarray,
     p: ToyParams,
     snapshot_every: int | None = None,
     growth_tol: float = 1e-10,
 ) -> ToyTrajectory:
-    """March the model to t_final, monitoring the L2 norm each step.
+    """March the samples f0 on ``p.grid`` to t_final, monitoring the L2 norm each step.
 
     Any step that grows the norm by a relative factor beyond ``growth_tol``
     aborts with :class:`SchemeViolation`.
     """
-    if f0.grid != p.grid:
-        raise ToyModelError("initial field lives on a different grid")
-    boundary = _edge_peak(f0.samples)
-    peak = float(np.max(np.abs(f0.samples)))
+    _check_shape(f0, p.grid)
+    boundary = _edge_peak(f0)
+    peak = float(np.max(np.abs(f0)))
     if peak > 0 and boundary > 1e-14 * peak:
         raise ToyModelError(
             f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
         )
     stepper = ToyStepper(p)
-    u = f0.samples
+    u = f0
     norms = [float(np.linalg.norm(u.ravel()))]
     times = [0.0]
-    snaps: list[tuple[float, SpectralField]] = []
+    snaps: list[tuple[float, np.ndarray]] = []
     for n in range(p.steps):
         u = stepper.step(u)
         nn = float(np.linalg.norm(u.ravel()))
@@ -226,13 +232,13 @@ def evolve_toy(
         norms.append(nn)
         times.append((n + 1) * stepper.dt)
         if snapshot_every and (n + 1) % snapshot_every == 0:
-            snaps.append(((n + 1) * stepper.dt, SpectralField.from_samples(p.grid, u)))
+            snaps.append(((n + 1) * stepper.dt, u))
     scale = math.sqrt(p.grid.cell_volume)
     return ToyTrajectory(
         params=p,
         times=np.asarray(times),
         norms=scale * np.asarray(norms),
-        final=SpectralField.from_samples(p.grid, u),
+        final=u,
         propagator_rank=stepper.rank,
         snapshots=snaps,
     )
@@ -446,7 +452,7 @@ class BlockLawConsistency:
 
 
 def block_law_consistency(
-    f0: SpectralField,
+    f0: np.ndarray,
     p: ToyParams,
     pair: BumpPair | None = None,
     floor: float = 1e-12,
@@ -462,6 +468,7 @@ def block_law_consistency(
     """
     pair = pair or build_bump_pair()
     grid = p.grid
+    _check_shape(f0, grid)
     stepper = ToyStepper(p)
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
@@ -475,7 +482,7 @@ def block_law_consistency(
 
     blocks, meta = [], []
     for k, wk in enumerate(phase_rings(pair, grid, kmax), start=-1):
-        for j, b in enumerate(by_parts(project, f0.samples * wk, join=_complex), start=-1):
+        for j, b in enumerate(by_parts(project, f0 * wk, join=_complex), start=-1):
             nb = scale * float(np.linalg.norm(b.ravel()))
             if nb >= floor:
                 blocks.append(b)
@@ -506,8 +513,9 @@ def block_law_consistency(
 
 
 def trajectory_shell_exponents(
-    f0: SpectralField,
-    final: SpectralField,
+    grid: VelocityGrid,
+    f0: np.ndarray,
+    final: np.ndarray,
     pair: BumpPair,
     j_range: range,
 ) -> np.ndarray:
@@ -520,8 +528,8 @@ def trajectory_shell_exponents(
     is measured purely on the Fourier side, which is leakage-free.
     """
     j_lo, j_hi = j_range.start, j_range.stop - 1
-    init = shell_norms(f0, pair, jmax=j_hi)[j_lo + 1 :]
-    evolved = shell_norms(final, pair, jmax=j_hi)[j_lo + 1 :]
+    init = shell_norms(grid, f0, pair, jmax=j_hi)[j_lo + 1 :]
+    evolved = shell_norms(grid, final, pair, jmax=j_hi)[j_lo + 1 :]
     norm_c = float(np.max(init))
     if norm_c <= 0:
         raise ToyModelError("initial data has no content on the fitted shells")
@@ -537,7 +545,7 @@ def weighted_broadband_data(
     seed: int = 1,
     rough_amplitude: float = 0.5,
     band_fraction: float = 0.95,
-) -> SpectralField:
+) -> np.ndarray:
     """exp(-a0 <v>^2) times (1 + q) with q broadband and real.
 
     q has random phases, a mild <eta>^(-1/2) envelope so every dyadic shell
@@ -555,5 +563,4 @@ def weighted_broadband_data(
     amp = np.where(band, phases * grid.eta_bracket_sq ** (-0.25), 0.0)
     q = np.fft.ifftn(amp, norm="ortho").real
     q = q / max(float(np.max(np.abs(q))), 1e-300) * rough_amplitude
-    samples = np.exp(-a0 * grid.v_bracket_sq) * (1.0 + q)
-    return SpectralField.from_samples(grid, samples)
+    return np.exp(-a0 * grid.v_bracket_sq) * (1.0 + q)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgl.dyadic import build_bump_pair
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -44,11 +44,10 @@ def bump_pair():
 def gaussian_half(grid1d):
     """exp(-v^2/2) on the session grid."""
     v = grid1d.v_meshes[0]
-    return SpectralField.from_samples(grid1d, np.exp(-(v**2) / 2.0))
+    return np.exp(-(v**2) / 2.0)
 
 
 def random_band_limited(grid, rng, band=0.4):
     amp = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     amp[grid.eta_abs > band * grid.nyquist] = 0.0
-    samples = np.fft.ifftn(amp, norm="ortho").real
-    return SpectralField.from_samples(grid, samples)
+    return np.fft.ifftn(amp, norm="ortho").real

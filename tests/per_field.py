@@ -1,11 +1,13 @@
 """Per-field oracles for the stacked (members,) + grid.shape code paths.
 
-Each function here computes one field at a time as a ``SpectralField``,
-with full complex transforms: the corpus builders draw member by member,
-and the norms take the multiplier-then-weight composition, the regularizer
-symbols, the Gagliardo autocorrelation and the block projections field by
-field.  The library computes the same quantities for a whole stack at once
-through the real transform; the tests hold it to these oracles.
+Each function here takes one field at a time as a complex numpy array of
+its samples and uses plain numpy: one full complex ``fftn`` of the field,
+and one ``ifftn`` for each operator applied to it.  The corpus builders
+draw member by member, and the norms take the multiplier-then-weight
+composition, the regularizer symbols, the Gagliardo autocorrelation and the
+block projections field by field.  The library computes the same
+quantities for a whole stack at once through the real transform; the tests
+hold it to these oracles.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from kgl.dyadic import max_freq_shell, max_phase_shell
-from kgl.grid import SpectralField, VelocityGrid, scale_pointwise
-from kgl.multipliers import MultiplierSpec, RegularizerSpec, apply_multiplier, apply_regularizer
+from kgl.grid import VelocityGrid
 
 # relative tolerance of stacked norms against these oracles
 NORM_RTOL = 1e-14
@@ -22,37 +23,48 @@ NORM_RTOL = 1e-14
 BLOCK_ATOL = 1e-15
 
 
+def l2_norm(grid: VelocityGrid, f: np.ndarray) -> float:
+    """Quadrature L2 norm of one field."""
+    return float(np.sqrt(grid.cell_volume) * np.linalg.norm(np.ravel(f)))
+
+
+def _unit(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
+    n = l2_norm(grid, f)
+    return f * (1.0 / n) if n > 0 else f
+
+
+def _spectral(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier ``symbol`` applied to the samples f."""
+    return np.fft.ifftn(np.fft.fftn(f, norm="ortho") * symbol, norm="ortho")
+
+
 # --- corpus builders, one member at a time ---------------------------------
 
 
-def gaussian(grid: VelocityGrid, c: float, center: float) -> SpectralField:
+def gaussian(grid: VelocityGrid, c: float, center: float) -> np.ndarray:
     shifted_sq = sum((m - center) ** 2 for m in grid.v_meshes)
-    return SpectralField.from_samples(grid, np.exp(-c * shifted_sq))
+    return np.exp(-c * shifted_sq).astype(complex)
 
 
-def hermite_function(grid: VelocityGrid, degree: int) -> SpectralField:
+def hermite_function(grid: VelocityGrid, degree: int) -> np.ndarray:
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
     x = grid.v_meshes[0]
     vals = np.polynomial.hermite.hermval(x, coeffs) * np.exp(-(x**2) / 2.0)
     if grid.dimension > 1:
         vals = vals * np.exp(-sum(m**2 for m in grid.v_meshes[1:]) / 2.0)
-    f = SpectralField.from_samples(grid, vals)
-    n = f.l2_norm()
-    return f * (1.0 / n) if n > 0 else f
+    return _unit(grid, vals.astype(complex))
 
 
-def band_limited(grid: VelocityGrid, rng: np.random.Generator) -> SpectralField:
+def band_limited(grid: VelocityGrid, rng: np.random.Generator) -> np.ndarray:
     amp = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (
         grid.eta_bracket_sq ** (-2.0 / 2.0)
     )
     amp[grid.eta_abs > 0.5 * grid.nyquist] = 0.0
-    f = SpectralField.from_samples(grid, np.fft.ifftn(amp, norm="ortho").real)
-    n = f.l2_norm()
-    return f * (1.0 / n) if n > 0 else f
+    return _unit(grid, np.fft.ifftn(amp, norm="ortho").real.astype(complex))
 
 
-def standard_corpus(grid: VelocityGrid, size: int, seed: int) -> list[SpectralField]:
+def standard_corpus(grid: VelocityGrid, size: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     out = []
     n_hermite = min(13, max(size // 5, 0))
@@ -69,7 +81,7 @@ def standard_corpus(grid: VelocityGrid, size: int, seed: int) -> list[SpectralFi
 def dilation_family(grid: VelocityGrid, scale_min: float, scale_max: float, count: int):
     vsq = sum(m**2 for m in grid.v_meshes)
     return [
-        SpectralField.from_samples(grid, np.exp(-vsq / (2.0 * s * s)))
+        np.exp(-vsq / (2.0 * s * s)).astype(complex)
         for s in np.geomspace(scale_min, scale_max, count)
     ]
 
@@ -77,43 +89,58 @@ def dilation_family(grid: VelocityGrid, scale_min: float, scale_max: float, coun
 # --- norms, one field at a time ----------------------------------------------
 
 
-def weighted_sobolev_norm(f: SpectralField, p: float, m: float) -> float:
-    g = apply_multiplier(f, MultiplierSpec(order=m, kind="bracket"))
-    return scale_pointwise(g, f.grid.v_bracket_sq ** (p / 2.0)).l2_norm()
+def weighted_sobolev_norm(grid: VelocityGrid, f: np.ndarray, p: float, m: float) -> float:
+    g = _spectral(f, grid.eta_bracket_sq ** (m / 2.0))
+    return l2_norm(grid, g * grid.v_bracket_sq ** (p / 2.0))
 
 
-def interpolation_ratio(f: SpectralField, gamma: float, s: float, tau: float) -> float:
+def interpolation_ratio(
+    grid: VelocityGrid, f: np.ndarray, gamma: float, s: float, tau: float
+) -> float:
     """lhs / (A + B) of the interpolation witness: the constant f requires."""
-    lhs = weighted_sobolev_norm(f, 0.0, tau)
-    return lhs / (weighted_sobolev_norm(f, 1.0, 0.0) + weighted_sobolev_norm(f, gamma / 2.0, s))
+    lhs = weighted_sobolev_norm(grid, f, 0.0, tau)
+    return lhs / (
+        weighted_sobolev_norm(grid, f, 1.0, 0.0) + weighted_sobolev_norm(grid, f, gamma / 2.0, s)
+    )
 
 
-def regularizer_norms(f: SpectralField, theta: float, axis: int = 0) -> list[float]:
-    """||R f||, ||theta^(1/2) R d f||, ||theta R d^2 f|| and ||f||."""
-    spec = RegularizerSpec(theta=theta)
-    terms = [apply_regularizer(f, spec, derivative_order=q, axis=axis).l2_norm() for q in (0, 1, 2)]
-    return terms + [f.l2_norm()]
+def regularizer_norms(
+    grid: VelocityGrid, f: np.ndarray, theta: float, axis: int = 0
+) -> list[float]:
+    """||R f||, ||theta^(1/2) R d f||, ||theta R d^2 f|| and ||f||.
+
+    R is the inverse of 1 - theta Lap, symbol (1 + theta |eta|^2)^(-1); the
+    derivative d along ``axis`` is spectral, (i eta_axis)^q.
+    """
+    fh = np.fft.fftn(f, norm="ortho")
+    resolvent = (1.0 / (1.0 + theta * grid.eta_abs**2)).astype(complex)
+    terms = []
+    for q in (0, 1, 2):
+        sym = resolvent
+        if q > 0:
+            sym = sym * (1j * grid.eta_meshes[axis]) ** q * theta ** (q / 2.0)
+        terms.append(l2_norm(grid, np.fft.ifftn(fh * sym, norm="ortho")))
+    return terms + [l2_norm(grid, f)]
 
 
-def gagliardo_hs_norm_sq(f: SpectralField, s: float) -> float:
-    g = f.samples.real
-    h, n = f.grid.spacing, f.grid.points_per_axis
+def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> float:
+    g = np.real(f)
+    h, n = grid.spacing, grid.points_per_axis
     l2sq = h * float(np.sum(g * g))
     corr = np.fft.irfft(np.abs(np.fft.rfft(g)) ** 2, n)
     lags = np.arange(1, n // 2)
     diff_sq = 2.0 * (corr[0] - corr[lags])
     total = 2.0 * float(np.sum(diff_sq * h * h / (lags * h) ** (1.0 + 2.0 * s)))
-    tail = 4.0 * l2sq * 2.0 * f.grid.half_width ** (-2.0 * s) / (2.0 * s)
+    tail = 4.0 * l2sq * 2.0 * grid.half_width ** (-2.0 * s) / (2.0 * s)
     return l2sq + total + tail
 
 
-def block_norms(f: SpectralField, pair) -> np.ndarray:
+def block_norms(grid: VelocityGrid, f: np.ndarray, pair) -> np.ndarray:
     """Block norms with every ring weight evaluated where it is used."""
-    grid = f.grid
     jmax, kmax = max_freq_shell(grid), max_phase_shell(grid)
     out = np.zeros((jmax + 2, kmax + 2))
     for k in range(-1, kmax + 1):
-        gh = np.fft.fftn(f.samples * pair.ring_weight(grid.v_abs, k), norm="ortho")
+        gh = np.fft.fftn(f * pair.ring_weight(grid.v_abs, k), norm="ortho")
         for j in range(-1, jmax + 1):
             wj = pair.ring_weight(grid.eta_abs, j)
             out[j + 1, k + 1] = np.sqrt(grid.cell_volume) * np.linalg.norm((gh * wj).ravel())

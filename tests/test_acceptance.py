@@ -13,7 +13,8 @@ import pytest
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid
+from kgl.multipliers import weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 
 
@@ -31,19 +32,19 @@ def pair():
     return dyadic.build_bump_pair()
 
 
-def refine_field(f: SpectralField, factor: int = 2) -> SpectralField:
-    """Exact band-limited interpolation onto a grid refined by `factor`."""
-    g = f.grid
+def refine_field(g: VelocityGrid, u: np.ndarray, factor: int = 2) -> np.ndarray:
+    """Exact band-limited interpolation of u onto the grid refined by `factor`."""
     n, n2 = g.points_per_axis, g.points_per_axis * factor
     fine = VelocityGrid(g.dimension, n2, g.half_width)
     coeff = np.zeros(fine.shape, dtype=complex)
     half = n // 2
     if g.dimension != 1:
         raise ValueError("refinement helper covers d = 1")
-    coeff[:half] = f.coefficients[:half]
-    coeff[n2 - half :] = f.coefficients[half:]
+    u_hat = np.fft.fftn(u, norm="ortho")
+    coeff[:half] = u_hat[:half]
+    coeff[n2 - half :] = u_hat[half:]
     coeff *= math.sqrt(factor)  # unitary normalization across sizes
-    return SpectralField.from_coefficients(fine, coeff)
+    return np.fft.ifftn(coeff, norm="ortho")
 
 
 def test_criterion_1_sharp_index_exact_block_law(record_acceptance):
@@ -94,7 +95,7 @@ def test_criterion_3_pde_vs_block_law(pair, record_acceptance):
         traj = toy.evolve_toy(f0, params)
         consistency = toy.block_law_consistency(f0, params, pair, floor=1e-12)
         lo, hi = consistency.worst_ratios()
-        exponents = toy.trajectory_shell_exponents(f0, traj.final, pair, range(0, 8))
+        exponents = toy.trajectory_shell_exponents(grid, f0, traj.final, pair, range(0, 8))
         fit = toy.estimate_gevrey_index(exponents, np.arange(0, 8))
         slope_dev = abs(fit.slope - 2.0 / 3.0) / (2.0 / 3.0)
     ok = (
@@ -140,19 +141,19 @@ def test_criterion_5_partition_and_reconstruction(pair, record_acceptance):
         grid = VelocityGrid(1, 1024, 16.0)
         xs = rng.uniform(0.0, grid.nyquist, size=10_000)
         jmax = dyadic.max_freq_shell(grid)
+        rings = dyadic.frequency_rings(pair, grid, jmax)
         total = pair.psi(xs) + sum(pair.phi(xs / 2.0**j) for j in range(jmax + 2))
         partition_err = float(np.max(np.abs(total - 1.0)))
         recon_err = 0.0
         for _ in range(50):
             amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             amp[grid.eta_abs > 0.45 * grid.nyquist] = 0.0
-            f = SpectralField.from_samples(grid, np.fft.ifft(amp, norm="ortho").real)
-            tot = sum(
-                dyadic.project_frequency(f, j, pair).samples for j in range(-1, jmax + 1)
-            )
+            f = np.fft.ifft(amp, norm="ortho").real
+            f_hat = np.fft.fftn(f, norm="ortho")
+            tot = sum(np.fft.ifftn(f_hat * w, norm="ortho") for w in rings)
             recon_err = max(
                 recon_err,
-                float(np.max(np.abs(tot - f.samples)) / np.max(np.abs(f.samples))),
+                float(np.max(np.abs(tot - f)) / np.max(np.abs(f))),
             )
     ok = partition_err <= 1e-12 and recon_err <= 1e-10 and t.elapsed < 5.0
     record_acceptance(
@@ -169,9 +170,7 @@ def test_criterion_6_norm_characterization(pair, record_acceptance):
         grid = VelocityGrid(1, 1024, 16.0)
         fine_grid = VelocityGrid(1, 2048, 16.0)
         corpus = standard_corpus(grid, 200, seed=6)
-        from kgl.multipliers import weighted_sobolev_norms
-
-        fine = np.array([refine_field(SpectralField.from_samples(grid, u)).samples for u in corpus])
+        fine = np.array([refine_field(grid, u) for u in corpus])
         norms_c = dyadic.block_norms(grid, corpus, pair)
         norms_f = dyadic.block_norms(fine_grid, fine, pair)
         direct_c = weighted_sobolev_norms(grid, corpus, pairs_pm)
@@ -315,8 +314,7 @@ def test_criterion_10_picard_surrogate_contraction(record_acceptance):
         rp = solver.RegularizedProblem(
             eps=0.1, prm=prm, a0=1.0, grid=grid, t_final=0.2, steps=64
         )
-        f_in = SpectralField.from_samples(grid, np.exp(-grid.v_bracket_sq))
-        state = solver.picard_iterate(f_in, rp, n_max=30)
+        state = solver.picard_iterate(np.exp(-grid.v_bracket_sq), rp, n_max=30)
         # solver order on the scalar reduction
         a = 1.3
         ref = solver.integrate_scalar(0.7, a, 1.0, 16384, lambda t_: math.cos(3 * t_))
@@ -343,8 +341,7 @@ def test_criterion_11_moments(record_acceptance):
     with Timer() as t:
         grid = VelocityGrid(1, 1024, 16.0)
         v = grid.v_meshes[0]
-        f = SpectralField.from_samples(grid, np.exp(-(v**2)))
-        mom = solver.moments(f, m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
+        mom = solver.moments(grid, np.exp(-(v**2)), m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
         mass_ok = abs(mom.mass - math.sqrt(math.pi)) <= 1e-8
         energy_ok = abs(mom.energy - math.sqrt(math.pi) / 2.0) <= 1e-8
         # transported-only conservation
@@ -367,11 +364,10 @@ def test_criterion_11_moments(record_acceptance):
         drift = abs(masses[-1] - masses[0]) / rp.t_final
         transport_ok = drift <= 1e-10 * max(abs(masses[0]), 1.0)
         # constructed violators
-        vac = solver.moments(
-            SpectralField.from_samples(grid, np.zeros(grid.shape)), m0=1.0
-        )
+        vac = solver.moments(grid, np.zeros(grid.shape), m0=1.0)
         hot = solver.moments(
-            SpectralField.from_samples(grid, np.exp(-(v**2) / 64.0)),
+            grid,
+            np.exp(-(v**2) / 64.0),
             m0=0.1,
             m_cap=100.0,
             e_cap=1.0,

@@ -161,7 +161,7 @@ def test_refinement_ratio_matches_the_per_member_oracle(tmp_path):
     fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
     fine, coarse = (
         [
-            per_field.interpolation_ratio(f, prm.gamma, prm.s, prm.tau)
+            per_field.interpolation_ratio(g, f, prm.gamma, prm.s, prm.tau)
             for f in per_field.standard_corpus(g, 20, cfg.seed)
         ]
         for g in (fine_grid, grid)

@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgl.dyadic import (
     BumpPair,
-    DyadicError,
     _bridge,
-    block,
     block_norms,
     block_sum,
     block_norm_characterization,
@@ -15,11 +13,9 @@ from kgl.dyadic import (
     max_freq_shell,
     max_phase_shell,
     phase_rings,
-    project_frequency,
-    project_phase,
     shell_norms,
 )
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid, from_half_spectrum, half_spectrum, half_symbol, l2_norms
 from kgl.multipliers import weighted_sobolev_norm
 from kgl.params import SoftPotentialParams
 from kgl.toy import ToyParams, block_law_consistency
@@ -116,25 +112,24 @@ def test_psi_bridge_symmetry(bump_pair, x):
 # evaluated by pair.ring_weight where it is used
 
 
-def _shell_norms_oracle(f, pair):
-    grid = f.grid
+def _shell_norms_oracle(grid, f, pair):
+    coeff = np.fft.fftn(f.astype(complex), norm="ortho")
     return np.array(
         [
             np.sqrt(grid.cell_volume)
-            * np.linalg.norm((f.coefficients * pair.ring_weight(grid.eta_abs, j)).ravel())
+            * np.linalg.norm((coeff * pair.ring_weight(grid.eta_abs, j)).ravel())
             for j in range(-1, max_freq_shell(grid) + 1)
         ]
     )
 
 
-def _initial_blocks_oracle(f0, pair, floor):
+def _initial_blocks_oracle(grid, f0, pair, floor):
     """(j, k, ||block||) of every block of a real f0 at or above ``floor``."""
-    grid = f0.grid
     axes = tuple(range(-grid.dimension, 0))
     eta_half = grid.eta_abs[..., : grid.points_per_axis // 2 + 1]
     out = []
     for k in range(-1, max_phase_shell(grid) + 1):
-        gh = np.fft.rfftn((f0.samples * pair.ring_weight(grid.v_abs, k)).real, axes=axes)
+        gh = np.fft.rfftn(f0 * pair.ring_weight(grid.v_abs, k), axes=axes)
         for j in range(-1, max_freq_shell(grid) + 1):
             wj = pair.ring_weight(eta_half, j)
             b = np.fft.irfftn(wj * gh, s=grid.shape, axes=axes)
@@ -147,21 +142,20 @@ def _initial_blocks_oracle(f0, pair, floor):
 @pytest.mark.parametrize("grid", [VelocityGrid(1, 256, 8.0), VelocityGrid(2, 32, 8.0)])
 def test_ring_tables_match_the_per_shell_oracle_bit_for_bit(bump_pair, grid):
     rng = np.random.default_rng(21)
-    f = SpectralField.from_samples(
-        grid, np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * rng.standard_normal(grid.shape))
-    )
+    f = np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * rng.standard_normal(grid.shape))
     # block_norms takes the real-transform path, so it holds to rounding:
     # per_field.BLOCK_ATOL times the field's norm, absolute
-    want = per_field.block_norms(f, bump_pair)
-    got = block_norms(grid, f.samples, bump_pair)
-    assert np.max(np.abs(got - want)) <= per_field.BLOCK_ATOL * f.l2_norm()
-    assert np.array_equal(shell_norms(f, bump_pair), _shell_norms_oracle(f, bump_pair))
+    want = per_field.block_norms(grid, f.astype(complex), bump_pair)
+    got = block_norms(grid, f, bump_pair)
+    assert np.max(np.abs(got - want)) <= per_field.BLOCK_ATOL * l2_norms(grid, f)
+    # the real field's fftn equals that of its complex cast bit for bit
+    assert np.array_equal(shell_norms(grid, f, bump_pair), _shell_norms_oracle(grid, f, bump_pair))
     p = ToyParams(
         prm=SoftPotentialParams(gamma=-1.0, s=0.5), a0=1.0, t_final=1.0, grid=grid, steps=16
     )
     res = block_law_consistency(f, p, bump_pair)
     got = [(c.j, c.k, c.initial_norm) for c in res.comparisons]
-    assert got == _initial_blocks_oracle(f, bump_pair, floor=1e-12)
+    assert got == _initial_blocks_oracle(grid, f, bump_pair, floor=1e-12)
 
 
 def test_ring_tables_are_built_once_per_grid(grid1d, monkeypatch):
@@ -188,22 +182,33 @@ def test_ring_tables_are_read_only(grid1d, bump_pair):
             table[0, 0] = 0.5
 
 
+def _phase_parts(grid, f, pair):
+    """psi(v) f, then phi(2^-k v) f for k = 0..kmax: the phase rings by pointwise product."""
+    return phase_rings(pair, grid, max_phase_shell(grid)) * f
+
+
+def _frequency_parts(grid, f, pair):
+    """Delta_j f for j = -1..jmax: each frequency ring times the unitary fftn of f."""
+    coeff = np.fft.fftn(f, norm="ortho")
+    return [
+        np.fft.ifftn(coeff * w, norm="ortho")
+        for w in frequency_rings(pair, grid, max_freq_shell(grid))
+    ]
+
+
 def test_phase_partition_telescopes(grid1d, bump_pair):
     # fields supported in |v| <= 2^K * 3/4 are reproduced by the partial sum
     v = grid1d.v_meshes[0]
-    f = SpectralField.from_samples(grid1d, np.exp(-(v**2)))
-    kmax = max_phase_shell(grid1d)
-    total = sum(
-        project_phase(f, k, bump_pair).samples for k in range(-1, kmax + 1)
-    )
-    assert np.max(np.abs(total - f.samples)) <= 1e-12
+    f = np.exp(-(v**2))
+    total = np.sum(_phase_parts(grid1d, f, bump_pair), axis=0)
+    assert np.max(np.abs(total - f)) <= 1e-12
 
 
 def test_phase_projection_inner_support(grid1d, bump_pair):
     v = grid1d.v_meshes[0]
-    f = SpectralField.from_samples(grid1d, np.where(np.abs(v) <= 0.5, 1.0, 0.0))
-    for k in range(0, max_phase_shell(grid1d) + 1):
-        assert project_phase(f, k, bump_pair).l2_norm() == 0.0
+    f = np.where(np.abs(v) <= 0.5, 1.0, 0.0)
+    # rows 1.. are the rings k >= 0
+    assert np.all(l2_norms(grid1d, _phase_parts(grid1d, f, bump_pair)[1:]) == 0.0)
 
 
 def test_phase_almost_orthogonality(grid1d, bump_pair):
@@ -218,55 +223,43 @@ def test_phase_almost_orthogonality(grid1d, bump_pair):
     assert np.all(sq >= 0.5 - 1e-12)
     for _ in range(100):
         f = random_band_limited(grid1d, rng)
-        total = sum(
-            project_phase(f, k, bump_pair).l2_norm() ** 2 for k in range(-1, kmax + 1)
-        )
-        n2 = f.l2_norm() ** 2
+        total = np.sum(l2_norms(grid1d, _phase_parts(grid1d, f, bump_pair)) ** 2)
+        n2 = l2_norms(grid1d, f) ** 2
         assert n2 / 2.0 <= total <= 2.0 * n2
 
 
 def test_frequency_single_mode_mapping(bump_pair):
     grid = VelocityGrid(1, 256, np.pi)
     v = grid.v_meshes[0]
-    f = SpectralField.from_samples(grid, np.exp(1j * v))  # |eta| = 1
-    out0 = project_frequency(f, 0, bump_pair)
+    f = np.exp(1j * v)  # |eta| = 1
+    parts = _frequency_parts(grid, f, bump_pair)
     expected = bump_pair.phi(np.array([1.0]))[0]
-    assert out0.l2_norm() == pytest.approx(expected * f.l2_norm(), rel=1e-12)
-    out3 = project_frequency(f, 3, bump_pair)  # 2^-3 < 3/4: outside ring 3
-    assert out3.l2_norm() <= 1e-15 * f.l2_norm()  # only FFT rounding survives
+    norm = per_field.l2_norm(grid, f)
+    assert per_field.l2_norm(grid, parts[1]) == pytest.approx(expected * norm, rel=1e-12)
+    # 2^-3 < 3/4: outside ring 3, only FFT rounding survives
+    assert per_field.l2_norm(grid, parts[4]) <= 1e-15 * norm
 
 
 def test_frequency_reconstruction(grid1d, bump_pair):
     rng = np.random.default_rng(9)
-    jmax = max_freq_shell(grid1d)
     for _ in range(50):
         f = random_band_limited(grid1d, rng)
-        total = sum(
-            project_frequency(f, j, bump_pair).samples for j in range(-1, jmax + 1)
-        )
-        err = np.max(np.abs(total - f.samples)) / max(np.max(np.abs(f.samples)), 1e-300)
+        total = sum(_frequency_parts(grid1d, f, bump_pair))
+        err = np.max(np.abs(total - f)) / max(np.max(np.abs(f)), 1e-300)
         assert err <= 1e-10
 
 
 def test_frequency_disjoint_projections(grid1d, bump_pair):
+    # projections compose by multiplying their rings; rings 2 and 4 are disjoint
     rng = np.random.default_rng(10)
     f = random_band_limited(grid1d, rng)
-    twice = project_frequency(project_frequency(f, 2, bump_pair), 4, bump_pair)
-    assert twice.l2_norm() == 0.0
-
-
-def test_frequency_nyquist_guard(grid1d, bump_pair):
-    jmax = max_freq_shell(grid1d)
-    with pytest.raises(DyadicError):
-        project_frequency(
-            SpectralField.from_samples(grid1d, np.zeros(grid1d.shape)),
-            jmax + 1,
-            bump_pair,
-        )
+    rings = frequency_rings(bump_pair, grid1d, 4)
+    twice = np.fft.ifftn(np.fft.fftn(f, norm="ortho") * rings[3] * rings[5], norm="ortho")
+    assert per_field.l2_norm(grid1d, twice) == 0.0
 
 
 def test_block_sum_homogeneity(grid1d, bump_pair, gaussian_half):
-    g = gaussian_half.samples
+    g = gaussian_half
     rep = block_norm_characterization(grid1d, g, 1.0, 0.5, bump_pair)
     doubled = block_norm_characterization(grid1d, g * 2.0, 1.0, 0.5, bump_pair)
     assert doubled.value == pytest.approx(2.0 * rep.value, rel=1e-12)
@@ -276,22 +269,22 @@ def test_block_sum_against_plain_norm(grid1d, bump_pair):
     rng = np.random.default_rng(12)
     for _ in range(20):
         f = random_band_limited(grid1d, rng)
-        norms = block_norms(grid1d, f.samples, bump_pair)
+        norms = block_norms(grid1d, f, bump_pair)
         total = block_sum(norms, 0.0, 0.0)
-        n = f.l2_norm()
+        n = l2_norms(grid1d, f)
         # almost-orthogonality: two overlapping rings per index direction
         assert n / 2.0 <= total <= 2.0 * n
 
 
 def test_block_vs_direct_norm_gaussian(grid1d, bump_pair, gaussian_half):
-    rep = block_norm_characterization(grid1d, gaussian_half.samples, 1.0, 1.0 / 3.0, bump_pair)
-    direct = weighted_sobolev_norm(grid1d, gaussian_half.samples, 1.0, 1.0 / 3.0)
+    rep = block_norm_characterization(grid1d, gaussian_half, 1.0, 1.0 / 3.0, bump_pair)
+    direct = weighted_sobolev_norm(grid1d, gaussian_half, 1.0, 1.0 / 3.0)
     assert rep.tail_converged
     assert 1.0 / 8.0 <= rep.value / direct <= 8.0
 
 
 def test_block_report_rows(grid1d, bump_pair, gaussian_half):
-    rep = block_norm_characterization(grid1d, gaussian_half.samples, 0.0, 0.0, bump_pair)
+    rep = block_norm_characterization(grid1d, gaussian_half, 0.0, 0.0, bump_pair)
     row = rep.rows[0]
     assert set(row) == {"j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"}
     total = sum(r["contribution"] for r in rep.rows)
@@ -299,9 +292,18 @@ def test_block_report_rows(grid1d, bump_pair, gaussian_half):
 
 
 def test_block_operator_composition(grid1d, bump_pair, gaussian_half):
-    b = block(gaussian_half, 2, 1, bump_pair)
-    manual = project_frequency(project_phase(gaussian_half, 1, bump_pair), 2, bump_pair)
-    assert np.allclose(b.samples, manual.samples, atol=1e-14)
+    # the (2, 1) block: frequency ring 2 applied after phase ring 1
+    phase = phase_rings(bump_pair, grid1d, 1)[2]
+    freq = frequency_rings(bump_pair, grid1d, 2)[3]
+    b = np.fft.ifftn(freq * np.fft.fftn(phase * gaussian_half, norm="ortho"), norm="ortho")
+    real_path = from_half_spectrum(
+        grid1d, half_symbol(freq) * half_spectrum(grid1d, phase * gaussian_half)
+    )
+    assert np.allclose(b, real_path, atol=1e-14)
+    want = block_norms(grid1d, gaussian_half, bump_pair)[3, 2]
+    assert abs(per_field.l2_norm(grid1d, b) - want) <= per_field.BLOCK_ATOL * l2_norms(
+        grid1d, gaussian_half
+    )
 
 
 def test_frequency_reconstruction_2d(bump_pair):
@@ -309,8 +311,7 @@ def test_frequency_reconstruction_2d(bump_pair):
     rng = np.random.default_rng(14)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     amp[grid.eta_abs > 0.45 * grid.nyquist] = 0.0
-    f = SpectralField.from_samples(grid, np.fft.ifftn(amp, norm="ortho").real)
-    jmax = max_freq_shell(grid)
-    total = sum(project_frequency(f, j, bump_pair).samples for j in range(-1, jmax + 1))
-    err = np.max(np.abs(total - f.samples)) / np.max(np.abs(f.samples))
+    f = np.fft.ifftn(amp, norm="ortho").real
+    total = sum(_frequency_parts(grid, f, bump_pair))
+    err = np.max(np.abs(total - f)) / np.max(np.abs(f))
     assert err <= 1e-10

@@ -6,15 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from kgl.grid import (
     CONTAINER_MAGIC,
-    FieldConsistencyError,
     GridError,
-    SpectralField,
     VelocityGrid,
+    from_half_spectrum,
+    half_power,
+    half_spectrum,
+    l2_norms,
     load_field,
     save_field,
-    scale_pointwise,
-    scale_spectrum,
 )
+
+
+def _synthesized(u):
+    """The samples a container holding the unitary transform of u reads back as."""
+    return np.fft.ifftn(np.fft.fftn(u, norm="ortho"), norm="ortho")
 
 
 def test_grid_validation():
@@ -40,37 +45,30 @@ def test_dual_frequencies():
 def test_round_trip_all_dimensions(d, n):
     grid = VelocityGrid(d, n, 8.0)
     rng = np.random.default_rng(0)
-    f = SpectralField.from_samples(grid, rng.standard_normal(grid.shape))
-    assert f.round_trip_error() <= 1e-12
-    g = SpectralField.from_coefficients(grid, f.coefficients)
-    assert np.allclose(g.samples, f.samples, atol=1e-14)
+    u = rng.standard_normal(grid.shape)
+    back = from_half_spectrum(grid, half_spectrum(grid, u))
+    assert np.linalg.norm((back - u).ravel()) <= 1e-12 * np.linalg.norm(u.ravel())
+    assert np.allclose(_synthesized(u), u, atol=1e-14)
 
 
 def test_parseval(grid1d):
     rng = np.random.default_rng(1)
-    f = SpectralField.from_samples(grid1d, rng.standard_normal(grid1d.shape))
-    quad = f.l2_norm()
-    spec = np.sqrt(grid1d.cell_volume) * np.linalg.norm(f.coefficients)
+    u = rng.standard_normal(grid1d.shape)
+    quad = l2_norms(grid1d, u)
+    spec = np.sqrt(grid1d.cell_volume) * np.linalg.norm(np.fft.fftn(u, norm="ortho"))
     assert abs(quad - spec) <= 1e-12 * quad
-
-
-def test_from_pair_rejects_mismatch(grid1d_small):
-    rng = np.random.default_rng(2)
-    samples = rng.standard_normal(grid1d_small.shape)
-    good = np.fft.fftn(samples, norm="ortho")
-    SpectralField.from_pair(grid1d_small, samples, good)
-    with pytest.raises(FieldConsistencyError):
-        SpectralField.from_pair(grid1d_small, samples, good + 1e-6)
+    half = np.sqrt(np.sum(half_power(grid1d, half_spectrum(grid1d, u))))
+    assert abs(quad - half) <= 1e-12 * quad
 
 
 def test_container_round_trip(tmp_path, grid1d_small):
     rng = np.random.default_rng(3)
-    f = SpectralField.from_samples(grid1d_small, rng.standard_normal(grid1d_small.shape))
+    u = rng.standard_normal(grid1d_small.shape)
     path = tmp_path / "field.kgl"
-    save_field(f, str(path))
-    g = load_field(str(path))
-    assert g.grid == f.grid
-    assert np.allclose(g.coefficients, f.coefficients, atol=0)
+    save_field(grid1d_small, u, str(path))
+    grid, g = load_field(str(path))
+    assert grid == grid1d_small
+    assert np.array_equal(g, _synthesized(u))
     raw = path.read_bytes()
     assert raw[:4] == b"KGL1"
 
@@ -85,30 +83,18 @@ def test_container_rejects_bad_magic(tmp_path):
 def test_container_round_trip_2d(tmp_path):
     grid = VelocityGrid(2, 16, 4.0)
     rng = np.random.default_rng(4)
-    f = SpectralField.from_samples(grid, rng.standard_normal(grid.shape))
+    u = rng.standard_normal(grid.shape)
     path = tmp_path / "field2d.kgl"
-    save_field(f, str(path))
-    g = load_field(str(path))
-    assert g.grid == f.grid
-    assert np.allclose(g.samples, f.samples, atol=1e-14)
-
-
-def test_field_arrays_are_read_only(grid1d_small):
-    rng = np.random.default_rng(5)
-    raw = rng.standard_normal(grid1d_small.shape) + 0j
-    f = SpectralField.from_samples(grid1d_small, raw)
-    raw[0] = 7.0  # the field owns a copy of its input
-    assert f.samples[0] != 7.0
-    g = SpectralField.from_coefficients(grid1d_small, f.coefficients) * 2.0
-    for arr in (f.samples, f.coefficients, g.samples, g.coefficients):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    save_field(grid, u, str(path))
+    loaded_grid, g = load_field(str(path))
+    assert loaded_grid == grid
+    assert np.allclose(g, u, atol=1e-14)
 
 
 def test_container_rejects_non_finite_grid_and_payload(tmp_path):
     grid = VelocityGrid(1, 8, 1.0)
     path = tmp_path / "f.kgl"
-    save_field(SpectralField.from_samples(grid, np.ones(8)), str(path))
+    save_field(grid, np.ones(8), str(path))
     good = path.read_bytes()
     header = len(CONTAINER_MAGIC) + 8
     for bad in (
@@ -121,7 +107,7 @@ def test_container_rejects_non_finite_grid_and_payload(tmp_path):
 
 
 def _load_or_grid_error(path, data: bytes):
-    """Load ``data`` as a container; None if it is rejected with GridError."""
+    """Load ``data`` as a container, (grid, samples); None if it is rejected with GridError."""
     path.write_bytes(data)
     try:
         return load_field(str(path))
@@ -144,15 +130,17 @@ def container_path(tmp_path_factory):
 def test_container_round_trip_and_truncation(container_path, d, n, half_width, seed):
     grid = VelocityGrid(d, n, half_width)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    save_field(SpectralField.from_coefficients(grid, coeff), str(container_path))
+    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    save_field(grid, u, str(container_path))
     data = container_path.read_bytes()
-    g = _load_or_grid_error(container_path, data)
-    assert g.grid == grid
-    assert np.array_equal(g.coefficients, coeff)
+    header = len(CONTAINER_MAGIC) + 4 * (d + 1) + 8
+    raw = np.frombuffer(data[header:], dtype="<f8")
+    assert np.array_equal(raw[0::2] + 1j * raw[1::2], np.fft.fftn(u, norm="ortho").ravel())
+    loaded_grid, g = _load_or_grid_error(container_path, data)
+    assert loaded_grid == grid
+    assert np.array_equal(g, _synthesized(u))
     # every strict prefix is truncated: each header prefix, and payload cuts
     # (the payload is checked by its length only, so a sample of cuts covers it)
-    header = len(CONTAINER_MAGIC) + 4 * (d + 1) + 8
     cuts = list(range(header + 1)) + list(rng.integers(header, len(data), 8))
     for cut in cuts:
         assert _load_or_grid_error(container_path, data[:cut]) is None
@@ -170,30 +158,21 @@ _VALID_HEADER = CONTAINER_MAGIC + struct.pack("<IId", 1, 8, 1.0)
     )
 )
 def test_container_garbage_loads_or_raises_grid_error(container_path, data):
-    f = _load_or_grid_error(container_path, data)
-    if f is not None:
-        assert np.all(np.isfinite(f.coefficients))
+    loaded = _load_or_grid_error(container_path, data)
+    if loaded is not None:
+        assert np.all(np.isfinite(loaded[1]))
 
 
-coefficient = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-6, max_value=1e3),
-    st.floats(min_value=-1e3, max_value=-1e-6),
-)
+def test_save_field_rejects_samples_off_the_grid(tmp_path, grid1d_small):
+    path = tmp_path / "f.kgl"
+    with pytest.raises(GridError, match=r"\(128,\).*\(256,\)"):
+        save_field(grid1d_small, np.ones(128), str(path))
+    assert not path.exists()
 
 
-@settings(max_examples=100, deadline=None)
-@given(a=coefficient, b=coefficient, seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_scale_pointwise_and_spectrum_are_linear(a, b, seed):
-    grid = VelocityGrid(1, 64, 4.0)
-    rng = np.random.default_rng(seed)
-    f, g = (
-        SpectralField.from_samples(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        for _ in range(2)
-    )
-    weight = rng.standard_normal(grid.shape)
-    size = (abs(a) * f.l2_norm() + abs(b) * g.l2_norm()) * np.max(np.abs(weight))
-    for scale in (scale_pointwise, scale_spectrum):
-        combined = scale(a * f + b * g, weight)
-        separate = a * scale(f, weight) + b * scale(g, weight)
-        assert (combined - separate).l2_norm() <= 1e-13 * size
+def test_container_whose_samples_overflow_raises_grid_error(container_path):
+    # finite coefficients whose synthesis exceeds the float64 range
+    payload = np.zeros(16)
+    payload[[0, 2]] = 1.7e308
+    data = _VALID_HEADER + payload.astype("<f8").tobytes()
+    assert _load_or_grid_error(container_path, data) is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl.corpus import standard_corpus
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid, l2_norms
 from kgl.inequalities import (
     InequalityInputError,
     fit_eps_constant,
@@ -57,16 +57,16 @@ def test_interpolation_product_form_implies_sum_form():
 
 def test_eps_split_constant_mode():
     grid = VelocityGrid(1, 256, 8.0)
-    u = SpectralField.from_samples(grid, np.ones(256))
-    w = verify_weighted_eps_split(grid, u.samples, 0.5, eps=0.25)
+    u = np.ones(256)
+    w = verify_weighted_eps_split(grid, u, 0.5, eps=0.25)
     # constant field: <D> acts as identity on the zero mode
-    assert w.extras["gradient_norm"] == pytest.approx(u.l2_norm(), rel=1e-12)
-    assert w.lhs == pytest.approx(weighted_sobolev_norm(grid, u.samples, 0.5, 0.0), rel=1e-12)
+    assert w.extras["gradient_norm"] == pytest.approx(l2_norms(grid, u), rel=1e-12)
+    assert w.lhs == pytest.approx(weighted_sobolev_norm(grid, u, 0.5, 0.0), rel=1e-12)
 
 
-def test_eps_split_rejects_bad_eps(gaussian_half):
+def test_eps_split_rejects_bad_eps(grid1d, gaussian_half):
     with pytest.raises(InequalityInputError):
-        verify_weighted_eps_split(gaussian_half.grid, gaussian_half.samples, 0.5, eps=-1.0)
+        verify_weighted_eps_split(grid1d, gaussian_half, 0.5, eps=-1.0)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
@@ -125,22 +125,21 @@ def test_gagliardo_vs_multiplier_factor(grid1d):
     assert 0.25 <= ratio <= 4.0
 
 
-def direct_lag_sum_hs_norm_sq(f: SpectralField, s: float) -> float:
+def direct_lag_sum_hs_norm_sq(grid: VelocityGrid, g: np.ndarray, s: float) -> float:
     """The pairwise-difference quadrature as a direct sum over lags."""
-    g = f.samples.real
-    h, n = f.grid.spacing, f.grid.points_per_axis
+    h, n = grid.spacing, grid.points_per_axis
     l2sq = h * float(np.sum(g * g))
     total = 0.0
     for lag in range(1, n // 2):
         diff = np.roll(g, -lag) - g
         total += float(np.sum(diff * diff)) * h * h / (lag * h) ** (1.0 + 2.0 * s)
-    tail = 4.0 * l2sq * 2.0 * f.grid.half_width ** (-2.0 * s) / (2.0 * s)
+    tail = 4.0 * l2sq * 2.0 * grid.half_width ** (-2.0 * s) / (2.0 * s)
     return l2sq + 2.0 * total + tail
 
 
 @st.composite
 def real_fields(draw):
-    """A real field on N = 8 .. 256 points of [-16, 16), scaled to max |g| = 1.
+    """(grid, g): a real field g on N = 8 .. 256 points of [-16, 16), scaled to max |g| = 1.
 
     The autocorrelation carries rounding of order eps * sum g^2 into every
     lag; the lag weights amplify it by at most h^(-2s) <= 64 at L = 16.
@@ -148,15 +147,15 @@ def real_fields(draw):
     n = 2 ** draw(st.integers(min_value=3, max_value=8))
     g = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
     peak = float(np.max(np.abs(g)))
-    return SpectralField.from_samples(VelocityGrid(1, n, 16.0), g / peak if peak > 0 else g)
+    return VelocityGrid(1, n, 16.0), g / peak if peak > 0 else g
 
 
 # s >= 1e-6: the analytic tail grows like 1/s and overflows both forms near s = 1e-308
 @settings(max_examples=200, deadline=None)
 @given(f=real_fields(), s=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
 def test_gagliardo_autocorrelation_matches_direct_lag_sum(f, s):
-    want = direct_lag_sum_hs_norm_sq(f, s)
-    got = gagliardo_hs_norm_sq(f.grid, f.samples, s)
+    want = direct_lag_sum_hs_norm_sq(*f, s)
+    got = gagliardo_hs_norm_sq(*f, s)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -165,7 +164,7 @@ def test_regularizer_bounds_corpus(grid1d):
     for theta in (1e-3, 1e-2, 1e-1, 1.0):
         for _ in range(25):
             f = random_band_limited(grid1d, rng)
-            w = verify_regularizer_bounds(grid1d, f.samples, theta)
+            w = verify_regularizer_bounds(grid1d, f, theta)
             assert w.margin >= 0.0
 
 
@@ -173,14 +172,14 @@ def test_regularizer_single_mode_ratio():
     grid = VelocityGrid(1, 128, np.pi)
     theta = 1.0 / 16.0
     v = grid.v_meshes[0]
-    f = SpectralField.from_samples(grid, np.exp(4j * v))  # theta |eta|^2 = 1
-    w = verify_regularizer_bounds(grid, f.samples, theta)
-    assert w.lhs / f.l2_norm() == pytest.approx(1.5, rel=1e-12)
+    f = np.exp(4j * v)  # theta |eta|^2 = 1
+    w = verify_regularizer_bounds(grid, f, theta)
+    assert w.lhs / (np.sqrt(grid.spacing) * np.linalg.norm(f)) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_triple_norm_radial_d1(gaussian_half):
-    grid = gaussian_half.grid
-    w = triple_norm_radial(grid, gaussian_half.samples, PRM, constant=2.0)
+def test_triple_norm_radial_d1(grid1d, gaussian_half):
+    grid = grid1d
+    w = triple_norm_radial(grid, gaussian_half, PRM, constant=2.0)
     assert w.extras["triple_norm"] > 0
     wz = triple_norm_radial(grid, np.zeros(grid.shape), PRM)
     assert wz.extras["triple_norm"] == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kgl.solver as solver
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
 from kgl.solver import (
     RegularizedProblem,
@@ -34,7 +34,7 @@ def make_problem(**kw):
 
 
 def gaussian_datum(grid, a0=1.0):
-    return SpectralField.from_samples(grid, np.exp(-a0 * grid.v_bracket_sq))
+    return np.exp(-a0 * grid.v_bracket_sq)
 
 
 # --- scalar reduction oracle ---------------------------------------------------
@@ -80,7 +80,7 @@ def test_scalar_global_order_richardson():
 def test_zero_source_norm_decreasing():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g.samples)
+    traj = integrate(rp, g)
     norms = [np.linalg.norm(s) for s in traj.states]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -156,7 +156,7 @@ def _complex_source(shape, seed):
 
 def test_march_is_bit_identical_to_the_per_step_formula():
     rp = make_problem(steps=32)
-    g0 = gaussian_datum(rp.grid).samples
+    g0 = gaussian_datum(rp.grid)
     full = (rp.steps + 1,) + rp.grid.shape
     for src in (None, _band_source(rp.grid, rp.steps, 1), _complex_source(full, 2)):
         states = integrate(rp, g0, source_traj=src).states
@@ -175,8 +175,8 @@ def test_step_regularized_is_a_one_step_march_with_frozen_source():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
     s = _band_source(rp.grid, 1, 4)
-    out = step_regularized(g, rp, SpectralField.from_samples(rp.grid, s[0]))
-    assert np.array_equal(out.samples, _per_step_oracle(rp, g.samples, s, steps=1)[1])
+    out = step_regularized(g, rp, s[0])
+    assert np.array_equal(out, _per_step_oracle(rp, g, s, steps=1)[1])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -213,7 +213,7 @@ def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
     monitor_counts = set()
     for steps in (8, 32):
         rp = make_problem(steps=steps)
-        g0 = gaussian_datum(rp.grid).samples
+        g0 = gaussian_datum(rp.grid)
         src = _band_source(rp.grid, steps, 5)
         # two sequential transforms per step, two batched ones for the source
         assert count(integrate, rp, g0)[0] == 2 * steps
@@ -235,8 +235,8 @@ def test_stacked_norms_match_the_per_row_oracle():
     rp = make_problem(steps=32)
     grid, steps = rp.grid, rp.steps
     src = _band_source(grid, steps, 7)
-    traj = integrate(rp, gaussian_datum(grid).samples, source_traj=src)
-    prev = integrate(rp, gaussian_datum(grid).samples).states
+    traj = integrate(rp, gaussian_datum(grid), source_traj=src)
+    prev = integrate(rp, gaussian_datum(grid)).states
     w = weight_values(grid, rp.a0, traj.times[:, None])
     want = max(_row_l2(grid, wn * (a - b)) for wn, a, b in zip(w, traj.states, prev))
     got = solver._weighted_sup_diff(grid, w, traj.states, prev)
@@ -260,13 +260,28 @@ def test_step_regularized_field_level():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
     out = step_regularized(g, rp)
-    assert out.l2_norm() < g.l2_norm()
+    assert np.linalg.norm(out) < np.linalg.norm(g)
+
+
+def test_step_regularized_rejects_data_off_the_grid():
+    rp = make_problem()  # N = 256
+    g = gaussian_datum(rp.grid)
+    with pytest.raises(SolverError, match=r"state has shape \(128,\), the grid expects \(256,\)"):
+        step_regularized(g[:128], rp)
+    with pytest.raises(SolverError, match=r"source has shape \(1, 256\)"):
+        step_regularized(g, rp, g[None])
+
+
+def test_picard_rejects_a_datum_off_the_grid():
+    rp = make_problem(steps=16)
+    with pytest.raises(SolverError, match=r"datum has shape \(512,\), the grid expects \(256,\)"):
+        picard_iterate(gaussian_datum(VelocityGrid(1, 512, 4.0)), rp, n_max=3)
 
 
 def test_weighted_contraction_zero_source():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g.samples)
+    traj = integrate(rp, g)
     rep = energy_monitor(traj, rp)
     assert not rep.violations
     assert rep.sup_weighted_norm <= rep.weighted_norms[0] * (1 + 1e-12)
@@ -278,7 +293,7 @@ def test_energy_monitor_eps_scaling_of_dissipation():
     g = gaussian_datum(grid)
     rp1 = make_problem(grid=grid, eps=0.1)
     rp2 = make_problem(grid=grid, eps=0.2)
-    traj = integrate(rp1, g.samples)
+    traj = integrate(rp1, g)
     rep1 = energy_monitor(traj, rp1)
     rep2 = energy_monitor(traj, rp2)  # same states, different eps bookkeeping
     base = rep1.dissipation_integrand - 0.1 * (
@@ -308,8 +323,7 @@ def test_groenwall_residuals_with_source_random_suite():
 def test_moments_gaussian_values():
     grid = VelocityGrid(1, 1024, 16.0)
     v = grid.v_meshes[0]
-    f = SpectralField.from_samples(grid, np.exp(-(v**2)))
-    mom = moments(f, m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
+    mom = moments(grid, np.exp(-(v**2)), m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
     assert mom.mass == pytest.approx(math.sqrt(math.pi), abs=1e-8)
     assert mom.energy == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
     assert all(mom.flags.values())
@@ -317,16 +331,15 @@ def test_moments_gaussian_values():
 
 def test_moments_vacuum_flag():
     grid = VelocityGrid(1, 256, 8.0)
-    zero = SpectralField.from_samples(grid, np.zeros(grid.shape))
-    mom = moments(zero, m0=1.0)
+    mom = moments(grid, np.zeros(grid.shape), m0=1.0)
     assert not mom.flags["mass_above_vacuum"]
 
 
 def test_moments_violators_flagged():
     grid = VelocityGrid(1, 512, 16.0)
     v = grid.v_meshes[0]
-    hot = SpectralField.from_samples(grid, np.exp(-(v**2) / 64.0))  # over-energetic
-    mom = moments(hot, m0=0.1, m_cap=100.0, e_cap=1.0, h_cap=100.0)
+    hot = np.exp(-(v**2) / 64.0)  # over-energetic
+    mom = moments(grid, hot, m0=0.1, m_cap=100.0, e_cap=1.0, h_cap=100.0)
     assert not mom.flags["energy_bounded"]
     assert mom.flags["mass_above_vacuum"]
 
@@ -334,8 +347,7 @@ def test_moments_violators_flagged():
 def test_entropy_constant_on_box():
     grid = VelocityGrid(1, 256, 4.0)
     c = 0.8
-    f = SpectralField.from_samples(grid, np.full(grid.shape, c))
-    mom = moments(f)
+    mom = moments(grid, np.full(grid.shape, c))
     assert mom.entropy == pytest.approx(2 * grid.half_width * c * math.log(1 + c), rel=1e-12)
 
 
@@ -344,10 +356,10 @@ def test_positivity_pure_pointwise_decay():
     # measured through the full splitting it may dip by rounding only
     rp = make_problem(steps=16, t_final=0.1)
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g.samples)
+    traj = integrate(rp, g)
     mins = positivity_series(traj)
     assert mins[0] >= 0.0
-    assert mins.min() >= -1e-8 * float(np.max(np.abs(g.samples)))
+    assert mins.min() >= -1e-8 * float(np.max(np.abs(g)))
 
 
 def test_positivity_negative_lobe_reported():
@@ -357,6 +369,24 @@ def test_positivity_negative_lobe_reported():
     traj = integrate(rp, g)
     mins = positivity_series(traj)
     assert mins[0] < 0.0
+
+
+@pytest.mark.parametrize("x_points", [0, 8])
+def test_series_equal_the_per_state_reductions(x_points):
+    rp = make_problem(steps=16, t_final=0.1, x_points=x_points)
+    rng = np.random.default_rng(8)
+    shape = ((x_points,) if x_points else ()) + rp.grid.shape
+    traj = integrate(rp, gaussian_datum(rp.grid) * (1.0 + 0.5 * rng.standard_normal(shape)))
+    mins = positivity_series(traj)
+    assert mins.shape == (rp.steps + 1,)
+    assert np.array_equal(mins, [np.min(s.real) for s in traj.states])
+    cell = rp.grid.spacing / (x_points or 1)
+    want = [cell * np.sum(s.real) for s in traj.states]
+    masses = mass_series(rp, traj)
+    if x_points:  # the per-state sum may group a 2-D state in another order
+        np.testing.assert_allclose(masses, want, rtol=1e-14, atol=0)
+    else:
+        assert np.array_equal(masses, want)
 
 
 def test_transport_conserves_mass():
@@ -373,7 +403,7 @@ def test_transport_conserves_mass():
 
 def test_picard_zero_datum():
     rp = make_problem(steps=16)
-    zero = SpectralField.from_samples(rp.grid, np.zeros(rp.grid.shape))
+    zero = np.zeros(rp.grid.shape)
     state = picard_iterate(zero, rp, n_max=4)
     assert all(d == 0.0 for d in state.difference_norms[1:])
     assert state.fixed_point_residual == 0.0
@@ -385,7 +415,7 @@ def test_picard_first_difference_is_first_iterate():
     state = picard_iterate(f_in, rp, n_max=3)
     # g^0 = 0, so the first recorded difference is sup_t ||w g^1||
     src = np.zeros((rp.steps + 1,) + rp.grid.shape, dtype=complex)
-    traj = integrate(rp, f_in.samples, source_traj=src)
+    traj = integrate(rp, f_in, source_traj=src)
     worst = 0.0
     for n in range(rp.steps + 1):
         w = weight_values(rp.grid, rp.a0, traj.times[n])

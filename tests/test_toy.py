@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kgl.dyadic import build_bump_pair, max_freq_shell, shell_norms
-from kgl.grid import SpectralField, VelocityGrid
+from kgl.dyadic import build_bump_pair, frequency_rings, max_freq_shell, shell_norms
+from kgl.grid import VelocityGrid, load_field, save_field
 from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
 from kgl.toy import (
     BlockLawState,
@@ -36,12 +36,12 @@ def test_gamma_zero_evolution_is_exact():
     prm0 = SoftPotentialParams(gamma=0.0, s=0.5, strict=False)
     p = ToyParams(prm=prm0, a0=1.0, t_final=0.5, grid=grid, steps=32)
     v = grid.v_meshes[0]
-    f0 = SpectralField.from_samples(grid, np.exp(-(v**2)))
+    f0 = np.exp(-(v**2))
     traj = evolve_toy(f0, p)
     assert traj.propagator_rank == 1
     sym = grid.eta_bracket_sq**0.5
-    exact = SpectralField.from_coefficients(grid, np.exp(-0.5 * sym) * f0.coefficients)
-    err = (traj.final - exact).l2_norm() / exact.l2_norm()
+    exact = np.fft.ifftn(np.exp(-0.5 * sym) * np.fft.fftn(f0, norm="ortho"), norm="ortho")
+    err = np.linalg.norm(traj.final - exact) / np.linalg.norm(exact)
     assert err <= 1e-10
 
 
@@ -74,9 +74,38 @@ def test_l2_monotone_and_abort_guard():
 def test_rejects_nondecaying_data():
     grid = VelocityGrid(1, 512, 12.0)
     p = small_params(grid=grid)
-    f_bad = SpectralField.from_samples(grid, np.ones(grid.shape))
     with pytest.raises(ToyModelError):
-        evolve_toy(f_bad, p)
+        evolve_toy(np.ones(grid.shape), p)
+
+
+def test_snapshots_are_the_states_of_the_run(tmp_path):
+    grid = VelocityGrid(1, 512, 12.0)
+    p = small_params(grid=grid)
+    f0 = weighted_broadband_data(grid, p.a0, seed=3)
+    traj = evolve_toy(f0, p, snapshot_every=8)
+    assert [t for t, _ in traj.snapshots] == pytest.approx([0.125, 0.25, 0.375, 0.5])
+    assert traj.snapshots[-1][1] is traj.final
+    assert traj.final.dtype == np.float64 and traj.final.shape == grid.shape
+    # the first snapshot is 8 steps of the stepper from f0
+    u = f0
+    stepper = ToyStepper(p)
+    for _ in range(8):
+        u = stepper.step(u)
+    assert np.array_equal(traj.snapshots[0][1], u)
+    path = str(tmp_path / "snap.kgl")
+    save_field(grid, traj.final, path)
+    loaded_grid, samples = load_field(path)
+    assert loaded_grid == grid
+    assert np.allclose(samples, traj.final, rtol=0, atol=1e-14 * np.max(np.abs(traj.final)))
+
+
+def test_rejects_data_off_the_grid():
+    p = small_params(grid=VelocityGrid(1, 512, 12.0))
+    f0 = weighted_broadband_data(VelocityGrid(1, 256, 12.0), p.a0)
+    with pytest.raises(ToyModelError, match=r"shape \(256,\), the grid expects \(512,\)"):
+        evolve_toy(f0, p)
+    with pytest.raises(ToyModelError, match="shape"):
+        block_law_consistency(f0, p)
 
 
 def test_block_decay_exact_values():
@@ -175,13 +204,19 @@ def test_trajectory_shell_measurement_clean(bump_pair):
     amp = np.zeros(grid.shape, dtype=complex)
     sel = (grid.eta_abs > 2.0) & (grid.eta_abs < 5.0)
     amp[sel] = rng.standard_normal(np.count_nonzero(sel))
-    f = SpectralField.from_coefficients(grid, amp)
-    norms = shell_norms(f, bump_pair)
+    f = np.fft.ifftn(amp, norm="ortho")
+    norms = shell_norms(grid, f, bump_pair)
     jmax = max_freq_shell(grid)
+    weights = frequency_rings(bump_pair, grid, jmax)
+    spectral = [np.sqrt(grid.cell_volume) * np.linalg.norm(w * amp) for w in weights]
+    np.testing.assert_allclose(norms, spectral, rtol=1e-12, atol=1e-15 * np.linalg.norm(amp))
     for j in range(-1, jmax + 1):
         ring = 2.0**j * np.array([0.75, 8.0 / 3.0]) if j >= 0 else np.array([0.0, 4.0 / 3.0])
         if ring[1] < 2.0 or ring[0] > 5.0:
-            assert norms[j + 1] == 0.0
+            # the ring weight vanishes on the band exactly; the shell norm of
+            # the sampled field keeps only the rounding of its transform
+            assert np.linalg.norm(weights[j + 1] * amp) == 0.0
+            assert norms[j + 1] <= 1e-15 * np.linalg.norm(amp)
 
 
 def test_infimum_slope_window_high_shells():
@@ -197,21 +232,19 @@ def test_gamma_zero_commutes_with_multipliers():
     # at gamma = 0 the step itself is a Fourier multiplier, so it commutes
     # with any other multiplier; checked on the stepper since the bracket
     # multiplier's e^{-|v|} kernel tails fail the trajectory decay gate
-    from kgl.multipliers import MultiplierSpec
-
     grid = VelocityGrid(1, 256, 8.0)
     prm0 = SoftPotentialParams(gamma=0.0, s=0.5, strict=False)
     p = ToyParams(prm=prm0, a0=1.0, t_final=0.25, grid=grid, steps=16)
     stepper = ToyStepper(p)
     v = grid.v_meshes[0]
-    f0 = SpectralField.from_samples(grid, np.exp(-(v**2)))
-    sym = MultiplierSpec(order=0.7).symbol(grid)
+    f0 = np.exp(-(v**2))
+    sym = grid.eta_bracket_sq ** (0.7 / 2.0)
 
     def multiply(samples):
         return np.fft.ifft(np.fft.fft(samples, norm="ortho") * sym, norm="ortho")
 
-    a = stepper.step(multiply(f0.samples))
-    b = multiply(stepper.step(f0.samples))
+    a = stepper.step(multiply(f0))
+    b = multiply(stepper.step(f0))
     assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -264,10 +297,10 @@ def test_two_dimensional_evolution_matches_dense_kernel():
     assert np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1])
     assert traj.norms[-1] < traj.norms[0]
     dense = dense_propagator(ToyStepper(p))
-    u = f0.samples.ravel()
+    u = f0.ravel()
     for _ in range(p.steps):
         u = dense @ u
-    assert relative_error(traj.final.samples.ravel(), u) <= 1e-12
+    assert relative_error(traj.final.ravel(), u) <= 1e-12
 
 
 def test_rejects_data_not_decaying_along_second_axis():
@@ -275,9 +308,9 @@ def test_rejects_data_not_decaying_along_second_axis():
     p = ToyParams(prm=PRM, a0=1.0, t_final=0.5, grid=grid, steps=16)
     v1 = grid.v_meshes[0]  # decays in v_1, constant in v_2
     with pytest.raises(ToyModelError, match="decay"):
-        evolve_toy(SpectralField.from_samples(grid, np.exp(-(v1**2))), p)
+        evolve_toy(np.exp(-(v1**2)), p)
     v2 = grid.v_meshes[1]
-    evolve_toy(SpectralField.from_samples(grid, np.exp(-(v1**2) - v2**2)), p)
+    evolve_toy(np.exp(-(v1**2) - v2**2), p)
 
 
 def test_unresolved_kernel_is_rejected(monkeypatch):
