@@ -11,7 +11,8 @@ regularity-index law (:mod:`kgl.toy`), exact vector-field algebra
 A field is a plain numpy array of its samples, of shape ``grid.shape``; a
 stack of fields carries leading axes, ``(members,) + grid.shape``.  Library
 functions take the samples together with their grid, either directly as
-``(grid, u)`` or through a problem object that holds the grid.
+``(grid, u)`` or through a problem object that holds the grid.  The package
+needs numpy alone.
 """
 
 from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index

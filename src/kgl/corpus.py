@@ -47,22 +47,25 @@ def hermite_functions(grid: VelocityGrid, degrees) -> np.ndarray:
     return _normalized(grid, out)
 
 
+HERMITE_MAX_DEGREE = 12  # the Hermite family stops at this degree
+BAND_FRACTION = 0.5  # band-limited spectra stop at this fraction of the Nyquist frequency
+BAND_DECAY = 2.0  # ... and decay like <eta>^-BAND_DECAY inside it
+
+
 def band_limited(
     grid: VelocityGrid,
     rng: np.random.Generator,
     count: int,
-    band_fraction: float = 0.5,
-    decay: float = 2.0,
 ) -> np.ndarray:
     """Random real fields with spectra supported in a Nyquist fraction.
 
-    Coefficient magnitudes follow <eta>^-decay with uniform random phases;
+    Coefficient magnitudes follow <eta>^-BAND_DECAY with uniform random phases;
     Hermitian symmetry is imposed by taking the real part.  Each member
     draws its real then its imaginary parts from ``rng``.
     """
     draws = rng.standard_normal((count, 2) + grid.shape)
-    amp = (draws[:, 0] + 1j * draws[:, 1]) * (grid.eta_bracket_sq ** (-decay / 2.0))
-    amp[:, grid.eta_abs > band_fraction * grid.nyquist] = 0.0
+    amp = (draws[:, 0] + 1j * draws[:, 1]) * (grid.eta_bracket_sq ** (-BAND_DECAY / 2.0))
+    amp[:, grid.eta_abs > BAND_FRACTION * grid.nyquist] = 0.0
     return _normalized(grid, np.fft.ifftn(amp, axes=trailing_axes(grid), norm="ortho").real)
 
 
@@ -70,11 +73,10 @@ def standard_corpus(
     grid: VelocityGrid,
     size: int,
     seed: int,
-    hermite_max_degree: int = 12,
 ) -> np.ndarray:
     """Deterministic mixed corpus of the three families, ``size`` members."""
     rng = np.random.default_rng(seed)
-    n_hermite = min(hermite_max_degree + 1, max(size // 5, 0))
+    n_hermite = min(HERMITE_MAX_DEGREE + 1, max(size // 5, 0))
     n_band = max(size // 5, 0)
     n_gauss = size - n_hermite - n_band
     params = [

@@ -182,6 +182,7 @@ class BlockNormReport:
 
 
 BLOCK_REPORT_COLUMNS = ["j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"]
+TAIL_TOL = 1e-8  # largest share of the total the outermost phase ring may carry
 
 
 def block_norm_characterization(
@@ -190,13 +191,12 @@ def block_norm_characterization(
     p: float,
     m: float,
     pair: BumpPair,
-    tail_tol: float = 1e-8,
 ) -> BlockNormReport:
     """Block-sum norm (sum_{j,k} 2^{2kp} 2^{2mj} ||block||^2)^(1/2).
 
     The k sum stops at the last ring meeting the box; the report flags a
     non-convergent tail when the outermost ring still contributes more
-    than ``tail_tol`` of the total.
+    than TAIL_TOL of the total.
     """
     jmax = max_freq_shell(grid)
     kmax = max_phase_shell(grid)
@@ -223,7 +223,7 @@ def block_norm_characterization(
                     "contribution": contrib,
                 }
             )
-    tail_ok = last_ring <= tail_tol * max(total, 1e-300)
+    tail_ok = last_ring <= TAIL_TOL * max(total, 1e-300)
     return BlockNormReport(
         value=float(np.sqrt(total)),
         rows=rows,

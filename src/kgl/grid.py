@@ -11,8 +11,10 @@ many fields at once are one array of shape ``(members,) + grid.shape`` (any
 leading axes stack them).  Every operator applied to such a stack here is
 real, so it goes through the real transform along the trailing grid axes
 (:func:`half_spectrum`), and a norm of the form ||a(D) u|| is read off the
-half spectrum by Parseval (:func:`half_power`).  Data entering the program
-from a file is validated where it enters: :func:`load_field`.
+half spectrum by Parseval (:func:`half_power`).  :func:`refine_field`
+interpolates one-dimensional fields onto twice as many points.  Data
+entering the program from a file is validated where it enters:
+:func:`load_field`.
 """
 
 from __future__ import annotations
@@ -171,6 +173,24 @@ def l2_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
     """Quadrature L2 norms of the real fields on the trailing grid axes of u."""
     flat = _flat(grid, u)
     return np.sqrt(grid.cell_volume) * np.sqrt(np.vecdot(flat, flat))
+
+
+def refine_field(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
+    """Band-limited interpolation of the real fields of u onto 2N points per axis (d = 1).
+
+    The half spectrum is zero-padded; the Nyquist mode splits in half
+    between +N/2 and its mirror -N/2, so the interpolant stays real and
+    agrees with u on the coarse points; sqrt(2) keeps the transforms
+    unitary across the two sizes.  The stack axes of u are kept.
+    """
+    if grid.dimension != 1:
+        raise GridError("refinement covers d = 1")
+    n = grid.points_per_axis
+    coeff = np.fft.rfft(u, norm="ortho")
+    fine = np.zeros(coeff.shape[:-1] + (n + 1,), dtype=complex)
+    fine[..., : n // 2 + 1] = coeff
+    fine[..., n // 2] *= 0.5
+    return np.fft.irfft(fine, 2 * n, norm="ortho") * np.sqrt(2.0)
 
 
 def by_parts(apply, u: np.ndarray, join=np.hypot) -> np.ndarray:

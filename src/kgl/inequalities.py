@@ -35,15 +35,14 @@ class InequalityWitness:
     """One inequality checked on a stack of fields.
 
     ``lhs``, ``rhs`` and the array-valued extras have the stack's leading
-    shape (a 0-d value for a single field); member i is named
-    ``f"{test_function_id}{i}"`` in reports.
+    shape (a 0-d value for a single field); member i is named ``f"u{i}"``
+    in reports.
     """
 
     inequality_id: str
     lhs: np.ndarray
     rhs: np.ndarray
     constant_used: float
-    test_function_id: str
     extras: dict = field(default_factory=dict)
 
     @property
@@ -69,10 +68,9 @@ class InequalityReport:
     fitted_constant: float
     refinement_ratio: float | None = None
     failures: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "inequality_id": self.inequality_id,
             "params": self.params,
             "corpus_size": self.corpus_size,
@@ -81,8 +79,6 @@ class InequalityReport:
             "refinement_ratio": self.refinement_ratio,
             "failures": self.failures,
         }
-        out.update(self.extras)
-        return out
 
 
 def _ratio(num, den, fallback: float) -> np.ndarray:
@@ -105,7 +101,6 @@ def verify_interpolation_tau(
     u: np.ndarray,
     prm: SoftPotentialParams,
     constant: float = 1.0,
-    function_id: str = "u",
 ) -> InequalityWitness:
     """||<D>^tau u|| <= C (||<v> u|| + ||<v>^(g/2) <D>^s u||), sum form.
 
@@ -126,7 +121,6 @@ def verify_interpolation_tau(
         lhs=lhs,
         rhs=constant * (a_term + b_term),
         constant_used=constant,
-        test_function_id=function_id,
         extras={
             "weighted_l2": a_term,
             "coercive": b_term,
@@ -146,7 +140,6 @@ def verify_weighted_eps_split(
     s: float,
     eps: float,
     constant: float = 1.0,
-    function_id: str = "u",
 ) -> InequalityWitness:
     """||<v>^s <D>^s u|| <= eps ||<D> u|| + C_eps ||<v>^(s/(1-s)) u||."""
     if eps <= 0:
@@ -158,7 +151,6 @@ def verify_weighted_eps_split(
         lhs=lhs,
         rhs=eps * grad + constant * wpart,
         constant_used=constant,
-        test_function_id=function_id,
         extras={"eps": eps, "gradient_norm": grad, "weight_norm": wpart},
     )
 
@@ -213,6 +205,7 @@ COMPOSITION_MAPS = {
     "log1p": np.log1p,
     "x/(1+x)": lambda x: x / (1.0 + x),
 }
+AGREEMENT_FACTOR = 4.0  # the two H^s norms agree within this factor either way
 
 
 def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> np.ndarray:
@@ -248,14 +241,12 @@ def verify_composition_bound(
     s: float,
     map_name: str,
     constant: float = 1.0,
-    function_id: str = "g",
-    agreement_factor: float = 4.0,
 ) -> InequalityWitness:
     """||F(g)||_{H^s} <= C ||g||_{H^s} for F with F(x) <= x, 0 <= F' <= 1.
 
     The H^s norms are computed two ways (bracket multiplier and the
     pairwise-difference quadrature); the extras record their agreement,
-    which must stay within ``agreement_factor``.  Every member of g must be
+    which must stay within AGREEMENT_FACTOR.  Every member of g must be
     nonnegative (to 1e-12 of its peak).
     """
     if map_name not in COMPOSITION_MAPS:
@@ -271,15 +262,14 @@ def verify_composition_bound(
     gag_lhs = np.sqrt(gagliardo_hs_norm_sq(grid, fg, s))
     gag_rhs = np.sqrt(gagliardo_hs_norm_sq(grid, vals, s))
     agree = [_ratio(gag_lhs, lhs, 1.0), _ratio(gag_rhs, rhs_norm, 1.0)]
-    agree_ok = (np.minimum(*agree) >= 1.0 / agreement_factor) & (
-        np.maximum(*agree) <= agreement_factor
+    agree_ok = (np.minimum(*agree) >= 1.0 / AGREEMENT_FACTOR) & (
+        np.maximum(*agree) <= AGREEMENT_FACTOR
     )
     return InequalityWitness(
         inequality_id="composition-hs",
         lhs=lhs,
         rhs=constant * rhs_norm,
         constant_used=constant,
-        test_function_id=function_id,
         extras={
             "map": map_name,
             "gagliardo_lhs": gag_lhs,
@@ -298,10 +288,8 @@ def verify_regularizer_bounds(
     grid: VelocityGrid,
     g: np.ndarray,
     theta,
-    axis: int = 0,
-    function_id: str = "g",
 ) -> InequalityWitness:
-    """||R g|| + ||theta^(1/2) R dg|| + ||theta R d^2 g|| <= 3 ||g||.
+    """||R g|| + ||theta^(1/2) R dg|| + ||theta R d^2 g|| <= 3 ||g||, d along axis 0.
 
     Symbol-exact: the three factors are bounded by 1, 1/2 and 1 pointwise,
     so the margin is nonnegative for every field and every theta in (0, 1].
@@ -311,10 +299,8 @@ def verify_regularizer_bounds(
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0.0) & (theta <= 1.0)):
         raise MultiplierError(f"theta={theta} outside (0, 1]")
-    if not (0 <= axis < grid.dimension):
-        raise MultiplierError(f"axis {axis} out of range for d={grid.dimension}")
     th = theta.reshape(theta.shape + (1,) * grid.dimension)
-    derivative_sq = th * half_symbol(grid.eta_meshes[axis]) ** 2
+    derivative_sq = th * half_symbol(grid.eta_meshes[0]) ** 2
     resolvent_sq = 1.0 / (1.0 + th * half_symbol(grid.eta_abs) ** 2) ** 2
     axes = trailing_axes(grid)
 
@@ -332,60 +318,7 @@ def verify_regularizer_bounds(
         lhs=term_norms[0] + term_norms[1] + term_norms[2],
         rhs=3.0 * base,
         constant_used=3.0,
-        test_function_id=function_id,
         extras={"theta": theta, "term_norms": term_norms},
-    )
-
-
-# --- coercive norm in the radial reduction ---------------------------------
-
-
-def _require_radial(grid: VelocityGrid, u: np.ndarray, tol: float = 1e-9) -> None:
-    """Reject non-radial data in d >= 2 by comparing equal-|v| grid classes."""
-    if grid.dimension == 1:
-        return
-    n = grid.points_per_axis
-    # axis point i sits at (i - N/2) h, so the squared radius in grid units
-    # is an exact integer key grouping all equal-|v| samples
-    idx = np.arange(n, dtype=np.int64) - n // 2
-    meshes = np.meshgrid(*([idx] * grid.dimension), indexing="ij")
-    keys = sum(m**2 for m in meshes).ravel()
-    vals = u.reshape(u.shape[: u.ndim - grid.dimension] + (keys.size,))
-    order = np.argsort(keys, kind="stable")
-    vals_sorted = vals[..., order]
-    scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-300)
-    boundaries = np.flatnonzero(np.diff(keys[order])) + 1
-    for seg in np.split(vals_sorted, boundaries, axis=-1):
-        if np.any(np.max(np.abs(seg - seg[..., :1]), axis=-1) > tol * scale):
-            raise InequalityInputError("input is not radial on the grid")
-
-
-def triple_norm_radial(
-    grid: VelocityGrid,
-    u: np.ndarray,
-    prm: SoftPotentialParams,
-    constant: float = 1.0,
-    function_id: str = "u",
-) -> InequalityWitness:
-    """Coercive seminorm ||<v>^(g/2) <D>^s u|| on radial data.
-
-    On radial (or one-dimensional) input the spherical part of the full
-    coercive norm vanishes, so the seminorm reduces to the weighted
-    fractional norm; the witness checks the interpolation consequence
-    ||<D>^tau u|| <= C (||<v> u|| + seminorm).
-    """
-    _require_radial(grid, u)
-    seminorm, lhs, a_term = weighted_sobolev_norms(
-        grid, u, [(prm.gamma / 2.0, prm.s), (0.0, prm.tau), (1.0, 0.0)]
-    )
-    _finite_or_raise(seminorm, lhs, a_term)
-    return InequalityWitness(
-        inequality_id="triple-norm-radial",
-        lhs=lhs,
-        rhs=constant * (a_term + seminorm),
-        constant_used=constant,
-        test_function_id=function_id,
-        extras={"triple_norm": seminorm},
     )
 
 
@@ -402,7 +335,6 @@ def aggregate(
     params: dict,
     w: InequalityWitness,
     refinement_ratio: float | None = None,
-    extras: dict | None = None,
 ) -> InequalityReport:
     fitted = fit_constant(w)
     scaled_rhs = np.ravel((w.rhs / w.constant_used) * fitted if w.constant_used else w.rhs)
@@ -415,8 +347,7 @@ def aggregate(
         min_margin=float(np.min(margins, initial=np.inf)) if margins.size else 0.0,
         fitted_constant=fitted,
         refinement_ratio=refinement_ratio,
-        failures=[f"{w.test_function_id}{i}" for i in np.flatnonzero(failed)],
-        extras=extras or {},
+        failures=[f"u{i}" for i in np.flatnonzero(failed)],
     )
 
 

@@ -146,26 +146,6 @@ def _march(
     return states
 
 
-def _check_shape(name: str, u: np.ndarray, grid: VelocityGrid) -> None:
-    if np.shape(u) != grid.shape:
-        raise SolverError(f"{name} has shape {np.shape(u)}, the grid expects {grid.shape}")
-
-
-def step_regularized(
-    g: np.ndarray,
-    rp: RegularizedProblem,
-    source: np.ndarray | None = None,
-) -> np.ndarray:
-    """Single public step on velocity-only fields (source frozen over the step)."""
-    if rp.x_points:
-        raise SolverError("field-level stepping covers the velocity-only reduction")
-    _check_shape("state", g, rp.grid)
-    if source is not None:
-        _check_shape("source", source, rp.grid)
-    frozen = None if source is None else np.stack([source, source])
-    return _march(RegularizedStepper(rp), np.asarray(g, dtype=complex), 1, frozen)[1]
-
-
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -280,9 +260,9 @@ def energy_monitor(
 
 @dataclass
 class KineticMoments:
-    mass: float
-    energy: float
-    entropy: float
+    mass: np.ndarray  # one value per field; a scalar for a single field
+    energy: np.ndarray
+    entropy: np.ndarray
     flags: dict
 
 
@@ -294,9 +274,10 @@ def moments(
     e_cap: float = np.inf,
     h_cap: float = np.inf,
 ) -> KineticMoments:
-    """Quadrature moments of the field u with the away-from-vacuum / boundedness flags.
+    """Quadrature moments of each field on the last axis of u, with their flags.
 
-    Only the real part of u enters.  Flags report mass >= m0/2,
+    Only the real part of u enters.  A stack of fields gives one value per
+    field in each moment and flag.  Flags report mass >= m0/2,
     mass <= 2 M0, energy <= 2 E0 and entropy <= 2 H0 against the supplied
     reference constants.
     """
@@ -305,16 +286,16 @@ def moments(
     h = grid.spacing
     vals = np.real(u)
     v = grid.axis_points
-    mass = float(h * np.sum(vals))
-    energy = float(h * np.sum(vals * v**2))
+    mass = h * np.sum(vals, axis=-1)
+    energy = h * np.sum(vals * v**2, axis=-1)
     with np.errstate(invalid="ignore"):
         ent_density = np.where(vals > -1.0, vals * np.log1p(np.maximum(vals, -1 + 1e-300)), np.nan)
-    entropy = float(h * np.sum(ent_density))
+    entropy = h * np.sum(ent_density, axis=-1)
     flags = {
-        "mass_above_vacuum": bool(mass >= m0 / 2.0),
-        "mass_bounded": bool(mass <= 2.0 * m_cap),
-        "energy_bounded": bool(energy <= 2.0 * e_cap),
-        "entropy_bounded": bool(entropy <= 2.0 * h_cap),
+        "mass_above_vacuum": mass >= m0 / 2.0,
+        "mass_bounded": mass <= 2.0 * m_cap,
+        "energy_bounded": energy <= 2.0 * e_cap,
+        "entropy_bounded": entropy <= 2.0 * h_cap,
     }
     return KineticMoments(mass=mass, energy=energy, entropy=entropy, flags=flags)
 
@@ -397,33 +378,38 @@ def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.n
     return float(np.max(_l2(grid, b), initial=0.0))
 
 
+RATIO_THRESHOLD = 0.6  # largest trailing difference ratio read as contraction
+MAX_RETRIES = 4  # final-time halvings before non-contraction is reported
+
+
 def picard_iterate(
     f_in: np.ndarray,
     rp: RegularizedProblem,
     n_max: int = 25,
-    ratio_threshold: float = 0.6,
-    max_retries: int = 4,
 ) -> PicardState:
     """Iterate the linear problem with the dissipative source surrogate.
 
     g^0 = 0; g^n solves the regularized problem from f_in with source built
     from g^(n-1).  Weighted difference norms are recorded per iterate;
-    contraction holds when the trailing ratios stay below the threshold.
+    contraction holds when the trailing ratios stay below RATIO_THRESHOLD.
     On non-contraction the final time is halved (same step count) up to
-    ``max_retries`` times; exhausting retries reports non-contraction in
-    the state rather than raising.
+    MAX_RETRIES times; exhausting retries reports non-contraction in the
+    state rather than raising.
     """
     if n_max < 3:
         raise SolverError("n_max must be at least 3")
-    _check_shape("initial datum", f_in, rp.grid)
+    if np.shape(f_in) != rp.grid.shape:
+        raise SolverError(
+            f"initial datum has shape {np.shape(f_in)}, the grid expects {rp.grid.shape}"
+        )
     if not math.isfinite(_l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
         raise SolverError("weighted norm of the initial datum is not finite")
     problem = rp
     retries = 0
     while True:
-        state = _picard_once(f_in, problem, n_max, ratio_threshold)
+        state = _picard_once(f_in, problem, n_max)
         state.retries = retries
-        if state.contraction or retries >= max_retries:
+        if state.contraction or retries >= MAX_RETRIES:
             return state
         retries += 1
         problem = problem.with_final_time(problem.t_final / 2.0)
@@ -433,7 +419,6 @@ def _picard_once(
     f_in: np.ndarray,
     rp: RegularizedProblem,
     n_max: int,
-    ratio_threshold: float,
 ) -> PicardState:
     shape = (rp.steps + 1, rp.grid.points_per_axis)
     weights = weight_values(rp.grid, rp.a0, rp.times[:, None])  # one table per attempt
@@ -457,7 +442,7 @@ def _picard_once(
             and diffs[-1] >= diffs[-2]
         ):
             break
-    contraction = _eventually_contracting(diffs, ratio_threshold)
+    contraction = _eventually_contracting(diffs, RATIO_THRESHOLD)
     # fixed-point residual: rerun with the source built from the limit
     final_source = _dissipative_source(rp, prev)
     traj = integrate(rp, f_in, source_traj=final_source)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from scipy.fft import dct
 
 from kgl.dyadic import (
     BumpPair,
@@ -59,21 +58,24 @@ class ToyParams:
             raise ToyModelError("final time must be positive")
 
 
+BLEND_START = 0.8  # fraction of the half-width where the edge blend begins
+
+
 def effective_coefficient(
-    grid: VelocityGrid, gamma: float, blend_start: float = 0.8
+    grid: VelocityGrid, gamma: float
 ) -> np.ndarray:
     """<v>^gamma blended to a constant near the box edge.
 
     The raw coefficient has a derivative kink at the periodic wrap whose
     slowly decaying Fourier tail scatters spectral content across shells;
-    blending to the constant edge value beyond ``blend_start * L`` restores
+    blending to the constant edge value beyond ``BLEND_START * L`` restores
     smooth periodicity.  Data in acceptance runs is below 1e-300 there.
     """
     if gamma == 0.0:
         return np.ones(grid.shape)
     raw = grid.v_bracket_sq ** (gamma / 2.0)
     r = grid.v_abs
-    lo = blend_start * grid.half_width
+    lo = BLEND_START * grid.half_width
     hi = grid.half_width
     chi = _bridge((r - lo) / (hi - lo))
     edge = (1.0 + hi * hi) ** (gamma / 2.0)
@@ -84,6 +86,19 @@ CHEBYSHEV_NODES = 48  # first node count tried; doubled until the series resolve
 MAX_CHEBYSHEV_NODES = 3072  # beyond this the kernel is rejected as unresolved
 RESOLVED_TAIL = 64 * np.finfo(float).eps  # top-half coefficients of a resolved series
 PLATEAU_FACTOR = 2.0  # coefficients within this factor of the floor are rounding
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-II along axis 0, y_r = 2 sum_m x_m cos(pi r (2m+1) / 2n).
+
+    Makhoul's construction: one complex FFT of the even-indexed values
+    followed by the odd-indexed ones reversed, times the twiddle
+    exp(-i pi r / 2n).
+    """
+    n = x.shape[0]
+    spectrum = np.fft.fft(np.concatenate([x[::2], x[1::2][::-1]]), axis=0)
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n) / n).reshape((n,) + (1,) * (x.ndim - 1))
+    return 2.0 * (twiddle * spectrum).real
 
 
 def chebyshev_symbols(
@@ -110,7 +125,7 @@ def chebyshev_symbols(
     while True:
         nodes = center + half * np.cos(np.pi * (np.arange(n) + 0.5) / n)
         kernel = np.exp(-dt * nodes.reshape((n,) + (1,) * sigma.ndim) * sigma)
-        b = dct(kernel, type=2, axis=0) / n
+        b = _dct2(kernel) / n
         b[0] /= 2.0
         size = np.max(np.abs(b.reshape(n, -1)), axis=1)
         floor = max(float(np.max(size[n // 2 :])), np.finfo(float).eps * size[0])
@@ -199,15 +214,17 @@ def _check_shape(u: np.ndarray, grid: VelocityGrid) -> None:
         )
 
 
+GROWTH_TOL = 1e-10  # relative L2 growth in one step that aborts a march
+
+
 def evolve_toy(
     f0: np.ndarray,
     p: ToyParams,
     snapshot_every: int | None = None,
-    growth_tol: float = 1e-10,
 ) -> ToyTrajectory:
     """March the samples f0 on ``p.grid`` to t_final, monitoring the L2 norm each step.
 
-    Any step that grows the norm by a relative factor beyond ``growth_tol``
+    Any step that grows the norm by a relative factor beyond ``GROWTH_TOL``
     aborts with :class:`SchemeViolation`.
     """
     _check_shape(f0, p.grid)
@@ -225,7 +242,7 @@ def evolve_toy(
     for n in range(p.steps):
         u = stepper.step(u)
         nn = float(np.linalg.norm(u.ravel()))
-        if nn > norms[-1] * (1.0 + growth_tol):
+        if nn > norms[-1] * (1.0 + GROWTH_TOL):
             raise SchemeViolation(
                 f"norm grew at step {n}: {norms[-1]:.6e} -> {nn:.6e}"
             )
@@ -252,12 +269,8 @@ def _edge_peak(samples: np.ndarray) -> float:
 # --- closed-form block decay law -------------------------------------------
 
 
-def block_decay_exact(j: int, k: int, t: float, prm: SoftPotentialParams) -> float:
-    """exp(-t 2^(2sj) 2^(gamma k)); the -1 (low) indices use exponent 0."""
-    return math.exp(-t * block_decay_rate(j, k, prm))
-
-
 def block_decay_rate(j: int, k: int, prm: SoftPotentialParams) -> float:
+    """2^(2sj) 2^(gamma k), the rate of M(j, k, t); the -1 (low) indices use exponent 0."""
     return 2.0 ** (2.0 * prm.s * max(j, 0)) * 2.0 ** (prm.gamma * max(k, 0))
 
 
@@ -272,11 +285,13 @@ class InfimumResult:
     widened: bool
 
 
+INFIMUM_KMAX = 64  # first k range of the brute-force infimum, 0..64
+
+
 def sharpness_infimum(
     j: int,
     prm: SoftPotentialParams,
     a0: float,
-    kmax: int = 64,
     t: float = 1.0,
 ) -> InfimumResult:
     """Brute-force min over integer k >= 0 of t 2^(2sj) 2^(gamma k) + a0 2^(2k).
@@ -284,8 +299,7 @@ def sharpness_infimum(
     Ties break toward smaller k.  If the minimum lands on the last k the
     range is widened and retried (flagged in the result).
     """
-    if kmax < 64:
-        raise ToyModelError(f"kmax={kmax} < 64")
+    kmax = INFIMUM_KMAX
     widened = False
     while True:
         k = np.arange(0, kmax + 1, dtype=float)
@@ -309,7 +323,7 @@ class BlockLawState:
     """Exact dyadic magnitudes in the log domain.
 
     log_m0[j, k] holds ln M(j, k, 0) for j in j_range, k in k_range; the
-    initial profile is exp(-a0 2^(2k)) times a supplied spectral envelope.
+    initial profile is exp(-a0 2^(2k)), the same for every j.
     """
 
     prm: SoftPotentialParams
@@ -325,15 +339,10 @@ class BlockLawState:
         a0: float,
         j_range: range,
         k_range: range,
-        log_envelope=None,
     ) -> "BlockLawState":
         js = np.asarray(list(j_range))
         ks = np.asarray(list(k_range))
-        log_m0 = np.zeros((js.size, ks.size))
-        for a, j in enumerate(js):
-            for b, k in enumerate(ks):
-                env = 0.0 if log_envelope is None else float(log_envelope(j, k))
-                log_m0[a, b] = -a0 * 2.0 ** (2.0 * k) + env
+        log_m0 = np.broadcast_to(-a0 * 2.0 ** (2.0 * ks), (js.size, ks.size)).copy()
         return cls(prm=prm, a0=a0, j_range=js, k_range=ks, log_m0=log_m0)
 
     def log_magnitudes(self, t: float) -> np.ndarray:
@@ -379,25 +388,15 @@ class GevreyFit:
 def estimate_gevrey_index(
     shell_exponents: np.ndarray,
     j_range: np.ndarray,
-    floor: float | None = None,
 ) -> GevreyFit:
     """Least-squares fit of log2 E_j against j; slope is 1/r-hat.
 
-    ``floor`` guards measured (floating-point) magnitude sources: shells
-    whose magnitudes sat below it are dropped from the top of the range
-    before fitting.  Exact log-domain sources pass ``None`` (no shell is
-    an underflow artifact there).  At least 8 usable shells are required.
+    Every shell enters the fit; at least 8 are required.
     """
     e = np.asarray(shell_exponents, dtype=float)
     js = np.asarray(j_range, dtype=float)
     if e.shape != js.shape:
         raise ToyModelError("shell exponents and j range differ in length")
-    if floor is not None:
-        cap = -math.log(floor)
-        usable = e < cap
-        if not np.all(usable):
-            last = int(np.argmin(usable))  # first saturated shell
-            e, js = e[:last], js[:last]
     if e.size < 8:
         raise ToyModelError(f"only {e.size} usable shells; need at least 8")
     if np.any(e <= 0):
@@ -539,12 +538,14 @@ def trajectory_shell_exponents(
 # --- canonical broadband initial data ---------------------------------------
 
 
+BROADBAND_FRACTION = 0.95  # the band of q reaches this fraction of the Nyquist mode
+
+
 def weighted_broadband_data(
     grid: VelocityGrid,
     a0: float,
     seed: int = 1,
     rough_amplitude: float = 0.5,
-    band_fraction: float = 0.95,
 ) -> np.ndarray:
     """exp(-a0 <v>^2) times (1 + q) with q broadband and real.
 
@@ -558,7 +559,7 @@ def weighted_broadband_data(
     modes = np.fft.fftfreq(n) * n
     mesh = np.meshgrid(*([modes] * grid.dimension), indexing="ij")
     mode_abs = np.sqrt(sum(m**2 for m in mesh))
-    band = (mode_abs >= 1) & (mode_abs <= band_fraction * n / 2)
+    band = (mode_abs >= 1) & (mode_abs <= BROADBAND_FRACTION * n / 2)
     phases = np.exp(2j * np.pi * rng.random(grid.shape))
     amp = np.where(band, phases * grid.eta_bracket_sq ** (-0.25), 0.0)
     q = np.fft.ifftn(amp, norm="ortho").real

@@ -5,8 +5,8 @@ rational t-exponents, so the commutator and derivative-generation
 identities are verified as exact polynomial cancellations, not numerically.
 Each check builds its chains of H powers once, from f and from transport f
 (H_chain, H_table), and reads the residual of every order off them.
-The module also evaluates the factorial ledger weights, the combinatorial
-convolution bound, and the ledger-weighted norm aggregates.
+The module also evaluates the factorial ledger weights (direct and log
+domain, with their round trip) and the combinatorial convolution bound.
 """
 
 from __future__ import annotations
@@ -395,87 +395,6 @@ def convolution_bound(kmax: int) -> dict:
         "stabilization_gap": abs(sup_val - sup_at_half),
         "kmax": kmax,
     }
-
-
-# --- ledger-weighted norm aggregates ----------------------------------------
-
-
-class MissingTableEntries(VFError):
-    def __init__(self, missing):
-        super().__init__(f"norm table missing entries: {sorted(missing)[:10]}")
-        self.missing = missing
-
-
-def xy_norms_single(
-    table: dict[tuple[int, int, int], tuple[float, float]],
-    rho: float,
-    exponent: float,
-    k_max: int,
-    directions: int = 3,
-    fields: int = 2,
-) -> tuple[float, float]:
-    """Aggregate for the single-field regime (gamma/2 + 2s >= 1).
-
-    ``table[(i, j, k)]`` holds (sup-in-time norm, time-integrated norm) for
-    field i in 1..fields, direction j in 1..directions, order k in 0..k_max.
-    X sums over (i, j) the sup over k of ledger-weighted sup norms; Y the
-    same with the time-integrated entries.
-    """
-    missing = {
-        (i, j, k)
-        for i in range(1, fields + 1)
-        for j in range(1, directions + 1)
-        for k in range(0, k_max + 1)
-        if (i, j, k) not in table
-    }
-    if missing:
-        raise MissingTableEntries(missing)
-    x_total, y_total = 0.0, 0.0
-    for i in range(1, fields + 1):
-        for j in range(1, directions + 1):
-            weights = [
-                (ledger_value(rho, k, exponent), table[(i, j, k)])
-                for k in range(0, k_max + 1)
-            ]
-            x_total += max(w * sup for w, (sup, _) in weights)
-            y_total += max(w * integ for w, (_, integ) in weights)
-    return x_total, y_total
-
-
-def xy_norms_mixed(
-    table: dict[tuple[int, tuple[int, int]], tuple[float, float]],
-    rho: float,
-    exponent: float,
-    k_max: int,
-    directions: int = 3,
-) -> tuple[float, float]:
-    """Aggregate for the mixed regime (gamma/2 + 2s < 1).
-
-    ``table[(j, (a1, a2))]`` holds the norms for the composite field
-    H1^a1 H2^a2 along direction j; for each order k the sup runs over all
-    |alpha| = k.
-    """
-    missing = {
-        (j, (a1, k - a1))
-        for j in range(1, directions + 1)
-        for k in range(0, k_max + 1)
-        for a1 in range(0, k + 1)
-        if (j, (a1, k - a1)) not in table
-    }
-    if missing:
-        raise MissingTableEntries(missing)
-    x_total, y_total = 0.0, 0.0
-    for j in range(1, directions + 1):
-        x_best, y_best = 0.0, 0.0
-        for k in range(0, k_max + 1):
-            w = ledger_value(rho, k, exponent)
-            sup_x = max(table[(j, (a1, k - a1))][0] for a1 in range(0, k + 1))
-            sup_y = max(table[(j, (a1, k - a1))][1] for a1 in range(0, k + 1))
-            x_best = max(x_best, w * sup_x)
-            y_best = max(y_best, w * sup_y)
-        x_total += x_best
-        y_total += y_best
-    return x_total, y_total
 
 
 def random_poly(rng, max_total_degree: int = 6, n_terms: int = 5) -> PolyFunction:

@@ -5,7 +5,8 @@ its samples and uses plain numpy: one full complex ``fftn`` of the field,
 and one ``ifftn`` for each operator applied to it.  The corpus builders
 draw member by member, and the norms take the multiplier-then-weight
 composition, the regularizer symbols, the Gagliardo autocorrelation and the
-block projections field by field.  The library computes the same
+block projections field by field; the refinement zero-pads one field's
+full spectrum.  The library computes the same
 quantities for a whole stack at once through the real transform; the tests
 hold it to these oracles.
 """
@@ -78,6 +79,17 @@ def standard_corpus(grid: VelocityGrid, size: int, seed: int) -> list[np.ndarray
     return out
 
 
+def refine(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
+    """f (d = 1) on 2N points: its full spectrum zero-padded, the Nyquist mode split in half."""
+    n = grid.points_per_axis
+    fh = np.fft.fft(f, norm="ortho")
+    fine = np.zeros(2 * n, dtype=complex)
+    fine[: n // 2] = fh[: n // 2]
+    fine[n // 2] = fine[-(n // 2)] = fh[n // 2] / 2.0
+    fine[-(n // 2) + 1 :] = fh[n // 2 + 1 :]
+    return np.fft.ifft(fine, norm="ortho") * np.sqrt(2.0)
+
+
 def dilation_family(grid: VelocityGrid, scale_min: float, scale_max: float, count: int):
     vsq = sum(m**2 for m in grid.v_meshes)
     return [
@@ -104,13 +116,11 @@ def interpolation_ratio(
     )
 
 
-def regularizer_norms(
-    grid: VelocityGrid, f: np.ndarray, theta: float, axis: int = 0
-) -> list[float]:
+def regularizer_norms(grid: VelocityGrid, f: np.ndarray, theta: float) -> list[float]:
     """||R f||, ||theta^(1/2) R d f||, ||theta R d^2 f|| and ||f||.
 
     R is the inverse of 1 - theta Lap, symbol (1 + theta |eta|^2)^(-1); the
-    derivative d along ``axis`` is spectral, (i eta_axis)^q.
+    derivative d along axis 0 is spectral, (i eta_0)^q.
     """
     fh = np.fft.fftn(f, norm="ortho")
     resolvent = (1.0 / (1.0 + theta * grid.eta_abs**2)).astype(complex)
@@ -118,7 +128,7 @@ def regularizer_norms(
     for q in (0, 1, 2):
         sym = resolvent
         if q > 0:
-            sym = sym * (1j * grid.eta_meshes[axis]) ** q * theta ** (q / 2.0)
+            sym = sym * (1j * grid.eta_meshes[0]) ** q * theta ** (q / 2.0)
         terms.append(l2_norm(grid, np.fft.ifftn(fh * sym, norm="ortho")))
     return terms + [l2_norm(grid, f)]
 

@@ -13,7 +13,7 @@ import pytest
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
-from kgl.grid import VelocityGrid
+from kgl.grid import VelocityGrid, refine_field
 from kgl.multipliers import weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 
@@ -30,21 +30,6 @@ class Timer:
 @pytest.fixture(scope="module")
 def pair():
     return dyadic.build_bump_pair()
-
-
-def refine_field(g: VelocityGrid, u: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Exact band-limited interpolation of u onto the grid refined by `factor`."""
-    n, n2 = g.points_per_axis, g.points_per_axis * factor
-    fine = VelocityGrid(g.dimension, n2, g.half_width)
-    coeff = np.zeros(fine.shape, dtype=complex)
-    half = n // 2
-    if g.dimension != 1:
-        raise ValueError("refinement helper covers d = 1")
-    u_hat = np.fft.fftn(u, norm="ortho")
-    coeff[:half] = u_hat[:half]
-    coeff[n2 - half :] = u_hat[half:]
-    coeff *= math.sqrt(factor)  # unitary normalization across sizes
-    return np.fft.ifftn(coeff, norm="ortho")
 
 
 def test_criterion_1_sharp_index_exact_block_law(record_acceptance):
@@ -170,7 +155,7 @@ def test_criterion_6_norm_characterization(pair, record_acceptance):
         grid = VelocityGrid(1, 1024, 16.0)
         fine_grid = VelocityGrid(1, 2048, 16.0)
         corpus = standard_corpus(grid, 200, seed=6)
-        fine = np.array([refine_field(grid, u) for u in corpus])
+        fine = refine_field(grid, corpus)
         norms_c = dyadic.block_norms(grid, corpus, pair)
         norms_f = dyadic.block_norms(fine_grid, fine, pair)
         direct_c = weighted_sobolev_norms(grid, corpus, pairs_pm)

@@ -60,15 +60,12 @@ def test_weighted_norms_match_the_per_field_oracle(grid, complex_members):
 def test_regularizer_triple_matches_the_per_field_oracle(grid, complex_members):
     u = members(grid, complex_members)
     theta = np.array([1e-3, 1e-2, 1e-1, 1.0])[np.arange(len(u)) % 4]
-    for axis in range(grid.dimension):
-        w = ineq.verify_regularizer_bounds(grid, u, theta, axis=axis)
-        want = np.array(
-            [per_field.regularizer_norms(grid, f, t, axis) for f, t in zip(fields(u), theta)]
-        ).T
-        rtol = per_field.NORM_RTOL
-        np.testing.assert_allclose(w.extras["term_norms"], want[:3], rtol=rtol, atol=0)
-        np.testing.assert_allclose(w.rhs, 3.0 * want[3], rtol=rtol, atol=0)
-        assert np.all(w.passed)
+    w = ineq.verify_regularizer_bounds(grid, u, theta)
+    want = np.array([per_field.regularizer_norms(grid, f, t) for f, t in zip(fields(u), theta)]).T
+    rtol = per_field.NORM_RTOL
+    np.testing.assert_allclose(w.extras["term_norms"], want[:3], rtol=rtol, atol=0)
+    np.testing.assert_allclose(w.rhs, 3.0 * want[3], rtol=rtol, atol=0)
+    assert np.all(w.passed)
 
 
 @pytest.mark.parametrize("complex_members", [False, True])

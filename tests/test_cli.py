@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgl
+from kgl import cli
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -24,7 +25,7 @@ from kgl.cli import (
     main,
     run,
 )
-from kgl.grid import VelocityGrid
+from kgl.grid import VelocityGrid, refine_field
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
 from kgl.toy import ToyParams
@@ -116,16 +117,16 @@ def test_report_json_shape(tmp_path):
     assert "wall_clock_seconds" in payload
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # scipy.interpolate alone adds ~0.75 s and ~24 MB to start-up, and kgl
-    # needs none of it
+def test_cli_import_loads_no_scipy_module():
+    # kgl runs on numpy alone; scipy.fft by itself adds ~0.3 s and ~25 MB to
+    # the start-up of every run
     src = str(Path(kgl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, kgl.cli; print('scipy.interpolate' in sys.modules)"
+    code = "import sys, kgl.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_exit_codes(tmp_path):
@@ -152,29 +153,42 @@ def test_verify_inequalities_is_deterministic(tmp_path):
     assert tau["failures"] == [] and abs(tau["min_margin"]) <= 1e-12
 
 
-REFINEMENT_RTOL = 1e-13  # a quotient of two maxima, each held to NORM_RTOL
+REFINEMENT_RTOL = 1e-13  # a quotient of two witness ratios, each held to NORM_RTOL
 
 
 def test_refinement_ratio_matches_the_per_member_oracle(tmp_path):
     cfg = make_cfg(tmp_path, "verify-inequalities", corpus_size=100)
     grid, prm = cfg.grid, cfg.prm
     fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
-    fine, coarse = (
+    law = (prm.gamma, prm.s, prm.tau)
+    ratios = np.array(
         [
-            per_field.interpolation_ratio(g, f, prm.gamma, prm.s, prm.tau)
-            for f in per_field.standard_corpus(g, 20, cfg.seed)
+            per_field.interpolation_ratio(fine_grid, per_field.refine(grid, f), *law)
+            / per_field.interpolation_ratio(grid, f, *law)
+            for f in per_field.standard_corpus(grid, 100, cfg.seed)[::5]
         ]
-        for g in (fine_grid, grid)
     )
+    worst = int(np.argmax(np.abs(ratios - 1.0)))
     rep = run(cfg)
-    assert rep.passed
+    assert rep.checks["interpolation-refinement-stable"] and rep.passed
     with open(tmp_path / "verify-inequalities" / "inequalities.json") as fh:
         rows = {row["inequality_id"]: row for row in json.load(fh)}
     ratio = rows["interpolation-tau"]["refinement_ratio"]
     assert ratio == rep.metrics["refinement_ratio"]
-    assert ratio == pytest.approx(max(fine) / max(coarse), rel=REFINEMENT_RTOL, abs=0)
-    assert rep.metrics["refinement_fine_member"] == int(np.argmax(fine))
-    assert rep.metrics["refinement_coarse_member"] == int(np.argmax(coarse))
+    assert ratio == pytest.approx(ratios[worst], rel=REFINEMENT_RTOL, abs=0)
+    assert rep.metrics["refinement_member"] == 5 * worst
+
+
+def test_refinement_check_fails_on_a_modulated_refinement(tmp_path, monkeypatch):
+    def modulated(grid, u):
+        fine = refine_field(grid, u)
+        return fine * (1.0 + 0.3 * np.cos(np.pi * np.arange(fine.shape[-1]) / 2.0))
+
+    monkeypatch.setattr(cli, "refine_field", modulated)
+    rep = run(make_cfg(tmp_path, "verify-inequalities"))
+    assert abs(rep.metrics["refinement_ratio"] - 1.0) > 0.1
+    assert rep.checks["interpolation-refinement-stable"] is False
+    assert not rep.passed
 
 
 def test_evolve_toy_reports_propagator_rank(tmp_path):

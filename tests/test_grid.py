@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgl.corpus import standard_corpus
 from kgl.grid import (
     CONTAINER_MAGIC,
     GridError,
@@ -13,8 +14,10 @@ from kgl.grid import (
     half_spectrum,
     l2_norms,
     load_field,
+    refine_field,
     save_field,
 )
+from tests import per_field
 
 
 def _synthesized(u):
@@ -59,6 +62,20 @@ def test_parseval(grid1d):
     assert abs(quad - spec) <= 1e-12 * quad
     half = np.sqrt(np.sum(half_power(grid1d, half_spectrum(grid1d, u))))
     assert abs(quad - half) <= 1e-12 * quad
+
+
+def test_refine_field_matches_the_per_field_oracle(grid1d_small):
+    n = grid1d_small.points_per_axis
+    u = standard_corpus(grid1d_small, 12, seed=2)
+    u[0] = np.cos(np.pi * np.arange(n))  # all of it in the Nyquist mode
+    fine = refine_field(grid1d_small, u)
+    assert fine.shape == (12, 2 * n) and fine.dtype == np.float64
+    want = np.array([per_field.refine(grid1d_small, f) for f in u])
+    np.testing.assert_allclose(fine, want.real, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(fine[:, ::2], u, rtol=0, atol=1e-14)  # interpolates the samples
+    assert np.array_equal(refine_field(grid1d_small, u[3]), fine[3])
+    with pytest.raises(GridError):
+        refine_field(VelocityGrid(2, 16, 4.0), np.zeros((16, 16)))
 
 
 def test_container_round_trip(tmp_path, grid1d_small):

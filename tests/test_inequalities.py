@@ -14,7 +14,6 @@ from kgl.inequalities import (
     eps_constant_scaling,
     fit_constant,
     gagliardo_hs_norm_sq,
-    triple_norm_radial,
     verify_composition_bound,
     verify_interpolation_tau,
     verify_regularizer_bounds,
@@ -177,39 +176,6 @@ def test_regularizer_single_mode_ratio():
     assert w.lhs / (np.sqrt(grid.spacing) * np.linalg.norm(f)) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_triple_norm_radial_d1(grid1d, gaussian_half):
-    grid = grid1d
-    w = triple_norm_radial(grid, gaussian_half, PRM, constant=2.0)
-    assert w.extras["triple_norm"] > 0
-    wz = triple_norm_radial(grid, np.zeros(grid.shape), PRM)
-    assert wz.extras["triple_norm"] == 0.0
-
-
-def test_triple_norm_unit_weight_boundary():
-    # gamma = 0 diagnostic: the triple norm equals the plain fractional norm
-    prm0 = SoftPotentialParams(gamma=-1e-12, s=0.5)
-    grid = VelocityGrid(1, 512, 8.0)
-    v = grid.v_meshes[0]
-    u = np.exp(-(v**2))
-    w = triple_norm_radial(grid, u, prm0)
-    assert w.extras["triple_norm"] == pytest.approx(
-        weighted_sobolev_norm(grid, u, 0.0, 0.5), rel=1e-9
-    )
-
-
-def test_radial_rejection_2d():
-    grid = VelocityGrid(2, 32, 8.0)
-    vx, vy = grid.v_meshes
-    radial = np.exp(-(vx**2 + vy**2))
-    triple_norm_radial(grid, radial, PRM)  # accepted
-    skew = np.exp(-(vx**2 + 2 * vy**2))
-    with pytest.raises(InequalityInputError):
-        triple_norm_radial(grid, skew, PRM)
-    triple_norm_radial(grid, np.array([radial, 2.0 * radial]), PRM)
-    with pytest.raises(InequalityInputError):
-        triple_norm_radial(grid, np.array([radial, skew]), PRM)
-
-
 def test_fitted_constant_monotone_under_corpus_shrinkage(grid1d):
     corpus = standard_corpus(grid1d, 30, seed=9)
     full = fit_constant(verify_interpolation_tau(grid1d, corpus, PRM))
@@ -237,12 +203,3 @@ def test_eps_constant_refinement_stable():
         consts.append(fit_eps_constant(grid, corpus, s, eps))
     assert consts[1] == pytest.approx(consts[0], rel=0.1)
 
-
-def test_radial_corollary_on_corpus(grid1d):
-    # in the radial reduction the coercive seminorm equals the weighted
-    # fractional norm, so the interpolation consequence holds with the
-    # same fitted constant as the sum form
-    corpus = standard_corpus(grid1d, 30, seed=11)
-    c_hat = fit_constant(verify_interpolation_tau(grid1d, corpus, PRM))
-    w = triple_norm_radial(grid1d, corpus, PRM, constant=c_hat)
-    assert np.all(w.margin >= -1e-12 * np.maximum(w.rhs, 1.0))

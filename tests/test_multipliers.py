@@ -100,13 +100,11 @@ def test_weight_rejects_late_time(grid1d_small):
             RegularizedProblem(t_final=np.nextafter(a0 / 2.0, 1.0), **kw)
 
 
-def test_regularizer_rejects_theta_and_axis_out_of_range(grid1d_small):
+def test_regularizer_rejects_theta_out_of_range(grid1d_small):
     f = np.ones(grid1d_small.shape)
     for theta in (0.0, -0.5, 1.5, [0.5, 2.0]):
         with pytest.raises(MultiplierError, match="theta"):
             verify_regularizer_bounds(grid1d_small, np.stack([f, f]), theta)
-    with pytest.raises(MultiplierError, match="axis"):
-        verify_regularizer_bounds(grid1d_small, f, 0.5, axis=1)
 
 
 def test_weight_monotone_in_time(grid1d_small):

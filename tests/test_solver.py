@@ -19,7 +19,6 @@ from kgl.solver import (
     picard_iterate,
     positivity_series,
     scalar_step,
-    step_regularized,
     weight_values,
 )
 
@@ -109,7 +108,7 @@ def test_single_mode_pure_diffusion_factor():
     assert np.max(np.abs(traj.final() - expected)) <= 1e-12
 
 
-def _per_step_oracle(rp, f_in, source_traj=None, steps=None):
+def _per_step_oracle(rp, f_in, source_traj=None):
     """The per-step formula H g + (dt/2) H S_n + (dt/2) S_{n+1}, one state at a time.
 
     H is written out factor by factor, one transform call per axis and per
@@ -132,7 +131,7 @@ def _per_step_oracle(rp, f_in, source_traj=None, steps=None):
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else rp.grid.shape
     g = np.asarray(f_in, dtype=complex).reshape(shape)
     states = [g]
-    for n in range(rp.steps if steps is None else steps):
+    for n in range(rp.steps):
         g = homogeneous(g)
         if source_traj is not None:
             g = g + 0.5 * rp.dt * homogeneous(source_traj[n])
@@ -169,14 +168,6 @@ def test_march_is_bit_identical_to_the_per_step_formula():
     src = _complex_source((rpx.steps + 1, 8) + grid.shape, 3)
     states = integrate(rpx, gx, source_traj=src).states
     assert np.array_equal(states, _per_step_oracle(rpx, gx, src))
-
-
-def test_step_regularized_is_a_one_step_march_with_frozen_source():
-    rp = make_problem()
-    g = gaussian_datum(rp.grid)
-    s = _band_source(rp.grid, 1, 4)
-    out = step_regularized(g, rp, s[0])
-    assert np.array_equal(out, _per_step_oracle(rp, g, s, steps=1)[1])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -254,22 +245,6 @@ def test_stacked_norms_match_the_per_row_oracle():
         for row, g in zip(w * traj.states, grad)
     ]
     np.testing.assert_allclose(rep.dissipation_integrand, diss, rtol=ROW_NORM_RTOL, atol=0)
-
-
-def test_step_regularized_field_level():
-    rp = make_problem()
-    g = gaussian_datum(rp.grid)
-    out = step_regularized(g, rp)
-    assert np.linalg.norm(out) < np.linalg.norm(g)
-
-
-def test_step_regularized_rejects_data_off_the_grid():
-    rp = make_problem()  # N = 256
-    g = gaussian_datum(rp.grid)
-    with pytest.raises(SolverError, match=r"state has shape \(128,\), the grid expects \(256,\)"):
-        step_regularized(g[:128], rp)
-    with pytest.raises(SolverError, match=r"source has shape \(1, 256\)"):
-        step_regularized(g, rp, g[None])
 
 
 def test_picard_rejects_a_datum_off_the_grid():
@@ -387,6 +362,22 @@ def test_series_equal_the_per_state_reductions(x_points):
         np.testing.assert_allclose(masses, want, rtol=1e-14, atol=0)
     else:
         assert np.array_equal(masses, want)
+
+
+def test_moments_of_a_stack_equal_the_per_state_moments():
+    rp = make_problem(steps=32)
+    state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=10)
+    states = state.final_trajectory.states
+    caps = dict(m0=1.3, m_cap=0.3, e_cap=0.155, h_cap=0.06)  # each flag takes both values
+    stacked = moments(rp.grid, states, **caps)
+    single = [moments(rp.grid, g, **caps) for g in states]
+    for name in ("mass", "energy", "entropy"):
+        got = getattr(stacked, name)
+        assert got.shape == (rp.steps + 1,)
+        assert np.array_equal(got, [getattr(m, name) for m in single])
+    for flag, values in stacked.flags.items():
+        assert np.array_equal(values, [m.flags[flag] for m in single])
+    assert all(np.any(v) and not np.all(v) for v in stacked.flags.values())
 
 
 def test_transport_conserves_mass():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,11 +6,10 @@ from kgl.grid import VelocityGrid, load_field, save_field
 from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
 from kgl.toy import (
     BlockLawState,
-    SchemeViolation,
     ToyModelError,
     ToyParams,
     ToyStepper,
-    block_decay_exact,
+    _dct2,
     block_law_consistency,
     effective_coefficient,
     estimate_gevrey_index,
@@ -109,11 +106,25 @@ def test_rejects_data_off_the_grid():
 
 
 def test_block_decay_exact_values():
-    assert block_decay_exact(4, 2, 0.0, PRM) == 1.0
-    assert block_decay_exact(4, 2, 1.0, PRM) == pytest.approx(math.exp(-4.0))
+    # ln M(j, k, t) - ln M(j, k, 0) = -t 2^(2sj) 2^(gamma k) at (j, k) = (4, 2) and (5, 2)
+    law = BlockLawState.with_envelope(PRM, 1.0, range(4, 6), range(2, 3))
+    assert np.array_equal(law.log_magnitudes(0.0), law.log_m0)
+    decay = law.log_magnitudes(1.0) - law.log_m0
+    assert decay[0, 0] == pytest.approx(-4.0)
     # ratio between consecutive frequency shells
-    r = block_decay_exact(5, 2, 1.0, PRM) / block_decay_exact(4, 2, 1.0, PRM)
-    assert r == pytest.approx(math.exp(-(2.0 ** (2 * PRM.s) - 1.0) * 2.0**4 * 2.0**-2))
+    assert decay[1, 0] - decay[0, 0] == pytest.approx(-(2.0 ** (2 * PRM.s) - 1.0) * 2.0**4 * 2.0**-2)
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("trailing", [(), (5,), (3, 4)])
+def test_dct2_matches_the_explicit_cosine_sum(n, trailing):
+    x = np.random.default_rng(n).standard_normal((n,) + trailing)
+    r = m = np.arange(n)
+    cosines = 2.0 * np.cos(np.pi * np.outer(r, 2 * m + 1) / (2 * n))  # row r, column m
+    want = np.tensordot(cosines, x, axes=1)
+    got = _dct2(x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sharpness_infimum_examples():
@@ -128,11 +139,17 @@ def test_sharpness_infimum_ratio_window():
         res = sharpness_infimum(j, PRM, a0=1.0)
         ratio = res.value / 2.0 ** (2.0 * j / 3.0)
         assert 1.0 / 8.0 <= ratio <= 8.0
+        assert not res.widened
 
 
-def test_sharpness_infimum_kmax_guard():
-    with pytest.raises(ToyModelError):
-        sharpness_infimum(10, PRM, a0=1.0, kmax=32)
+def test_sharpness_infimum_widens_past_the_first_k_range():
+    # a tiny weight pushes the minimizer beyond k = 64
+    res = sharpness_infimum(40, PRM, a0=1e-60)
+    k = np.arange(0, 400, dtype=float)
+    vals = 2.0**40 * 2.0 ** (PRM.gamma * k) + 1e-60 * 2.0 ** (2.0 * k)
+    assert res.widened
+    assert (res.k_star, res.value) == (int(np.argmin(vals)), float(np.min(vals)))
+    assert res.k_star > 64
 
 
 def test_block_law_slopes_match_index():
@@ -175,15 +192,6 @@ def test_predicted_index_values():
 def test_gevrey_fit_needs_eight_shells():
     with pytest.raises(ToyModelError):
         estimate_gevrey_index(np.array([1.0, 2.0, 4.0]), np.array([0, 1, 2]))
-
-
-def test_gevrey_fit_floor_truncation():
-    js = np.arange(0, 12)
-    e = 2.0 ** (0.5 * js)
-    e[10:] = 800.0  # beyond -ln(1e-300): dropped from the top
-    fit = estimate_gevrey_index(e, js, floor=1e-300)
-    assert fit.j_range[-1] == 9
-    assert fit.slope == pytest.approx(0.5, rel=1e-9)
 
 
 def test_block_law_consistency_small_grid():

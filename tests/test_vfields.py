@@ -9,7 +9,6 @@ from kgl import vfields
 from kgl.cli import DEFAULTS, ExperimentConfig, run
 from kgl.vfields import (
     LEDGER_TOLERANCE,
-    MissingTableEntries,
     PolyFunction,
     VFError,
     VFParams,
@@ -27,8 +26,6 @@ from kgl.vfields import (
     reconstruct_derivatives,
     reconstruction_residuals,
     transport,
-    xy_norms_mixed,
-    xy_norms_single,
 )
 
 X1V1 = PolyFunction.monomial(1, x=(1, 0, 0), v=(1, 0, 0))
@@ -278,61 +275,6 @@ def test_convolution_bound_matches_the_direct_k_loop(kmax):
 def test_convolution_bound_stabilizes():
     res = convolution_bound(10_000)
     assert res["stabilization_gap"] <= 1e-6
-
-
-def test_xy_norms_zero_and_scaling():
-    table = {
-        (i, j, k): (0.0, 0.0) for i in (1, 2) for j in (1, 2, 3) for k in range(0, 3)
-    }
-    assert xy_norms_single(table, 2.0, 1.5, 2) == (0.0, 0.0)
-    c = 0.7
-    table0 = {
-        (i, j, k): ((c, c) if k == 0 else (0.0, 0.0))
-        for i in (1, 2)
-        for j in (1, 2, 3)
-        for k in range(0, 3)
-    }
-    x, y = xy_norms_single(table0, 2.0, 1.5, 2)
-    assert x == pytest.approx(6 * c)
-    assert y == pytest.approx(6 * c)
-
-
-def test_xy_norms_geometric_fixed_point():
-    rho, e = 2.0, 1.5
-    kmax = 30
-
-    def val(k):
-        if k == 0:
-            return 1.0
-        return rho ** (k - 1) * math.factorial(k) ** e / (k + 1) ** 3
-
-    table = {
-        (i, j, k): (val(k), val(k)) for i in (1, 2) for j in (1, 2, 3) for k in range(kmax + 1)
-    }
-    x, y = xy_norms_single(table, rho, e, kmax)
-    assert x == pytest.approx(6.0, rel=1e-9)
-    assert y == pytest.approx(6.0, rel=1e-9)
-
-
-def test_xy_norms_missing_entries():
-    table = {(1, 1, 0): (1.0, 1.0)}
-    with pytest.raises(MissingTableEntries):
-        xy_norms_single(table, 2.0, 1.5, 1)
-
-
-def test_xy_norms_mixed_regime():
-    kmax = 3
-    table = {
-        (j, (a1, a2)): (1.0, 0.5)
-        for j in (1, 2, 3)
-        for k in range(kmax + 1)
-        for a1 in range(k + 1)
-        for a2 in [k - a1]
-    }
-    x, y = xy_norms_mixed(table, 2.0, 1.5, kmax)
-    # the k = 1 ledger weight (2^3 / rho^0) dominates a flat table
-    assert x == pytest.approx(24.0)
-    assert y == pytest.approx(12.0)
 
 
 def test_H_power_composition():
