@@ -212,6 +212,11 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_csv])
 
 
+# a fitted shell exponent at or above -ln(ROUNDING_FACTOR eps) reads the
+# rounding floor of the evolved field, not its decay
+ROUNDING_FACTOR = 100.0
+
+
 def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     p, prm, params = cfg.params, cfg.prm, cfg.problem
     f0 = toy.weighted_broadband_data(
@@ -224,9 +229,9 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
         path = os.path.join(cfg.out_dir, f"toy_t{t_snap:.4f}.kgl")
         save_field(cfg.grid, fsnap, path)
         artifacts.append(path)
+    ratios = traj.rate_ratios
+    lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (None, None)
     pair = dyadic.build_bump_pair()
-    consistency = toy.block_law_consistency(f0, params, pair)
-    lo, hi = consistency.worst_ratios()
     j_range = range(0, 8)
     exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, pair, j_range)
     fit = toy.estimate_gevrey_index(exponents, np.array(list(j_range)))
@@ -246,16 +251,18 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     write_csv(heat_path, ["j", "k", "log_magnitude"], heat_rows)
     artifacts.append(heat_path)
     slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
+    floor_exponent = -math.log(ROUNDING_FACTOR * np.finfo(float).eps)
     checks = {
-        "l2-monotone": bool(np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1] + 0.0)),
-        "block-rate-within-factor-4": bool(0.25 <= lo and hi <= 4.0),
+        "l2-monotone": bool(np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1])),
+        "block-rate-within-factor-4": bool(ratios.size > 0 and 0.25 <= lo and hi <= 4.0),
         "slope-within-15pct": bool(abs(fit.slope - slope_target) <= 0.15 * slope_target),
     }
     metrics = {
         "fit": fit.summary(),
+        "fit_floor_shells": int(np.count_nonzero(fit.shell_exponents >= floor_exponent)),
         "rate_ratio_min": lo,
         "rate_ratio_max": hi,
-        "blocks_compared": len(consistency.included()),
+        "blocks_compared": int(ratios.size),
         "final_l2": traj.norms[-1],
         "propagator_rank": traj.propagator_rank,
     }

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgl
-from kgl import cli
+from kgl import cli, toy
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -25,6 +25,7 @@ from kgl.cli import (
     main,
     run,
 )
+from kgl.dyadic import shell_norms
 from kgl.grid import VelocityGrid, refine_field
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
@@ -195,6 +196,76 @@ def test_evolve_toy_reports_propagator_rank(tmp_path):
     rep = run(make_cfg(tmp_path, "evolve-toy", grid_n=1024, grid_l=16.0, snapshot_every=0))
     rank = rep.metrics["propagator_rank"]
     assert isinstance(rank, int) and rank > 1
+
+
+def small_toy_run(tmp_path):
+    """evolve-toy at seed 0 on a reduced grid, where all three checks pass."""
+    params = dict(DEFAULTS["evolve-toy"], grid_n=2048, grid_l=16.0, steps=32, snapshot_every=0)
+    return run(ExperimentConfig("evolve-toy", params, 0, str(tmp_path / "evolve-toy")))
+
+
+def test_small_evolve_toy_run_passes_and_counts_the_floor_shells(tmp_path):
+    rep = small_toy_run(tmp_path)
+    assert rep.checks == {
+        "l2-monotone": True,
+        "block-rate-within-factor-4": True,
+        "slope-within-15pct": True,
+    }
+    assert rep.metrics["blocks_compared"] > 0
+    with open(tmp_path / "evolve-toy" / "gevrey_fit.json") as fh:
+        exponents = json.load(fh)["shell_exponents"]
+    floor = -np.log(cli.ROUNDING_FACTOR * np.finfo(float).eps)
+    assert rep.metrics["fit_floor_shells"] == sum(e >= floor for e in exponents) == 2
+
+
+def test_evolve_toy_builds_one_stepper_and_marches_once(tmp_path, monkeypatch):
+    builds, steps = [], []
+    init, step = toy.ToyStepper.__init__, toy.ToyStepper.step
+    monkeypatch.setattr(toy.ToyStepper, "__init__", lambda self, p: builds.append(p) or init(self, p))
+    monkeypatch.setattr(toy.ToyStepper, "step", lambda self, u: steps.append(u.shape) or step(self, u))
+    rep = small_toy_run(tmp_path)
+    assert len(builds) == 1 and len(steps) == 32
+    # each step carries the field and every compared block
+    assert set(steps) == {(1 + rep.metrics["blocks_compared"], 2048)}
+
+
+def _grown_step(step):
+    # a 5 % gain per step outruns the slowest per-step decay of this run (3.1 %)
+    return lambda self, u: 1.05 * step(self, u)
+
+
+def _eightfold_law(rate):
+    return lambda j, k, prm: 8.0 * rate(j, k, prm)
+
+
+def _unnormalized_exponents(_):
+    def exponents(grid, f0, final, pair, j_range):
+        """E_j = -ln ||Delta_j f(T)||, with the initial content prefactor left in."""
+        return -np.log(shell_norms(grid, final, pair, jmax=j_range.stop - 1)[j_range.start + 1 :])
+
+    return exponents
+
+
+def _tiny_datum(data):
+    # every block's norm falls below the 1e-12 floor, so none is compared
+    return lambda *args, **kwargs: 1e-14 * data(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "check, owner, name, mutant",
+    [
+        ("l2-monotone", toy.ToyStepper, "step", _grown_step),
+        ("block-rate-within-factor-4", toy, "block_decay_rate", _eightfold_law),
+        ("block-rate-within-factor-4", toy, "weighted_broadband_data", _tiny_datum),
+        ("slope-within-15pct", toy, "trajectory_shell_exponents", _unnormalized_exponents),
+    ],
+    ids=["growing-step", "eightfold-law-rate", "no-compared-block", "unnormalized-exponents"],
+)
+def test_each_evolve_toy_check_fails_on_its_mutant(tmp_path, monkeypatch, check, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    rep = small_toy_run(tmp_path)
+    assert rep.checks[check] is False
+    assert not rep.passed
 
 
 def test_defaults_and_runners_cover_the_same_experiments():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from kgl.dyadic import (
 from kgl.grid import VelocityGrid, from_half_spectrum, half_spectrum, half_symbol, l2_norms
 from kgl.multipliers import weighted_sobolev_norm
 from kgl.params import SoftPotentialParams
-from kgl.toy import ToyParams, block_law_consistency
+from kgl.toy import ToyParams, evolve_toy
 from tests import per_field
 from tests.conftest import random_band_limited
 
@@ -123,8 +125,9 @@ def _shell_norms_oracle(grid, f, pair):
     )
 
 
-def _initial_blocks_oracle(grid, f0, pair, floor):
-    """(j, k, ||block||) of every block of a real f0 at or above ``floor``."""
+def _initial_blocks_oracle(grid, f0, pair, p, floor):
+    """(j, k, ||block||) of every block of a real f0 whose law-predicted norm
+    at ``p.t_final``, exp(-t 2^(2sj) 2^(gamma k)) ||block||, is at or above ``floor``."""
     axes = tuple(range(-grid.dimension, 0))
     eta_half = grid.eta_abs[..., : grid.points_per_axis // 2 + 1]
     out = []
@@ -134,7 +137,8 @@ def _initial_blocks_oracle(grid, f0, pair, floor):
             wj = pair.ring_weight(eta_half, j)
             b = np.fft.irfftn(wj * gh, s=grid.shape, axes=axes)
             nb = np.sqrt(grid.cell_volume) * float(np.linalg.norm(b.ravel()))
-            if nb >= floor:
+            rate = 2.0 ** (2.0 * p.prm.s * max(j, 0)) * 2.0 ** (p.prm.gamma * max(k, 0))
+            if math.exp(-p.t_final * rate) * nb >= floor:
                 out.append((j, k, nb))
     return out
 
@@ -153,9 +157,10 @@ def test_ring_tables_match_the_per_shell_oracle_bit_for_bit(bump_pair, grid):
     p = ToyParams(
         prm=SoftPotentialParams(gamma=-1.0, s=0.5), a0=1.0, t_final=1.0, grid=grid, steps=16
     )
-    res = block_law_consistency(f, p, bump_pair)
-    got = [(c.j, c.k, c.initial_norm) for c in res.comparisons]
-    assert got == _initial_blocks_oracle(grid, f, bump_pair, floor=1e-12)
+    traj = evolve_toy(f, p)
+    got = list(zip(traj.block_j.tolist(), traj.block_k.tolist(), traj.block_norms.tolist()))
+    assert got
+    assert got == _initial_blocks_oracle(grid, f, bump_pair, p, floor=1e-12)
 
 
 def test_ring_tables_are_built_once_per_grid(grid1d, monkeypatch):
