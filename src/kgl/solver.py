@@ -15,10 +15,19 @@ contraction for eps < 1/(2 a0)^2-type smallness, which the energy monitor
 checks step by step.
 
 The march keeps only sequential work in its loop: one forward and one
-inverse transform of H g_n per step (per axis with the space axis on).
-The source halves H S_n are transformed as one batch before it, and the
-states are checked for non-finite values once after it.  The additions keep
-the order of the formula above, so the states are bit-identical to it.
+inverse transform of H g_n per step (per axis with the space axis on) and
+two in-place additions.  The source halves (dt/2) H S_n and (dt/2) S_{n+1}
+are computed as batches before it, and the states are checked for
+non-finite values once after it.  The additions keep the order of the
+formula above, so the states are bit-identical to it.  The stepper binds
+its per-step constants once: the pointwise and Fourier factors are stored
+complex (numpy would cast a real factor to complex in every product), and
+the velocity-axis transforms call numpy's pocketfft kernels directly with
+the ortho factor 1/sqrt(N) computed as ``np.fft`` computes it.
+
+Picard retries halve the final time until the iteration contracts; only
+the attempt that is returned is finished with the fixed-point residual
+march and the energy monitor.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# The kernels behind np.fft.fft/ifft (numpy >= 2.0).  The march calls them
+# once per step on one row, where np.fft's argument handling costs about as
+# much as the 512-point transform itself; the result is the same call.
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
@@ -57,9 +71,9 @@ class RegularizedProblem:
             raise SolverError(f"eps={self.eps} outside [0, 1]")
         if self.grid.dimension != 1:
             raise SolverError("reduced setting uses a one-dimensional velocity grid")
-        if self.a0 <= 0:
-            raise SolverError("a0 must be positive")
-        if self.t_final <= 0 or self.t_final > self.a0 / 2.0:
+        if not 0 < self.a0 < math.inf:
+            raise SolverError(f"a0={self.a0} must be positive and finite")
+        if not 0 < self.t_final <= self.a0 / 2.0:
             raise SolverError(
                 f"t_final={self.t_final} outside (0, a0/2] = (0, {self.a0 / 2}]"
             )
@@ -92,18 +106,22 @@ class RegularizedStepper:
         grid = rp.grid
         dt = rp.dt
         vsq = grid.v_bracket_sq
-        self.pointwise_half = np.exp(-0.5 * rp.eps * dt * vsq ** (rp.weight_power / 2.0))
+        # complex, so no product casts a real factor to complex per call
+        self.pointwise_half = np.exp(
+            -0.5 * rp.eps * dt * vsq ** (rp.weight_power / 2.0)
+        ).astype(complex)
         eta = grid.axis_frequencies
         if rp.x_points:
             xi = 2.0 * np.pi * np.fft.fftfreq(rp.x_points, d=1.0 / rp.x_points)  # torus [0,1)
-            self.fourier = np.exp(
-                -rp.eps * dt * (xi[:, None] ** 2 + eta[None, :] ** 2)
-            )
+            fourier = np.exp(-rp.eps * dt * (xi[:, None] ** 2 + eta[None, :] ** 2))
             v = grid.axis_points
             self.transport = np.exp(-1j * dt * xi[:, None] * v[None, :])
         else:
-            self.fourier = np.exp(-rp.eps * dt * eta**2)
+            fourier = np.exp(-rp.eps * dt * eta**2)
             self.transport = None
+        self.fourier = fourier.astype(complex)
+        # the "ortho" factor exactly as np.fft computes it for the kernels
+        self.ortho = np.reciprocal(np.sqrt(grid.points_per_axis, dtype=np.float64))
 
     def homogeneous(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """H applied to a state or to a stack of states (last axes), into ``out``."""
@@ -113,9 +131,9 @@ class RegularizedStepper:
         if self.transport is not None:
             np.fft.fft(out, axis=-2, norm="ortho", out=out)
             out *= self.transport
-        np.fft.fft(out, axis=-1, norm="ortho", out=out)
+        _pocketfft.fft(out, self.ortho, out=out)  # np.fft.fft(out, norm="ortho", out=out)
         out *= self.fourier
-        np.fft.ifft(out, axis=-1, norm="ortho", out=out)
+        _pocketfft.ifft(out, self.ortho, out=out)
         if self.transport is not None:
             np.fft.ifft(out, axis=-2, norm="ortho", out=out)
         return np.multiply(self.pointwise_half, out, out=out)
@@ -127,18 +145,20 @@ def _march(
     """States g_0..g_steps of the trapezoidal step; ``source_traj[n]`` is S_n."""
     states = np.empty((steps + 1,) + g0.shape, dtype=complex)
     states[0] = g0
+    homogeneous = stepper.homogeneous
     if source_traj is None:
         for n in range(steps):
-            stepper.homogeneous(states[n], out=states[n + 1])
+            homogeneous(states[n], out=states[n + 1])
     else:
         # states[n+1] holds (dt/2) H S_n until H g_n is added (addition commutes)
         half_dt = 0.5 * stepper.rp.dt
-        stepper.homogeneous(source_traj[:steps], out=states[1:])
+        homogeneous(source_traj[:steps], out=states[1:])
         states[1:] *= half_dt
+        half_next = half_dt * source_traj[1:]  # (dt/2) S_{n+1}, added last
         hg = np.empty_like(g0)
-        for n in range(steps):
-            states[n + 1] += stepper.homogeneous(states[n], out=hg)
-            states[n + 1] += half_dt * source_traj[n + 1]
+        for g, nxt, s in zip(states[:-1], states[1:], half_next):
+            nxt += homogeneous(g, out=hg)
+            nxt += s
     finite = np.isfinite(states).reshape(steps + 1, -1).all(axis=1)
     if not finite.all():
         rp = stepper.rp
@@ -394,7 +414,8 @@ def picard_iterate(
     contraction holds when the trailing ratios stay below RATIO_THRESHOLD.
     On non-contraction the final time is halved (same step count) up to
     MAX_RETRIES times; exhausting retries reports non-contraction in the
-    state rather than raising.
+    state rather than raising.  Only the attempt returned is finished with
+    the fixed-point residual and the energy monitor.
     """
     if n_max < 3:
         raise SolverError("n_max must be at least 3")
@@ -407,29 +428,48 @@ def picard_iterate(
     problem = rp
     retries = 0
     while True:
-        state = _picard_once(f_in, problem, n_max)
-        state.retries = retries
-        if state.contraction or retries >= MAX_RETRIES:
-            return state
+        # one weight table per attempt, read by its differences and its residual
+        weights = weight_values(problem.grid, problem.a0, problem.times[:, None])
+        diffs, ratios, last = _iterate(f_in, problem, weights, n_max)
+        contraction = _eventually_contracting(diffs, RATIO_THRESHOLD)
+        if contraction or retries >= MAX_RETRIES:
+            break
+        del weights, last  # a retried attempt is dropped before the next is built
         retries += 1
         problem = problem.with_final_time(problem.t_final / 2.0)
+    # fixed-point residual: rerun with the source built from the limit
+    final_source = _dissipative_source(problem, last)
+    traj = integrate(problem, f_in, source_traj=final_source)
+    residual = _weighted_sup_diff(problem.grid, weights, traj.states, last)
+    del last  # spent; freed before the monitor's work buffer is built
+    energy = energy_monitor(traj, problem, source_traj=final_source)
+    return PicardState(
+        problem=problem,
+        iterations=len(diffs),
+        difference_norms=diffs,
+        ratios=ratios,
+        contraction=contraction,
+        retries=retries,
+        fixed_point_residual=residual,
+        energy=energy,
+        final_trajectory=traj,
+    )
 
 
-def _picard_once(
+def _iterate(
     f_in: np.ndarray,
     rp: RegularizedProblem,
+    weights: np.ndarray,
     n_max: int,
-) -> PicardState:
-    shape = (rp.steps + 1, rp.grid.points_per_axis)
-    weights = weight_values(rp.grid, rp.a0, rp.times[:, None])  # one table per attempt
-    prev = np.zeros(shape, dtype=complex)
+) -> tuple[list[float], list[float], np.ndarray]:
+    """Difference norms, their ratios and the last iterate of one attempt."""
+    prev = np.zeros((rp.steps + 1, rp.grid.points_per_axis), dtype=complex)
     diffs: list[float] = []
     ratios: list[float] = []
     for n in range(1, n_max + 1):
         source = _dissipative_source(rp, prev) if n > 1 else None
-        traj = integrate(rp, f_in, source_traj=source)
-        del source  # freed before the next source or the monitor's buffer is built
-        current = traj.states
+        current = integrate(rp, f_in, source_traj=source).states
+        del source  # freed before the next source is built
         diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))  # prev is spent
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
@@ -442,21 +482,4 @@ def _picard_once(
             and diffs[-1] >= diffs[-2]
         ):
             break
-    contraction = _eventually_contracting(diffs, RATIO_THRESHOLD)
-    # fixed-point residual: rerun with the source built from the limit
-    final_source = _dissipative_source(rp, prev)
-    traj = integrate(rp, f_in, source_traj=final_source)
-    residual = _weighted_sup_diff(rp.grid, weights, traj.states, prev)
-    del prev, current  # spent; freed before the monitor's work buffer is built
-    energy = energy_monitor(traj, rp, source_traj=final_source)
-    return PicardState(
-        problem=rp,
-        iterations=len(diffs),
-        difference_norms=diffs,
-        ratios=ratios,
-        contraction=contraction,
-        retries=0,
-        fixed_point_residual=residual,
-        energy=energy,
-        final_trajectory=traj,
-    )
+    return diffs, ratios, prev

@@ -50,12 +50,12 @@ class ToyParams:
     steps: int = 64
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ToyModelError(f"a0={self.a0} must be positive")
+        if not 0 < self.a0 < math.inf:
+            raise ToyModelError(f"a0={self.a0} must be positive and finite")
         if self.steps < 16:
             raise ToyModelError(f"steps={self.steps} < 16")
-        if self.t_final <= 0:
-            raise ToyModelError("final time must be positive")
+        if not 0 < self.t_final < math.inf:
+            raise ToyModelError(f"final time {self.t_final} must be positive and finite")
 
 
 BLEND_START = 0.8  # fraction of the half-width where the edge blend begins

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 import kgl.solver as solver
 from kgl.grid import VelocityGrid
@@ -111,22 +112,31 @@ def test_single_mode_pure_diffusion_factor():
 def _per_step_oracle(rp, f_in, source_traj=None):
     """The per-step formula H g + (dt/2) H S_n + (dt/2) S_{n+1}, one state at a time.
 
-    H is written out factor by factor, one transform call per axis and per
-    state, independent of the solver's batched march.
+    H is written out factor by factor from the problem, with real decay
+    factors and one ``np.fft`` call per axis and per state, independent of
+    the solver's stored factors, direct kernels and batched march.
     """
-    st = RegularizedStepper(rp)
+    grid, dt = rp.grid, rp.dt
+    pointwise_half = np.exp(-0.5 * rp.eps * dt * grid.v_bracket_sq ** (1.0 / (1.0 - rp.prm.s)))
+    eta = grid.axis_frequencies
+    if rp.x_points:
+        xi = 2.0 * np.pi * np.fft.fftfreq(rp.x_points, d=1.0 / rp.x_points)
+        fourier = np.exp(-rp.eps * dt * (xi[:, None] ** 2 + eta[None, :] ** 2))
+        transport = np.exp(-1j * dt * xi[:, None] * grid.axis_points[None, :])
+    else:
+        fourier = np.exp(-rp.eps * dt * eta**2)
 
     def homogeneous(g):
-        g = st.pointwise_half * g
+        g = pointwise_half * g
         if rp.x_points:
             gh = np.fft.fft(g, axis=0, norm="ortho")
-            gh *= st.transport
+            gh *= transport
             gh = np.fft.fft(gh, axis=1, norm="ortho")
-            gh *= st.fourier
+            gh *= fourier
             g = np.fft.ifft(np.fft.ifft(gh, axis=1, norm="ortho"), axis=0, norm="ortho")
         else:
-            g = np.fft.ifft(np.fft.fft(g, norm="ortho") * st.fourier, norm="ortho")
-        return st.pointwise_half * g
+            g = np.fft.ifft(np.fft.fft(g, norm="ortho") * fourier, norm="ortho")
+        return pointwise_half * g
 
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else rp.grid.shape
     g = np.asarray(f_in, dtype=complex).reshape(shape)
@@ -188,13 +198,15 @@ def test_solver_abort_names_the_first_non_finite_state(x_points):
 
 
 def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
+    # counted at the pocketfft kernels: np.fft.fft/ifft end there, and the
+    # stepper calls them directly, so every complex transform counts once
     calls = {"n": 0}
     for name in ("fft", "ifft"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+        def counted(*args, _fn=getattr(_pocketfft, name), **kwargs):
             calls["n"] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(_pocketfft, name, counted)
 
     def count(fn, *args, **kwargs):
         calls["n"] = 0
@@ -212,6 +224,20 @@ def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
         assert n == 2 * steps + 2
         monitor_counts.add(count(energy_monitor, traj, rp, source_traj=src)[0])
     assert len(monitor_counts) == 1
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("n", [64, 512, 1000])
+def test_direct_kernels_equal_np_fft_ortho(n, lead):
+    """The stepper's kernel calls, in place, are np.fft's "ortho" transforms."""
+    ortho = np.reciprocal(np.sqrt(n, dtype=np.float64))  # as np.fft computes it
+    if n & (n - 1) == 0:  # a grid size: the factor the stepper stores
+        assert RegularizedStepper(make_problem(grid=VelocityGrid(1, n, 4.0))).ortho == ortho
+    x = _complex_source(lead + (n,), n)
+    for kernel, public in ((_pocketfft.fft, np.fft.fft), (_pocketfft.ifft, np.fft.ifft)):
+        got = x.copy()
+        assert kernel(got, ortho, out=got) is got
+        assert np.array_equal(got, public(x, norm="ortho"))
 
 
 def _row_l2(grid, row):
@@ -428,6 +454,38 @@ def test_picard_first_iterate_is_marched_without_a_source(monkeypatch):
     assert isinstance(sources[1], np.ndarray)  # the second iterate's source
 
 
+def test_a_retried_attempt_is_not_finished(monkeypatch):
+    rp = make_problem(steps=32)
+    f_in = gaussian_datum(rp.grid)
+    direct = picard_iterate(f_in, rp.with_final_time(rp.t_final / 2.0), n_max=30)
+    assert direct.contraction and direct.retries == 0
+
+    attempts = []  # iterations of each attempt, read off the verdict's input
+    verdict = solver._eventually_contracting
+
+    def refuse_first(diffs, threshold, *args):
+        attempts.append(len(diffs))
+        return verdict(diffs, threshold, *args) if len(attempts) > 1 else False
+
+    calls = {"integrate": 0, "energy_monitor": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    monkeypatch.setattr(solver, "_eventually_contracting", refuse_first)
+    state = picard_iterate(f_in, rp, n_max=30)
+    assert state.retries == 1 and len(attempts) == 2
+    # one march per iterate of both attempts, one fixed-point march, one monitor
+    assert calls == {"integrate": sum(attempts) + 1, "energy_monitor": 1}
+    assert state.iterations == attempts[1] == direct.iterations
+    assert state.difference_norms == direct.difference_norms
+    assert state.fixed_point_residual == direct.fixed_point_residual
+    assert np.array_equal(state.final_trajectory.states, direct.final_trajectory.states)
+    assert state.problem.t_final == rp.t_final / 2.0
+
+
 def test_picard_contracts_on_gaussian():
     rp = make_problem()
     f_in = gaussian_datum(rp.grid)
@@ -446,6 +504,13 @@ def test_problem_validation():
         RegularizedProblem(eps=1.5, prm=PRM, a0=1.0, grid=grid, t_final=0.4, steps=64)
     with pytest.raises(SolverError):
         RegularizedProblem(eps=0.1, prm=PRM, a0=1.0, grid=grid, t_final=0.6, steps=64)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a0", "t_final"])
+def test_problem_rejects_non_finite_values(name, value):
+    with pytest.raises(SolverError, match=f"^{name}="):
+        make_problem(**{name: value})
 
 
 def test_picard_iterations_count_the_rounding_floor_break():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ def test_rejects_nondecaying_data():
     p = small_params(grid=grid)
     with pytest.raises(ToyModelError):
         evolve_toy(np.ones(grid.shape), p)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a0", "t_final"])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ToyModelError, match="finite"):
+        small_params(**{name: value})
 
 
 def test_snapshots_are_the_states_of_the_run(tmp_path):
