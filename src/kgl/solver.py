@@ -154,7 +154,7 @@ def _march(
         half_dt = 0.5 * stepper.rp.dt
         homogeneous(source_traj[:steps], out=states[1:])
         states[1:] *= half_dt
-        half_next = half_dt * source_traj[1:]  # (dt/2) S_{n+1}, added last
+        half_next = half_dt * source_traj[1 : steps + 1]  # (dt/2) S_{n+1}, added last
         hg = np.empty_like(g0)
         for g, nxt, s in zip(states[:-1], states[1:], half_next):
             nxt += homogeneous(g, out=hg)
