@@ -23,8 +23,8 @@ def _normalized(grid: VelocityGrid, fields: np.ndarray) -> np.ndarray:
     """Each member scaled to unit L2 norm; zero members stay zero.
 
     The norm reads the real part of a complex copy: at that stride the dot
-    product sums exactly as ``np.linalg.norm`` of the member cast to complex
-    does, which keeps the members' values bit for bit.
+    product sums exactly as numpy's ``linalg.norm`` of the member cast to
+    complex does, which keeps the members' values bit for bit.
     """
     n = l2_norms(grid, fields.astype(complex).real)
     return fields * _column(grid, np.divide(1.0, n, out=np.ones_like(n), where=n > 0))

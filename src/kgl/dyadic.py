@@ -8,16 +8,19 @@ phi(xi) := psi(xi/2) - psi(xi).  The partition
     psi(xi) + sum_{j>=0} phi(2^-j xi) = psi(2^-(J+1) xi) -> 1
 
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
-and rings two apart are disjoint.  The ring weights on a grid's |v| and
-|eta| are tabulated once per (grid, shell range) as read-only arrays
-(:func:`phase_rings`, :func:`frequency_rings`).  The (j, k) block of a
-field u is the product of frequency ring j with the unitary transform of
-(phase ring k) * u, transformed back.  :func:`block_norms` takes a whole
-stack of fields, ``(members,) + grid.shape``, through the real transform.
+and rings two apart are disjoint.  The shells stop at the last ring that
+meets the grid (:func:`max_phase_shell`, :func:`max_freq_shell`).  The ring
+weights on a grid's |v| and |eta| are tabulated once per (grid, shell
+range) as read-only arrays (:func:`phase_rings`, :func:`frequency_rings`).
+The (j, k) block of a field u is the product of frequency ring j with the
+unitary transform of (phase ring k) * u, transformed back.
+:func:`block_norms` and :func:`shell_norms` take a whole stack of real
+fields, ``(members,) + grid.shape``, through the real transform.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +28,6 @@ import numpy as np
 
 from kgl.grid import (
     VelocityGrid,
-    by_parts,
     half_power,
     half_spectrum,
     half_symbol,
@@ -34,8 +36,6 @@ from kgl.grid import (
 
 PSI_FLAT_RADIUS = 1.0
 PSI_SUPPORT_RADIUS = 4.0 / 3.0
-RING_INNER = 3.0 / 4.0
-RING_OUTER = 8.0 / 3.0
 BRIDGE_STEEPNESS = 4.0  # a in the exp(-a/x) glue
 
 
@@ -100,20 +100,25 @@ def frequency_rings(pair: BumpPair, grid: VelocityGrid, jmax: int) -> np.ndarray
     return _ring_table(pair, grid.eta_abs, jmax)
 
 
+def _max_shell(radii: np.ndarray) -> int:
+    """Largest shell s >= -1 whose ring meets the radii: 2^s < max(radii).
+
+    Ring s >= 0 is nonzero only for 2^s < r < 2^s * 8/3, and the partition
+    psi(r) + sum_{j<=s} phi(2^-j r) = psi(2^-(s+1) r) is exactly 1 where
+    r <= 2^(s+1), which holds for every radius.
+    """
+    mantissa, exponent = math.frexp(float(np.max(radii)))  # max = mantissa * 2^exponent
+    return max(exponent - 1 - (mantissa == 0.5), -1)
+
+
 def max_phase_shell(grid: VelocityGrid) -> int:
-    """Largest k whose ring still intersects the box: 2^k * 3/4 <= L."""
-    k = -1
-    while 2.0 ** (k + 1) * RING_INNER <= grid.half_width:
-        k += 1
-    return k
+    """Largest k whose phase ring meets the grid: 2^k < max |v|."""
+    return _max_shell(grid.v_abs)
 
 
 def max_freq_shell(grid: VelocityGrid) -> int:
-    """Largest representable j: reject once 2^j * 3/4 exceeds the Nyquist."""
-    j = -1
-    while 2.0 ** (j + 1) * RING_INNER <= grid.nyquist:
-        j += 1
-    return j
+    """Largest j whose frequency ring meets the grid: 2^j < max |eta|."""
+    return _max_shell(grid.eta_abs)
 
 
 def block_norms(
@@ -130,8 +135,6 @@ def block_norms(
     all frequency shells of it come from one matrix product of the
     half-spectrum power with the squared ring weights.
     """
-    if np.iscomplexobj(u):
-        return by_parts(lambda v: block_norms(grid, v, pair, jmax, kmax), u)
     jmax = max_freq_shell(grid) if jmax is None else jmax
     kmax = max_phase_shell(grid) if kmax is None else kmax
     rings_sq = half_symbol(frequency_rings(pair, grid, jmax)) ** 2
@@ -148,13 +151,14 @@ def block_norms(
 def shell_norms(
     grid: VelocityGrid, u: np.ndarray, pair: BumpPair, jmax: int | None = None
 ) -> np.ndarray:
-    """Frequency-shell norms ||Delta_j u|| of one field for j = -1..jmax (no phase cutoff)."""
+    """Frequency-shell norms ||Delta_j u|| for j = -1..jmax (no phase cutoff).
+
+    Shape ``u.shape[:-d] + (jmax + 2,)``, read off one half spectrum of the
+    whole stack by Parseval.
+    """
     jmax = max_freq_shell(grid) if jmax is None else jmax
-    scale = np.sqrt(grid.cell_volume)
-    fh = np.fft.fftn(u, norm="ortho")
-    return np.array(
-        [scale * np.linalg.norm((fh * w).ravel()) for w in frequency_rings(pair, grid, jmax)]
-    )
+    rings_sq = half_symbol(frequency_rings(pair, grid, jmax)) ** 2
+    return np.sqrt(summed(grid, half_power(grid, half_spectrum(grid, u)), rings_sq))
 
 
 def block_sum(norms: np.ndarray, p: float, m: float) -> np.ndarray:

@@ -6,15 +6,16 @@ the quadrature L2 norm of the samples and the scaled l2 norm of the
 coefficients coincide.  Dual frequencies are eta_m = (pi/L) * m with
 m in [-N/2, N/2)^d.
 
-A field is the array of its samples on the grid, of shape ``grid.shape``;
-many fields at once are one array of shape ``(members,) + grid.shape`` (any
-leading axes stack them).  Every operator applied to such a stack here is
-real, so it goes through the real transform along the trailing grid axes
-(:func:`half_spectrum`), and a norm of the form ||a(D) u|| is read off the
-half spectrum by Parseval (:func:`half_power`).  :func:`refine_field`
-interpolates one-dimensional fields onto twice as many points.  Data
-entering the program from a file is validated where it enters:
-:func:`load_field`.
+A field is the real array of its samples on the grid, of shape
+``grid.shape``; many fields at once are one array of shape
+``(members,) + grid.shape`` (any leading axes stack them).  Every operator
+applied to such a stack here is real, so it goes through the real transform
+along the trailing grid axes (:func:`half_spectrum`), which rejects complex
+input with TypeError, and a norm of the form ||a(D) u|| is read off the
+half spectrum by Parseval (:func:`half_power`).  :func:`l2_norms` is the
+one quadrature norm.  :func:`refine_field` interpolates one-dimensional
+fields onto twice as many points.  Data entering the program from a file
+is validated where it enters: :func:`load_field`.
 """
 
 from __future__ import annotations
@@ -170,8 +171,13 @@ def summed(grid: VelocityGrid, values: np.ndarray, weights: np.ndarray) -> np.nd
 
 
 def l2_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
-    """Quadrature L2 norms of the real fields on the trailing grid axes of u."""
+    """Quadrature L2 norms of the fields on the trailing grid axes of u.
+
+    A complex stack is read as its (re, im) float64 pairs.
+    """
     flat = _flat(grid, u)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
     return np.sqrt(grid.cell_volume) * np.sqrt(np.vecdot(flat, flat))
 
 
@@ -191,19 +197,6 @@ def refine_field(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
     fine[..., : n // 2 + 1] = coeff
     fine[..., n // 2] *= 0.5
     return np.fft.irfft(fine, 2 * n, norm="ortho") * np.sqrt(2.0)
-
-
-def by_parts(apply, u: np.ndarray, join=np.hypot) -> np.ndarray:
-    """``apply``, a real linear map or norms of one, on u; complex u splits by linearity.
-
-    The two parts are joined by ``join``: hypot for norms (their squares add),
-    ``re + 1j * im`` for a map.
-    """
-    if not np.iscomplexobj(u):
-        return apply(u)
-    if not np.any(u.imag):
-        return apply(u.real)
-    return join(apply(u.real), apply(u.imag))
 
 
 def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 from kgl.corpus import dilation_family
 from kgl.grid import (
     VelocityGrid,
-    by_parts,
     half_power,
     half_spectrum,
     half_symbol,
@@ -208,7 +207,7 @@ COMPOSITION_MAPS = {
 AGREEMENT_FACTOR = 4.0  # the two H^s norms agree within this factor either way
 
 
-def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> np.ndarray:
+def gagliardo_hs_norm_sq(grid: VelocityGrid, g: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norm via the pairwise-difference quadrature (d = 1).
 
     The lag sum is truncated at |y| <= L/2; the remainder is bounded
@@ -216,14 +215,13 @@ def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> np.ndar
     added, so the result is an upper estimate of the truncated kernel form.
     Each lag's sum of squared differences comes from the circular
     autocorrelation R = irfft(|rfft g|^2): sum_i (g_(i+l) - g_i)^2 =
-    2 R(0) - 2 R(l).  The real parts of the fields on the last axis of f
-    are used, all in one transform pair.
+    2 R(0) - 2 R(l).  The real fields on the last axis of g take one
+    transform pair in all.
     """
     if grid.dimension != 1:
         raise InequalityInputError("pairwise-difference form implemented for d = 1")
     if not (0.0 < s < 1.0):
         raise InequalityInputError(f"s={s} outside (0, 1)")
-    g = np.real(f)
     h = grid.spacing
     n = grid.points_per_axis
     l2sq = h * np.vecdot(g, g)
@@ -251,16 +249,15 @@ def verify_composition_bound(
     """
     if map_name not in COMPOSITION_MAPS:
         raise InequalityInputError(f"unknown composition map {map_name!r}")
-    vals = np.real(g)
     axes = trailing_axes(grid)
-    peak = np.maximum(np.max(np.abs(vals), axis=axes), 1.0)
-    if np.any(np.min(vals, axis=axes) < -1e-12 * peak):
+    peak = np.maximum(np.max(np.abs(g), axis=axes), 1.0)
+    if np.any(np.min(g, axis=axes) < -1e-12 * peak):
         raise InequalityInputError("composition input must be nonnegative")
-    fg = COMPOSITION_MAPS[map_name](np.maximum(vals, 0.0))
+    fg = COMPOSITION_MAPS[map_name](np.maximum(g, 0.0))
     lhs = weighted_sobolev_norm(grid, fg, 0.0, s)
-    rhs_norm = weighted_sobolev_norm(grid, vals, 0.0, s)
+    rhs_norm = weighted_sobolev_norm(grid, g, 0.0, s)
     gag_lhs = np.sqrt(gagliardo_hs_norm_sq(grid, fg, s))
-    gag_rhs = np.sqrt(gagliardo_hs_norm_sq(grid, vals, s))
+    gag_rhs = np.sqrt(gagliardo_hs_norm_sq(grid, g, s))
     agree = [_ratio(gag_lhs, lhs, 1.0), _ratio(gag_rhs, rhs_norm, 1.0)]
     agree_ok = (np.minimum(*agree) >= 1.0 / AGREEMENT_FACTOR) & (
         np.maximum(*agree) <= AGREEMENT_FACTOR
@@ -304,15 +301,12 @@ def verify_regularizer_bounds(
     resolvent_sq = 1.0 / (1.0 + th * half_symbol(grid.eta_abs) ** 2) ** 2
     axes = trailing_axes(grid)
 
-    def norms(v):
-        power = half_power(grid, half_spectrum(grid, v))
-        sums = [np.sum(power, axis=axes)]
-        for factor in (resolvent_sq, derivative_sq, derivative_sq):  # |symbol|^2, q = 0, 1, 2
-            power *= factor
-            sums.append(np.sum(power, axis=axes))
-        return np.sqrt(sums)
-
-    base, *term_norms = by_parts(norms, g)
+    power = half_power(grid, half_spectrum(grid, g))
+    sums = [np.sum(power, axis=axes)]
+    for factor in (resolvent_sq, derivative_sq, derivative_sq):  # |symbol|^2, q = 0, 1, 2
+        power *= factor
+        sums.append(np.sum(power, axis=axes))
+    base, *term_norms = np.sqrt(sums)
     return InequalityWitness(
         inequality_id="regularizer-triple",
         lhs=term_norms[0] + term_norms[1] + term_norms[2],

@@ -6,7 +6,6 @@ import numpy as np
 
 from kgl.grid import (
     VelocityGrid,
-    by_parts,
     from_half_spectrum,
     half_power,
     half_spectrum,
@@ -23,14 +22,12 @@ class MultiplierError(ValueError):
 def weighted_sobolev_norms(grid: VelocityGrid, u: np.ndarray, pairs) -> np.ndarray:
     """|| <v>^p <D>^m u || for each (p, m) in ``pairs``, row i for pair i.
 
-    ``u`` holds fields on the trailing grid axes (a stack of them, or one);
+    ``u`` holds real fields on the trailing grid axes (a stack of them, or one);
     the result has shape ``(len(pairs),) + u.shape[:-d]``.  One real
     transform of ``u`` serves every pair: m = 0 norms are taken on the
     samples, p = 0 norms by Parseval on the half spectrum (all in one
     matrix product), and each other pair costs one inverse transform.
     """
-    if np.iscomplexobj(u):
-        return by_parts(lambda v: weighted_sobolev_norms(grid, v, pairs), u)
     out = np.empty((len(pairs),) + u.shape[: u.ndim - grid.dimension])
     bracket_sq = half_symbol(grid.eta_bracket_sq)
     parseval = [i for i, (p, m) in enumerate(pairs) if p == 0 and m != 0]

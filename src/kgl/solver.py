@@ -42,7 +42,7 @@ import numpy as np
 # much as the 512-point transform itself; the result is the same call.
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from kgl.grid import VelocityGrid
+from kgl.grid import VelocityGrid, l2_norms
 from kgl.params import SoftPotentialParams
 from kgl.toy import effective_coefficient
 
@@ -211,12 +211,6 @@ def weight_values(grid: VelocityGrid, a0: float, t: float) -> np.ndarray:
     return np.exp((a0 - t) * grid.v_bracket_sq)
 
 
-def _l2(grid: VelocityGrid, arr: np.ndarray) -> np.ndarray:
-    """Quadrature L2 norm of each state on the last (velocity) axis of arr."""
-    flat = arr.view(np.float64) if np.iscomplexobj(arr) else arr  # (re, im) pairs
-    return np.sqrt(grid.spacing) * np.sqrt(np.vecdot(flat, flat))
-
-
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -252,18 +246,18 @@ def energy_monitor(
     vsq = grid.v_bracket_sq
     weights = weight_values(grid, rp.a0, traj.times[:, None])  # one table for all terms
     wg = weights * traj.states
-    wnorms = _l2(grid, wg)
+    wnorms = l2_norms(grid, wg)
     work = np.multiply(np.sqrt(vsq), wg)  # the one work buffer
-    a = _l2(grid, work) ** 2
-    c = _l2(grid, np.multiply(vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))), wg, out=work)) ** 2
+    a = l2_norms(grid, work) ** 2
+    c = l2_norms(grid, np.multiply(vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))), wg, out=work)) ** 2
     grad = np.fft.fft(wg, axis=-1, norm="ortho", out=wg)  # wg is not read again
     np.multiply(1j * grid.axis_frequencies, grad, out=grad)
     np.fft.ifft(grad, axis=-1, norm="ortho", out=grad)
-    diss = a + rp.eps * _l2(grid, grad) ** 2 + rp.eps * c
+    diss = a + rp.eps * l2_norms(grid, grad) ** 2 + rp.eps * c
     integral = float(_trapezoid(diss, traj.times))
     src = 0.0
     if source_traj is not None:
-        snorms = _l2(grid, np.multiply(weights, source_traj, out=work))
+        snorms = l2_norms(grid, np.multiply(weights, source_traj, out=work))
         src = 0.5 * rp.dt * (snorms[:-1] + snorms[1:])
     residuals = wnorms[:-1] + src - wnorms[1:]
     violations = np.flatnonzero(residuals < -tol * np.maximum(wnorms[:-1], 1.0)).tolist()
@@ -395,7 +389,7 @@ def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.n
     """max over states of ||w (a - b)||; b is overwritten with w (a - b)."""
     np.subtract(a, b, out=b)
     b *= w
-    return float(np.max(_l2(grid, b), initial=0.0))
+    return float(np.max(l2_norms(grid, b), initial=0.0))
 
 
 RATIO_THRESHOLD = 0.6  # largest trailing difference ratio read as contraction
@@ -423,7 +417,7 @@ def picard_iterate(
         raise SolverError(
             f"initial datum has shape {np.shape(f_in)}, the grid expects {rp.grid.shape}"
         )
-    if not math.isfinite(_l2(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
+    if not math.isfinite(l2_norms(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
         raise SolverError("weighted norm of the initial datum is not finite")
     problem = rp
     retries = 0

@@ -33,7 +33,7 @@ from kgl.dyadic import (
     phase_rings,
     shell_norms,
 )
-from kgl.grid import VelocityGrid, by_parts, half_symbol, trailing_axes
+from kgl.grid import VelocityGrid, half_symbol, l2_norms, trailing_axes
 from kgl.params import SoftPotentialParams
 
 
@@ -157,9 +157,7 @@ class ToyStepper:
     unconditionally stable.
 
     The operator is real (a_r, b_r real, b_r even in eta) and marches real
-    arrays with real transforms; complex input is split by linearity,
-    S(u) = S(Re u) + i S(Im u), and input whose imaginary part is zero
-    returns a real array.
+    arrays with real transforms; complex input raises TypeError.
     """
 
     def __init__(self, p: ToyParams):
@@ -173,12 +171,8 @@ class ToyStepper:
         # T_0(x) .. T_(rank-1)(x) by the three-term recurrence
         self.weights = np.ascontiguousarray(np.moveaxis(chebvander(x, self.rank - 1), -1, 0))
 
-    def step(self, samples: np.ndarray) -> np.ndarray:
-        """Advance by dt the fields on the trailing d axes (leading axes stack them)."""
-        return by_parts(self._apply, samples, join=_complex)
-
-    def _apply(self, u: np.ndarray) -> np.ndarray:
-        """The step on real fields over the trailing d axes of u."""
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """Advance by dt the real fields on the trailing d axes (leading axes stack them)."""
         shape = self.params.grid.shape
         axes = trailing_axes(self.params.grid)
         coeff = np.fft.rfftn(u, axes=axes)
@@ -191,10 +185,6 @@ class ToyStepper:
             y *= a
             out += y
         return out
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return re + 1j * im
 
 
 @dataclass
@@ -226,6 +216,8 @@ def _check_shape(u: np.ndarray, grid: VelocityGrid) -> None:
         raise ToyModelError(
             f"initial field has shape {np.shape(u)}, the grid expects {grid.shape}"
         )
+    if np.iscomplexobj(u):
+        raise ToyModelError("initial field is complex; the model evolves real fields")
 
 
 BLOCK_FLOOR = 1e-12  # a block is compared when its law-predicted final norm clears this
@@ -257,40 +249,35 @@ def evolve_toy(
             f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
         )
     pair = build_bump_pair()
-    scale = math.sqrt(grid.cell_volume)
     rings = half_symbol(frequency_rings(pair, grid, max_freq_shell(grid)))
     axes = trailing_axes(grid)
-
-    def project(g):
-        gh = np.fft.rfftn(g, axes=axes)
-        return np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
-
     rows, blocks = [f0], []
     for k, wk in enumerate(phase_rings(pair, grid, max_phase_shell(grid)), start=-1):
-        for j, b in enumerate(by_parts(project, f0 * wk, join=_complex), start=-1):
-            norm = scale * float(np.linalg.norm(b.ravel()))
+        gh = np.fft.rfftn(f0 * wk, axes=axes)
+        projected = np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
+        for j, (b, norm) in enumerate(zip(projected, l2_norms(grid, projected)), start=-1):
             predicted = p.t_final * block_decay_rate(j, k, p.prm)
             if math.exp(-predicted) * norm >= BLOCK_FLOOR:
                 rows.append(b)
                 blocks.append((j, k, norm, predicted))
     stepper = ToyStepper(p)
     u = np.array(rows)  # shape (1 + blocks,) + grid.shape
-    norms = [float(np.linalg.norm(f0.ravel()))]
+    norms = [l2_norms(grid, f0)]
     snaps: list[tuple[float, np.ndarray]] = []
     for n in range(p.steps):
         u = stepper.step(u)
         f = u[0].copy()  # a snapshot keeps f alone, not the whole stack
-        norms.append(float(np.linalg.norm(f.ravel())))
+        norms.append(l2_norms(grid, f))
         if snapshot_every and (n + 1) % snapshot_every == 0:
             snaps.append(((n + 1) * stepper.dt, f))
     meta = np.array(blocks, dtype=float).reshape(-1, 4)
     # math.log as for the other scalars: numpy's vector log may differ by an ulp
     measured = [
-        -math.log(max(scale * float(np.linalg.norm(b.ravel())), 1e-300) / nb0)
-        for b, nb0 in zip(u[1:], meta[:, 2])
+        -math.log(max(float(nb), 1e-300) / nb0)
+        for nb, nb0 in zip(l2_norms(grid, u[1:]), meta[:, 2])
     ]
     return ToyTrajectory(
-        norms=scale * np.asarray(norms),
+        norms=np.array(norms),
         final=f,
         propagator_rank=stepper.rank,
         block_j=meta[:, 0].astype(int),
@@ -477,9 +464,8 @@ def trajectory_shell_exponents(
     (evolution is linear, so this equals evolving f0 / c).  Shell content
     is measured purely on the Fourier side, which is leakage-free.
     """
-    j_lo, j_hi = j_range.start, j_range.stop - 1
-    init = shell_norms(grid, f0, pair, jmax=j_hi)[j_lo + 1 :]
-    evolved = shell_norms(grid, final, pair, jmax=j_hi)[j_lo + 1 :]
+    both = shell_norms(grid, np.array([f0, final]), pair, jmax=j_range.stop - 1)
+    init, evolved = both[:, j_range.start + 1 :]
     norm_c = float(np.max(init))
     if norm_c <= 0:
         raise ToyModelError("initial data has no content on the fitted shells")

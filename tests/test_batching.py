@@ -17,10 +17,9 @@ GRIDS = [VelocityGrid(1, 256, 8.0), VelocityGrid(2, 32, 8.0)]
 PAIRS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0 / 3.0), (-0.5, 0.5), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]
 
 
-def members(grid, complex_members):
-    """A small corpus; complex members add a rolled copy as imaginary part."""
-    u = corpus.standard_corpus(grid, 12, seed=4)
-    return u + 1j * np.roll(u, 3, axis=0) if complex_members else u
+def members(grid):
+    """A small corpus."""
+    return corpus.standard_corpus(grid, 12, seed=4)
 
 
 def fields(u):
@@ -41,9 +40,8 @@ def test_corpus_members_equal_the_per_member_builder_bit_for_bit(grid, size, see
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-@pytest.mark.parametrize("complex_members", [False, True])
-def test_weighted_norms_match_the_per_field_oracle(grid, complex_members):
-    u = members(grid, complex_members)
+def test_weighted_norms_match_the_per_field_oracle(grid):
+    u = members(grid)
     got = weighted_sobolev_norms(grid, u, PAIRS)
     assert got.shape == (len(PAIRS), len(u))
     want = np.array(
@@ -56,9 +54,8 @@ def test_weighted_norms_match_the_per_field_oracle(grid, complex_members):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-@pytest.mark.parametrize("complex_members", [False, True])
-def test_regularizer_triple_matches_the_per_field_oracle(grid, complex_members):
-    u = members(grid, complex_members)
+def test_regularizer_triple_matches_the_per_field_oracle(grid):
+    u = members(grid)
     theta = np.array([1e-3, 1e-2, 1e-1, 1.0])[np.arange(len(u)) % 4]
     w = ineq.verify_regularizer_bounds(grid, u, theta)
     want = np.array([per_field.regularizer_norms(grid, f, t) for f, t in zip(fields(u), theta)]).T
@@ -68,10 +65,9 @@ def test_regularizer_triple_matches_the_per_field_oracle(grid, complex_members):
     assert np.all(w.passed)
 
 
-@pytest.mark.parametrize("complex_members", [False, True])
-def test_gagliardo_matches_the_per_field_oracle(complex_members):
+def test_gagliardo_matches_the_per_field_oracle():
     grid = GRIDS[0]
-    u = members(grid, complex_members)
+    u = members(grid)
     for s in (0.25, 0.5, 0.9):
         got = ineq.gagliardo_hs_norm_sq(grid, u, s)
         want = [per_field.gagliardo_hs_norm_sq(grid, f, s) for f in fields(u)]
@@ -79,9 +75,8 @@ def test_gagliardo_matches_the_per_field_oracle(complex_members):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-@pytest.mark.parametrize("complex_members", [False, True])
-def test_block_norms_match_the_per_field_oracle(grid, complex_members, bump_pair):
-    u = members(grid, complex_members)
+def test_block_norms_match_the_per_field_oracle(grid, bump_pair):
+    u = members(grid)
     got = dyadic.block_norms(grid, u, bump_pair)
     for f, blocks in zip(fields(u), got):
         want = per_field.block_norms(grid, f, bump_pair)

@@ -1,4 +1,7 @@
+import csv
+import filecmp
 import json
+import math
 import os
 import re
 import shlex
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgl
-from kgl import cli, toy
+from kgl import cli, dyadic, toy
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -100,9 +103,13 @@ def test_picard_experiment_and_plot_data(tmp_path):
     assert len(lines) >= 3
 
 
+def small_norms_run(tmp_path):
+    """norms on a reduced grid and corpus, where both checks pass."""
+    return run(make_cfg(tmp_path, "norms", corpus_size=8, grid_n=512))
+
+
 def test_norms_experiment_small(tmp_path):
-    cfg = make_cfg(tmp_path, "norms", corpus_size=8, grid_n=512)
-    rep = run(cfg)
+    rep = small_norms_run(tmp_path)
     assert rep.passed
     assert rep.metrics["ratio_min"] >= 1 / 8
     assert rep.metrics["ratio_max"] <= 8
@@ -218,6 +225,29 @@ def test_small_evolve_toy_run_passes_and_counts_the_floor_shells(tmp_path):
     assert rep.metrics["fit_floor_shells"] == sum(e >= floor for e in exponents) == 2
 
 
+def test_plot_data_of_an_evolve_toy_run(tmp_path):
+    rep = small_toy_run(tmp_path)
+    report_dir = tmp_path / "evolve-toy"
+    heat = emit_plot_data(str(report_dir), "block-heatmap", str(tmp_path / "heat.csv"))
+    assert filecmp.cmp(heat, report_dir / "block_magnitudes.csv", shallow=False)
+    with open(heat, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # every ring meets the grid, so no block of the final field is exactly zero
+    assert rows and all(math.isfinite(float(row[2])) for row in rows)
+    out = emit_plot_data(str(report_dir), "gevrey-fit", str(tmp_path / "fit.csv"))
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["j", "E_j", "fitted_line"]
+    fit = rep.metrics["fit"]
+    with open(report_dir / "gevrey_fit.json") as fh:
+        exponents = json.load(fh)["shell_exponents"]
+    assert [int(row[0]) for row in rows] == list(range(fit["j_range"][0], fit["j_range"][1] + 1))
+    assert [float(row[1]) for row in rows] == exponents
+    for row in rows:
+        line = fit["constant"] * 2.0 ** (fit["slope"] * int(row[0]))
+        assert float(row[2]) == pytest.approx(line, rel=1e-12)
+
+
 def test_evolve_toy_builds_one_stepper_and_marches_once(tmp_path, monkeypatch):
     builds, steps = [], []
     init, step = toy.ToyStepper.__init__, toy.ToyStepper.step
@@ -264,6 +294,35 @@ def _tiny_datum(data):
 def test_each_evolve_toy_check_fails_on_its_mutant(tmp_path, monkeypatch, check, owner, name, mutant):
     monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     rep = small_toy_run(tmp_path)
+    assert rep.checks[check] is False
+    assert not rep.passed
+
+
+def _wide_member_0(build):
+    # exp(-0.05 v^2) keeps 4 % of its peak at |v| = 8, inside the outermost phase ring
+    def corpus(grid, size, seed):
+        u = build(grid, size, seed)
+        u[0] = np.exp(-0.05 * grid.v_abs**2)
+        return u
+
+    return corpus
+
+
+def _derivative_order_plus_one(block_sum):
+    return lambda norms, p, m: block_sum(norms, p, m + 1.0)
+
+
+@pytest.mark.parametrize(
+    "check, owner, name, mutant",
+    [
+        ("tail-converged", cli, "standard_corpus", _wide_member_0),
+        ("ratios-within-factor-8", dyadic, "block_sum", _derivative_order_plus_one),
+    ],
+    ids=["wide-member-0", "block-sum-order-plus-one"],
+)
+def test_each_norms_check_fails_on_its_mutant(tmp_path, monkeypatch, check, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    rep = small_norms_run(tmp_path)
     assert rep.checks[check] is False
     assert not rep.passed
 

@@ -124,7 +124,12 @@ def test_container_rejects_non_finite_grid_and_payload(tmp_path):
 
 
 def _load_or_grid_error(path, data: bytes):
-    """Load ``data`` as a container, (grid, samples); None if it is rejected with GridError."""
+    """Load ``data`` as a container, (grid, samples); None if it is rejected with GridError.
+
+    The path is unlinked first: writing a new file is cheap, while truncating
+    one that holds data can wait on the filesystem for tens of milliseconds.
+    """
+    path.unlink(missing_ok=True)
     path.write_bytes(data)
     try:
         return load_field(str(path))

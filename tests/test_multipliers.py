@@ -3,13 +3,12 @@ import pytest
 
 from kgl.grid import (
     VelocityGrid,
-    by_parts,
     from_half_spectrum,
     half_spectrum,
     half_symbol,
     l2_norms,
 )
-from kgl.inequalities import verify_regularizer_bounds
+from kgl.inequalities import gagliardo_hs_norm_sq, verify_regularizer_bounds
 from kgl.multipliers import MultiplierError, weighted_sobolev_norm, weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem, SolverError, weight_values
@@ -39,10 +38,8 @@ def test_identity_multiplier(grid1d, gaussian_half):
 def test_single_mode_bracket_square():
     grid = VelocityGrid(1, 64, np.pi)  # integer dual frequencies
     v = grid.v_meshes[0]
-    f = np.exp(1j * v)  # mode eta = 1
-    out = by_parts(
-        lambda v: multiply(grid, v, grid.eta_bracket_sq), f, join=lambda re, im: re + 1j * im
-    )
+    f = np.cos(v)  # modes eta = +-1
+    out = multiply(grid, f, grid.eta_bracket_sq)
     assert np.allclose(out, 2.0 * f, atol=1e-12)
     norm = per_field.l2_norm(grid, f)
     assert weighted_sobolev_norm(grid, f, 0.0, 2.0) == pytest.approx(2.0 * norm, rel=1e-12)
@@ -156,8 +153,19 @@ def test_regularizer_single_mode_gain():
     grid = VelocityGrid(1, 128, np.pi)
     theta = 1.0 / 16.0  # puts theta^(-1/2) = 4 on the integer frequency grid
     v = grid.v_meshes[0]
-    _, n1, _, base = regularizer_terms(grid, np.exp(4j * v), theta)
+    _, n1, _, base = regularizer_terms(grid, np.cos(4.0 * v), theta)
     assert n1 / base == pytest.approx(0.5, rel=1e-12)
+
+
+def test_complex_fields_are_rejected(grid1d_small):
+    # the norms transform real fields only, so an imaginary part is never dropped
+    f = np.exp(-grid1d_small.v_bracket_sq) * (1.0 + 1j)
+    with pytest.raises(TypeError):
+        weighted_sobolev_norms(grid1d_small, f, [(0.0, 1.0)])
+    with pytest.raises(TypeError):
+        verify_regularizer_bounds(grid1d_small, f, 0.5)
+    with pytest.raises(TypeError):
+        gagliardo_hs_norm_sq(grid1d_small, f, 0.5)
 
 
 def test_weighted_sobolev_norm_gaussian():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from kgl.dyadic import frequency_rings, max_freq_shell, shell_norms
-from kgl.grid import VelocityGrid, load_field, save_field
+from kgl.grid import (
+    VelocityGrid,
+    from_half_spectrum,
+    half_spectrum,
+    half_symbol,
+    load_field,
+    save_field,
+)
 from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
 from kgl.toy import (
     BLOCK_FLOOR,
@@ -47,7 +54,7 @@ def test_gamma_zero_evolution_is_exact():
 def test_single_mode_first_order_expansion_richardson():
     grid = VelocityGrid(1, 256, 8.0)
     v = grid.v_meshes[0]
-    mode = np.exp(1j * grid.axis_frequencies[3] * v)
+    mode = np.cos(grid.axis_frequencies[3] * v)
     coeff = effective_coefficient(grid, PRM.gamma)
     sigma0 = (1.0 + grid.axis_frequencies[3] ** 2) ** PRM.s
     defects = []
@@ -217,10 +224,11 @@ def test_trajectory_shell_measurement_clean(bump_pair):
     # frequency-shell norms of a band-limited field see no cutoff leakage
     grid = VelocityGrid(1, 1024, 16.0)
     rng = np.random.default_rng(6)
-    amp = np.zeros(grid.shape, dtype=complex)
+    amp = np.zeros(grid.shape)
     sel = (grid.eta_abs > 2.0) & (grid.eta_abs < 5.0)
     amp[sel] = rng.standard_normal(np.count_nonzero(sel))
-    f = np.fft.ifftn(amp, norm="ortho")
+    amp += np.roll(amp[::-1], 1)  # even in eta, so the field is real
+    f = np.fft.ifftn(amp, norm="ortho").real
     norms = shell_norms(grid, f, bump_pair)
     jmax = max_freq_shell(grid)
     weights = frequency_rings(bump_pair, grid, jmax)
@@ -257,7 +265,7 @@ def test_gamma_zero_commutes_with_multipliers():
     sym = grid.eta_bracket_sq ** (0.7 / 2.0)
 
     def multiply(samples):
-        return np.fft.ifft(np.fft.fft(samples, norm="ortho") * sym, norm="ortho")
+        return from_half_spectrum(grid, half_symbol(sym) * half_spectrum(grid, samples))
 
     a = stepper.step(multiply(f0))
     b = multiply(stepper.step(f0))
@@ -293,16 +301,21 @@ def test_low_rank_step_matches_dense_kernel(gamma, s):
     prm = SoftPotentialParams(gamma=gamma, s=s, strict=False)
     stepper = ToyStepper(ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid, steps=16))
     assert stepper.rank > 1
-    rng = np.random.default_rng(3)
-    real = rng.standard_normal((1024, 3))
-    complex_ = real + 1j * rng.standard_normal((1024, 3))
-    dense = dense_propagator(stepper)
-    for columns in (real, complex_):
-        want = (dense @ columns).T
-        got = stepper.step(columns.T)
-        assert np.iscomplexobj(got) == np.iscomplexobj(columns)
-        assert relative_error(got, want) <= 1e-12
-        assert relative_error(stepper.step(columns[:, 0]), want[0]) <= 1e-12
+    columns = np.random.default_rng(3).standard_normal((1024, 3))
+    want = (dense_propagator(stepper) @ columns).T
+    got = stepper.step(columns.T)
+    assert relative_error(got, want) <= 1e-12
+    assert relative_error(stepper.step(columns[:, 0]), want[0]) <= 1e-12
+
+
+def test_complex_fields_are_rejected():
+    # the model evolves real fields; an imaginary part is never dropped
+    p = small_params()
+    f0 = weighted_broadband_data(p.grid, p.a0).astype(complex)
+    with pytest.raises(ToyModelError, match="complex"):
+        evolve_toy(f0, p)
+    with pytest.raises(TypeError):
+        ToyStepper(p).step(f0)
 
 
 def test_two_dimensional_evolution_matches_dense_kernel():
