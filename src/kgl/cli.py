@@ -98,6 +98,12 @@ class ExperimentConfig:
                 )
         except (AdmissibilityError, GridError, toy.ToyModelError, solver.SolverError) as exc:
             raise ConfigError(f"[{name}] {exc}") from exc
+        fitted = TOY_FIT_SHELLS[-1]
+        if name == "evolve-toy" and (top := dyadic.max_freq_shell(self.grid)) < fitted:
+            raise ConfigError(
+                f"[{name}] the grid's top frequency shell is {top}, below the shell {fitted} "
+                f"the Gevrey fit reads; raise grid_n / grid_l"
+            )
         for key, least in (("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0)):
             if p.get(key, least) < least:
                 raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
@@ -192,7 +198,7 @@ DEFAULTS = {
 def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     p, prm = cfg.params, cfg.prm
     rows = []
-    slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
+    slope_target = 2.0 * prm.tau
     ratios = []
     for j in range(p["j_min"], p["j_max"] + 1):
         res = toy.sharpness_infimum(j, prm, p["a0"], t=p["t"])
@@ -216,6 +222,7 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
 # a fitted shell exponent at or above -ln(ROUNDING_FACTOR eps) reads the
 # rounding floor of the evolved field, not its decay
 ROUNDING_FACTOR = 100.0
+TOY_FIT_SHELLS = range(0, 8)  # the frequency shells j of the evolve-toy Gevrey fit
 
 
 def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
@@ -233,9 +240,8 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     ratios = traj.rate_ratios
     lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (None, None)
     pair = dyadic.build_bump_pair()
-    j_range = range(0, 8)
-    exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, pair, j_range)
-    fit = toy.estimate_gevrey_index(exponents, np.array(list(j_range)))
+    exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, pair, TOY_FIT_SHELLS)
+    fit = toy.estimate_gevrey_index(exponents, np.array(TOY_FIT_SHELLS))
     fit_path = os.path.join(cfg.out_dir, "gevrey_fit.json")
     fit_payload = fit.summary()
     fit_payload["shell_exponents"] = [float(e) for e in fit.shell_exponents]
@@ -243,15 +249,12 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
         json.dump(fit_payload, fh, sort_keys=True, indent=2)
     artifacts.append(fit_path)
     norms_final = dyadic.block_norms(cfg.grid, traj.final, pair)
-    heat_rows = []
-    for jj in range(norms_final.shape[0]):
-        for kk in range(norms_final.shape[1]):
-            mag = norms_final[jj, kk]
-            heat_rows.append([jj - 1, kk - 1, math.log(mag) if mag > 0 else float("-inf")])
+    shells = [a.ravel().tolist() for a in (*dyadic.block_shells(norms_final), norms_final)]
+    heat_rows = [(j, k, math.log(mag) if mag > 0 else -math.inf) for j, k, mag in zip(*shells)]
     heat_path = os.path.join(cfg.out_dir, "block_magnitudes.csv")
     write_csv(heat_path, ["j", "k", "log_magnitude"], heat_rows)
     artifacts.append(heat_path)
-    slope_target = 4.0 * prm.s / (2.0 - prm.gamma)
+    slope_target = 2.0 * prm.tau
     floor_exponent = -math.log(ROUNDING_FACTOR * np.finfo(float).eps)
     checks = {
         "l2-monotone": bool(np.all(np.diff(traj.norms) <= 1e-10 * traj.norms[:-1])),
@@ -460,16 +463,12 @@ def run_norms(cfg: ExperimentConfig) -> RunReport:
         ["function", "p", "m", "block_norm", "direct_norm", "ratio"],
         rows,
     )
-    rep0 = dyadic.block_norm_characterization(grid, corpus[0], gamma / 2.0, s, pair)
+    block_rows, tail_converged = dyadic.block_report(norms_matrices[0], gamma / 2.0, s)
     blocks_path = os.path.join(cfg.out_dir, "block_report.csv")
-    write_csv(
-        blocks_path,
-        dyadic.BLOCK_REPORT_COLUMNS,
-        [[row[c] for c in dyadic.BLOCK_REPORT_COLUMNS] for row in rep0.rows],
-    )
+    write_csv(blocks_path, dyadic.BLOCK_REPORT_COLUMNS, block_rows)
     checks = {
         "ratios-within-factor-8": bool(worst[0] >= 1 / 8 and worst[1] <= 8),
-        "tail-converged": bool(rep0.tail_converged),
+        "tail-converged": tail_converged,
     }
     metrics = {"ratio_min": worst[0], "ratio_max": worst[1], "pairs": pairs_pm}
     return RunReport(

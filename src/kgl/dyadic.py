@@ -8,14 +8,14 @@ phi(xi) := psi(xi/2) - psi(xi).  The partition
     psi(xi) + sum_{j>=0} phi(2^-j xi) = psi(2^-(J+1) xi) -> 1
 
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
-and rings two apart are disjoint.  The shells stop at the last ring that
-meets the grid (:func:`max_phase_shell`, :func:`max_freq_shell`).  The ring
-weights on a grid's |v| and |eta| are tabulated once per (grid, shell
-range) as read-only arrays (:func:`phase_rings`, :func:`frequency_rings`).
-The (j, k) block of a field u is the product of frequency ring j with the
-unitary transform of (phase ring k) * u, transformed back.
-:func:`block_norms` and :func:`shell_norms` take a whole stack of real
-fields, ``(members,) + grid.shape``, through the real transform.
+and rings two apart are disjoint.  The grid alone decides which shells
+exist: up to the last ring that is nonzero on it (:func:`max_phase_shell`,
+:func:`max_freq_shell`).  Their weights on its |v| and |eta| are tabulated
+once per grid as read-only arrays (:func:`phase_rings`,
+:func:`frequency_rings`).  The (j, k) block of a field u is the product of
+frequency ring j with the unitary transform of (phase ring k) * u,
+transformed back.  :func:`block_norms` and :func:`shell_norms` take a whole
+stack of real fields, ``(members,) + grid.shape``, through the real transform.
 """
 
 from __future__ import annotations
@@ -100,47 +100,51 @@ def frequency_rings(pair: BumpPair, grid: VelocityGrid, jmax: int) -> np.ndarray
     return _ring_table(pair, grid.eta_abs, jmax)
 
 
-def _max_shell(radii: np.ndarray) -> int:
-    """Largest shell s >= -1 whose ring meets the radii: 2^s < max(radii).
+def _max_shell(largest: float) -> int:
+    """Largest shell s >= -1 whose ring is nonzero at some radius up to ``largest``.
 
-    Ring s >= 0 is nonzero only for 2^s < r < 2^s * 8/3, and the partition
-    psi(r) + sum_{j<=s} phi(2^-j r) = psi(2^-(s+1) r) is exactly 1 where
-    r <= 2^(s+1), which holds for every radius.
+    Ring s >= 0 is nonzero only for 2^s < r < 2^s * 8/3 and grows with r up
+    to 2^(s+1): the s with 2^s < largest <= 2^(s+1) is kept unless its weight
+    at ``largest`` rounds to 0, where ring s - 1 is 1.  Either way the rows
+    psi(r) + sum_{j<=s} phi(2^-j r) = psi(2^-(s+1) r) are exactly 1.
     """
-    mantissa, exponent = math.frexp(float(np.max(radii)))  # max = mantissa * 2^exponent
-    return max(exponent - 1 - (mantissa == 0.5), -1)
+    mantissa, exponent = math.frexp(largest)  # largest = mantissa * 2^exponent
+    top = max(exponent - 1 - (mantissa == 0.5), -1)
+    if top >= 0 and BumpPair().ring_weight(largest, top) == 0.0:
+        top -= 1
+    return top
 
 
+@lru_cache(maxsize=8)
 def max_phase_shell(grid: VelocityGrid) -> int:
-    """Largest k whose phase ring meets the grid: 2^k < max |v|."""
-    return _max_shell(grid.v_abs)
+    """Largest k whose phase ring is nonzero somewhere on the grid."""
+    return _max_shell(grid.v_max)
 
 
+@lru_cache(maxsize=8)
 def max_freq_shell(grid: VelocityGrid) -> int:
-    """Largest j whose frequency ring meets the grid: 2^j < max |eta|."""
-    return _max_shell(grid.eta_abs)
+    """Largest j whose frequency ring is nonzero somewhere on the grid."""
+    return _max_shell(grid.eta_max)
 
 
-def block_norms(
-    grid: VelocityGrid,
-    u: np.ndarray,
-    pair: BumpPair,
-    jmax: int | None = None,
-    kmax: int | None = None,
-) -> np.ndarray:
+def _frequency_rings_sq(pair: BumpPair, grid: VelocityGrid) -> np.ndarray:
+    """Squared frequency ring weights on the half spectrum."""
+    return half_symbol(frequency_rings(pair, grid, max_freq_shell(grid))) ** 2
+
+
+def block_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray:
     """Block L2 norms of each field on the trailing grid axes of u.
 
     Shape ``u.shape[:-d] + (jmax + 2, kmax + 2)``: rows j = -1..jmax, cols
-    k = -1..kmax.  Per phase shell, one real transform of the whole stack;
-    all frequency shells of it come from one matrix product of the
-    half-spectrum power with the squared ring weights.
+    k = -1..kmax, the grid's shells.  Per phase shell, one real transform of
+    the whole stack; all frequency shells of it come from one matrix product
+    of the half-spectrum power with the squared ring weights.
     """
-    jmax = max_freq_shell(grid) if jmax is None else jmax
-    kmax = max_phase_shell(grid) if kmax is None else kmax
-    rings_sq = half_symbol(frequency_rings(pair, grid, jmax)) ** 2
-    out = np.empty(u.shape[: u.ndim - grid.dimension] + (jmax + 2, kmax + 2))
+    rings_sq = _frequency_rings_sq(pair, grid)
+    phases = phase_rings(pair, grid, max_phase_shell(grid))
+    out = np.empty(u.shape[: u.ndim - grid.dimension] + (len(rings_sq), len(phases)))
     buf = coeff = power = None  # one physical, one spectral and one power buffer
-    for k, wk in enumerate(phase_rings(pair, grid, kmax)):
+    for k, wk in enumerate(phases):
         buf = np.multiply(u, wk, out=buf)
         coeff = half_spectrum(grid, buf, out=coeff)
         power = half_power(grid, coeff, out=power)
@@ -148,90 +152,52 @@ def block_norms(
     return out
 
 
-def shell_norms(
-    grid: VelocityGrid, u: np.ndarray, pair: BumpPair, jmax: int | None = None
-) -> np.ndarray:
-    """Frequency-shell norms ||Delta_j u|| for j = -1..jmax (no phase cutoff).
+def shell_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray:
+    """Frequency-shell norms ||Delta_j u|| for j = -1..max_freq_shell (no phase cutoff).
 
     Shape ``u.shape[:-d] + (jmax + 2,)``, read off one half spectrum of the
     whole stack by Parseval.
     """
-    jmax = max_freq_shell(grid) if jmax is None else jmax
-    rings_sq = half_symbol(frequency_rings(pair, grid, jmax)) ** 2
-    return np.sqrt(summed(grid, half_power(grid, half_spectrum(grid, u)), rings_sq))
+    power = half_power(grid, half_spectrum(grid, u))
+    return np.sqrt(summed(grid, power, _frequency_rings_sq(pair, grid)))
+
+
+def block_shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (j, k) of each entry ``norms[..., j+1, k+1]`` of a block-norm matrix, as int matrices."""
+    rows, cols = norms.shape[-2:]
+    return np.meshgrid(np.arange(-1, rows - 1), np.arange(-1, cols - 1), indexing="ij")
+
+
+def _weights(norms: np.ndarray, p: float, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block weights 2^(2kp) and 2^(2mj) of a block-norm matrix."""
+    j, k = block_shells(norms)
+    return 2.0 ** (2.0 * p * k), 2.0 ** (2.0 * m * j)
 
 
 def block_sum(norms: np.ndarray, p: float, m: float) -> np.ndarray:
-    """Weighted block-sum norm from precomputed block-norm matrices.
+    """Weighted block-sum norm (sum_{j,k} 2^{2kp} 2^{2mj} ||block||^2)^(1/2).
 
-    ``norms[..., j+1, k+1]`` must hold the (j, k) block L2 norms as produced
-    by :func:`block_norms`; reusing them across several (p, m) pairs avoids
-    recomputing the projections.  Leading axes stack fields.
+    ``norms`` holds block-norm matrices as produced by :func:`block_norms`;
+    reusing them across several (p, m) pairs avoids recomputing the
+    projections.  Leading axes stack fields.
     """
-    jmax = norms.shape[-2] - 2
-    kmax = norms.shape[-1] - 2
-    js = np.arange(-1, jmax + 1)[:, None]
-    ks = np.arange(-1, kmax + 1)[None, :]
-    weights = 2.0 ** (2.0 * p * ks) * 2.0 ** (2.0 * m * js)
-    return np.sqrt(np.sum(weights * norms**2, axis=(-2, -1)))
-
-
-@dataclass
-class BlockNormReport:
-    value: float
-    rows: list[dict]
-    tail_converged: bool
-    jmax: int
-    kmax: int
+    wk, wj = _weights(norms, p, m)
+    return np.sqrt(np.sum(wk * wj * norms**2, axis=(-2, -1)))
 
 
 BLOCK_REPORT_COLUMNS = ["j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"]
 TAIL_TOL = 1e-8  # largest share of the total the outermost phase ring may carry
 
 
-def block_norm_characterization(
-    grid: VelocityGrid,
-    u: np.ndarray,
-    p: float,
-    m: float,
-    pair: BumpPair,
-) -> BlockNormReport:
-    """Block-sum norm (sum_{j,k} 2^{2kp} 2^{2mj} ||block||^2)^(1/2).
+def block_report(norms: np.ndarray, p: float, m: float) -> tuple[list[tuple], bool]:
+    """Rows of BLOCK_REPORT_COLUMNS for one block-norm matrix (k outer), and the tail flag.
 
-    The k sum stops at the last ring meeting the box; the report flags a
-    non-convergent tail when the outermost ring still contributes more
-    than TAIL_TOL of the total.
+    The contributions 2^{2kp} 2^{2mj} ||block||^2 sum to ``block_sum ** 2``;
+    the k sum stops at the last ring that meets the box, so the tail has
+    converged when that ring carries at most TAIL_TOL of the total.
     """
-    jmax = max_freq_shell(grid)
-    kmax = max_phase_shell(grid)
-    norms = block_norms(grid, u, pair, jmax=jmax, kmax=kmax)
-    rows = []
-    total = 0.0
-    last_ring = 0.0
-    for k in range(-1, kmax + 1):
-        for j in range(-1, jmax + 1):
-            b = norms[j + 1, k + 1]
-            wk = 2.0 ** (2 * k * p)
-            wj = 2.0 ** (2 * m * j)
-            contrib = wk * wj * b * b
-            total += contrib
-            if k == kmax:
-                last_ring += contrib
-            rows.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "block_l2": b,
-                    "weight_2kp": wk,
-                    "weight_2mj": wj,
-                    "contribution": contrib,
-                }
-            )
-    tail_ok = last_ring <= TAIL_TOL * max(total, 1e-300)
-    return BlockNormReport(
-        value=float(np.sqrt(total)),
-        rows=rows,
-        tail_converged=bool(tail_ok),
-        jmax=jmax,
-        kmax=kmax,
-    )
+    wk, wj = _weights(norms, p, m)
+    contribution = wk * wj * norms**2
+    tail_converged = contribution[:, -1].sum() <= TAIL_TOL * max(contribution.sum(), 1e-300)
+    columns = [a.T.ravel().tolist() for a in (*block_shells(norms), norms, wk, wj, contribution)]
+    return list(zip(*columns)), bool(tail_converged)

@@ -20,6 +20,7 @@ is validated where it enters: :func:`load_field`.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 CONTAINER_MAGIC = b"KGL1"
+CONTAINER_IMAG_TOL = 1e-12  # largest |Im| of loaded samples, relative to their largest |Re|
 
 
 class GridError(ValueError):
@@ -104,6 +106,19 @@ class VelocityGrid:
     @cached_property
     def eta_abs(self) -> np.ndarray:
         return np.sqrt(sum(m**2 for m in self.eta_meshes))
+
+    @property
+    def v_max(self) -> float:
+        """max(v_abs) without the mesh: |v| at the corner (-L, ..., -L)."""
+        return math.sqrt(self.dimension * (self.half_width * self.half_width))
+
+    @property
+    def eta_max(self) -> float:
+        """max(eta_abs) without the mesh, at the corner of Nyquist modes formed as
+        ``axis_frequencies`` forms them: 2 pi times fftfreq's (N/2) / (N spacing)."""
+        n = self.points_per_axis
+        nyquist = 2.0 * np.pi * ((n // 2) * (1.0 / (n * self.spacing)))
+        return math.sqrt(self.dimension * (nyquist * nyquist))
 
     @cached_property
     def v_bracket_sq(self) -> np.ndarray:
@@ -200,7 +215,7 @@ def refine_field(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
 
 
 def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:
-    """Write the field ``u`` on ``grid`` as the flat binary container.
+    """Write the real field ``u`` on ``grid`` as the flat binary container.
 
     Layout: magic ``KGL1``, uint32 dimension, uint32 N per axis, float64
     half-width, then little-endian float64 (re, im) pairs of the unitary
@@ -208,6 +223,8 @@ def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:
     """
     if np.shape(u) != grid.shape:
         raise GridError(f"field of shape {np.shape(u)} is not on a grid of shape {grid.shape}")
+    if np.iscomplexobj(u):
+        raise GridError("complex samples; a field is real")
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
         fh.write(struct.pack("<I", grid.dimension))
@@ -229,9 +246,10 @@ def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
 
 
 def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
-    """Read the flat binary container as (grid, complex samples).
+    """Read the flat binary container as (grid, real float64 samples).
 
-    A malformed container raises GridError.
+    A malformed container raises GridError, as does one whose samples carry
+    an imaginary part above ``CONTAINER_IMAG_TOL`` (a saved field leaves ~1e-16).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -256,4 +274,7 @@ def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
         samples = np.fft.ifftn((raw[0::2] + 1j * raw[1::2]).reshape(grid.shape), norm="ortho")
     if not np.all(np.isfinite(samples)):
         raise GridError("payload coefficients synthesize non-finite samples")
-    return grid, samples
+    imag = float(np.max(np.abs(samples.imag)))
+    if imag > CONTAINER_IMAG_TOL * float(np.max(np.abs(samples.real))):
+        raise GridError(f"payload synthesizes complex samples (largest imaginary part {imag:.3e})")
+    return grid, samples.real.copy()

@@ -37,11 +37,6 @@ class SoftPotentialParams:
     def tau(self) -> float:
         return 2.0 * self.s / (2.0 - self.gamma)
 
-    @property
-    def strong_singularity(self) -> bool:
-        """True when gamma/2 + 2s >= 1 (selects the single-field regime)."""
-        return self.gamma / 2.0 + 2.0 * self.s >= 1.0
-
 
 def predicted_index(prm: SoftPotentialParams) -> float:
     """Sharp regularity-class index max{(2 - gamma)/(4 s), 1}."""

@@ -225,11 +225,13 @@ class EnergyReport:
     violations: list[int] = field(default_factory=list)
 
 
+GROENWALL_TOL = 1e-9  # relative rounding allowance of a step-wise residual
+
+
 def energy_monitor(
     traj: Trajectory,
     rp: RegularizedProblem,
     source_traj: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> EnergyReport:
     """Weighted sup norm, dissipation functional, and step-wise bookkeeping.
 
@@ -260,7 +262,7 @@ def energy_monitor(
         snorms = l2_norms(grid, np.multiply(weights, source_traj, out=work))
         src = 0.5 * rp.dt * (snorms[:-1] + snorms[1:])
     residuals = wnorms[:-1] + src - wnorms[1:]
-    violations = np.flatnonzero(residuals < -tol * np.maximum(wnorms[:-1], 1.0)).tolist()
+    violations = np.flatnonzero(residuals < -GROENWALL_TOL * np.maximum(wnorms[:-1], 1.0)).tolist()
     return EnergyReport(
         times=traj.times,
         weighted_norms=wnorms,
@@ -399,7 +401,7 @@ MAX_RETRIES = 4  # final-time halvings before non-contraction is reported
 def picard_iterate(
     f_in: np.ndarray,
     rp: RegularizedProblem,
-    n_max: int = 25,
+    n_max: int,
 ) -> PicardState:
     """Iterate the linear problem with the dissipative source surrogate.
 

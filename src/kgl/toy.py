@@ -462,10 +462,14 @@ def trajectory_shell_exponents(
     range: the regularity index is an exponential rate, and removing the
     O(1) content prefactor keeps a finite-shell fit centered on that rate
     (evolution is linear, so this equals evolving f0 / c).  Shell content
-    is measured purely on the Fourier side, which is leakage-free.
+    is measured purely on the Fourier side, which is leakage-free.  The
+    shells of ``j_range`` must be on the grid.
     """
-    both = shell_norms(grid, np.array([f0, final]), pair, jmax=j_range.stop - 1)
-    init, evolved = both[:, j_range.start + 1 :]
+    top = max_freq_shell(grid)
+    if j_range.start < -1 or j_range.stop - 1 > top:
+        raise ToyModelError(f"shells {j_range[0]}..{j_range[-1]} asked; the grid's are -1..{top}")
+    both = shell_norms(grid, np.array([f0, final]), pair)
+    init, evolved = both[:, j_range.start + 1 : j_range.stop + 1]
     norm_c = float(np.max(init))
     if norm_c <= 0:
         raise ToyModelError("initial data has no content on the fitted shells")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 DIM = 3
+DIRECTION = 1  # the index j of x_j and v_j every vector field differentiates along
 
 # monomial key: (t_exponent, (x1, x2, x3, v1, v2, v3) integer exponents)
 Key = tuple[Fraction, tuple[int, ...]]
@@ -67,9 +68,6 @@ class PolyFunction:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyFunction) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "PolyFunction") -> "PolyFunction":
         out = dict(self.terms)
@@ -160,55 +158,53 @@ def transport(f: PolyFunction) -> PolyFunction:
     return out
 
 
-def apply_H(f: PolyFunction, delta, j: int = 1) -> PolyFunction:
-    """The field (1/(delta+1)) t^(delta+1) d/dx_j + t^delta d/dv_j."""
+def apply_H(f: PolyFunction, delta) -> PolyFunction:
+    """The field (1/(delta+1)) t^(delta+1) d/dx_j + t^delta d/dv_j, j = DIRECTION."""
     delta = Fraction(delta)
     if delta < 1:
         raise VFError(f"delta={delta} < 1")
-    if not (1 <= j <= DIM):
-        raise VFError(f"direction {j} out of range")
-    part_x = f.diff_x(j).mul_t_power(delta + 1).scale(Fraction(1, 1) / (delta + 1))
-    part_v = f.diff_v(j).mul_t_power(delta)
+    part_x = f.diff_x(DIRECTION).mul_t_power(delta + 1).scale(Fraction(1, 1) / (delta + 1))
+    part_v = f.diff_v(DIRECTION).mul_t_power(delta)
     return part_x + part_v
 
 
-def H_chain(f: PolyFunction, delta, kmax: int, j: int = 1) -> list[PolyFunction]:
+def H_chain(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
     """[f, H f, ..., H^kmax f], each power applied once to the one before."""
     if kmax < 0:
         raise VFError("order must be nonnegative")
     chain = [f]
     for _ in range(kmax):
-        chain.append(apply_H(chain[-1], delta, j))
+        chain.append(apply_H(chain[-1], delta))
     return chain
 
 
-def H_table(f: PolyFunction, delta1, delta2, max_alpha: int, j: int = 1) -> dict:
+def H_table(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
     """{(a1, a2): H1^a1 H2^a2 f for a1 + a2 <= max_alpha}, H2 applied first."""
     return {
         (a1, a2): h
-        for a2, g in enumerate(H_chain(f, delta2, max_alpha, j))
-        for a1, h in enumerate(H_chain(g, delta1, max_alpha - a2, j))
+        for a2, g in enumerate(H_chain(f, delta2, max_alpha))
+        for a1, h in enumerate(H_chain(g, delta1, max_alpha - a2))
     }
 
 
-def _ladder(g: PolyFunction, delta, k: int, j: int) -> PolyFunction:
+def _ladder(g: PolyFunction, delta, k: int) -> PolyFunction:
     """delta k t^(delta-1) d/dv_j g, the term one more H adds to the commutator."""
-    return g.diff_v(j).mul_t_power(delta - 1).scale(delta * k)
+    return g.diff_v(DIRECTION).mul_t_power(delta - 1).scale(delta * k)
 
 
-def commutator_residuals(f: PolyFunction, delta, kmax: int, j: int = 1) -> list[PolyFunction]:
+def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
     """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f, k = 0..kmax.
 
     Identically zero for every polynomial; a nonzero residual exposes the
     offending monomials.
     """
-    h = H_chain(f, delta, kmax, j)
-    th = H_chain(transport(f), delta, kmax, j)
+    h = H_chain(f, delta, kmax)
+    th = H_chain(transport(f), delta, kmax)
     below = [PolyFunction()] + h  # H^(k-1) f; at k = 0 its coefficient delta k is 0
-    return [transport(h[k]) - th[k] - _ladder(below[k], delta, k, j) for k in range(kmax + 1)]
+    return [transport(h[k]) - th[k] - _ladder(below[k], delta, k) for k in range(kmax + 1)]
 
 
-def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int, j: int = 1) -> dict:
+def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
     """Residuals of the two-field commutator expansion, |alpha| <= max_alpha.
 
     [transport, H1^a1 H2^a2] = a1 d1 t^(d1-1) d/dv H1^(a1-1) H2^a2
@@ -216,12 +212,12 @@ def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int, 
     the two fields commuting with each other; keyed by alpha in order.  A term
     whose power would be H^(-1) has coefficient 0 and is taken as zero.
     """
-    m = H_table(f, delta1, delta2, max_alpha, j)
-    tm = H_table(transport(f), delta1, delta2, max_alpha, j)
+    m = H_table(f, delta1, delta2, max_alpha)
+    tm = H_table(transport(f), delta1, delta2, max_alpha)
     return {
         (a1, a2): transport(m[a1, a2]) - tm[a1, a2]
-        - _ladder(m.get((a1 - 1, a2), PolyFunction()), delta1, a1, j)
-        - _ladder(m.get((a1, a2 - 1), PolyFunction()), delta2, a2, j)
+        - _ladder(m.get((a1 - 1, a2), PolyFunction()), delta1, a1)
+        - _ladder(m.get((a1, a2 - 1), PolyFunction()), delta2, a2)
         for a1, a2 in sorted(m)
     }
 
@@ -233,13 +229,10 @@ class VFParams:
     gamma: Fraction
     s: Fraction
     lam: Fraction
-    direction: int = 1
 
     def __post_init__(self):
         for name in ("gamma", "s", "lam"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (1 <= self.direction <= DIM):
-            raise VFError(f"direction {self.direction} out of range")
         if self.lam <= max(Fraction(1), 1 / (2 * self.tau)):
             raise VFError(
                 f"lambda={self.lam} must exceed max(1, 1/(2 tau)) = "
@@ -292,10 +285,9 @@ def reconstruct_derivatives(
 ) -> tuple[PolyFunction, PolyFunction]:
     """Rebuild t^(lam+1) d/dx_j f and t^lam d/dv_j f from the two fields."""
     co = generation_coefficients(vp)
-    j = vp.direction
     d1, d2 = vp.delta1, vp.delta2
-    h1 = apply_H(f, d1, j)
-    h2 = apply_H(f, d2, j).mul_t_power(d1 - d2)
+    h1 = apply_H(f, d1)
+    h2 = apply_H(f, d2).mul_t_power(d1 - d2)
     gx = h1.scale(co["cx1"]) + h2.scale(co["cx2"])
     gv = h1.scale(co["cv1"]) + h2.scale(co["cv2"])
     return gx, gv
@@ -305,9 +297,8 @@ def reconstruction_residuals(
     f: PolyFunction, vp: VFParams
 ) -> tuple[PolyFunction, PolyFunction]:
     gx, gv = reconstruct_derivatives(f, vp)
-    j = vp.direction
-    direct_x = f.diff_x(j).mul_t_power(vp.lam + 1)
-    direct_v = f.diff_v(j).mul_t_power(vp.lam)
+    direct_x = f.diff_x(DIRECTION).mul_t_power(vp.lam + 1)
+    direct_v = f.diff_v(DIRECTION).mul_t_power(vp.lam)
     return gx - direct_x, gv - direct_v
 
 
@@ -397,14 +388,18 @@ def convolution_bound(kmax: int) -> dict:
     }
 
 
-def random_poly(rng, max_total_degree: int = 6, n_terms: int = 5) -> PolyFunction:
+POLY_TERMS = 5  # monomials drawn per random polynomial
+POLY_MAX_DEGREE = 6  # largest total degree of a drawn monomial, t included
+
+
+def random_poly(rng) -> PolyFunction:
     """Deterministic random polynomial with small integer coefficients."""
     out = PolyFunction()
-    for _ in range(n_terms):
+    for _ in range(POLY_TERMS):
         c = int(rng.integers(-4, 5))
         if c == 0:
             c = 1
-        budget = int(rng.integers(0, max_total_degree + 1))
+        budget = int(rng.integers(0, POLY_MAX_DEGREE + 1))
         exps = [0] * (2 * DIM)
         t_exp = 0
         for _ in range(budget):

@@ -200,7 +200,7 @@ def test_refinement_check_fails_on_a_modulated_refinement(tmp_path, monkeypatch)
 
 
 def test_evolve_toy_reports_propagator_rank(tmp_path):
-    rep = run(make_cfg(tmp_path, "evolve-toy", grid_n=1024, grid_l=16.0, snapshot_every=0))
+    rep = run(make_cfg(tmp_path, "evolve-toy", grid_n=2048, grid_l=16.0, snapshot_every=0))
     rank = rep.metrics["propagator_rank"]
     assert isinstance(rank, int) and rank > 1
 
@@ -271,7 +271,7 @@ def _eightfold_law(rate):
 def _unnormalized_exponents(_):
     def exponents(grid, f0, final, pair, j_range):
         """E_j = -ln ||Delta_j f(T)||, with the initial content prefactor left in."""
-        return -np.log(shell_norms(grid, final, pair, jmax=j_range.stop - 1)[j_range.start + 1 :])
+        return -np.log(shell_norms(grid, final, pair)[j_range.start + 1 : j_range.stop + 1])
 
     return exponents
 
@@ -346,8 +346,8 @@ def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):
 
 
 def test_config_builds_the_run_objects_once(tmp_path):
-    toy_cfg = ExperimentConfig("evolve-toy", {"grid_n": "512"}, 0, str(tmp_path))
-    assert toy_cfg.grid == VelocityGrid(1, 512, 32.0)
+    toy_cfg = ExperimentConfig("evolve-toy", {"grid_n": "512", "grid_l": "4"}, 0, str(tmp_path))
+    assert toy_cfg.grid == VelocityGrid(1, 512, 4.0)
     assert isinstance(toy_cfg.problem, ToyParams)
     assert toy_cfg.problem.grid is toy_cfg.grid and toy_cfg.problem.prm is toy_cfg.prm
     picard = ExperimentConfig("picard", {}, 0, str(tmp_path))
@@ -360,6 +360,7 @@ def test_config_builds_the_run_objects_once(tmp_path):
 BAD_CONFIGS = {
     "grid-not-power-of-two": "[evolve-toy]\ngrid_n = 1000\n",
     "fractional-steps": "[evolve-toy]\nsteps = 3.5\n",
+    "toy-grid-below-shell-7": "[evolve-toy]\ngrid_n = 1024\ngrid_l = 16\n",
     "x-axis-removed": "[picard]\nx_axis = of\n",
     "t-final-beyond-a0-half": "[picard]\nt_final = 0.9\n",
     "empty-corpus": "[norms]\ncorpus_size = 0\n",
@@ -402,6 +403,19 @@ def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("kgl: error: [")
     assert not (tmp_path / "out").exists()
+
+
+def test_evolve_toy_grid_without_the_fitted_shells_exits_2(tmp_path, capsys):
+    # pi 1024 / (2 16) = 100.5 < 2^7: the grid's frequency shells stop at 6
+    argv = ["evolve-toy", "--grid-n", "1024", "--grid-l", "16", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("kgl: error: [evolve-toy] ")
+    assert "top frequency shell is 6" in err[0]
+    assert not (tmp_path / "out").exists()
+    # pi 2048 / (2 16) = 201 holds shell 7; the check reads the largest radius, not a mesh
+    assert ExperimentConfig("evolve-toy", {"grid_n": 2048, "grid_l": 16}, 0, "out").grid
+    assert ExperimentConfig("evolve-toy", {"grid_n": 2**70}, 0, "out").grid
 
 
 def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl.dyadic import (
+    BLOCK_REPORT_COLUMNS,
     BumpPair,
     _bridge,
     block_norms,
+    block_report,
     block_sum,
-    block_norm_characterization,
     build_bump_pair,
     frequency_rings,
     max_freq_shell,
@@ -17,6 +18,7 @@ from kgl.dyadic import (
     phase_rings,
     shell_norms,
 )
+from kgl.corpus import standard_corpus
 from kgl.grid import VelocityGrid, from_half_spectrum, half_spectrum, half_symbol, l2_norms
 from kgl.multipliers import weighted_sobolev_norm
 from kgl.params import SoftPotentialParams
@@ -197,13 +199,18 @@ def test_ring_tables_are_read_only(grid1d, bump_pair):
         VelocityGrid(2, 32, 8.0),
         VelocityGrid(2, 16, 0.5),
         VelocityGrid(3, 16, 8.0),
+        # largest radius just above a power of two, where the candidate top
+        # ring rounds to 0: |v| up to 16.5 and 16.48, |eta| up to 32.00008
+        VelocityGrid(1, 1024, 16.5),
+        VelocityGrid(1, 1024, 16.48),
+        VelocityGrid(1, 64, 3.14159),
     ],
     ids=lambda g: f"d{g.dimension}-N{g.points_per_axis}-L{g.half_width:g}",
 )
 def test_outermost_rings_meet_the_grid_and_the_rows_sum_to_one(bump_pair, grid):
     # ring s >= 0 is nonzero only on 2^s < r < 2^s * 8/3: the outermost ring
-    # holds the largest radius, and a ring wider than the radial spacing of
-    # the grid holds some grid radius
+    # is nonzero at some grid radius, and a ring wider than the radial
+    # spacing of the grid holds some grid radius
     tables = (
         (phase_rings(bump_pair, grid, max_phase_shell(grid)), grid.spacing),
         (frequency_rings(bump_pair, grid, max_freq_shell(grid)), np.pi / grid.half_width),
@@ -310,9 +317,8 @@ def test_frequency_disjoint_projections(grid1d, bump_pair):
 
 def test_block_sum_homogeneity(grid1d, bump_pair, gaussian_half):
     g = gaussian_half
-    rep = block_norm_characterization(grid1d, g, 1.0, 0.5, bump_pair)
-    doubled = block_norm_characterization(grid1d, g * 2.0, 1.0, 0.5, bump_pair)
-    assert doubled.value == pytest.approx(2.0 * rep.value, rel=1e-12)
+    once, doubled = block_sum(block_norms(grid1d, np.array([g, 2.0 * g]), bump_pair), 1.0, 0.5)
+    assert doubled == pytest.approx(2.0 * once, rel=1e-12)
 
 
 def test_block_sum_against_plain_norm(grid1d, bump_pair):
@@ -327,18 +333,51 @@ def test_block_sum_against_plain_norm(grid1d, bump_pair):
 
 
 def test_block_vs_direct_norm_gaussian(grid1d, bump_pair, gaussian_half):
-    rep = block_norm_characterization(grid1d, gaussian_half, 1.0, 1.0 / 3.0, bump_pair)
+    norms = block_norms(grid1d, gaussian_half, bump_pair)
     direct = weighted_sobolev_norm(grid1d, gaussian_half, 1.0, 1.0 / 3.0)
-    assert rep.tail_converged
-    assert 1.0 / 8.0 <= rep.value / direct <= 8.0
+    assert block_report(norms, 1.0, 1.0 / 3.0)[1]  # the tail converged
+    assert 1.0 / 8.0 <= block_sum(norms, 1.0, 1.0 / 3.0) / direct <= 8.0
 
 
 def test_block_report_rows(grid1d, bump_pair, gaussian_half):
-    rep = block_norm_characterization(grid1d, gaussian_half, 0.0, 0.0, bump_pair)
-    row = rep.rows[0]
-    assert set(row) == {"j", "k", "block_l2", "weight_2kp", "weight_2mj", "contribution"}
-    total = sum(r["contribution"] for r in rep.rows)
-    assert rep.value == pytest.approx(np.sqrt(total), rel=1e-12)
+    norms = block_norms(grid1d, gaussian_half, bump_pair)
+    rows, _ = block_report(norms, 0.0, 0.0)
+    assert len(rows) == norms.size and all(len(row) == len(BLOCK_REPORT_COLUMNS) for row in rows)
+    total = sum(row[-1] for row in rows)
+    assert block_sum(norms, 0.0, 0.0) == pytest.approx(np.sqrt(total), rel=1e-12)
+
+
+def _block_report_oracle(norms, p, m):
+    """Rows (j, k, block, 2^(2kp), 2^(2mj), contribution), k outer, one block at a time."""
+    rows = []
+    for k in range(-1, norms.shape[1] - 1):
+        for j in range(-1, norms.shape[0] - 1):
+            b, wk, wj = norms[j + 1, k + 1], 2.0 ** (2 * k * p), 2.0 ** (2 * m * j)
+            rows.append((j, k, b, wk, wj, wk * wj * b * b))
+    return rows
+
+
+# The norms run reports member 0 of the corpus's block-norm matrices, whose
+# products run over the whole stack, with whole-matrix powers; the oracle
+# takes member 0 alone, with scalar powers.  They agree to rounding, and j
+# and k are exact.
+BLOCK_REPORT_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p,m", [(0.0, 0.0), (-0.5, 0.5), (1.0, 1.0 / 3.0)])
+def test_block_report_matches_the_per_block_oracle(grid1d, bump_pair, p, m, seed):
+    corpus = standard_corpus(grid1d, 16, seed)
+    rows, tail_converged = block_report(block_norms(grid1d, corpus, bump_pair)[0], p, m)
+    norms = block_norms(grid1d, corpus[0], bump_pair)
+    want = _block_report_oracle(norms, p, m)
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    assert all(type(j) is int and type(k) is int for j, k, *_ in rows)
+    np.testing.assert_allclose(
+        [row[2:] for row in rows], [row[2:] for row in want], rtol=BLOCK_REPORT_RTOL, atol=0
+    )
+    tail = sum(row[-1] for row in want if row[1] == norms.shape[1] - 2)
+    assert tail_converged == (tail <= 1e-8 * sum(row[-1] for row in want))
 
 
 def test_block_operator_composition(grid1d, bump_pair, gaussian_half):

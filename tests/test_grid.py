@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl.corpus import standard_corpus
+from kgl.dyadic import block_norms, build_bump_pair
 from kgl.grid import (
     CONTAINER_MAGIC,
     GridError,
@@ -22,7 +23,7 @@ from tests import per_field
 
 def _synthesized(u):
     """The samples a container holding the unitary transform of u reads back as."""
-    return np.fft.ifftn(np.fft.fftn(u, norm="ortho"), norm="ortho")
+    return np.fft.ifftn(np.fft.fftn(u, norm="ortho"), norm="ortho").real
 
 
 def test_grid_validation():
@@ -34,6 +35,14 @@ def test_grid_validation():
         VelocityGrid(1, 4, 8.0)  # too small
     with pytest.raises(GridError):
         VelocityGrid(1, 64, -1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), log_n=st.integers(3, 6), half_width=st.floats(1e-3, 1e3))
+def test_largest_radii_are_the_maxima_of_the_meshes(d, log_n, half_width):
+    grid = VelocityGrid(d, 2**log_n, half_width)
+    assert grid.v_max == np.max(grid.v_abs)
+    assert grid.eta_max == np.max(grid.eta_abs)
 
 
 def test_dual_frequencies():
@@ -152,7 +161,7 @@ def container_path(tmp_path_factory):
 def test_container_round_trip_and_truncation(container_path, d, n, half_width, seed):
     grid = VelocityGrid(d, n, half_width)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    u = rng.standard_normal(grid.shape)
     save_field(grid, u, str(container_path))
     data = container_path.read_bytes()
     header = len(CONTAINER_MAGIC) + 4 * (d + 1) + 8
@@ -160,7 +169,7 @@ def test_container_round_trip_and_truncation(container_path, d, n, half_width, s
     assert np.array_equal(raw[0::2] + 1j * raw[1::2], np.fft.fftn(u, norm="ortho").ravel())
     loaded_grid, g = _load_or_grid_error(container_path, data)
     assert loaded_grid == grid
-    assert np.array_equal(g, _synthesized(u))
+    assert g.dtype == np.float64 and np.array_equal(g, _synthesized(u))
     # every strict prefix is truncated: each header prefix, and payload cuts
     # (the payload is checked by its length only, so a sample of cuts covers it)
     cuts = list(range(header + 1)) + list(rng.integers(header, len(data), 8))
@@ -183,6 +192,39 @@ def test_container_garbage_loads_or_raises_grid_error(container_path, data):
     loaded = _load_or_grid_error(container_path, data)
     if loaded is not None:
         assert np.all(np.isfinite(loaded[1]))
+
+
+def test_loaded_fields_are_real_and_feed_the_block_norms(tmp_path):
+    grid = VelocityGrid(1, 256, 8.0)
+    u = np.exp(-grid.v_bracket_sq)
+    path = tmp_path / "gauss.kgl"
+    save_field(grid, u, str(path))
+    loaded_grid, g = load_field(str(path))
+    assert loaded_grid == grid and g.dtype == np.float64
+    np.testing.assert_allclose(g, u, rtol=0, atol=1e-15)
+    pair = build_bump_pair()
+    np.testing.assert_allclose(
+        block_norms(grid, g, pair), block_norms(grid, u, pair), rtol=0, atol=1e-15
+    )
+
+
+def test_container_of_complex_samples_is_rejected(tmp_path):
+    grid = VelocityGrid(1, 8, 1.0)  # the grid of _VALID_HEADER
+    path = tmp_path / "f.kgl"
+    with pytest.raises(GridError, match="complex"):
+        save_field(grid, np.ones(8, dtype=complex), str(path))
+    assert not path.exists()
+    real = np.cos(np.pi * grid.axis_points)
+    # an imaginary part above 1e-12 of the real peak is rejected, a rounding-sized one is not
+    for samples, ok in ((1j * real, False), (real * (1 + 2e-12j), False), (real * (1 + 1e-14j), True)):
+        coeff = np.fft.fft(samples, norm="ortho")
+        pairs = np.column_stack([coeff.real, coeff.imag]).astype("<f8")
+        path.write_bytes(_VALID_HEADER + pairs.tobytes())
+        if ok:
+            assert load_field(str(path))[1].dtype == np.float64
+        else:
+            with pytest.raises(GridError, match="complex samples"):
+                load_field(str(path))
 
 
 def test_save_field_rejects_samples_off_the_grid(tmp_path, grid1d_small):

@@ -24,6 +24,7 @@ from kgl.toy import (
     estimate_gevrey_index,
     evolve_toy,
     sharpness_infimum,
+    trajectory_shell_exponents,
     weighted_broadband_data,
 )
 
@@ -241,6 +242,18 @@ def test_trajectory_shell_measurement_clean(bump_pair):
             # the sampled field keeps only the rounding of its transform
             assert np.linalg.norm(weights[j + 1] * amp) == 0.0
             assert norms[j + 1] <= 1e-15 * np.linalg.norm(amp)
+
+
+def test_trajectory_shell_exponents_read_only_the_grid_shells(bump_pair):
+    grid = VelocityGrid(1, 1024, 16.0)  # frequency shells -1..6
+    f0 = weighted_broadband_data(grid, 1.0, seed=2)
+    final = 0.5 * f0
+    got = trajectory_shell_exponents(grid, f0, final, bump_pair, range(0, 7))
+    init = shell_norms(grid, f0, bump_pair)[1:8]
+    np.testing.assert_allclose(got, -np.log(0.5 * init / np.max(init)), rtol=1e-14)
+    for j_range in (range(0, 8), range(-2, 5)):
+        with pytest.raises(ToyModelError, match=r"the grid.s are -1\.\.6"):
+            trajectory_shell_exponents(grid, f0, final, bump_pair, j_range)
 
 
 def test_infimum_slope_window_high_shells():
