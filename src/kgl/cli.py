@@ -350,9 +350,12 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     polys = [vfields.random_poly(rng) for _ in range(size)]
     deltas = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3)]
     failures = []
+    checked = 0  # residual polynomials tested for zero
     for i, f in enumerate(polys):
         for delta in deltas:
-            for k, res in enumerate(vfields.commutator_residuals(f, delta, p["max_k"])):
+            residuals = vfields.commutator_residuals(f, delta, p["max_k"])
+            checked += len(residuals)
+            for k, res in enumerate(residuals):
                 if not res.is_zero():
                     failures.append(f"commutator f{i} delta={delta} k={k}")
     vp_cases = [
@@ -363,9 +366,11 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     for i, f in enumerate(polys):
         for vp in vp_cases:
             rx, rv = vfields.reconstruction_residuals(f, vp)
+            checked += 2
             if not (rx.is_zero() and rv.is_zero()):
                 failures.append(f"reconstruction f{i} lam={vp.lam}")
             mixed = vfields.mixed_commutator_residuals(f, vp.delta1, vp.delta2, p["max_alpha"])
+            checked += len(mixed)
             for (a1, a2), res in mixed.items():
                 if not res.is_zero():
                     failures.append(f"mixed f{i} alpha=({a1},{a2})")
@@ -398,7 +403,8 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
         "convolution-sup-stabilizes": bool(conv["stabilization_gap"] <= 1e-6),
     }
     metrics = {"convolution": conv, "ledger_round_trip_worst": worst_rt,
-               "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE, "failure_count": len(failures)}
+               "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE, "failure_count": len(failures),
+               "residuals_checked": checked}
     return RunReport(
         config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, id_json]
     )

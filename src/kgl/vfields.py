@@ -1,10 +1,12 @@
 """Exact calculus for the time-weighted transport vector fields.
 
-Polynomials in (t, x_1..x_3, v_1..v_3) carry Fraction coefficients and
-rational t-exponents, so the commutator and derivative-generation
-identities are verified as exact polynomial cancellations, not numerically.
-Each check builds its chains of H powers once, from f and from transport f
-(H_chain, H_table), and reads the residual of every order off them.
+Polynomials in (t, x_1..x_3, v_1..v_3) are held exactly: integer
+numerators over one positive denominator, with t-exponents on the lattice
+(1/T_UNIT) Z, so the commutator and derivative-generation identities are
+verified as exact polynomial cancellations, not numerically.  A t-power or
+a field parameter delta off that lattice raises VFError.  Each check builds
+its chains of H powers once, from f and from transport f (H_chain,
+H_table), and reads the residual of every order off them.
 The module also evaluates the factorial ledger weights (direct and log
 domain, with their round trip) and the combinatorial convolution bound.
 """
@@ -18,123 +20,113 @@ from fractions import Fraction
 
 DIM = 3
 DIRECTION = 1  # the index j of x_j and v_j every vector field differentiates along
+# t-exponents are held as integers in units of 1/T_UNIT: 12 = lcm(2, 3, 4) covers
+# every delta of the runs (1, 3/2, 2, 5/3, 7/4, 3) and its shifts by integers
+T_UNIT = 12
 
-# monomial key: (t_exponent, (x1, x2, x3, v1, v2, v3) integer exponents)
-Key = tuple[Fraction, tuple[int, ...]]
+# monomial key: (t-exponent in units of 1/T_UNIT, (x1, x2, x3, v1, v2, v3) integer exponents)
+Key = tuple[int, tuple[int, ...]]
 
 
 class VFError(ValueError):
     pass
 
 
+def _t_units(q, name: str = "t-exponent") -> int:
+    """The rational q as an integer count of 1/T_UNIT; VFError off that lattice."""
+    q = Fraction(q)
+    if T_UNIT % q.denominator:
+        raise VFError(f"{name} {q} is off the t-exponent lattice (1/{T_UNIT}) Z")
+    return q.numerator * (T_UNIT // q.denominator)
+
+
+def _bump(e: tuple[int, ...], slot: int, by: int) -> tuple[int, ...]:
+    return e[:slot] + (e[slot] + by,) + e[slot + 1:]
+
+
 class PolyFunction:
     """Multivariate polynomial with exact rational coefficients.
 
-    Exponents of the space/velocity variables are nonnegative integers;
-    the t-exponent may be any nonnegative rational, which keeps powers
-    like t^(delta1 - delta2) exactly representable.
+    Stored as content and primitive part: ``terms`` maps each monomial key
+    to an integer numerator, all over the one positive integer ``den``.  The
+    constructor takes those integers and reduces them to the canonical form
+    (gcd(den, numerators) = 1, no zero numerator), so equal polynomials have
+    equal fields; ``monomial`` and ``constant`` take rational coefficients
+    and t-exponents.  Exponents of x and v are nonnegative integers; the
+    t-exponent is an integer count of 1/T_UNIT, which keeps powers like
+    t^(delta1 - delta2) exact.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict[Key, Fraction] | None = None):
-        self.terms: dict[Key, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    texp = Fraction(key[0])
-                    self.terms[(texp, tuple(key[1]))] = (
-                        self.terms.get((texp, tuple(key[1])), Fraction(0)) + c
-                    )
-            self._prune()
-
-    def _prune(self):
-        for key in [k for k, c in self.terms.items() if c == 0]:
-            del self.terms[key]
+    def __init__(self, terms: dict[Key, int] | None = None, den: int = 1):
+        terms = {k: c for k, c in terms.items() if c} if terms else {}
+        g = math.gcd(den, *terms.values())
+        self.terms: dict[Key, int] = {k: c // g for k, c in terms.items()} if g > 1 else terms
+        self.den = den // g
 
     @staticmethod
     def constant(c) -> "PolyFunction":
-        return PolyFunction({(Fraction(0), (0,) * (2 * DIM)): Fraction(c)})
+        return PolyFunction.monomial(c)
 
     @staticmethod
     def monomial(c=1, t=0, x=(0, 0, 0), v=(0, 0, 0)) -> "PolyFunction":
-        return PolyFunction(
-            {(Fraction(t), (int(x[0]), int(x[1]), int(x[2]), int(v[0]), int(v[1]), int(v[2]))): Fraction(c)}
-        )
+        c = Fraction(c)
+        e = (int(x[0]), int(x[1]), int(x[2]), int(v[0]), int(v[1]), int(v[2]))
+        return PolyFunction({(_t_units(t), e): c.numerator}, c.denominator)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyFunction) and self.terms == other.terms
+        return isinstance(other, PolyFunction) and self.den == other.den and self.terms == other.terms
 
-    def __add__(self, other: "PolyFunction") -> "PolyFunction":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        res = PolyFunction()
-        res.terms = {k: c for k, c in out.items() if c != 0}
-        return res
+    def __add__(self, other: "PolyFunction", sign: int = 1) -> "PolyFunction":
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * den // other.den
+        out = {k: c * a for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c * b
+        return PolyFunction(out, den)
 
     def __sub__(self, other: "PolyFunction") -> "PolyFunction":
-        return self + other.scale(-1)
+        return self.__add__(other, -1)
 
     def scale(self, c) -> "PolyFunction":
         c = Fraction(c)
-        res = PolyFunction()
-        if c != 0:
-            res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        return PolyFunction({k: v * c.numerator for k, v in self.terms.items()}, self.den * c.denominator)
 
     def __mul__(self, other: "PolyFunction") -> "PolyFunction":
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, int] = {}
         for (t1, e1), c1 in self.terms.items():
             for (t2, e2), c2 in other.terms.items():
                 key = (t1 + t2, tuple(a + b for a, b in zip(e1, e2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        res = PolyFunction()
-        res.terms = {k: c for k, c in out.items() if c != 0}
-        return res
+                out[key] = out.get(key, 0) + c1 * c2
+        return PolyFunction(out, self.den * other.den)
 
     def mul_t_power(self, q) -> "PolyFunction":
-        q = Fraction(q)
-        res = PolyFunction()
-        res.terms = {(t + q, e): c for (t, e), c in self.terms.items()}
-        return res
+        u = _t_units(q)
+        return PolyFunction({(t + u, e): c for (t, e), c in self.terms.items()}, self.den)
 
     def diff_t(self) -> "PolyFunction":
-        res = PolyFunction()
-        for (t, e), c in self.terms.items():
-            if t != 0:
-                res.terms[(t - 1, e)] = res.terms.get((t - 1, e), Fraction(0)) + c * t
-        res._prune()
-        return res
+        return PolyFunction(
+            {(t - T_UNIT, e): c * t for (t, e), c in self.terms.items() if t}, self.den * T_UNIT
+        )
 
     def diff_x(self, j: int) -> "PolyFunction":
-        return self._diff_slot(j - 1)
+        return self._diff(j - 1)
 
     def diff_v(self, j: int) -> "PolyFunction":
-        return self._diff_slot(DIM + j - 1)
+        return self._diff(DIM + j - 1)
 
-    def _diff_slot(self, slot: int) -> "PolyFunction":
-        res = PolyFunction()
-        for (t, e), c in self.terms.items():
-            if e[slot] > 0:
-                ne = list(e)
-                ne[slot] -= 1
-                key = (t, tuple(ne))
-                res.terms[key] = res.terms.get(key, Fraction(0)) + c * e[slot]
-        res._prune()
-        return res
+    def _diff(self, slot: int, shift: int = 0, num: int = 1, den: int = 1) -> "PolyFunction":
+        """(num/den) t^(shift/T_UNIT) times the derivative in variable ``slot``, in one pass."""
+        terms = self.terms.items()
+        out = {(t + shift, _bump(e, slot, -1)): c * e[slot] * num for (t, e), c in terms if e[slot]}
+        return PolyFunction(out, self.den * den)
 
     def mul_v(self, j: int) -> "PolyFunction":
-        res = PolyFunction()
-        for (t, e), c in self.terms.items():
-            ne = list(e)
-            ne[DIM + j - 1] += 1
-            res.terms[(t, tuple(ne))] = c
-        return res
+        return PolyFunction({(t, _bump(e, DIM + j - 1, 1)): c for (t, e), c in self.terms.items()}, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -142,30 +134,37 @@ class PolyFunction:
         names = ["x1", "x2", "x3", "v1", "v2", "v3"]
         bits = []
         for (t, e), c in sorted(self.terms.items()):
-            mono = [str(c)]
+            mono = [str(Fraction(c, self.den))]
             if t != 0:
-                mono.append(f"t^{t}")
+                mono.append(f"t^{Fraction(t, T_UNIT)}")
             mono += [f"{names[i]}^{p}" for i, p in enumerate(e) if p]
             bits.append("*".join(mono))
         return "PolyFunction(" + " + ".join(bits) + ")"
 
 
 def transport(f: PolyFunction) -> PolyFunction:
-    """d/dt + v . d/dx applied exactly."""
-    out = f.diff_t()
-    for j in range(1, DIM + 1):
-        out = out + f.diff_x(j).mul_v(j)
-    return out
+    """d/dt + v . d/dx applied exactly, in one pass over the terms of f."""
+    out: dict[Key, int] = {}
+    for (t, e), c in f.terms.items():
+        if t:  # d/dt t^q = q t^(q - 1) with q = t / T_UNIT
+            out[t - T_UNIT, e] = out.get((t - T_UNIT, e), 0) + c * t
+        for j in range(DIM):
+            if e[j]:
+                key = (t, _bump(_bump(e, j, -1), DIM + j, 1))
+                out[key] = out.get(key, 0) + c * e[j] * T_UNIT
+    return PolyFunction(out, f.den * T_UNIT)
 
 
 def apply_H(f: PolyFunction, delta) -> PolyFunction:
-    """The field (1/(delta+1)) t^(delta+1) d/dx_j + t^delta d/dv_j, j = DIRECTION."""
-    delta = Fraction(delta)
-    if delta < 1:
-        raise VFError(f"delta={delta} < 1")
-    part_x = f.diff_x(DIRECTION).mul_t_power(delta + 1).scale(Fraction(1, 1) / (delta + 1))
-    part_v = f.diff_v(DIRECTION).mul_t_power(delta)
-    return part_x + part_v
+    """The field (1/(delta+1)) t^(delta+1) d/dx_j + t^delta d/dv_j, j = DIRECTION.
+
+    With u = T_UNIT delta, 1/(delta+1) = T_UNIT/(u + T_UNIT), so both parts
+    are integer numerators over den (u + T_UNIT).
+    """
+    u = _t_units(delta, "delta")
+    if u < T_UNIT:
+        raise VFError(f"delta={Fraction(delta)} < 1")
+    return f._diff(DIRECTION - 1, u + T_UNIT, T_UNIT, u + T_UNIT) + f._diff(DIM + DIRECTION - 1, u)
 
 
 def H_chain(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
@@ -189,7 +188,8 @@ def H_table(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
 
 def _ladder(g: PolyFunction, delta, k: int) -> PolyFunction:
     """delta k t^(delta-1) d/dv_j g, the term one more H adds to the commutator."""
-    return g.diff_v(DIRECTION).mul_t_power(delta - 1).scale(delta * k)
+    u = _t_units(delta, "delta")
+    return g._diff(DIM + DIRECTION - 1, u - T_UNIT, u * k, T_UNIT)
 
 
 def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
@@ -239,9 +239,9 @@ class VFParams:
                 f"{max(Fraction(1), 1 / (2 * self.tau))}"
             )
         if not (self.delta1 > self.delta2 >= 1):
-            raise VFError(
-                f"need delta1 > delta2 >= 1, got {self.delta1}, {self.delta2}"
-            )
+            raise VFError(f"need delta1 > delta2 >= 1, got {self.delta1}, {self.delta2}")
+        for name in ("delta1", "delta2"):  # then delta1 - delta2 and lam + 1 are on the lattice too
+            _t_units(getattr(self, name), name)
 
     @property
     def tau(self) -> Fraction:

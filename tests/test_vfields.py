@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgl import vfields
 from kgl.cli import DEFAULTS, ExperimentConfig, run
@@ -27,6 +28,7 @@ from kgl.vfields import (
     reconstruction_residuals,
     transport,
 )
+from tests import ref_poly
 
 X1V1 = PolyFunction.monomial(1, x=(1, 0, 0), v=(1, 0, 0))
 
@@ -156,8 +158,10 @@ def test_vfparams_regimes():
 
 
 def test_vfparams_ordering_sweep():
+    # about two draws in three put delta1 or delta2 off the 1/T_UNIT lattice:
+    # those must be rejected, and 100 on-lattice draws must be ordered
     rng = np.random.default_rng(1)
-    count = 0
+    count = rejected = 0
     while count < 100:
         gamma = Fraction(int(rng.integers(-29, 0)), 10)
         s = Fraction(int(rng.integers(1, 10)), 10)
@@ -165,14 +169,50 @@ def test_vfparams_ordering_sweep():
             continue
         tau = 2 * s / (2 - gamma)
         lam = max(Fraction(1), 1 / (2 * tau)) + Fraction(int(rng.integers(1, 5)), 2)
-        vp = VFParams(gamma=gamma, s=s, lam=lam)
+        try:
+            vp = VFParams(gamma=gamma, s=s, lam=lam)
+        except VFError as err:
+            assert "off the t-exponent lattice" in str(err)
+            rejected += 1
+            continue
         assert vp.delta1 > vp.delta2 >= 1
         count += 1
+    assert rejected > 0
 
 
 def test_vfparams_rejects_small_lambda():
     with pytest.raises(VFError):
         VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(1))
+
+
+def test_vfparams_rejects_deltas_off_the_lattice():
+    # tau = 1/6, so lambda = 16/5 > 3 is admissible, but delta1 = 16/5 and
+    # delta2 = 47/15 are not multiples of 1/12
+    with pytest.raises(VFError, match=r"delta1 16/5 is off the t-exponent lattice \(1/12\) Z"):
+        VFParams(gamma=Fraction(-1), s=Fraction(1, 4), lam=Fraction(16, 5))
+    vp = VFParams(gamma=Fraction(-1), s=Fraction(1, 4), lam=Fraction(7, 2))  # delta2 = 10/3
+    assert (vp.delta1, vp.delta2) == (Fraction(7, 2), Fraction(10, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_H(X1V1, Fraction(8, 7)),
+        lambda: X1V1.mul_t_power(Fraction(8, 7)),
+        lambda: PolyFunction.monomial(1, t=Fraction(8, 7)),
+    ],
+    ids=["apply_H", "mul_t_power", "monomial"],
+)
+def test_off_lattice_exponents_are_rejected(call):
+    with pytest.raises(VFError, match=r"8/7 is off the t-exponent lattice \(1/12\) Z"):
+        call()
+
+
+def test_repr_prints_rational_coefficients_and_t_exponents():
+    f = PolyFunction.monomial(Fraction(1, 2), t=Fraction(5, 3), x=(1, 0, 0))
+    f = f + PolyFunction.monomial(-3, v=(0, 0, 2))
+    assert repr(f) == "PolyFunction(-3*v3^2 + 1/2*t^5/3*x1^1)"
+    assert repr(PolyFunction()) == "PolyFunction(0)"
 
 
 def test_generation_coefficients_worked_instance():
@@ -356,6 +396,21 @@ def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, cor
     assert apply_H_budget(60, 5, 4) == 7800  # the exact-algebra benchmark settings
 
 
+def residual_budget(max_k, max_alpha):
+    """Residuals one vector-fields run checks per polynomial: 4 deltas x (max_k + 1)
+    commutator orders, and per field pair 2 reconstructions plus one mixed residual
+    for each of the (max_alpha+1)(max_alpha+2)/2 multi-indices."""
+    return 4 * (max_k + 1) + 3 * (2 + (max_alpha + 1) * (max_alpha + 2) // 2)
+
+
+@pytest.mark.parametrize("corpus,max_k,max_alpha", [(2, 5, 4), (3, 2, 1), (1, 0, 0)])
+def test_vector_fields_counts_every_residual_checked(tmp_path, corpus, max_k, max_alpha):
+    cfg = _vector_fields_config(tmp_path, corpus_size=corpus, max_k=max_k, max_alpha=max_alpha)
+    assert run(cfg).metrics["residuals_checked"] == corpus * residual_budget(max_k, max_alpha)
+    assert residual_budget(DEFAULTS["vector-fields"]["max_k"], DEFAULTS["vector-fields"]["max_alpha"]) == 75
+    assert 60 * residual_budget(5, 4) == 4500  # the exact-algebra benchmark settings
+
+
 def _off_by_one_ladder(g, delta, k):
     return g.diff_v(1).mul_t_power(delta - 1).scale(delta * (k + 1))
 
@@ -389,3 +444,65 @@ def test_identity_checks_fail_under_a_mutant(tmp_path, monkeypatch, name, mutant
     if "commutator" in kinds:
         # the k = 0 residual carries no delta k term and no H, so it never fails
         assert all(" k=0" not in line for line in failures)
+
+
+# --- property test: the integer representation against the Fraction reference ---
+
+T_LATTICE = st.integers(-vfields.T_UNIT, 3 * vfields.T_UNIT).map(lambda u: Fraction(u, vfields.T_UNIT))
+COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def poly_pairs(draw, max_terms=3):
+    """One polynomial built both ways from the same drawn monomials."""
+    lib, ref = PolyFunction(), {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        c, t = draw(COEFFICIENTS), draw(T_LATTICE.filter(lambda q: q >= 0))
+        e = draw(st.tuples(*[st.integers(0, 2)] * 6))
+        lib = lib + PolyFunction.monomial(c, t=t, x=e[:3], v=e[3:])
+        ref = ref_poly.add(ref, ref_poly.monomial(c, t, e))
+    return lib, ref
+
+
+# name: (library operation, reference operation, argument strategy); a
+# polynomial argument is drawn as a (library, reference) pair
+CHAIN_OPS = {
+    "add": (lambda p, a: p + a[0], lambda r, a: ref_poly.add(r, a[1]), poly_pairs()),
+    "sub": (lambda p, a: p - a[0], lambda r, a: ref_poly.add(r, a[1], -1), poly_pairs()),
+    "mul": (lambda p, a: p * a[0], lambda r, a: ref_poly.mul(r, a[1]), poly_pairs(max_terms=2)),
+    "scale": (PolyFunction.scale, ref_poly.scale, COEFFICIENTS),
+    "diff_t": (lambda p, a: p.diff_t(), lambda r, a: ref_poly.diff_t(r), st.none()),
+    "diff_x": (PolyFunction.diff_x, ref_poly.diff_x, st.integers(1, 3)),
+    "diff_v": (PolyFunction.diff_v, ref_poly.diff_v, st.integers(1, 3)),
+    "mul_v": (PolyFunction.mul_v, ref_poly.mul_v, st.integers(1, 3)),
+    "mul_t_power": (PolyFunction.mul_t_power, ref_poly.mul_t_power, T_LATTICE),
+    "transport": (lambda p, a: transport(p), lambda r, a: ref_poly.transport(r), st.none()),
+    "apply_H": (apply_H, ref_poly.apply_H, T_LATTICE.filter(lambda q: q >= 1)),
+}
+CHAIN_STEP = st.one_of(*(st.tuples(st.just(name), op[2]) for name, op in CHAIN_OPS.items()))
+
+
+def as_reference(p: PolyFunction) -> dict:
+    return {(Fraction(t, vfields.T_UNIT), e): Fraction(c, p.den) for (t, e), c in p.terms.items()}
+
+
+def assert_canonical(p: PolyFunction):
+    """Integer numerators and t-keys over one positive denominator, in lowest terms."""
+    assert type(p.den) is int and p.den > 0
+    for (t, e), c in p.terms.items():
+        assert type(t) is int and type(c) is int and c != 0
+        assert all(type(x) is int for x in e)
+    assert math.gcd(p.den, *p.terms.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=poly_pairs(), chain=st.lists(CHAIN_STEP, max_size=6))
+def test_integer_polynomials_agree_with_the_fraction_reference(start, chain):
+    lib, ref = start
+    assert_canonical(lib)
+    assert as_reference(lib) == ref
+    for name, arg in chain:
+        lib_op, ref_op, _ = CHAIN_OPS[name]
+        lib, ref = lib_op(lib, arg), ref_op(ref, arg)
+        assert_canonical(lib)
+        assert as_reference(lib) == ref, name
