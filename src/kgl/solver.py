@@ -415,6 +415,8 @@ def picard_iterate(
     """
     if n_max < 3:
         raise SolverError("n_max must be at least 3")
+    if rp.x_points:
+        raise SolverError("Picard iteration covers the velocity-only reduction")
     if np.shape(f_in) != rp.grid.shape:
         raise SolverError(
             f"initial datum has shape {np.shape(f_in)}, the grid expects {rp.grid.shape}"

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebval
 
 from kgl.dyadic import (
     BumpPair,
@@ -85,7 +85,7 @@ def effective_coefficient(
 CHEBYSHEV_NODES = 48  # first node count tried; doubled until the series resolves
 MAX_CHEBYSHEV_NODES = 3072  # beyond this the kernel is rejected as unresolved
 RESOLVED_TAIL = 64 * np.finfo(float).eps  # top-half coefficients of a resolved series
-PLATEAU_FACTOR = 2.0  # coefficients within this factor of the floor are rounding
+SINGULAR_TOL = 16 * np.finfo(float).eps  # kept singular values exceed this times the largest
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -104,20 +104,17 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 def chebyshev_symbols(
     coefficient: np.ndarray, sigma: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Separate exp(-dt m sigma) in m over the range of ``coefficient``.
+    """Separate exp(-dt m sigma) in m over the range of ``coefficient`` at its numerical rank.
 
-    With x = (m - center) / half mapping [min m, max m] onto [-1, 1],
-
-        exp(-dt m sigma) = sum_r b_r(sigma) T_r(x),
-
-    where b_r is the DCT of the kernel sampled at Chebyshev nodes m_k.  The
-    computed coefficients level off at a rounding plateau instead of
-    decaying further, so the rank is read from the plateau: the floor is
-    the largest coefficient in the top half of the series (at least eps
-    times b_0), and the rank keeps every term above PLATEAU_FACTOR times
-    it.  The node count doubles until the top half sits at rounding level.
-    A constant coefficient gives rank 1.  Returns (b, x) with b of shape
-    (rank,) + sigma.shape.
+    The kernel is sampled at n Chebyshev nodes m_k of [min m, max m]; n
+    doubles until the top half of the samples' Chebyshev series (their DCT)
+    sits at rounding level.  The samples K = U S V^T (shape (n, sigma.size))
+    then separate at their numerical rank (Eckart-Young): the rank keeps the
+    singular values above SINGULAR_TOL times the largest, the symbols b_q are
+    the kept rows of V^T, and the weights a_q are the Chebyshev interpolants
+    of the kept columns of U S at x = (m - center) / half.  A constant
+    coefficient gives rank 1.  Returns (a, b) with a of shape
+    (rank,) + coefficient.shape and b of shape (rank,) + sigma.shape.
     """
     lo, hi = float(np.min(coefficient)), float(np.max(coefficient))
     center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -136,9 +133,12 @@ def chebyshev_symbols(
                 f"toy kernel not resolved by {n} Chebyshev nodes (tail {floor:.1e})"
             )
         n *= 2
-    rank = int(np.nonzero(size > PLATEAU_FACTOR * floor)[0][-1]) + 1
+    u, singular, vt = np.linalg.svd(kernel.reshape(n, -1), full_matrices=False)
+    rank = int(np.count_nonzero(singular > SINGULAR_TOL * singular[0]))
+    c = _dct2(u[:, :rank] * singular[:rank]) / n
+    c[0] /= 2.0
     x = (coefficient - center) / half if half > 0 else np.zeros_like(coefficient)
-    return b[:rank], x
+    return chebval(x, c, tensor=True), vt[:rank].reshape((rank,) + sigma.shape).copy()
 
 
 class ToyStepper:
@@ -146,17 +146,16 @@ class ToyStepper:
 
     The step applies the frozen kernel exp(-dt m(v) <eta>^(2s)), with m the
     effective coefficient, mode by mode.  The kernel depends on v only
-    through m, so a Chebyshev expansion in m separates it:
+    through m, so its separation in m (see :func:`chebyshev_symbols` for the
+    rank rule; ``rank`` holds it) splits the step into rank + 1 transforms:
 
-        step(u) = sum_r a_r(v) * irfftn(b_r(eta) * rfftn(u)),
+        step(u) = sum_q a_q(v) * irfftn(b_q(eta) * rfftn(u)).
 
-    with a_r = T_r(x(v)) and b_r the Chebyshev coefficients of the kernel
-    (see :func:`chebyshev_symbols` for the rank rule; ``rank`` holds it).
     A constant coefficient (gamma = 0) is the rank-1 case, the exact
     multiplier flow.  Every kernel element lies in (0, 1], so the step is
     unconditionally stable.
 
-    The operator is real (a_r, b_r real, b_r even in eta) and marches real
+    The operator is real (a_q, b_q real, b_q even in eta) and marches real
     arrays with real transforms; complex input raises TypeError.
     """
 
@@ -166,10 +165,8 @@ class ToyStepper:
         self.dt = p.t_final / p.steps
         self.coefficient = effective_coefficient(grid, p.prm.gamma)
         sigma = half_symbol(grid.eta_bracket_sq) ** p.prm.s
-        self.symbols, x = chebyshev_symbols(self.coefficient, sigma, self.dt)
+        self.weights, self.symbols = chebyshev_symbols(self.coefficient, sigma, self.dt)
         self.rank = len(self.symbols)
-        # T_0(x) .. T_(rank-1)(x) by the three-term recurrence
-        self.weights = np.ascontiguousarray(np.moveaxis(chebvander(x, self.rank - 1), -1, 0))
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """Advance by dt the real fields on the trailing d axes (leading axes stack them)."""

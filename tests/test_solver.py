@@ -279,6 +279,13 @@ def test_picard_rejects_a_datum_off_the_grid():
         picard_iterate(gaussian_datum(VelocityGrid(1, 512, 4.0)), rp, n_max=3)
 
 
+def test_picard_rejects_the_space_axis():
+    # the iteration and its energy monitor cover the velocity-only reduction
+    rp = make_problem(grid=VelocityGrid(1, 64, 4.0), steps=16, x_points=8)
+    with pytest.raises(SolverError, match="velocity-only"):
+        picard_iterate(gaussian_datum(rp.grid), rp, n_max=3)
+
+
 def test_weighted_contraction_zero_source():
     rp = make_problem()
     g = gaussian_datum(rp.grid)

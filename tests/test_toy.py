@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from kgl.dyadic import frequency_rings, max_freq_shell, shell_norms
 from kgl.grid import (
@@ -20,6 +21,7 @@ from kgl.toy import (
     ToyParams,
     ToyStepper,
     _dct2,
+    chebyshev_symbols,
     effective_coefficient,
     estimate_gevrey_index,
     evolve_toy,
@@ -361,7 +363,61 @@ def test_unresolved_kernel_is_rejected(monkeypatch):
 
     prm = SoftPotentialParams(gamma=-1.0, s=0.75)
     p = ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=VelocityGrid(1, 1024, 16.0), steps=16)
-    assert ToyStepper(p).rank > kgl.toy.CHEBYSHEV_NODES // 2
+    node_counts = []
+
+    def recording(x):
+        node_counts.append(len(x))
+        return _dct2(x)
+
+    monkeypatch.setattr(kgl.toy, "_dct2", recording)
+    ToyStepper(p)
+    # the loop tries 48 nodes, then 96; the weights' DCT reads the 96 again
+    assert sorted(set(node_counts)) == [kgl.toy.CHEBYSHEV_NODES, 2 * kgl.toy.CHEBYSHEV_NODES]
     monkeypatch.setattr(kgl.toy, "MAX_CHEBYSHEV_NODES", kgl.toy.CHEBYSHEV_NODES)
     with pytest.raises(ToyModelError, match="not resolved"):
         ToyStepper(p)
+
+
+@pytest.mark.parametrize(
+    "grid, gamma, s",
+    [
+        (VelocityGrid(1, 128, 8.0), -1.0, 0.5),
+        (VelocityGrid(1, 128, 8.0), -3.0, 0.25),
+        (VelocityGrid(2, 32, 8.0), -1.0, 0.5),
+        (VelocityGrid(2, 32, 8.0), -2.0, 0.75),
+    ],
+)
+def test_separation_at_the_numerical_rank(grid, gamma, s):
+    # The rule drops the singular values of the node-sampled kernel below
+    # 16 eps (toy.SINGULAR_TOL) times the largest, a spectral-norm bound.
+    # Sampled on the grid's own (v, eta) points instead of the nodes, the
+    # kept terms meet that bound and one term fewer misses it.  (In max norm
+    # a dropped term is 10 to 50 times smaller than its singular value, and
+    # the SVD's rounding is about eps times the largest, so max norm cannot
+    # see a missing term.)
+    dt = 1.0 / 32
+    m = effective_coefficient(grid, gamma)
+    sigma = half_symbol(grid.eta_bracket_sq) ** s
+    a, b = chebyshev_symbols(m, sigma, dt)
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    exact = np.exp(-dt * np.outer(m.ravel(), sigma.ravel()))
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(exact, 2)
+    assert np.linalg.norm(a.T @ b - exact, 2) <= bound
+    assert np.linalg.norm(a[:-1].T @ b[:-1] - exact, 2) > bound
+
+
+@pytest.mark.parametrize("grid", [VelocityGrid(1, 512, 12.0), VelocityGrid(2, 32, 8.0)])
+def test_a_step_makes_one_transform_per_term_and_one_more(monkeypatch, grid):
+    # counted at the pocketfft kernels, where every numpy transform ends;
+    # an n-dimensional transform is one kernel call per axis
+    stepper = ToyStepper(small_params(grid=grid))
+    u = weighted_broadband_data(grid, 1.0)
+    calls = {"n": 0}
+    for name in ("fft", "ifft", "irfft", "rfft_n_even", "rfft_n_odd"):
+        def counted(*args, _fn=getattr(_pocketfft, name), **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(_pocketfft, name, counted)
+    stepper.step(np.array([u, u]))
+    assert calls["n"] == grid.dimension * (stepper.rank + 1)
