@@ -35,6 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # a ledger row above it is written as inf
+
+
 def _coerce(experiment: str, key: str, value, default):
     """``value`` as the type of ``default``: an integral int or a finite float."""
     try:
@@ -111,6 +114,22 @@ class ExperimentConfig:
             raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
         if p.get("rho", 1.0) <= 0:
             raise ConfigError(f"[{name}] rho = {p['rho']} must be positive")
+        if "rho" in p and not _ledger_power_is_normal(p["rho"]):
+            top = vfields.LEDGER_DIRECT_MAX - 1
+            lo, hi = (bound ** (1 / top) for bound in (sys.float_info.min, sys.float_info.max))
+            raise ConfigError(
+                f"[{name}] rho = {p['rho']} must keep rho**{top} a normal float, "
+                f"about {lo:.3g} <= rho <= {hi:.3g}"
+            )
+
+
+def _ledger_power_is_normal(rho: float) -> bool:
+    """Whether the ledger's direct branch, up to rho**(LEDGER_DIRECT_MAX - 1), stays a normal float."""
+    try:
+        power = rho ** (vfields.LEDGER_DIRECT_MAX - 1)
+    except OverflowError:
+        return False
+    return sys.float_info.min <= power <= sys.float_info.max
 
 
 @dataclass
@@ -379,7 +398,7 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     exponent = 1.5
     for k in range(0, 201):
         lv = vfields.log_ledger_value(rho, k, exponent)
-        ledger_rows.append([k, math.exp(lv) if lv > -700 else 0.0, lv])
+        ledger_rows.append([k, math.inf if lv > LOG_FLOAT_MAX else math.exp(lv) if lv > -700 else 0.0, lv])
     worst_rt = vfields.ledger_round_trip_residual(rho, exponent)
     conv = vfields.convolution_bound(p["conv_kmax"])
     csv_path = os.path.join(cfg.out_dir, "ledger.csv")

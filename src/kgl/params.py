@@ -28,7 +28,7 @@ class SoftPotentialParams:
         if self.strict:
             if not (-3.0 < self.gamma < 0.0):
                 raise AdmissibilityError(f"gamma={self.gamma} outside (-3, 0)")
-            if not (self.gamma + 2.0 * self.s > -1.0):
+            if not (self.gamma + 2 * self.s > -1):  # exact for Fraction exponents
                 raise AdmissibilityError(
                     f"gamma + 2s = {self.gamma + 2 * self.s} <= -1"
                 )

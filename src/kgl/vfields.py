@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from kgl.params import AdmissibilityError, SoftPotentialParams
+
 DIM = 3
 DIRECTION = 1  # the index j of x_j and v_j every vector field differentiates along
 # t-exponents are held as integers in units of 1/T_UNIT: 12 = lcm(2, 3, 4) covers
@@ -32,12 +34,27 @@ class VFError(ValueError):
     pass
 
 
+def _ratio(q) -> tuple[int, int]:
+    """Numerator and positive denominator of the rational q.
+
+    An int or a Fraction is read as it is; anything else (a float, a numpy
+    integer) is converted once.
+    """
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 def _t_units(q, name: str = "t-exponent") -> int:
-    """The rational q as an integer count of 1/T_UNIT; VFError off that lattice."""
-    q = Fraction(q)
-    if T_UNIT % q.denominator:
-        raise VFError(f"{name} {q} is off the t-exponent lattice (1/{T_UNIT}) Z")
-    return q.numerator * (T_UNIT // q.denominator)
+    """The rational q as an integer count of 1/T_UNIT; VFError off that lattice.
+
+    An int or a Fraction builds no new Fraction, so converting a field's
+    delta on every apply_H and ladder call costs two attribute reads.
+    """
+    num, den = _ratio(q)
+    if T_UNIT % den:
+        raise VFError(f"{name} {Fraction(num, den)} is off the t-exponent lattice (1/{T_UNIT}) Z")
+    return num * (T_UNIT // den)
 
 
 def _bump(e: tuple[int, ...], slot: int, by: int) -> tuple[int, ...]:
@@ -49,10 +66,11 @@ class PolyFunction:
 
     Stored as content and primitive part: ``terms`` maps each monomial key
     to an integer numerator, all over the one positive integer ``den``.  The
-    constructor takes those integers and reduces them to the canonical form
-    (gcd(den, numerators) = 1, no zero numerator), so equal polynomials have
-    equal fields; ``monomial`` and ``constant`` take rational coefficients
-    and t-exponents.  Exponents of x and v are nonnegative integers; the
+    constructor copies the caller's dict, so the polynomial never shares it,
+    and reduces those integers to the canonical form (gcd(den, numerators)
+    = 1, no zero numerator), so equal polynomials have equal fields;
+    ``monomial`` and ``constant`` take rational coefficients and
+    t-exponents.  Exponents of x and v are nonnegative integers; the
     t-exponent is an integer count of 1/T_UNIT, which keeps powers like
     t^(delta1 - delta2) exact.
     """
@@ -60,10 +78,8 @@ class PolyFunction:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms: dict[Key, int] | None = None, den: int = 1):
-        terms = {k: c for k, c in terms.items() if c} if terms else {}
-        g = math.gcd(den, *terms.values())
-        self.terms: dict[Key, int] = {k: c // g for k, c in terms.items()} if g > 1 else terms
-        self.den = den // g
+        p = _poly(dict(terms) if terms else {}, den)
+        self.terms, self.den = p.terms, p.den
 
     @staticmethod
     def constant(c) -> "PolyFunction":
@@ -71,9 +87,9 @@ class PolyFunction:
 
     @staticmethod
     def monomial(c=1, t=0, x=(0, 0, 0), v=(0, 0, 0)) -> "PolyFunction":
-        c = Fraction(c)
+        num, den = _ratio(c)
         e = (int(x[0]), int(x[1]), int(x[2]), int(v[0]), int(v[1]), int(v[2]))
-        return PolyFunction({(_t_units(t), e): c.numerator}, c.denominator)
+        return _poly({(_t_units(t), e): num}, den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -84,17 +100,17 @@ class PolyFunction:
     def __add__(self, other: "PolyFunction", sign: int = 1) -> "PolyFunction":
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * den // other.den
-        out = {k: c * a for k, c in self.terms.items()}
+        out = self.terms.copy() if a == 1 else {k: c * a for k, c in self.terms.items()}
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c * b
-        return PolyFunction(out, den)
+        return _poly(out, den)
 
     def __sub__(self, other: "PolyFunction") -> "PolyFunction":
         return self.__add__(other, -1)
 
     def scale(self, c) -> "PolyFunction":
-        c = Fraction(c)
-        return PolyFunction({k: v * c.numerator for k, v in self.terms.items()}, self.den * c.denominator)
+        num, den = _ratio(c)
+        return _poly({k: v * num for k, v in self.terms.items()}, self.den * den)
 
     def __mul__(self, other: "PolyFunction") -> "PolyFunction":
         out: dict[Key, int] = {}
@@ -102,16 +118,14 @@ class PolyFunction:
             for (t2, e2), c2 in other.terms.items():
                 key = (t1 + t2, tuple(a + b for a, b in zip(e1, e2)))
                 out[key] = out.get(key, 0) + c1 * c2
-        return PolyFunction(out, self.den * other.den)
+        return _poly(out, self.den * other.den)
 
     def mul_t_power(self, q) -> "PolyFunction":
         u = _t_units(q)
-        return PolyFunction({(t + u, e): c for (t, e), c in self.terms.items()}, self.den)
+        return _poly({(t + u, e): c for (t, e), c in self.terms.items()}, self.den)
 
     def diff_t(self) -> "PolyFunction":
-        return PolyFunction(
-            {(t - T_UNIT, e): c * t for (t, e), c in self.terms.items() if t}, self.den * T_UNIT
-        )
+        return _poly({(t - T_UNIT, e): c * t for (t, e), c in self.terms.items() if t}, self.den * T_UNIT)
 
     def diff_x(self, j: int) -> "PolyFunction":
         return self._diff(j - 1)
@@ -123,10 +137,10 @@ class PolyFunction:
         """(num/den) t^(shift/T_UNIT) times the derivative in variable ``slot``, in one pass."""
         terms = self.terms.items()
         out = {(t + shift, _bump(e, slot, -1)): c * e[slot] * num for (t, e), c in terms if e[slot]}
-        return PolyFunction(out, self.den * den)
+        return _poly(out, self.den * den)
 
     def mul_v(self, j: int) -> "PolyFunction":
-        return PolyFunction({(t, _bump(e, DIM + j - 1, 1)): c for (t, e), c in self.terms.items()}, self.den)
+        return _poly({(t, _bump(e, DIM + j - 1, 1)): c for (t, e), c in self.terms.items()}, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -142,29 +156,58 @@ class PolyFunction:
         return "PolyFunction(" + " + ".join(bits) + ")"
 
 
+def _poly(terms: dict[Key, int], den: int) -> PolyFunction:
+    """``terms`` over ``den`` in canonical form, the dict adopted as it is.
+
+    It is copied only when it holds a zero numerator or a factor common to
+    den and every numerator.
+    """
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    g = math.gcd(den, *terms.values())
+    if g > 1:
+        terms = {k: c // g for k, c in terms.items()}
+    p = object.__new__(PolyFunction)
+    p.terms, p.den = terms, den // g
+    return p
+
+
 def transport(f: PolyFunction) -> PolyFunction:
     """d/dt + v . d/dx applied exactly, in one pass over the terms of f."""
     out: dict[Key, int] = {}
     for (t, e), c in f.terms.items():
         if t:  # d/dt t^q = q t^(q - 1) with q = t / T_UNIT
-            out[t - T_UNIT, e] = out.get((t - T_UNIT, e), 0) + c * t
+            key = (t - T_UNIT, e)
+            out[key] = out.get(key, 0) + c * t
         for j in range(DIM):
-            if e[j]:
-                key = (t, _bump(_bump(e, j, -1), DIM + j, 1))
+            if e[j]:  # x_j^n -> n x_j^(n-1) v_j
+                key = (t, e[:j] + (e[j] - 1,) + e[j + 1:DIM + j] + (e[DIM + j] + 1,) + e[DIM + j + 1:])
                 out[key] = out.get(key, 0) + c * e[j] * T_UNIT
-    return PolyFunction(out, f.den * T_UNIT)
+    return _poly(out, f.den * T_UNIT)
 
 
 def apply_H(f: PolyFunction, delta) -> PolyFunction:
     """The field (1/(delta+1)) t^(delta+1) d/dx_j + t^delta d/dv_j, j = DIRECTION.
 
     With u = T_UNIT delta, 1/(delta+1) = T_UNIT/(u + T_UNIT), so both parts
-    are integer numerators over den (u + T_UNIT).
+    are integer numerators over den (u + T_UNIT).  They are built in one
+    pass over the terms of f into one dict, where an x-part and a v-part
+    landing on the same monomial add, and reduced by one gcd.
     """
     u = _t_units(delta, "delta")
     if u < T_UNIT:
         raise VFError(f"delta={Fraction(delta)} < 1")
-    return f._diff(DIRECTION - 1, u + T_UNIT, T_UNIT, u + T_UNIT) + f._diff(DIM + DIRECTION - 1, u)
+    w = u + T_UNIT
+    xs, vs = DIRECTION - 1, DIM + DIRECTION - 1
+    out: dict[Key, int] = {}
+    for (t, e), c in f.terms.items():
+        if e[xs]:
+            key = (t + w, _bump(e, xs, -1))
+            out[key] = out.get(key, 0) + c * e[xs] * T_UNIT
+        if e[vs]:
+            key = (t + u, _bump(e, vs, -1))
+            out[key] = out.get(key, 0) + c * e[vs] * w
+    return _poly(out, f.den * w)
 
 
 def H_chain(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
@@ -224,7 +267,11 @@ def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) 
 
 @dataclass(frozen=True)
 class VFParams:
-    """Field-pair parameters: delta1 = lambda, delta2 set by the regime."""
+    """Field-pair parameters: delta1 = lambda, delta2 set by the regime.
+
+    (gamma, s) must be an admissible soft-potential pair, by the rules of
+    ``SoftPotentialParams``; a pair outside them raises VFError.
+    """
 
     gamma: Fraction
     s: Fraction
@@ -233,6 +280,10 @@ class VFParams:
     def __post_init__(self):
         for name in ("gamma", "s", "lam"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        try:
+            SoftPotentialParams(gamma=self.gamma, s=self.s)
+        except AdmissibilityError as exc:
+            raise VFError(str(exc)) from exc
         if self.lam <= max(Fraction(1), 1 / (2 * self.tau)):
             raise VFError(
                 f"lambda={self.lam} must exceed max(1, 1/(2 tau)) = "

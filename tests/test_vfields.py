@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl import vfields
-from kgl.cli import DEFAULTS, ExperimentConfig, run
+from kgl.cli import DEFAULTS, ConfigError, ExperimentConfig, run
 from kgl.vfields import (
     LEDGER_TOLERANCE,
     PolyFunction,
@@ -180,6 +181,21 @@ def test_vfparams_ordering_sweep():
     assert rejected > 0
 
 
+@pytest.mark.parametrize(
+    "gamma,s,lam,message",
+    [
+        (-1, 0, 2, "s=0 outside"),  # tau = 0: 1/(2 tau) would divide by zero
+        (2, Fraction(1, 2), 2, "gamma=2 outside"),  # 2 - gamma = 0 in tau
+        (-1, 1, 2, "s=1 outside"),
+        (-2, Fraction(1, 2), 3, r"gamma \+ 2s = -1 <= -1"),
+    ],
+    ids=["s=0", "gamma=2", "s=1", "gamma+2s=-1"],
+)
+def test_vfparams_rejects_inadmissible_pairs(gamma, s, lam, message):
+    with pytest.raises(VFError, match=message):
+        VFParams(gamma=gamma, s=s, lam=lam)
+
+
 def test_vfparams_rejects_small_lambda():
     with pytest.raises(VFError):
         VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(1))
@@ -206,6 +222,31 @@ def test_vfparams_rejects_deltas_off_the_lattice():
 def test_off_lattice_exponents_are_rejected(call):
     with pytest.raises(VFError, match=r"8/7 is off the t-exponent lattice \(1/12\) Z"):
         call()
+
+
+def test_apply_H_cancels_an_x_part_against_a_v_part():
+    # H_1 x1 = (1/2) t^2 and H_1 (-(1/2) t v1) = -(1/2) t^2 land on one monomial
+    f = PolyFunction.monomial(1, x=(1, 0, 0)) - PolyFunction.monomial(Fraction(1, 2), t=1, v=(1, 0, 0))
+    out = apply_H(f, 1)
+    assert out == PolyFunction()
+    assert out.terms == {} and out.den == 1
+
+
+def test_constructor_does_not_share_the_callers_dict():
+    key, other = (0, (1, 0, 0, 0, 0, 0)), (12, (0, 0, 0, 1, 0, 0))
+    terms = {key: 2}  # already canonical over 3: nothing to reduce or drop
+    p = PolyFunction(terms, 3)
+    terms[key] = 5
+    terms[other] = 1
+    assert p.terms == {key: 2} and p.den == 3
+    assert p == PolyFunction.monomial(Fraction(2, 3), x=(1, 0, 0))
+
+
+@pytest.mark.parametrize("delta", [2, Fraction(2), 2.0], ids=["int", "Fraction", "float"])
+def test_apply_H_reads_delta_of_any_rational_type(delta):
+    f = random_poly(np.random.default_rng(5))
+    assert apply_H(f, delta) == apply_H(f, Fraction(2))
+    assert apply_H(X1V1, delta) == apply_H(X1V1, 2)
 
 
 def test_repr_prints_rational_coefficients_and_t_exponents():
@@ -394,6 +435,46 @@ def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, cor
     assert run(cfg).metrics["failure_count"] == 0
     assert len(calls) == apply_H_budget(corpus, max_k, max_alpha)
     assert apply_H_budget(60, 5, 4) == 7800  # the exact-algebra benchmark settings
+
+
+def test_vector_fields_builds_no_fraction_per_H(tmp_path, monkeypatch):
+    # runs that differ only in max_k differ only in the number of apply_H and
+    # _ladder calls, so equal Fraction counts mean none is built per call
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts = {}
+    for max_k in (2, 5):
+        built.clear()
+        run(_vector_fields_config(tmp_path / str(max_k), corpus_size=2, max_k=max_k, max_alpha=2))
+        counts[max_k] = len(built)
+    assert counts[2] > 0  # the counter sees the Fractions the run does build
+    assert counts[2] == counts[5]
+
+
+def test_vector_fields_writes_inf_above_the_float_range(tmp_path):
+    # ln L(200) is about 1012 at rho = 1e-5: past exp's range, written as inf
+    run(_vector_fields_config(tmp_path, corpus_size=1, max_k=1, max_alpha=1, rho=1e-5))
+    with open(tmp_path / "vector-fields" / "ledger.csv") as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    log_l = [float(row[2]) for row in rows]
+    values = [float(row[1]) for row in rows]
+    assert log_l[200] > 1000 and values[200] == math.inf
+    assert all(math.isfinite(v) == (lv <= math.log(sys.float_info.max)) for v, lv in zip(values, log_l))
+    assert values[1:] == sorted(values[1:])  # L(k) grows with k at this rho
+
+
+@pytest.mark.parametrize("rho,inside", [(1e-20, 1e-16), (1e17, 1e16)])
+def test_config_rejects_rho_whose_ledger_power_is_not_a_normal_float(tmp_path, rho, inside):
+    # rho**19 underflows to 0 at 1e-20 (the round trip divided by it) and overflows at 1e17
+    with pytest.raises(ConfigError, match=r"rho\*\*19 a normal float, about 6.42e-17 <= rho <= 1.67e\+16"):
+        _vector_fields_config(tmp_path, rho=rho)
+    _vector_fields_config(tmp_path, rho=inside)
 
 
 def residual_budget(max_k, max_alpha):
