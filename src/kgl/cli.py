@@ -36,6 +36,7 @@ class ConfigError(ValueError):
 
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # a ledger row above it is written as inf
+LEDGER_EXPONENT = 1.5  # the factorial power e of the ledger L(k) = (k+1)^3 / (rho^(k-1) (k!)^e)
 
 
 def _coerce(experiment: str, key: str, value, default):
@@ -114,22 +115,44 @@ class ExperimentConfig:
             raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
         if p.get("rho", 1.0) <= 0:
             raise ConfigError(f"[{name}] rho = {p['rho']} must be positive")
-        if "rho" in p and not _ledger_power_is_normal(p["rho"]):
-            top = vfields.LEDGER_DIRECT_MAX - 1
-            lo, hi = (bound ** (1 / top) for bound in (sys.float_info.min, sys.float_info.max))
+        if "rho" in p and not _ledger_is_normal(p["rho"]):
+            top = vfields.LEDGER_DIRECT_MAX
+            lo, hi = _ledger_rho_range()
             raise ConfigError(
-                f"[{name}] rho = {p['rho']} must keep rho**{top} a normal float, "
-                f"about {lo:.3g} <= rho <= {hi:.3g}"
+                f"[{name}] rho = {p['rho']} must keep rho**{top - 1} and the ledger values "
+                f"L(1..{top + 1}) normal floats, about {lo:.3g} <= rho <= {hi:.3g}"
             )
 
 
-def _ledger_power_is_normal(rho: float) -> bool:
-    """Whether the ledger's direct branch, up to rho**(LEDGER_DIRECT_MAX - 1), stays a normal float."""
+def _ledger_is_normal(rho: float) -> bool:
+    """Whether rho**(LEDGER_DIRECT_MAX - 1) and the L(k) the round trip reads are normal floats.
+
+    The round trip reads L(k) for k = 1 .. LEDGER_DIRECT_MAX + 1; past the
+    top of the float range the direct product's denominator overflows and
+    L(LEDGER_DIRECT_MAX) reads 0.
+    """
+    top = vfields.LEDGER_DIRECT_MAX
     try:
-        power = rho ** (vfields.LEDGER_DIRECT_MAX - 1)
-    except OverflowError:
+        values = [rho ** (top - 1)]
+        values += [vfields.ledger_value(rho, k, LEDGER_EXPONENT) for k in range(1, top + 2)]
+    except (OverflowError, ZeroDivisionError):
         return False
-    return sys.float_info.min <= power <= sys.float_info.max
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+
+
+def _ledger_rho_range() -> tuple[float, float]:
+    """About the rho that ``_ledger_is_normal`` admits, from the logs of its values.
+
+    ln rho**(top-1) and ln L(k) = ln L(k)|_(rho=1) - (k-1) ln rho are linear
+    in ln rho, so each normal-float condition bounds ln rho on one side.
+    """
+    top = vfields.LEDGER_DIRECT_MAX
+    ln_min, ln_max = math.log(sys.float_info.min), LOG_FLOAT_MAX
+    lo, hi = ln_min / (top - 1), ln_max / (top - 1)
+    for k in range(2, top + 2):
+        at_one = vfields.log_ledger_value(1.0, k, LEDGER_EXPONENT)
+        lo, hi = max(lo, (at_one - ln_max) / (k - 1)), min(hi, (at_one - ln_min) / (k - 1))
+    return math.exp(lo), math.exp(hi)
 
 
 @dataclass
@@ -395,11 +418,10 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
                     failures.append(f"mixed f{i} alpha=({a1},{a2})")
     rho = p["rho"]
     ledger_rows = []
-    exponent = 1.5
     for k in range(0, 201):
-        lv = vfields.log_ledger_value(rho, k, exponent)
+        lv = vfields.log_ledger_value(rho, k, LEDGER_EXPONENT)
         ledger_rows.append([k, math.inf if lv > LOG_FLOAT_MAX else math.exp(lv) if lv > -700 else 0.0, lv])
-    worst_rt = vfields.ledger_round_trip_residual(rho, exponent)
+    worst_rt = vfields.ledger_round_trip_residual(rho, LEDGER_EXPONENT)
     conv = vfields.convolution_bound(p["conv_kmax"])
     csv_path = os.path.join(cfg.out_dir, "ledger.csv")
     write_csv(csv_path, ["k", "L_value", "log_L"], ledger_rows)

@@ -20,14 +20,26 @@ two in-place additions.  The source halves (dt/2) H S_n and (dt/2) S_{n+1}
 are computed as batches before it, and the states are checked for
 non-finite values once after it.  The additions keep the order of the
 formula above, so the states are bit-identical to it.  The stepper binds
-its per-step constants once: the pointwise and Fourier factors are stored
-complex (numpy would cast a real factor to complex in every product), and
-the velocity-axis transforms call numpy's pocketfft kernels directly with
-the ortho factor 1/sqrt(N) computed as ``np.fft`` computes it.
+its per-step constants once per march: H is a closure over the factors
+and kernels, the pointwise and Fourier factors are stored complex (numpy
+would cast a real factor to complex in every product), and the
+velocity-axis transforms call numpy's pocketfft kernels directly with the
+ortho factor 1/sqrt(N) computed as ``np.fft`` computes it.
+
+A march writes its states into ``out`` and (dt/2) S_{n+1} into ``work``
+when the caller gives them, and allocates them otherwise; beyond these it
+allocates only arrays of one state (the stepper's factors, the initial
+state and the buffer of H g_n) and the time grid.  One
+``picard_iterate`` call owns one workspace: two trajectory buffers that
+swap roles each iterate (the new iterate and the one it is compared
+with), one source buffer and one ``work`` buffer.  Every attempt and the
+final fixed-point march reuse it, so no trajectory is allocated per
+iterate.
 
 Picard retries halve the final time until the iteration contracts; only
 the attempt that is returned is finished with the fixed-point residual
-march and the energy monitor.
+march and the energy monitor.  The final time and iteration count of
+every attempt are kept in ``PicardState.attempts``.
 """
 
 from __future__ import annotations
@@ -123,27 +135,50 @@ class RegularizedStepper:
         # the "ortho" factor exactly as np.fft computes it for the kernels
         self.ortho = np.reciprocal(np.sqrt(grid.points_per_axis, dtype=np.float64))
 
-    def homogeneous(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H applied to a state or to a stack of states (last axes), into ``out``."""
-        if out is None:
-            out = np.empty(np.shape(g), dtype=complex)
-        np.multiply(self.pointwise_half, g, out=out)
-        if self.transport is not None:
-            np.fft.fft(out, axis=-2, norm="ortho", out=out)
-            out *= self.transport
-        _pocketfft.fft(out, self.ortho, out=out)  # np.fft.fft(out, norm="ortho", out=out)
-        out *= self.fourier
-        _pocketfft.ifft(out, self.ortho, out=out)
-        if self.transport is not None:
-            np.fft.ifft(out, axis=-2, norm="ortho", out=out)
-        return np.multiply(self.pointwise_half, out, out=out)
+        self.homogeneous = self._bind()
+
+    def _bind(self):
+        """H with its factors and kernels bound to locals, once per stepper.
+
+        The returned function applies H to a state or to a stack of states
+        (last axes), into ``out``; a march calls it once per step.
+        """
+        pointwise_half, fourier, transport, ortho = (
+            self.pointwise_half, self.fourier, self.transport, self.ortho
+        )
+        multiply, fft, ifft = np.multiply, _pocketfft.fft, _pocketfft.ifft
+
+        def homogeneous(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                out = np.empty(np.shape(g), dtype=complex)
+            multiply(pointwise_half, g, out=out)
+            if transport is not None:
+                np.fft.fft(out, axis=-2, norm="ortho", out=out)
+                out *= transport
+            fft(out, ortho, out=out)  # np.fft.fft(out, norm="ortho", out=out)
+            out *= fourier
+            ifft(out, ortho, out=out)
+            if transport is not None:
+                np.fft.ifft(out, axis=-2, norm="ortho", out=out)
+            return multiply(pointwise_half, out, out=out)
+
+        return homogeneous
 
 
 def _march(
-    stepper: RegularizedStepper, g0: np.ndarray, steps: int, source_traj: np.ndarray | None = None
+    stepper: RegularizedStepper,
+    g0: np.ndarray,
+    steps: int,
+    source_traj: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """States g_0..g_steps of the trapezoidal step; ``source_traj[n]`` is S_n."""
-    states = np.empty((steps + 1,) + g0.shape, dtype=complex)
+    """States g_0..g_steps of the trapezoidal step; ``source_traj[n]`` is S_n.
+
+    The states go into ``out`` and (dt/2) S_{n+1} into ``work``; each is
+    allocated when not given.
+    """
+    states = np.empty((steps + 1,) + g0.shape, dtype=complex) if out is None else out
     states[0] = g0
     homogeneous = stepper.homogeneous
     if source_traj is None:
@@ -154,7 +189,7 @@ def _march(
         half_dt = 0.5 * stepper.rp.dt
         homogeneous(source_traj[:steps], out=states[1:])
         states[1:] *= half_dt
-        half_next = half_dt * source_traj[1 : steps + 1]  # (dt/2) S_{n+1}, added last
+        half_next = np.multiply(half_dt, source_traj[1 : steps + 1], out=work)  # added last
         hg = np.empty_like(g0)
         for g, nxt, s in zip(states[:-1], states[1:], half_next):
             nxt += homogeneous(g, out=hg)
@@ -179,12 +214,32 @@ def integrate(
     rp: RegularizedProblem,
     f_in: np.ndarray,
     source_traj: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> Trajectory:
-    """March the problem from f_in; ``source_traj[n]`` is S at time n dt."""
+    """March the problem from f_in; ``source_traj[n]`` is S at time n dt.
+
+    ``out`` (steps+1 complex states) receives the states, and the returned
+    trajectory holds it; ``work`` (steps complex states) receives
+    (dt/2) S_(n+1).  Either is allocated when not given.
+    """
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else (rp.grid.points_per_axis,)
+    if out is not None:
+        _check_buffer("out", out, (rp.steps + 1,) + shape, f_in=f_in, source_traj=source_traj)
+    if work is not None:
+        _check_buffer("work", work, (rp.steps,) + shape, f_in=f_in, source_traj=source_traj, out=out)
     g0 = np.asarray(f_in, dtype=complex).reshape(shape)
-    states = _march(RegularizedStepper(rp), g0, rp.steps, source_traj)
+    states = _march(RegularizedStepper(rp), g0, rp.steps, source_traj, out, work)
     return Trajectory(times=rp.times, states=states)
+
+
+def _check_buffer(name: str, buf: np.ndarray, shape: tuple, **others) -> None:
+    """A march writes into ``buf`` only if it has the given shape and shares no other's memory."""
+    if buf.shape != shape or buf.dtype != complex:
+        raise SolverError(f"{name} is {buf.dtype} {buf.shape}, the march needs complex128 {shape}")
+    for other, arr in others.items():
+        if arr is not None and np.shares_memory(buf, arr):
+            raise SolverError(f"{name} shares memory with {other}")
 
 
 # --- scalar reduction oracle --------------------------------------------------
@@ -359,6 +414,7 @@ class PicardState:
     ratios: list[float]
     contraction: bool
     retries: int
+    attempts: list[list]  # [t_final, iterations] of each attempt, the returned one last
     fixed_point_residual: float
     energy: EnergyReport
     final_trajectory: Trajectory
@@ -370,6 +426,7 @@ class PicardState:
             "ratios": self.ratios,
             "contraction": self.contraction,
             "retries": self.retries,
+            "attempts": self.attempts,
             "t_final": self.problem.t_final,
             "fixed_point_residual": self.fixed_point_residual,
             "sup_weighted_norm": self.energy.sup_weighted_norm,
@@ -377,11 +434,13 @@ class PicardState:
         }
 
 
-def _dissipative_source(rp: RegularizedProblem, states: np.ndarray) -> np.ndarray:
-    """Source surrogate -<v>^gamma <D>^(2s) applied to a trajectory."""
+def _dissipative_source(
+    rp: RegularizedProblem, states: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Source surrogate -<v>^gamma <D>^(2s) applied to a trajectory, into ``out``."""
     grid = rp.grid
     coeff = effective_coefficient(grid, rp.prm.gamma)
-    out = np.fft.fft(states, axis=-1, norm="ortho")
+    out = np.fft.fft(states, axis=-1, norm="ortho", out=out)
     out *= grid.eta_bracket_sq ** rp.prm.s
     np.fft.ifft(out, axis=-1, norm="ortho", out=out)
     return np.multiply(-coeff, out, out=out)
@@ -423,23 +482,31 @@ def picard_iterate(
         )
     if not math.isfinite(l2_norms(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
         raise SolverError("weighted norm of the initial datum is not finite")
+    # one workspace for every march of the call: two trajectories that swap
+    # roles each iterate, the source S_n and (dt/2) S_(n+1)
+    prev, current, source = (
+        np.empty((rp.steps + 1, rp.grid.points_per_axis), dtype=complex) for _ in range(3)
+    )
+    work = np.empty_like(source[1:])
     problem = rp
     retries = 0
+    attempts = []
     while True:
         # one weight table per attempt, read by its differences and its residual
         weights = weight_values(problem.grid, problem.a0, problem.times[:, None])
-        diffs, ratios, last = _iterate(f_in, problem, weights, n_max)
+        diffs, ratios, prev, current = _iterate(f_in, problem, weights, n_max, prev, current, source, work)
+        attempts.append([problem.t_final, len(diffs)])
         contraction = _eventually_contracting(diffs, RATIO_THRESHOLD)
         if contraction or retries >= MAX_RETRIES:
             break
-        del weights, last  # a retried attempt is dropped before the next is built
+        del weights  # a retried attempt's table is dropped before the next is built
         retries += 1
         problem = problem.with_final_time(problem.t_final / 2.0)
-    # fixed-point residual: rerun with the source built from the limit
-    final_source = _dissipative_source(problem, last)
-    traj = integrate(problem, f_in, source_traj=final_source)
-    residual = _weighted_sup_diff(problem.grid, weights, traj.states, last)
-    del last  # spent; freed before the monitor's work buffer is built
+    # fixed-point residual: rerun with the source built from the limit (prev)
+    final_source = _dissipative_source(problem, prev, out=source)
+    traj = integrate(problem, f_in, source_traj=final_source, out=current, work=work)
+    residual = _weighted_sup_diff(problem.grid, weights, traj.states, prev)
+    del prev, work  # spent; freed before the monitor's work buffers are built
     energy = energy_monitor(traj, problem, source_traj=final_source)
     return PicardState(
         problem=problem,
@@ -448,6 +515,7 @@ def picard_iterate(
         ratios=ratios,
         contraction=contraction,
         retries=retries,
+        attempts=attempts,
         fixed_point_residual=residual,
         energy=energy,
         final_trajectory=traj,
@@ -459,19 +527,26 @@ def _iterate(
     rp: RegularizedProblem,
     weights: np.ndarray,
     n_max: int,
-) -> tuple[list[float], list[float], np.ndarray]:
-    """Difference norms, their ratios and the last iterate of one attempt."""
-    prev = np.zeros((rp.steps + 1, rp.grid.points_per_axis), dtype=complex)
+    prev: np.ndarray,
+    current: np.ndarray,
+    source: np.ndarray,
+    work: np.ndarray,
+) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
+    """Difference norms and ratios of one attempt, its last iterate and the spare buffer.
+
+    The iterates alternate between ``prev`` and ``current``; every march
+    takes its source in ``source`` and (dt/2) S_(n+1) in ``work``.
+    """
+    prev.fill(0.0)  # g^0
     diffs: list[float] = []
     ratios: list[float] = []
     for n in range(1, n_max + 1):
-        source = _dissipative_source(rp, prev) if n > 1 else None
-        current = integrate(rp, f_in, source_traj=source).states
-        del source  # freed before the next source is built
+        src = _dissipative_source(rp, prev, out=source) if n > 1 else None
+        integrate(rp, f_in, source_traj=src, out=current, work=work)
         diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))  # prev is spent
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
-        prev = current
+        prev, current = current, prev
         # once far below the transient peak, a non-decreasing difference
         # marks the weight-amplified rounding floor; later ratios are noise
         if (
@@ -480,4 +555,4 @@ def _iterate(
             and diffs[-1] >= diffs[-2]
         ):
             break
-    return diffs, ratios, prev
+    return diffs, ratios, prev, current

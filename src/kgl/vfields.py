@@ -172,6 +172,10 @@ def _poly(terms: dict[Key, int], den: int) -> PolyFunction:
     return p
 
 
+# the zero polynomial, shared: no operation mutates an operand's terms
+_ZERO = PolyFunction()
+
+
 def transport(f: PolyFunction) -> PolyFunction:
     """d/dt + v . d/dx applied exactly, in one pass over the terms of f."""
     out: dict[Key, int] = {}
@@ -243,7 +247,7 @@ def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction
     """
     h = H_chain(f, delta, kmax)
     th = H_chain(transport(f), delta, kmax)
-    below = [PolyFunction()] + h  # H^(k-1) f; at k = 0 its coefficient delta k is 0
+    below = [_ZERO] + h  # H^(k-1) f; at k = 0 its coefficient delta k is 0
     return [transport(h[k]) - th[k] - _ladder(below[k], delta, k) for k in range(kmax + 1)]
 
 
@@ -259,8 +263,8 @@ def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) 
     tm = H_table(transport(f), delta1, delta2, max_alpha)
     return {
         (a1, a2): transport(m[a1, a2]) - tm[a1, a2]
-        - _ladder(m.get((a1 - 1, a2), PolyFunction()), delta1, a1)
-        - _ladder(m.get((a1, a2 - 1), PolyFunction()), delta2, a2)
+        - _ladder(m.get((a1 - 1, a2), _ZERO), delta1, a1)
+        - _ladder(m.get((a1, a2 - 1), _ZERO), delta2, a2)
         for a1, a2 in sorted(m)
     }
 

@@ -97,6 +97,9 @@ def test_picard_experiment_and_plot_data(tmp_path):
     cfg = make_cfg(tmp_path, "picard", nmax=15, steps=32)
     rep = run(cfg)
     assert rep.passed
+    attempts = rep.metrics["attempts"]  # [t_final, iterations], the returned attempt last
+    assert attempts[-1] == [rep.metrics["t_final"], rep.metrics["iterations"]]
+    assert len(attempts) == rep.metrics["retries"] + 1
     out = emit_plot_data(cfg.out_dir, "picard-ratios", str(tmp_path / "ratios.csv"))
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "n,diff_norm,ratio"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kgl.solver import (
     scalar_step,
     weight_values,
 )
+from tests.picard_oracle import picard_fresh
 
 PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
 
@@ -170,6 +172,11 @@ def test_march_is_bit_identical_to_the_per_step_formula():
     for src in (None, _band_source(rp.grid, rp.steps, 1), _complex_source(full, 2)):
         states = integrate(rp, g0, source_traj=src).states
         assert np.array_equal(states, _per_step_oracle(rp, g0, src))
+        # into given buffers: every entry is overwritten, whatever they held
+        out = np.full(full, np.nan, dtype=complex)
+        work = np.full((rp.steps,) + rp.grid.shape, np.nan, dtype=complex)
+        assert integrate(rp, g0, source_traj=src, out=out, work=work).states is out
+        assert np.array_equal(out, states)
     # space axis on: the batched source half is the full two-axis H
     grid = VelocityGrid(1, 64, 4.0)
     rpx = make_problem(grid=grid, steps=16, x_points=8)
@@ -178,6 +185,43 @@ def test_march_is_bit_identical_to_the_per_step_formula():
     src = _complex_source((rpx.steps + 1, 8) + grid.shape, 3)
     states = integrate(rpx, gx, source_traj=src).states
     assert np.array_equal(states, _per_step_oracle(rpx, gx, src))
+    out = np.full(src.shape, np.nan, dtype=complex)
+    work = np.full(src[1:].shape, np.nan, dtype=complex)
+    assert integrate(rpx, gx, source_traj=src, out=out, work=work).states is out
+    assert np.array_equal(out, states)
+
+
+# case -> (error message, f_in, out, work) from the datum g0, the source and
+# a good states buffer whose first state holds the datum
+BAD_BUFFERS = {
+    "out-shape": lambda g0, src, good: ("out is complex128 (17, 128)", g0, good[:, ::2], None),
+    "out-one-state": lambda g0, src, good: ("out is complex128 (256,)", g0, good[0], None),
+    "out-complex64": lambda g0, src, good: ("out is complex64", g0, good.astype(np.complex64), None),
+    "out-real": lambda g0, src, good: ("out is float64", g0, good.real.copy(), None),
+    "out-is-the-source": lambda g0, src, good: ("out shares memory with source_traj", g0, src, None),
+    "out-holds-the-datum": lambda g0, src, good: ("out shares memory with f_in", good[0], good, None),
+    "work-shape": lambda g0, src, good: ("work is complex128 (17, 256)", g0, good, good.copy()),
+    "work-real": lambda g0, src, good: ("work is float64", g0, good, src[1:].real.copy()),
+    "work-in-the-source": lambda g0, src, good: (
+        "work shares memory with source_traj", g0, good, src[1:]
+    ),
+    "work-in-out": lambda g0, src, good: ("work shares memory with out", g0, good, good[1:]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BUFFERS)
+def test_march_refuses_a_bad_buffer_before_any_step(case):
+    rp = make_problem(steps=16)
+    src = _band_source(rp.grid, rp.steps, 4).astype(complex)
+    g0 = gaussian_datum(rp.grid)
+    good = np.full(src.shape, np.nan, dtype=complex)
+    good[0] = g0
+    message, f_in, out, work = BAD_BUFFERS[case](g0, src, good)
+    arrays = [a for a in (f_in, src, out, work) if a is not None]
+    kept = [a.copy() for a in arrays]
+    with pytest.raises(SolverError, match="^" + re.escape(message)):
+        integrate(rp, f_in, source_traj=src, out=out, work=work)
+    assert all(np.array_equal(a, k, equal_nan=True) for a, k in zip(arrays, kept))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -450,9 +494,9 @@ def test_picard_first_difference_is_first_iterate():
 def test_picard_first_iterate_is_marched_without_a_source(monkeypatch):
     sources = []
 
-    def recording(rp, f_in, source_traj=None):
+    def recording(rp, f_in, source_traj=None, **kwargs):
         sources.append(source_traj)
-        return integrate(rp, f_in, source_traj=source_traj)
+        return integrate(rp, f_in, source_traj=source_traj, **kwargs)
 
     monkeypatch.setattr(solver, "integrate", recording)
     rp = make_problem(steps=16)
@@ -491,6 +535,48 @@ def test_a_retried_attempt_is_not_finished(monkeypatch):
     assert state.fixed_point_residual == direct.fixed_point_residual
     assert np.array_equal(state.final_trajectory.states, direct.final_trajectory.states)
     assert state.problem.t_final == rp.t_final / 2.0
+
+
+# (grid points, steps, gamma, s, eps) with 1, 3 and 4 retries
+RETRYING_PICARD = [(256, 32, -1.0, 0.5, 0.1), (128, 32, -1.0, 0.5, 0.05), (128, 64, -2.0, 0.75, 0.05)]
+
+
+def _retrying_problem(n, steps, gamma, s, eps):
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    return make_problem(grid=VelocityGrid(1, n, 4.0), prm=prm, eps=eps, steps=steps)
+
+
+@pytest.mark.parametrize("config", RETRYING_PICARD)
+def test_picard_workspace_equals_the_fresh_allocation_loop_bit_for_bit(config):
+    rp = _retrying_problem(*config)
+    f_in = gaussian_datum(rp.grid)
+    state = picard_iterate(f_in, rp, n_max=30)
+    ref = picard_fresh(f_in, rp, n_max=30)
+    assert state.retries == ref.retries >= 1  # the workspace is reused across attempts
+    assert state.attempts == ref.attempts
+    assert state.difference_norms == ref.difference_norms
+    assert state.ratios == ref.ratios
+    assert state.contraction == ref.contraction
+    assert state.fixed_point_residual == ref.fixed_point_residual
+    assert np.array_equal(state.final_trajectory.states, ref.states)
+
+
+@pytest.mark.parametrize("config", RETRYING_PICARD)
+def test_picard_attempts_count_every_march(config, monkeypatch):
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "integrate", counted)
+    rp = _retrying_problem(*config)
+    state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=30)
+    # one march per iterate of every attempt, one fixed-point march
+    assert sum(iterations for _, iterations in state.attempts) + 1 == calls["n"]
+    assert [t for t, _ in state.attempts] == [rp.t_final / 2**k for k in range(state.retries + 1)]
+    assert state.attempts[-1] == [state.problem.t_final, state.iterations]
+    assert state.summary()["attempts"] == state.attempts
 
 
 def test_picard_contracts_on_gaussian():

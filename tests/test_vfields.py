@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgl import vfields
+from kgl import cli, vfields
 from kgl.cli import DEFAULTS, ConfigError, ExperimentConfig, run
 from kgl.vfields import (
     LEDGER_TOLERANCE,
@@ -136,6 +136,7 @@ def test_mixed_commutator_exact():
         assert list(residuals) == [(a1, a2) for a1 in range(0, 5) for a2 in range(0, 5 - a1)]
         for (a1, a2), res in residuals.items():
             assert res.is_zero(), f"poly {i}, alpha=({a1},{a2})"
+    assert vfields._ZERO == PolyFunction()  # the shared default is never mutated
 
 
 def test_field_pair_commute():
@@ -469,12 +470,28 @@ def test_vector_fields_writes_inf_above_the_float_range(tmp_path):
     assert values[1:] == sorted(values[1:])  # L(k) grows with k at this rho
 
 
-@pytest.mark.parametrize("rho,inside", [(1e-20, 1e-16), (1e17, 1e16)])
-def test_config_rejects_rho_whose_ledger_power_is_not_a_normal_float(tmp_path, rho, inside):
-    # rho**19 underflows to 0 at 1e-20 (the round trip divided by it) and overflows at 1e17
-    with pytest.raises(ConfigError, match=r"rho\*\*19 a normal float, about 6.42e-17 <= rho <= 1.67e\+16"):
+@pytest.mark.parametrize("rho", [1e-20, 5e14, 1e15, 1e17])
+def test_config_rejects_rho_whose_ledger_is_not_a_normal_float(tmp_path, rho):
+    # 1e-20: rho**19 underflows to 0, which the round trip divided by;
+    # 5e14: L(21) is subnormal, so the round trip failed on underflow;
+    # 1e15: the denominator rho**19 (20!)**1.5 overflows, L(20) read 0 and
+    # the round trip divided by it; 1e17: rho**19 overflows
+    with pytest.raises(
+        ConfigError,
+        match=r"rho\*\*19 and the ledger values L\(1\.\.21\) normal floats, "
+        r"about 6.42e-17 <= rho <= 1.28e\+14",
+    ):
         _vector_fields_config(tmp_path, rho=rho)
-    _vector_fields_config(tmp_path, rho=inside)
+
+
+def test_vector_fields_runs_just_inside_the_ledger_range(tmp_path):
+    lo, hi = cli._ledger_rho_range()  # the range the error message states
+    for rho in (lo * (1 + 1e-6), hi * (1 - 1e-6)):
+        rep = run(_vector_fields_config(tmp_path / repr(rho), corpus_size=1, max_k=1, max_alpha=1, rho=rho))
+        assert rep.checks["ledger-round-trip"], rep.metrics["ledger_round_trip_worst"]
+    for rho in (lo * (1 - 1e-6), hi * (1 + 1e-6)):
+        with pytest.raises(ConfigError, match="normal floats"):
+            _vector_fields_config(tmp_path, rho=rho)
 
 
 def residual_budget(max_k, max_alpha):
