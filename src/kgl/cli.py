@@ -108,13 +108,17 @@ class ExperimentConfig:
                 f"[{name}] the grid's top frequency shell is {top}, below the shell {fitted} "
                 f"the Gevrey fit reads; raise grid_n / grid_l"
             )
-        for key, least in (("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0)):
+        for key, least in (
+            ("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0),
+            ("snapshot_every", 0),
+        ):
             if p.get(key, least) < least:
                 raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
         if name == "sharpness" and p["j_min"] >= p["j_max"]:
             raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
-        if p.get("rho", 1.0) <= 0:
-            raise ConfigError(f"[{name}] rho = {p['rho']} must be positive")
+        for key in POSITIVE_KEYS.get(name, ()):
+            if p[key] <= 0:
+                raise ConfigError(f"[{name}] {key} = {p[key]} must be positive")
         if "rho" in p and not _ledger_is_normal(p["rho"]):
             top = vfields.LEDGER_DIRECT_MAX
             lo, hi = _ledger_rho_range()
@@ -237,6 +241,11 @@ DEFAULTS = {
 }
 
 
+# keys that must be positive, beyond the library objects' own validation
+# (picard's problem admits eps = 0, the unregularized equation)
+POSITIVE_KEYS = {"sharpness": ("a0", "t"), "verify-inequalities": ("eps",), "vector-fields": ("rho",)}
+
+
 def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     p, prm = cfg.params, cfg.prm
     rows = []
@@ -281,8 +290,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
         artifacts.append(path)
     ratios = traj.rate_ratios
     lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (None, None)
-    pair = dyadic.build_bump_pair()
-    exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, pair, TOY_FIT_SHELLS)
+    exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, TOY_FIT_SHELLS)
     fit = toy.estimate_gevrey_index(exponents, np.array(TOY_FIT_SHELLS))
     fit_path = os.path.join(cfg.out_dir, "gevrey_fit.json")
     fit_payload = fit.summary()
@@ -290,7 +298,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
     with open(fit_path, "w") as fh:
         json.dump(fit_payload, fh, sort_keys=True, indent=2)
     artifacts.append(fit_path)
-    norms_final = dyadic.block_norms(cfg.grid, traj.final, pair)
+    norms_final = dyadic.block_norms(cfg.grid, traj.final)
     shells = [a.ravel().tolist() for a in (*dyadic.block_shells(norms_final), norms_final)]
     heat_rows = [(j, k, math.log(mag) if mag > 0 else -math.inf) for j, k, mag in zip(*shells)]
     heat_path = os.path.join(cfg.out_dir, "block_magnitudes.csv")
@@ -490,10 +498,9 @@ def run_picard(cfg: ExperimentConfig) -> RunReport:
 def run_norms(cfg: ExperimentConfig) -> RunReport:
     prm, grid = cfg.prm, cfg.grid
     gamma, s = prm.gamma, prm.s
-    pair = dyadic.build_bump_pair()
     corpus = standard_corpus(grid, cfg.params["corpus_size"], cfg.seed)
     pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (gamma / 2.0, s)]
-    norms_matrices = dyadic.block_norms(grid, corpus, pair)
+    norms_matrices = dyadic.block_norms(grid, corpus)
     values = np.array([dyadic.block_sum(norms_matrices, pp, mm) for pp, mm in pairs_pm])
     direct = weighted_sobolev_norms(grid, corpus, pairs_pm)
     ratios = np.divide(values, direct, out=np.full(values.shape, np.nan), where=direct > 0)
@@ -657,7 +664,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "plot-data":
-        emit_plot_data(args.report_dir, args.kind, args.out)
+        try:
+            emit_plot_data(args.report_dir, args.kind, args.out)
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON too
+            where = f"plot-data {args.kind} from {args.report_dir}"
+            print(f"kgl: error: {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         print(args.out)
         return 0
 

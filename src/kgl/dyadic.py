@@ -1,8 +1,8 @@
 """Dyadic phase/frequency decomposition with a telescoping bump pair.
 
-The low cutoff psi is 1 inside |xi| <= 1 and falls smoothly to 0 across
-[1, 4/3] through a bridge built from exp(-a/x); it is evaluated in closed
-form.  The ring profile is defined by the telescope
+The low cutoff :func:`psi` is 1 inside |xi| <= 1 and falls smoothly to 0
+across [1, 4/3] through a bridge built from exp(-a/x); it is evaluated in
+closed form.  The ring profile :func:`phi` is defined by the telescope
 phi(xi) := psi(xi/2) - psi(xi).  The partition
 
     psi(xi) + sum_{j>=0} phi(2^-j xi) = psi(2^-(J+1) xi) -> 1
@@ -10,8 +10,8 @@ phi(xi) := psi(xi/2) - psi(xi).  The partition
 is then exact by construction, ring supports sit inside {1 <= |xi| <= 8/3},
 and rings two apart are disjoint.  The grid alone decides which shells
 exist: up to the last ring that is nonzero on it (:func:`max_phase_shell`,
-:func:`max_freq_shell`).  Their weights on its |v| and |eta| are tabulated
-once per grid as read-only arrays (:func:`phase_rings`,
+:func:`max_freq_shell`).  Their weights (:func:`ring_weight`) on its |v| and
+|eta| are tabulated once per grid as read-only arrays (:func:`phase_rings`,
 :func:`frequency_rings`).  The (j, k) block of a field u is the product of
 frequency ring j with the unitary transform of (phase ring k) * u,
 transformed back.  :func:`block_norms` and :func:`shell_norms` take a whole
@@ -21,7 +21,6 @@ stack of real fields, ``(members,) + grid.shape``, through the real transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,53 +50,36 @@ def _bridge(x: np.ndarray) -> np.ndarray:
     return dn / (up + dn)
 
 
-@dataclass(frozen=True)
-class BumpPair:
-    """Radial cutoff pair (psi, phi) in closed form.
+def psi(r) -> np.ndarray:
+    """The low cutoff: exactly 1 for |r| <= 1, exactly 0 for |r| >= 4/3, bridged between."""
+    r = np.abs(np.asarray(r, dtype=float))
+    return _bridge((r - PSI_FLAT_RADIUS) / (PSI_SUPPORT_RADIUS - PSI_FLAT_RADIUS))
 
-    psi(r) is the bridge across [PSI_FLAT_RADIUS, PSI_SUPPORT_RADIUS], so it
-    is exactly 1 for |r| <= 1 and exactly 0 for |r| >= 4/3.  phi is always
-    evaluated as psi(r/2) - psi(r), which keeps the dyadic partition
-    identity exact.  The pair has no parameters, so all instances are equal
-    and share the cached ring tables.
+
+def phi(r) -> np.ndarray:
+    """The ring profile psi(r/2) - psi(r), which keeps the partition identity exact."""
+    r = np.asarray(r, dtype=float)
+    return psi(r / 2.0) - psi(r)
+
+
+def ring_weight(r, shell: int) -> np.ndarray:
+    """phi(2^-shell r) for shell >= 0, psi(r) for shell = -1."""
+    if shell == -1:
+        return psi(r)
+    return phi(np.asarray(r, dtype=float) / 2.0**shell)
+
+
+def build_bump_pair() -> None:
+    """No-op with no caller in ``kgl``: the benchmark warm-up still calls it.
+
+    ROADMAP item 1 deletes it together with that warm-up call.
     """
 
-    def psi(self, r) -> np.ndarray:
-        r = np.abs(np.asarray(r, dtype=float))
-        return _bridge((r - PSI_FLAT_RADIUS) / (PSI_SUPPORT_RADIUS - PSI_FLAT_RADIUS))
 
-    def phi(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self.psi(r / 2.0) - self.psi(r)
-
-    def ring_weight(self, r, shell: int) -> np.ndarray:
-        """phi(2^-shell r) for shell >= 0, psi(r) for shell = -1."""
-        if shell == -1:
-            return self.psi(r)
-        return self.phi(np.asarray(r, dtype=float) / 2.0**shell)
-
-
-def build_bump_pair() -> BumpPair:
-    """The bump pair every decomposition uses."""
-    return BumpPair()
-
-
-def _ring_table(pair: BumpPair, radii: np.ndarray, top: int) -> np.ndarray:
-    table = np.array([pair.ring_weight(radii, shell) for shell in range(-1, top + 1)])
+def _ring_table(radii: np.ndarray, top: int) -> np.ndarray:
+    table = np.array([ring_weight(radii, shell) for shell in range(-1, top + 1)])
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=8)
-def phase_rings(pair: BumpPair, grid: VelocityGrid, kmax: int) -> np.ndarray:
-    """Read-only phase ring weights on |v|: row k + 1 for k = -1..kmax."""
-    return _ring_table(pair, grid.v_abs, kmax)
-
-
-@lru_cache(maxsize=8)
-def frequency_rings(pair: BumpPair, grid: VelocityGrid, jmax: int) -> np.ndarray:
-    """Read-only frequency ring weights on |eta|: row j + 1 for j = -1..jmax."""
-    return _ring_table(pair, grid.eta_abs, jmax)
 
 
 def _max_shell(largest: float) -> int:
@@ -110,7 +92,7 @@ def _max_shell(largest: float) -> int:
     """
     mantissa, exponent = math.frexp(largest)  # largest = mantissa * 2^exponent
     top = max(exponent - 1 - (mantissa == 0.5), -1)
-    if top >= 0 and BumpPair().ring_weight(largest, top) == 0.0:
+    if top >= 0 and ring_weight(largest, top) == 0.0:
         top -= 1
     return top
 
@@ -127,12 +109,24 @@ def max_freq_shell(grid: VelocityGrid) -> int:
     return _max_shell(grid.eta_max)
 
 
-def _frequency_rings_sq(pair: BumpPair, grid: VelocityGrid) -> np.ndarray:
+@lru_cache(maxsize=8)
+def phase_rings(grid: VelocityGrid) -> np.ndarray:
+    """Read-only phase ring weights on |v|: row k + 1 for k = -1..max_phase_shell(grid)."""
+    return _ring_table(grid.v_abs, max_phase_shell(grid))
+
+
+@lru_cache(maxsize=8)
+def frequency_rings(grid: VelocityGrid) -> np.ndarray:
+    """Read-only frequency ring weights on |eta|: row j + 1 for j = -1..max_freq_shell(grid)."""
+    return _ring_table(grid.eta_abs, max_freq_shell(grid))
+
+
+def _frequency_rings_sq(grid: VelocityGrid) -> np.ndarray:
     """Squared frequency ring weights on the half spectrum."""
-    return half_symbol(frequency_rings(pair, grid, max_freq_shell(grid))) ** 2
+    return half_symbol(frequency_rings(grid)) ** 2
 
 
-def block_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray:
+def block_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
     """Block L2 norms of each field on the trailing grid axes of u.
 
     Shape ``u.shape[:-d] + (jmax + 2, kmax + 2)``: rows j = -1..jmax, cols
@@ -140,8 +134,8 @@ def block_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray
     the whole stack; all frequency shells of it come from one matrix product
     of the half-spectrum power with the squared ring weights.
     """
-    rings_sq = _frequency_rings_sq(pair, grid)
-    phases = phase_rings(pair, grid, max_phase_shell(grid))
+    rings_sq = _frequency_rings_sq(grid)
+    phases = phase_rings(grid)
     out = np.empty(u.shape[: u.ndim - grid.dimension] + (len(rings_sq), len(phases)))
     buf = coeff = power = None  # one physical, one spectral and one power buffer
     for k, wk in enumerate(phases):
@@ -152,14 +146,14 @@ def block_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray
     return out
 
 
-def shell_norms(grid: VelocityGrid, u: np.ndarray, pair: BumpPair) -> np.ndarray:
+def shell_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
     """Frequency-shell norms ||Delta_j u|| for j = -1..max_freq_shell (no phase cutoff).
 
     Shape ``u.shape[:-d] + (jmax + 2,)``, read off one half spectrum of the
     whole stack by Parseval.
     """
     power = half_power(grid, half_spectrum(grid, u))
-    return np.sqrt(summed(grid, power, _frequency_rings_sq(pair, grid)))
+    return np.sqrt(summed(grid, power, _frequency_rings_sq(grid)))
 
 
 def block_shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

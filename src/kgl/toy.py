@@ -24,12 +24,9 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from kgl.dyadic import (
-    BumpPair,
     _bridge,
-    build_bump_pair,
     frequency_rings,
     max_freq_shell,
-    max_phase_shell,
     phase_rings,
     shell_norms,
 )
@@ -245,11 +242,10 @@ def evolve_toy(
         raise ToyModelError(
             f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
         )
-    pair = build_bump_pair()
-    rings = half_symbol(frequency_rings(pair, grid, max_freq_shell(grid)))
+    rings = half_symbol(frequency_rings(grid))
     axes = trailing_axes(grid)
     rows, blocks = [f0], []
-    for k, wk in enumerate(phase_rings(pair, grid, max_phase_shell(grid)), start=-1):
+    for k, wk in enumerate(phase_rings(grid), start=-1):
         gh = np.fft.rfftn(f0 * wk, axes=axes)
         projected = np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
         for j, (b, norm) in enumerate(zip(projected, l2_norms(grid, projected)), start=-1):
@@ -450,7 +446,6 @@ def trajectory_shell_exponents(
     grid: VelocityGrid,
     f0: np.ndarray,
     final: np.ndarray,
-    pair: BumpPair,
     j_range: range,
 ) -> np.ndarray:
     """Shell exponents E_j = -ln(||Delta_j f(T)|| / c) from a full-field run.
@@ -465,7 +460,7 @@ def trajectory_shell_exponents(
     top = max_freq_shell(grid)
     if j_range.start < -1 or j_range.stop - 1 > top:
         raise ToyModelError(f"shells {j_range[0]}..{j_range[-1]} asked; the grid's are -1..{top}")
-    both = shell_norms(grid, np.array([f0, final]), pair)
+    both = shell_norms(grid, np.array([f0, final]))
     init, evolved = both[:, j_range.start + 1 : j_range.stop + 1]
     norm_c = float(np.max(init))
     if norm_c <= 0:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kgl.dyadic import build_bump_pair
 from kgl.grid import VelocityGrid
 
 ACCEPTANCE_LINES: list[str] = []
@@ -33,11 +32,6 @@ def grid1d():
 @pytest.fixture(scope="session")
 def grid1d_small():
     return VelocityGrid(dimension=1, points_per_axis=256, half_width=8.0)
-
-
-@pytest.fixture(scope="session")
-def bump_pair():
-    return build_bump_pair()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kgl.dyadic import max_freq_shell, max_phase_shell
+from kgl.dyadic import max_freq_shell, max_phase_shell, ring_weight
 from kgl.grid import VelocityGrid
 
 # relative tolerance of stacked norms against these oracles
@@ -145,13 +145,13 @@ def gagliardo_hs_norm_sq(grid: VelocityGrid, f: np.ndarray, s: float) -> float:
     return l2sq + total + tail
 
 
-def block_norms(grid: VelocityGrid, f: np.ndarray, pair) -> np.ndarray:
+def block_norms(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
     """Block norms with every ring weight evaluated where it is used."""
     jmax, kmax = max_freq_shell(grid), max_phase_shell(grid)
     out = np.zeros((jmax + 2, kmax + 2))
     for k in range(-1, kmax + 1):
-        gh = np.fft.fftn(f * pair.ring_weight(grid.v_abs, k), norm="ortho")
+        gh = np.fft.fftn(f * ring_weight(grid.v_abs, k), norm="ortho")
         for j in range(-1, jmax + 1):
-            wj = pair.ring_weight(grid.eta_abs, j)
+            wj = ring_weight(grid.eta_abs, j)
             out[j + 1, k + 1] = np.sqrt(grid.cell_volume) * np.linalg.norm((gh * wj).ravel())
     return out

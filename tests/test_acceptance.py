@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
@@ -25,11 +24,6 @@ class Timer:
 
     def __exit__(self, *exc):
         self.elapsed = time.perf_counter() - self.start
-
-
-@pytest.fixture(scope="module")
-def pair():
-    return dyadic.build_bump_pair()
 
 
 def test_criterion_1_sharp_index_exact_block_law(record_acceptance):
@@ -71,7 +65,7 @@ def test_criterion_2_analytic_regime_clamp(record_acceptance):
     assert ok
 
 
-def test_criterion_3_pde_vs_block_law(pair, record_acceptance):
+def test_criterion_3_pde_vs_block_law(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
         grid = VelocityGrid(1, 4096, 32.0)
@@ -80,7 +74,7 @@ def test_criterion_3_pde_vs_block_law(pair, record_acceptance):
         traj = toy.evolve_toy(f0, params)
         ratios = traj.rate_ratios
         lo, hi = (ratios.min(), ratios.max()) if ratios.size else (math.nan, math.nan)
-        exponents = toy.trajectory_shell_exponents(grid, f0, traj.final, pair, range(0, 8))
+        exponents = toy.trajectory_shell_exponents(grid, f0, traj.final, range(0, 8))
         fit = toy.estimate_gevrey_index(exponents, np.arange(0, 8))
         slope_dev = abs(fit.slope - 2.0 / 3.0) / (2.0 / 3.0)
     ok = (
@@ -120,14 +114,14 @@ def test_criterion_4_infimum_brute_force(record_acceptance):
     assert ok
 
 
-def test_criterion_5_partition_and_reconstruction(pair, record_acceptance):
+def test_criterion_5_partition_and_reconstruction(record_acceptance):
     with Timer() as t:
         rng = np.random.default_rng(11)
         grid = VelocityGrid(1, 1024, 16.0)
         xs = rng.uniform(0.0, grid.nyquist, size=10_000)
         jmax = dyadic.max_freq_shell(grid)
-        rings = dyadic.frequency_rings(pair, grid, jmax)
-        total = pair.psi(xs) + sum(pair.phi(xs / 2.0**j) for j in range(jmax + 2))
+        rings = dyadic.frequency_rings(grid)
+        total = dyadic.psi(xs) + sum(dyadic.phi(xs / 2.0**j) for j in range(jmax + 2))
         partition_err = float(np.max(np.abs(total - 1.0)))
         recon_err = 0.0
         for _ in range(50):
@@ -148,7 +142,7 @@ def test_criterion_5_partition_and_reconstruction(pair, record_acceptance):
     assert ok
 
 
-def test_criterion_6_norm_characterization(pair, record_acceptance):
+def test_criterion_6_norm_characterization(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
         pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (prm.gamma / 2.0, prm.s)]
@@ -156,8 +150,8 @@ def test_criterion_6_norm_characterization(pair, record_acceptance):
         fine_grid = VelocityGrid(1, 2048, 16.0)
         corpus = standard_corpus(grid, 200, seed=6)
         fine = refine_field(grid, corpus)
-        norms_c = dyadic.block_norms(grid, corpus, pair)
-        norms_f = dyadic.block_norms(fine_grid, fine, pair)
+        norms_c = dyadic.block_norms(grid, corpus)
+        norms_f = dyadic.block_norms(fine_grid, fine)
         direct_c = weighted_sobolev_norms(grid, corpus, pairs_pm)
         direct_f = weighted_sobolev_norms(fine_grid, fine, pairs_pm)
         ratio_lo, ratio_hi, stable = np.inf, 0.0, True

@@ -75,11 +75,11 @@ def test_gagliardo_matches_the_per_field_oracle():
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_block_norms_match_the_per_field_oracle(grid, bump_pair):
+def test_block_norms_match_the_per_field_oracle(grid):
     u = members(grid)
-    got = dyadic.block_norms(grid, u, bump_pair)
+    got = dyadic.block_norms(grid, u)
     for f, blocks in zip(fields(u), got):
-        want = per_field.block_norms(grid, f, bump_pair)
+        want = per_field.block_norms(grid, f)
         assert np.max(np.abs(blocks - want)) <= per_field.BLOCK_ATOL * per_field.l2_norm(grid, f)
 
 

@@ -106,6 +106,24 @@ def test_picard_experiment_and_plot_data(tmp_path):
     assert len(lines) >= 3
 
 
+def test_plot_data_of_a_missing_or_truncated_artifact_exits_2(tmp_path, capsys):
+    missing = ["plot-data", "--report-dir", str(tmp_path / "nowhere"), "--kind", "gevrey-fit"]
+    assert main(missing + ["--out", str(tmp_path / "fit.csv")]) == 2
+    cfg = make_cfg(tmp_path, "picard", nmax=15, steps=32)
+    run(cfg)
+    state = os.path.join(cfg.out_dir, "picard_state.json")
+    with open(state) as fh:
+        text = fh.read()
+    with open(state, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    truncated = ["plot-data", "--report-dir", cfg.out_dir, "--kind", "picard-ratios"]
+    assert main(truncated + ["--out", str(tmp_path / "ratios.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("kgl: error: plot-data ") for line in err)
+    assert "FileNotFoundError" in err[0] and "JSONDecodeError" in err[1]
+    assert not (tmp_path / "fit.csv").exists() and not (tmp_path / "ratios.csv").exists()
+
+
 def small_norms_run(tmp_path):
     """norms on a reduced grid and corpus, where both checks pass."""
     return run(make_cfg(tmp_path, "norms", corpus_size=8, grid_n=512))
@@ -272,9 +290,9 @@ def _eightfold_law(rate):
 
 
 def _unnormalized_exponents(_):
-    def exponents(grid, f0, final, pair, j_range):
+    def exponents(grid, f0, final, j_range):
         """E_j = -ln ||Delta_j f(T)||, with the initial content prefactor left in."""
-        return -np.log(shell_norms(grid, final, pair)[j_range.start + 1 : j_range.stop + 1])
+        return -np.log(shell_norms(grid, final)[j_range.start + 1 : j_range.stop + 1])
 
     return exponents
 
@@ -399,6 +417,13 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["vector-fields", "--conv-kmax", "1"],
         ["vector-fields", "--max-k", "-1"],
         ["vector-fields", "--max-alpha", "-1"],
+        ["verify-inequalities", "--eps", "0"],
+        ["verify-inequalities", "--eps", "-1"],
+        ["sharpness", "--a0", "-1"],
+        ["sharpness", "--a0", "0"],
+        ["sharpness", "--t", "-1"],
+        ["sharpness", "--t", "0"],
+        ["evolve-toy", "--snapshot-every", "-16"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -450,6 +475,7 @@ def test_negative_exponent_form_parses_like_the_joined_flag(tmp_path):
     argv = ["picard", "--eps", "-1e-05", "--gamma", "-1E+0", "--out", str(tmp_path / "out")]
     assert main(argv) == 2  # eps must be positive: rejected before any work
     assert not (tmp_path / "out").exists()
+    assert ExperimentConfig("picard", {"eps": 0}, 0, "out").problem.eps == 0.0  # unregularized
     assert main(["sharpness", "--gamma", "-1.5e0", "--j-max", "4", "--out", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "sharpness" / "report_sharpness.json") as fh:
         assert json.load(fh)["config"]["params"]["gamma"] == -1.5

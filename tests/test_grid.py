@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgl.corpus import standard_corpus
-from kgl.dyadic import block_norms, build_bump_pair
+from kgl.dyadic import block_norms
 from kgl.grid import (
     CONTAINER_MAGIC,
     GridError,
@@ -202,10 +202,7 @@ def test_loaded_fields_are_real_and_feed_the_block_norms(tmp_path):
     loaded_grid, g = load_field(str(path))
     assert loaded_grid == grid and g.dtype == np.float64
     np.testing.assert_allclose(g, u, rtol=0, atol=1e-15)
-    pair = build_bump_pair()
-    np.testing.assert_allclose(
-        block_norms(grid, g, pair), block_norms(grid, u, pair), rtol=0, atol=1e-15
-    )
+    np.testing.assert_allclose(block_norms(grid, g), block_norms(grid, u), rtol=0, atol=1e-15)
 
 
 def test_container_of_complex_samples_is_rejected(tmp_path):

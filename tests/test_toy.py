@@ -223,7 +223,7 @@ def test_block_law_consistency_small_grid():
     assert np.all(np.exp(-traj.predicted_exponents) * traj.block_norms >= BLOCK_FLOOR)
 
 
-def test_trajectory_shell_measurement_clean(bump_pair):
+def test_trajectory_shell_measurement_clean():
     # frequency-shell norms of a band-limited field see no cutoff leakage
     grid = VelocityGrid(1, 1024, 16.0)
     rng = np.random.default_rng(6)
@@ -232,9 +232,9 @@ def test_trajectory_shell_measurement_clean(bump_pair):
     amp[sel] = rng.standard_normal(np.count_nonzero(sel))
     amp += np.roll(amp[::-1], 1)  # even in eta, so the field is real
     f = np.fft.ifftn(amp, norm="ortho").real
-    norms = shell_norms(grid, f, bump_pair)
+    norms = shell_norms(grid, f)
     jmax = max_freq_shell(grid)
-    weights = frequency_rings(bump_pair, grid, jmax)
+    weights = frequency_rings(grid)
     spectral = [np.sqrt(grid.cell_volume) * np.linalg.norm(w * amp) for w in weights]
     np.testing.assert_allclose(norms, spectral, rtol=1e-12, atol=1e-15 * np.linalg.norm(amp))
     for j in range(-1, jmax + 1):
@@ -246,16 +246,16 @@ def test_trajectory_shell_measurement_clean(bump_pair):
             assert norms[j + 1] <= 1e-15 * np.linalg.norm(amp)
 
 
-def test_trajectory_shell_exponents_read_only_the_grid_shells(bump_pair):
+def test_trajectory_shell_exponents_read_only_the_grid_shells():
     grid = VelocityGrid(1, 1024, 16.0)  # frequency shells -1..6
     f0 = weighted_broadband_data(grid, 1.0, seed=2)
     final = 0.5 * f0
-    got = trajectory_shell_exponents(grid, f0, final, bump_pair, range(0, 7))
-    init = shell_norms(grid, f0, bump_pair)[1:8]
+    got = trajectory_shell_exponents(grid, f0, final, range(0, 7))
+    init = shell_norms(grid, f0)[1:8]
     np.testing.assert_allclose(got, -np.log(0.5 * init / np.max(init)), rtol=1e-14)
     for j_range in (range(0, 8), range(-2, 5)):
         with pytest.raises(ToyModelError, match=r"the grid.s are -1\.\.6"):
-            trajectory_shell_exponents(grid, f0, final, bump_pair, j_range)
+            trajectory_shell_exponents(grid, f0, final, j_range)
 
 
 def test_infimum_slope_window_high_shells():
