@@ -15,13 +15,11 @@ functions take the samples together with their grid, either directly as
 needs numpy alone.
 """
 
-from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
+from kgl.params import SoftPotentialParams
 from kgl.grid import VelocityGrid
 
 __all__ = [
     "SoftPotentialParams",
-    "inverse_power_law",
-    "predicted_index",
     "VelocityGrid",
 ]
 

@@ -110,7 +110,7 @@ class ExperimentConfig:
             )
         for key, least in (
             ("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0),
-            ("snapshot_every", 0),
+            ("snapshot_every", 0), ("j_min", -1),  # no dyadic shell lies below j = -1
         ):
             if p.get(key, least) < least:
                 raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
@@ -119,6 +119,11 @@ class ExperimentConfig:
         for key in POSITIVE_KEYS.get(name, ()):
             if p[key] <= 0:
                 raise ConfigError(f"[{name}] {key} = {p[key]} must be positive")
+        if name == "sharpness" and p["j_max"] > (top := _sharpness_j_top(p["s"], p["t"])):
+            raise ConfigError(
+                f"[{name}] j_max = {p['j_max']} must keep 2**(2 s j_max) and t 2**(2 s j_max) "
+                f"finite floats, j_max <= {top}"
+            )
         if "rho" in p and not _ledger_is_normal(p["rho"]):
             top = vfields.LEDGER_DIRECT_MAX
             lo, hi = _ledger_rho_range()
@@ -126,6 +131,28 @@ class ExperimentConfig:
                 f"[{name}] rho = {p['rho']} must keep rho**{top - 1} and the ledger values "
                 f"L(1..{top + 1}) normal floats, about {lo:.3g} <= rho <= {hi:.3g}"
             )
+
+
+def _shell_weight_is_finite(j: int, s: float, t: float) -> bool:
+    """Whether 2**(2 s j) and t 2**(2 s j), as ``toy.sharpness_infimum`` forms them, are finite floats."""
+    try:
+        return math.isfinite(t * 2.0 ** (2.0 * s * j))
+    except OverflowError:
+        return False
+
+
+def _sharpness_j_top(s: float, t: float) -> int:
+    """The largest shell j whose sharpness weights 2**(2 s j) and t 2**(2 s j) are finite.
+
+    Both grow with j; the estimate from the top of the float range is
+    corrected by the check itself.
+    """
+    j = math.floor((sys.float_info.max_exp - max(0.0, math.log2(t))) / (2.0 * s))
+    while not _shell_weight_is_finite(j, s, t):
+        j -= 1
+    while _shell_weight_is_finite(j + 1, s, t):
+        j += 1
+    return j
 
 
 def _ledger_is_normal(rho: float) -> bool:

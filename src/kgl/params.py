@@ -1,4 +1,4 @@
-"""Soft-potential parameter bundle and the regularity-index formulas."""
+"""Soft-potential parameter bundle."""
 
 from __future__ import annotations
 
@@ -37,18 +37,3 @@ class SoftPotentialParams:
     def tau(self) -> float:
         return 2.0 * self.s / (2.0 - self.gamma)
 
-
-def predicted_index(prm: SoftPotentialParams) -> float:
-    """Sharp regularity-class index max{(2 - gamma)/(4 s), 1}."""
-    return max((2.0 - prm.gamma) / (4.0 * prm.s), 1.0)
-
-
-def inverse_power_law(p: float) -> SoftPotentialParams:
-    """Exponents for an inverse repulsive potential 1/r^(p-1), p > 2.
-
-    gamma = (p - 5)/(p - 1) and s = 1/(p - 1); soft potentials need p < 5.
-    The combination gamma + 4s = 1 holds identically.
-    """
-    if p <= 2:
-        raise AdmissibilityError(f"power-law exponent p={p} must exceed 2")
-    return SoftPotentialParams(gamma=(p - 5.0) / (p - 1.0), s=1.0 / (p - 1.0))

@@ -206,9 +206,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (steps+1, N) or (steps+1, Mx, N)
 
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def integrate(
     rp: RegularizedProblem,

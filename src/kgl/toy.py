@@ -324,9 +324,8 @@ def sharpness_infimum(
     widened = False
     while True:
         k = np.arange(0, kmax + 1, dtype=float)
-        vals = t * 2.0 ** (2.0 * prm.s * j) * 2.0 ** (prm.gamma * k) + a0 * 2.0 ** (
-            2.0 * k
-        )
+        with np.errstate(over="ignore"):  # a0 2^(2k) past the float range is inf, never the minimum
+            vals = t * 2.0 ** (2.0 * prm.s * j) * 2.0 ** (prm.gamma * k) + a0 * 2.0 ** (2.0 * k)
         k_star = int(np.argmin(vals))
         if k_star < kmax:
             return InfimumResult(j=j, k_star=k_star, value=float(vals[k_star]), widened=widened)

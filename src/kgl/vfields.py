@@ -6,7 +6,14 @@ numerators over one positive denominator, with t-exponents on the lattice
 verified as exact polynomial cancellations, not numerically.  A t-power or
 a field parameter delta off that lattice raises VFError.  Each check builds
 its chains of H powers once, from f and from transport f (H_chain,
-H_table), and reads the residual of every order off them.
+H_table), and reads the residual of every order off them.  Each residual
+is built in one pass: its terms are added into one dict over the lcm of
+their denominators and reduced by one gcd, which gives the same canonical
+polynomial as the composed operations.  Four functions are the only
+statements of the rules the checks test: apply_H (the fields),
+generation_coefficients (the reconstruction coefficients), _add_ladder
+(the delta k t^(delta-1) d/dv term of the commutator) and _add_transport
+(the transport rule, shared by transport()).
 The module also evaluates the factorial ledger weights (direct and log
 domain, with their round trip) and the combinatorial convolution bound.
 """
@@ -133,11 +140,10 @@ class PolyFunction:
     def diff_v(self, j: int) -> "PolyFunction":
         return self._diff(DIM + j - 1)
 
-    def _diff(self, slot: int, shift: int = 0, num: int = 1, den: int = 1) -> "PolyFunction":
-        """(num/den) t^(shift/T_UNIT) times the derivative in variable ``slot``, in one pass."""
-        terms = self.terms.items()
-        out = {(t + shift, _bump(e, slot, -1)): c * e[slot] * num for (t, e), c in terms if e[slot]}
-        return _poly(out, self.den * den)
+    def _diff(self, slot: int) -> "PolyFunction":
+        out: dict[Key, int] = {}
+        _add_diff(out, self, slot, 0, 1)
+        return _poly(out, self.den)
 
     def mul_v(self, j: int) -> "PolyFunction":
         return _poly({(t, _bump(e, DIM + j - 1, 1)): c for (t, e), c in self.terms.items()}, self.den)
@@ -172,14 +178,14 @@ def _poly(terms: dict[Key, int], den: int) -> PolyFunction:
     return p
 
 
-# the zero polynomial, shared: no operation mutates an operand's terms
-_ZERO = PolyFunction()
+def _add_transport(out: dict[Key, int], f: PolyFunction, m: int) -> None:
+    """Add m times the numerators of transport f, over f.den T_UNIT, to ``out``.
 
-
-def transport(f: PolyFunction) -> PolyFunction:
-    """d/dt + v . d/dx applied exactly, in one pass over the terms of f."""
-    out: dict[Key, int] = {}
+    The one statement of the transport rule d/dt + v . d/dx, in one pass
+    over the terms of f: transport() and the commutator residuals use it.
+    """
     for (t, e), c in f.terms.items():
+        c *= m
         if t:  # d/dt t^q = q t^(q - 1) with q = t / T_UNIT
             key = (t - T_UNIT, e)
             out[key] = out.get(key, 0) + c * t
@@ -187,6 +193,12 @@ def transport(f: PolyFunction) -> PolyFunction:
             if e[j]:  # x_j^n -> n x_j^(n-1) v_j
                 key = (t, e[:j] + (e[j] - 1,) + e[j + 1:DIM + j] + (e[DIM + j] + 1,) + e[DIM + j + 1:])
                 out[key] = out.get(key, 0) + c * e[j] * T_UNIT
+
+
+def transport(f: PolyFunction) -> PolyFunction:
+    """d/dt + v . d/dx applied exactly, in one pass over the terms of f."""
+    out: dict[Key, int] = {}
+    _add_transport(out, f, 1)
     return _poly(out, f.den * T_UNIT)
 
 
@@ -233,22 +245,57 @@ def H_table(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
     }
 
 
-def _ladder(g: PolyFunction, delta, k: int) -> PolyFunction:
-    """delta k t^(delta-1) d/dv_j g, the term one more H adds to the commutator."""
+def _add_scaled(out: dict[Key, int], p: PolyFunction, m: int, shift: int = 0) -> None:
+    """Add m times the numerators of t^(shift/T_UNIT) p, over p.den, to ``out``."""
+    for (t, e), c in p.terms.items():
+        key = (t + shift, e)
+        out[key] = out.get(key, 0) + c * m
+
+
+def _add_diff(out: dict[Key, int], p: PolyFunction, slot: int, shift: int, m: int) -> None:
+    """Add m times the numerators of t^(shift/T_UNIT) times the derivative of p in
+    variable ``slot``, over p.den, to ``out``."""
+    for (t, e), c in p.terms.items():
+        if e[slot]:
+            key = (t + shift, _bump(e, slot, -1))
+            out[key] = out.get(key, 0) + c * e[slot] * m
+
+
+def _add_ladder(out: dict[Key, int], g: PolyFunction, delta, k: int, m: int) -> None:
+    """Subtract m times the numerators of delta k t^(delta-1) d/dv_j g, over
+    g.den T_UNIT, from ``out``: the term one more H adds to the commutator."""
     u = _t_units(delta, "delta")
-    return g._diff(DIM + DIRECTION - 1, u - T_UNIT, u * k, T_UNIT)
+    _add_diff(out, g, DIM + DIRECTION - 1, u - T_UNIT, -m * u * k)
+
+
+def _commutator_sum(h: PolyFunction, th: PolyFunction, ladders) -> PolyFunction:
+    """transport h - th - sum of delta k t^(delta-1) d/dv_j g over the triples
+    (g, delta, k) of ``ladders``.
+
+    Every term is added in one dict over the lcm of the denominators and the
+    sum is reduced by one gcd; the canonical form is unique, so the result
+    equals the polynomial the composed operations give.
+    """
+    hd = h.den * T_UNIT
+    den = math.lcm(hd, th.den, *(g.den * T_UNIT for g, _, _ in ladders))
+    out: dict[Key, int] = {}
+    _add_transport(out, h, den // hd)
+    _add_scaled(out, th, -(den // th.den))
+    for g, delta, k in ladders:
+        _add_ladder(out, g, delta, k, den // (g.den * T_UNIT))
+    return _poly(out, den)
 
 
 def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
     """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f, k = 0..kmax.
 
     Identically zero for every polynomial; a nonzero residual exposes the
-    offending monomials.
+    offending monomials.  At k = 0 the coefficient delta k is 0 and no
+    ladder term is added.
     """
     h = H_chain(f, delta, kmax)
     th = H_chain(transport(f), delta, kmax)
-    below = [_ZERO] + h  # H^(k-1) f; at k = 0 its coefficient delta k is 0
-    return [transport(h[k]) - th[k] - _ladder(below[k], delta, k) for k in range(kmax + 1)]
+    return [_commutator_sum(h[k], th[k], [(h[k - 1], delta, k)] if k else []) for k in range(kmax + 1)]
 
 
 def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
@@ -257,16 +304,17 @@ def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) 
     [transport, H1^a1 H2^a2] = a1 d1 t^(d1-1) d/dv H1^(a1-1) H2^a2
                              + a2 d2 t^(d2-1) d/dv H1^a1 H2^(a2-1),
     the two fields commuting with each other; keyed by alpha in order.  A term
-    whose power would be H^(-1) has coefficient 0 and is taken as zero.
+    whose power would be H^(-1) has coefficient 0 and is left out.
     """
     m = H_table(f, delta1, delta2, max_alpha)
     tm = H_table(transport(f), delta1, delta2, max_alpha)
-    return {
-        (a1, a2): transport(m[a1, a2]) - tm[a1, a2]
-        - _ladder(m.get((a1 - 1, a2), _ZERO), delta1, a1)
-        - _ladder(m.get((a1, a2 - 1), _ZERO), delta2, a2)
-        for a1, a2 in sorted(m)
-    }
+    out = {}
+    for a1, a2 in sorted(m):
+        ladders = [(m[a1 - 1, a2], delta1, a1)] if a1 else []
+        if a2:
+            ladders.append((m[a1, a2 - 1], delta2, a2))
+        out[a1, a2] = _commutator_sum(m[a1, a2], tm[a1, a2], ladders)
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,13 +396,33 @@ def reconstruct_derivatives(
     return gx, gv
 
 
+def _reconstruction_row(f, h1, h2, c1, c2, shift: int, slot: int, lift: int) -> PolyFunction:
+    """c1 h1 + c2 t^(shift/T_UNIT) h2 - t^(lift/T_UNIT) times the derivative of f
+    in variable ``slot``, in one dict over one lcm denominator, reduced by one gcd."""
+    (n1, e1), (n2, e2) = _ratio(c1), _ratio(c2)
+    d1, d2 = h1.den * e1, h2.den * e2
+    den = math.lcm(d1, d2, f.den)
+    out: dict[Key, int] = {}
+    _add_scaled(out, h1, n1 * (den // d1))
+    _add_scaled(out, h2, n2 * (den // d2), shift)
+    _add_diff(out, f, slot, lift, -(den // f.den))
+    return _poly(out, den)
+
+
 def reconstruction_residuals(
     f: PolyFunction, vp: VFParams
 ) -> tuple[PolyFunction, PolyFunction]:
-    gx, gv = reconstruct_derivatives(f, vp)
-    direct_x = f.diff_x(DIRECTION).mul_t_power(vp.lam + 1)
-    direct_v = f.diff_v(DIRECTION).mul_t_power(vp.lam)
-    return gx - direct_x, gv - direct_v
+    """The residuals of t^(lam+1) d/dx_j f and t^lam d/dv_j f against their
+    reconstruction from the two fields, each row built in one pass."""
+    co = generation_coefficients(vp)
+    d1, d2 = vp.delta1, vp.delta2
+    h1, h2 = apply_H(f, d1), apply_H(f, d2)
+    shift, lam = _t_units(d1 - d2), _t_units(vp.lam)
+    xs, vs = DIRECTION - 1, DIM + DIRECTION - 1
+    return (
+        _reconstruction_row(f, h1, h2, co["cx1"], co["cx2"], shift, xs, lam + T_UNIT),
+        _reconstruction_row(f, h1, h2, co["cv1"], co["cv2"], shift, vs, lam),
+    )
 
 
 # --- factorial ledger --------------------------------------------------------

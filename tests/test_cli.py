@@ -386,6 +386,8 @@ BAD_CONFIGS = {
     "t-final-beyond-a0-half": "[picard]\nt_final = 0.9\n",
     "empty-corpus": "[norms]\ncorpus_size = 0\n",
     "empty-shell-range": "[sharpness]\nj_min = 5\nj_max = 3\n",
+    "shell-below-minus-one": "[sharpness]\nj_min = -5\nj_max = 3\n",
+    "shell-weight-overflow": "[sharpness]\nj_max = 1100\n",
     "inadmissible-pair": "[sharpness]\ngamma = -3.5\n",
     "percent-sign": "[sharpness]\nt = 5%\n",
     "no-section-header": "gamma = -1.0\n",
@@ -411,6 +413,8 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["picard", "--t-final", "0.9"],
         ["norms", "--corpus-size", "0"],
         ["sharpness", "--j-min", "5", "--j-max", "3"],
+        ["sharpness", "--j-min", "-5", "--j-max", "3"],
+        ["sharpness", "--j-max", "1100"],
         ["evolve-toy", "--steps", "3.5"],
         ["picard", "--nmax", "2"],
         ["vector-fields", "--rho", "0"],
@@ -431,6 +435,23 @@ def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("kgl: error: [")
     assert not (tmp_path / "out").exists()
+
+
+def test_sharpness_shell_range_starts_at_minus_one(tmp_path):
+    assert make_cfg(tmp_path, "sharpness", j_min=-1, j_max=3).params["j_min"] == -1
+    with pytest.raises(ConfigError, match=r"\[sharpness\] j_min = -2 must be at least -1"):
+        make_cfg(tmp_path, "sharpness", j_min=-2, j_max=3)
+
+
+# the top shell by hand: 2**(2 s j) is a float for 2 s j < 1024, and t 2**(2 s j)
+# for 2 s j + log2 t < 1024 when t > 1 (log2 1e10 = 33.2)
+@pytest.mark.parametrize("s,t,top", [(0.5, 1.0, 1023), (0.5, 1e10, 990), (0.3, 0.5, 1706)])
+def test_sharpness_runs_just_inside_the_float_range(tmp_path, s, t, top):
+    assert cli._sharpness_j_top(s, t) == top
+    rep = run(make_cfg(tmp_path, "sharpness", s=s, t=t, j_min=top - 3, j_max=top))
+    assert all(math.isfinite(v) for v in rep.metrics.values())
+    with pytest.raises(ConfigError, match=rf"finite floats, j_max <= {top}$"):
+        make_cfg(tmp_path, "sharpness", s=s, t=t, j_max=top + 1)
 
 
 def test_evolve_toy_grid_without_the_fitted_shells_exits_2(tmp_path, capsys):

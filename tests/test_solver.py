@@ -108,7 +108,7 @@ def test_single_mode_pure_diffusion_factor():
             norm="ortho",
         )
         expected = np.exp(-0.5 * rp.eps * rp.dt * grid.v_bracket_sq ** 2) * expected
-    assert np.max(np.abs(traj.final() - expected)) <= 1e-12
+    assert np.max(np.abs(traj.states[-1] - expected)) <= 1e-12
 
 
 def _per_step_oracle(rp, f_in, source_traj=None):

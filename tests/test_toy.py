@@ -13,7 +13,7 @@ from kgl.grid import (
     load_field,
     save_field,
 )
-from kgl.params import SoftPotentialParams, inverse_power_law, predicted_index
+from kgl.params import SoftPotentialParams
 from kgl.toy import (
     BLOCK_FLOOR,
     BlockLawState,
@@ -196,14 +196,6 @@ def test_analytic_clamp():
     fit = estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
     assert fit.estimated_index == pytest.approx(raw, rel=1e-2)
     assert fit.clamped_index == 1.0
-
-
-def test_predicted_index_values():
-    assert predicted_index(PRM) == 1.5
-    assert predicted_index(SoftPotentialParams(-2.0, 0.75)) == pytest.approx(4.0 / 3.0)
-    ipl = inverse_power_law(3.0)
-    assert (ipl.gamma, ipl.s) == (-1.0, 0.5)
-    assert ipl.gamma + 4 * ipl.s == pytest.approx(1.0)
 
 
 def test_gevrey_fit_needs_eight_shells():

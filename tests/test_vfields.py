@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,7 +137,6 @@ def test_mixed_commutator_exact():
         assert list(residuals) == [(a1, a2) for a1 in range(0, 5) for a2 in range(0, 5 - a1)]
         for (a1, a2), res in residuals.items():
             assert res.is_zero(), f"poly {i}, alpha=({a1},{a2})"
-    assert vfields._ZERO == PolyFunction()  # the shared default is never mutated
 
 
 def test_field_pair_commute():
@@ -440,7 +440,7 @@ def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, cor
 
 def test_vector_fields_builds_no_fraction_per_H(tmp_path, monkeypatch):
     # runs that differ only in max_k differ only in the number of apply_H and
-    # _ladder calls, so equal Fraction counts mean none is built per call
+    # _add_ladder calls, so equal Fraction counts mean none is built per call
     built = []
     new = Fraction.__new__
 
@@ -509,8 +509,12 @@ def test_vector_fields_counts_every_residual_checked(tmp_path, corpus, max_k, ma
     assert 60 * residual_budget(5, 4) == 4500  # the exact-algebra benchmark settings
 
 
-def _off_by_one_ladder(g, delta, k):
-    return g.diff_v(1).mul_t_power(delta - 1).scale(delta * (k + 1))
+_exact_ladder = vfields._add_ladder
+
+
+def _off_by_one_ladder(out, g, delta, k, m):
+    """The ladder term with delta (k+1) in place of delta k."""
+    _exact_ladder(out, g, delta, k + 1, m)
 
 
 def _wrong_generation_coefficient(vp):
@@ -523,7 +527,7 @@ def _wrong_generation_coefficient(vp):
     "name,mutant,kinds",
     [
         (None, None, set()),
-        ("_ladder", _off_by_one_ladder, {"commutator", "mixed"}),
+        ("_add_ladder", _off_by_one_ladder, {"commutator", "mixed"}),
         ("apply_H", _x_blind_H, {"commutator", "mixed", "reconstruction"}),
         ("generation_coefficients", _wrong_generation_coefficient, {"reconstruction"}),
     ],
@@ -604,3 +608,34 @@ def test_integer_polynomials_agree_with_the_fraction_reference(start, chain):
         lib, ref = lib_op(lib, arg), ref_op(ref, arg)
         assert_canonical(lib)
         assert as_reference(lib) == ref, name
+
+
+# --- property test: the one-pass residuals against the composed expressions ---
+
+DELTAS = T_LATTICE.filter(lambda q: q >= 1)
+VF_CASES = [
+    VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2)),
+    VFParams(gamma=Fraction(-1), s=Fraction(3, 4), lam=Fraction(2)),
+    VFParams(gamma=Fraction(-2), s=Fraction(3, 4), lam=Fraction(3)),
+    VFParams(gamma=Fraction(-1), s=Fraction(1, 4), lam=Fraction(7, 2)),
+]
+
+
+@pytest.mark.parametrize("field", [None, _x_blind_H], ids=["H", "x-blind-H"])
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=poly_pairs(), delta1=DELTAS, delta2=DELTAS, kmax=st.integers(0, 3),
+    max_alpha=st.integers(0, 2), vp=st.sampled_from(VF_CASES),
+)
+def test_one_pass_residuals_equal_the_composed_expressions(field, pair, delta1, delta2, kmax, max_alpha, vp):
+    # under the x-blind field the residuals are nonzero: they must agree monomial for monomial
+    f = pair[0]
+    with mock.patch.object(vfields, "apply_H", field or vfields.apply_H):
+        for k, res in enumerate(commutator_residuals(f, delta1, kmax)):
+            assert res == commutator_residual(f, delta1, k)
+        for alpha, res in mixed_commutator_residuals(f, delta1, delta2, max_alpha).items():
+            assert res == mixed_commutator_residual(f, delta1, delta2, alpha)
+        gx, gv = reconstruct_derivatives(f, vp)
+        rx, rv = reconstruction_residuals(f, vp)
+        assert rx == gx - f.diff_x(1).mul_t_power(vp.lam + 1)
+        assert rv == gv - f.diff_v(1).mul_t_power(vp.lam)
