@@ -19,7 +19,7 @@ import re
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -134,7 +134,7 @@ class ExperimentConfig:
 
 
 def _shell_weight_is_finite(j: int, s: float, t: float) -> bool:
-    """Whether 2**(2 s j) and t 2**(2 s j), as ``toy.sharpness_infimum`` forms them, are finite floats."""
+    """Whether 2**(2 s j) and t 2**(2 s j), as ``toy.block_law`` forms them, are finite floats."""
     try:
         return math.isfinite(t * 2.0 ** (2.0 * s * j))
     except OverflowError:
@@ -278,17 +278,16 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     rows = []
     slope_target = 2.0 * prm.tau
     ratios = []
-    for j in range(p["j_min"], p["j_max"] + 1):
-        res = toy.sharpness_infimum(j, prm, p["a0"], t=p["t"])
+    js = range(p["j_min"], p["j_max"] + 1)
+    k_star, values = toy.block_law(js, prm, p["a0"], t=p["t"])
+    for j, k, value in zip(js, k_star.tolist(), values.tolist()):
         predicted = 2.0 ** (slope_target * j)
-        ratio = res.value / predicted
+        ratio = value / predicted
         ratios.append(ratio)
-        rows.append([j, res.k_star, res.value, predicted, ratio])
+        rows.append([j, k, value, predicted, ratio])
     out_csv = os.path.join(cfg.out_dir, "sharpness.csv")
     write_csv(out_csv, ["j", "k_star", "inf_value", "predicted_2pow", "ratio"], rows)
-    js = np.array([r[0] for r in rows], dtype=float)
-    vals = np.array([r[2] for r in rows])
-    slope = float(np.polyfit(js, np.log2(vals), 1)[0])
+    slope = float(np.polyfit(np.array(js, dtype=float), np.log2(values), 1)[0])
     checks = {
         "ratio-bounded": bool(all(1.0 / 8.0 <= r <= 8.0 for r in ratios)),
         "slope-matches-index-law": bool(abs(slope - slope_target) <= 0.05),
@@ -384,14 +383,14 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
         w = ineq.verify_composition_bound(grid, nonneg, s, name, constant=4.0)
         comp_pass &= bool(np.all(w.passed) and np.all(w.extras["agreement_ok"]))
         comp_agree.extend(np.ravel(w.extras["agreement_factors"]))
-    report_rows = [tau_report.to_json_dict()] + [
+    reports = [tau_report] + [
         ineq.InequalityReport(
             inequality_id=ineq_id,
             params=params,
             corpus_size=len(corpus),
             min_margin=margin,
             fitted_constant=fitted,
-        ).to_json_dict()
+        )
         for ineq_id, fitted, margin in (
             ("weighted-eps-split", c_eps, eps_margin),
             ("regularizer-triple", 3.0, reg_margin),
@@ -399,7 +398,7 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
     ]
     out_json = os.path.join(cfg.out_dir, "inequalities.json")
     with open(out_json, "w") as fh:
-        json.dump(report_rows, fh, sort_keys=True, indent=2)
+        json.dump([asdict(r) for r in reports], fh, sort_keys=True, indent=2)
     checks = {
         "interpolation-finite-constant": bool(math.isfinite(tau_ratio) and tau_ratio > 0),
         "interpolation-refinement-stable": bool(abs(refinement_ratio - 1.0) <= 0.1),

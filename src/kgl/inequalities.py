@@ -68,17 +68,6 @@ class InequalityReport:
     refinement_ratio: float | None = None
     failures: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "inequality_id": self.inequality_id,
-            "params": self.params,
-            "corpus_size": self.corpus_size,
-            "min_margin": self.min_margin,
-            "fitted_constant": self.fitted_constant,
-            "refinement_ratio": self.refinement_ratio,
-            "failures": self.failures,
-        }
-
 
 def _ratio(num, den, fallback: float) -> np.ndarray:
     """num / den where den > 0, else ``fallback``."""

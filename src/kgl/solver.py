@@ -106,9 +106,6 @@ class RegularizedProblem:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.steps + 1)
 
-    def with_final_time(self, t_final: float) -> "RegularizedProblem":
-        return replace(self, t_final=t_final)
-
 
 class RegularizedStepper:
     """Exact-factor splitting for the homogeneous part plus trapezoidal source."""
@@ -498,7 +495,7 @@ def picard_iterate(
             break
         del weights  # a retried attempt's table is dropped before the next is built
         retries += 1
-        problem = problem.with_final_time(problem.t_final / 2.0)
+        problem = replace(problem, t_final=problem.t_final / 2.0)
     # fixed-point residual: rerun with the source built from the limit (prev)
     final_source = _dissipative_source(problem, prev, out=source)
     traj = integrate(problem, f_in, source_traj=final_source, out=current, work=work)

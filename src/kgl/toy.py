@@ -8,7 +8,9 @@ dyadic blocks obey the closed-form decay law
 and with a Gaussian-in-velocity initial weight exp(-a0 <v>^2) the
 competition between dissipation and weight produces shell exponents
 growing like 2^(4s/(2-gamma) j), which pins the regularity-class index
-(2-gamma)/(4s) before the analytic clamp at 1.
+(2-gamma)/(4s) before the analytic clamp at 1.  :func:`block_law` is the
+one statement of those exponents, E_j = min over k >= 0 of
+a0 2^(2k) + t 2^(2sj) 2^(gamma k), for any set of shells.
 
 :func:`evolve_toy` checks the law in one march: the field and the dyadic
 blocks of it whose decay can be compared are the rows of one stack,
@@ -295,88 +297,35 @@ def block_decay_rate(j: int, k: int, prm: SoftPotentialParams) -> float:
     return 2.0 ** (2.0 * prm.s * max(j, 0)) * 2.0 ** (prm.gamma * max(k, 0))
 
 
-# --- sharpness infimum ------------------------------------------------------
+# --- the finite-shell law ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfimumResult:
-    j: int
-    k_star: int
-    value: float
-    widened: bool
+INFIMUM_KMAX = 64  # first k range of the law's minimum, 0..64
 
 
-INFIMUM_KMAX = 64  # first k range of the brute-force infimum, 0..64
+def block_law(
+    js, prm: SoftPotentialParams, a0: float, t: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """E_j = min over integer k >= 0 of t 2^(2sj) 2^(gamma k) + a0 2^(2k), and its first minimizer.
 
-
-def sharpness_infimum(
-    j: int,
-    prm: SoftPotentialParams,
-    a0: float,
-    t: float = 1.0,
-) -> InfimumResult:
-    """Brute-force min over integer k >= 0 of t 2^(2sj) 2^(gamma k) + a0 2^(2k).
-
-    Ties break toward smaller k.  If the minimum lands on the last k the
-    range is widened and retried (flagged in the result).
+    E_j is -ln sup_k M(j, k, t) for the initial profile exp(-a0 2^(2k)),
+    one row per shell j of ``js``, with the low-shell rule of
+    :func:`block_decay_rate` at j = -1.  Ties break toward the smaller k.
+    The k range 0..INFIMUM_KMAX doubles while a row's minimum lands on its
+    last k; a0 2^(2k) leaves the float range before k = 1100 for every
+    positive a0, so the range stops growing by k = 2048.  Returns
+    (k_star, E), one entry per j.
     """
+    shell = np.array([t * block_decay_rate(int(j), 0, prm) for j in js]).reshape(-1, 1)
     kmax = INFIMUM_KMAX
-    widened = False
     while True:
         k = np.arange(0, kmax + 1, dtype=float)
         with np.errstate(over="ignore"):  # a0 2^(2k) past the float range is inf, never the minimum
-            vals = t * 2.0 ** (2.0 * prm.s * j) * 2.0 ** (prm.gamma * k) + a0 * 2.0 ** (2.0 * k)
-        k_star = int(np.argmin(vals))
-        if k_star < kmax:
-            return InfimumResult(j=j, k_star=k_star, value=float(vals[k_star]), widened=widened)
-        if kmax > 1 << 20:
-            raise ToyModelError("infimum did not stabilize while widening the k range")
+            vals = shell * 2.0 ** (prm.gamma * k) + a0 * 2.0 ** (2.0 * k)
+        k_star = np.argmin(vals, axis=1)
+        if np.all(k_star < kmax):
+            return k_star, np.take_along_axis(vals, k_star[:, None], axis=1)[:, 0]
         kmax *= 2
-        widened = True
-
-
-# --- block-law state (log domain) ------------------------------------------
-
-
-@dataclass
-class BlockLawState:
-    """Exact dyadic magnitudes in the log domain.
-
-    log_m0[j, k] holds ln M(j, k, 0) for j in j_range, k in k_range; the
-    initial profile is exp(-a0 2^(2k)), the same for every j.
-    """
-
-    prm: SoftPotentialParams
-    a0: float
-    j_range: np.ndarray
-    k_range: np.ndarray
-    log_m0: np.ndarray
-
-    @classmethod
-    def with_envelope(
-        cls,
-        prm: SoftPotentialParams,
-        a0: float,
-        j_range: range,
-        k_range: range,
-    ) -> "BlockLawState":
-        js = np.asarray(list(j_range))
-        ks = np.asarray(list(k_range))
-        log_m0 = np.broadcast_to(-a0 * 2.0 ** (2.0 * ks), (js.size, ks.size)).copy()
-        return cls(prm=prm, a0=a0, j_range=js, k_range=ks, log_m0=log_m0)
-
-    def log_magnitudes(self, t: float) -> np.ndarray:
-        rates = np.array(
-            [
-                [block_decay_rate(int(j), int(k), self.prm) for k in self.k_range]
-                for j in self.j_range
-            ]
-        )
-        return self.log_m0 - t * rates
-
-    def shell_exponents(self, t: float) -> np.ndarray:
-        """E_j = -ln sup_k M(j, k, t), one entry per j in j_range."""
-        return -np.max(self.log_magnitudes(t), axis=1)
 
 
 # --- regularity-index estimation -------------------------------------------

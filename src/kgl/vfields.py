@@ -8,8 +8,10 @@ a field parameter delta off that lattice raises VFError.  Each check builds
 its chains of H powers once, from f and from transport f (H_chain,
 H_table), and reads the residual of every order off them.  Each residual
 is built in one pass: its terms are added into one dict over the lcm of
-their denominators and reduced by one gcd, which gives the same canonical
-polynomial as the composed operations.  Four functions are the only
+their denominators and reduced by one gcd, which gives the canonical
+polynomial, the one the operations composed term by term in
+tests/ref_poly.py give.  The polynomial type itself only builds
+monomials, adds and compares.  Four functions are the only
 statements of the rules the checks test: apply_H (the fields),
 generation_coefficients (the reconstruction coefficients), _add_ladder
 (the delta k t^(delta-1) d/dv term of the commutator) and _add_transport
@@ -76,10 +78,9 @@ class PolyFunction:
     constructor copies the caller's dict, so the polynomial never shares it,
     and reduces those integers to the canonical form (gcd(den, numerators)
     = 1, no zero numerator), so equal polynomials have equal fields;
-    ``monomial`` and ``constant`` take rational coefficients and
-    t-exponents.  Exponents of x and v are nonnegative integers; the
-    t-exponent is an integer count of 1/T_UNIT, which keeps powers like
-    t^(delta1 - delta2) exact.
+    ``monomial`` takes a rational coefficient and t-exponent.  Exponents of
+    x and v are nonnegative integers; the t-exponent is an integer count of
+    1/T_UNIT, which keeps powers like t^(delta1 - delta2) exact.
     """
 
     __slots__ = ("terms", "den")
@@ -87,10 +88,6 @@ class PolyFunction:
     def __init__(self, terms: dict[Key, int] | None = None, den: int = 1):
         p = _poly(dict(terms) if terms else {}, den)
         self.terms, self.den = p.terms, p.den
-
-    @staticmethod
-    def constant(c) -> "PolyFunction":
-        return PolyFunction.monomial(c)
 
     @staticmethod
     def monomial(c=1, t=0, x=(0, 0, 0), v=(0, 0, 0)) -> "PolyFunction":
@@ -104,49 +101,13 @@ class PolyFunction:
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyFunction) and self.den == other.den and self.terms == other.terms
 
-    def __add__(self, other: "PolyFunction", sign: int = 1) -> "PolyFunction":
+    def __add__(self, other: "PolyFunction") -> "PolyFunction":
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * den // other.den
+        a, b = den // self.den, den // other.den
         out = self.terms.copy() if a == 1 else {k: c * a for k, c in self.terms.items()}
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c * b
         return _poly(out, den)
-
-    def __sub__(self, other: "PolyFunction") -> "PolyFunction":
-        return self.__add__(other, -1)
-
-    def scale(self, c) -> "PolyFunction":
-        num, den = _ratio(c)
-        return _poly({k: v * num for k, v in self.terms.items()}, self.den * den)
-
-    def __mul__(self, other: "PolyFunction") -> "PolyFunction":
-        out: dict[Key, int] = {}
-        for (t1, e1), c1 in self.terms.items():
-            for (t2, e2), c2 in other.terms.items():
-                key = (t1 + t2, tuple(a + b for a, b in zip(e1, e2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return _poly(out, self.den * other.den)
-
-    def mul_t_power(self, q) -> "PolyFunction":
-        u = _t_units(q)
-        return _poly({(t + u, e): c for (t, e), c in self.terms.items()}, self.den)
-
-    def diff_t(self) -> "PolyFunction":
-        return _poly({(t - T_UNIT, e): c * t for (t, e), c in self.terms.items() if t}, self.den * T_UNIT)
-
-    def diff_x(self, j: int) -> "PolyFunction":
-        return self._diff(j - 1)
-
-    def diff_v(self, j: int) -> "PolyFunction":
-        return self._diff(DIM + j - 1)
-
-    def _diff(self, slot: int) -> "PolyFunction":
-        out: dict[Key, int] = {}
-        _add_diff(out, self, slot, 0, 1)
-        return _poly(out, self.den)
-
-    def mul_v(self, j: int) -> "PolyFunction":
-        return _poly({(t, _bump(e, DIM + j - 1, 1)): c for (t, e), c in self.terms.items()}, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -274,7 +235,7 @@ def _commutator_sum(h: PolyFunction, th: PolyFunction, ladders) -> PolyFunction:
 
     Every term is added in one dict over the lcm of the denominators and the
     sum is reduced by one gcd; the canonical form is unique, so the result
-    equals the polynomial the composed operations give.
+    equals the polynomial the operations composed one by one give.
     """
     hd = h.den * T_UNIT
     den = math.lcm(hd, th.den, *(g.den * T_UNIT for g, _, _ in ladders))
@@ -381,19 +342,6 @@ def generation_coefficients(vp: VFParams) -> dict[str, Fraction]:
         "cv1": -(d1 + 1) / (d2 - d1),
         "cv2": (d2 + 1) / (d2 - d1),
     }
-
-
-def reconstruct_derivatives(
-    f: PolyFunction, vp: VFParams
-) -> tuple[PolyFunction, PolyFunction]:
-    """Rebuild t^(lam+1) d/dx_j f and t^lam d/dv_j f from the two fields."""
-    co = generation_coefficients(vp)
-    d1, d2 = vp.delta1, vp.delta2
-    h1 = apply_H(f, d1)
-    h2 = apply_H(f, d2).mul_t_power(d1 - d2)
-    gx = h1.scale(co["cx1"]) + h2.scale(co["cx2"])
-    gv = h1.scale(co["cv1"]) + h2.scale(co["cv2"])
-    return gx, gv
 
 
 def _reconstruction_row(f, h1, h2, c1, c2, shift: int, slot: int, lift: int) -> PolyFunction:

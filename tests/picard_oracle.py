@@ -10,6 +10,7 @@ library's one-workspace loop must reproduce it bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +40,7 @@ def picard_fresh(f_in: np.ndarray, rp: solver.RegularizedProblem, n_max: int) ->
         if contraction or retries >= solver.MAX_RETRIES:
             break
         retries += 1
-        problem = problem.with_final_time(problem.t_final / 2.0)
+        problem = replace(problem, t_final=problem.t_final / 2.0)
     final_source = solver._dissipative_source(problem, prev)
     traj = solver.integrate(problem, f_in, source_traj=final_source)
     residual = solver._weighted_sup_diff(problem.grid, weights, traj.states, prev)

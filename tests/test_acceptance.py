@@ -31,8 +31,7 @@ def test_criterion_1_sharp_index_exact_block_law(record_acceptance):
         results = {}
         for gamma, s in ((-1.0, 0.5), (-2.0, 0.75)):
             prm = SoftPotentialParams(gamma=gamma, s=s)
-            law = toy.BlockLawState.with_envelope(prm, 1.0, range(16, 41), range(0, 81))
-            fit = toy.estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
+            fit = toy.estimate_gevrey_index(toy.block_law(range(16, 41), prm, 1.0)[1], range(16, 41))
             target_slope = 4.0 * s / (2.0 - gamma)
             target_r = (2.0 - gamma) / (4.0 * s)
             results[(gamma, s)] = (fit.slope, target_slope, fit.estimated_index, target_r)
@@ -51,8 +50,7 @@ def test_criterion_2_analytic_regime_clamp(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-0.5, s=0.75)
         raw = (2.0 - prm.gamma) / (4.0 * prm.s)
-        law = toy.BlockLawState.with_envelope(prm, 1.0, range(16, 41), range(0, 81))
-        fit = toy.estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
+        fit = toy.estimate_gevrey_index(toy.block_law(range(16, 41), prm, 1.0)[1], range(16, 41))
     ok = (
         abs(raw - 0.8333) <= 1e-3
         and abs(fit.estimated_index - raw) <= 0.02 * raw
@@ -97,19 +95,18 @@ def test_criterion_3_pde_vs_block_law(record_acceptance):
 def test_criterion_4_infimum_brute_force(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
-        res = toy.sharpness_infimum(10, prm, a0=1.0)
-        ratios = []
-        for j in range(1, 41):
-            r = toy.sharpness_infimum(j, prm, a0=1.0)
-            ratios.append(r.value / 2.0 ** (2.0 * j / 3.0))
+        k_star, values = toy.block_law([10], prm, a0=1.0)
+        res = (int(k_star[0]), float(values[0]))
+        _, values = toy.block_law(range(1, 41), prm, a0=1.0)
+        ratios = [v / 2.0 ** (2.0 * j / 3.0) for j, v in zip(range(1, 41), values.tolist())]
     ok = (
-        (res.k_star, res.value) == (3, 192.0)
+        res == (3, 192.0)
         and all(1.0 / 8.0 <= r <= 8.0 for r in ratios)
         and t.elapsed < 0.1
     )
     record_acceptance(
         4, "infimum-brute-force", ok,
-        f"(k*,value)=({res.k_star},{res.value:.0f}), ratios [{min(ratios):.3f},{max(ratios):.3f}]; {t.elapsed * 1e3:.0f}ms",
+        f"(k*,value)=({res[0]},{res[1]:.0f}), ratios [{min(ratios):.3f},{max(ratios):.3f}]; {t.elapsed * 1e3:.0f}ms",
     )
     assert ok
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -190,8 +191,11 @@ def test_aggregate_report_shape(grid1d):
     assert rep.corpus_size == 20
     assert rep.failures == []
     assert rep.min_margin >= -1e-12
-    d = rep.to_json_dict()
-    assert {"inequality_id", "params", "corpus_size", "min_margin", "fitted_constant", "refinement_ratio"} <= set(d)
+    d = asdict(rep)  # the row inequalities.json holds
+    assert set(d) == {
+        "inequality_id", "params", "corpus_size", "min_margin", "fitted_constant", "refinement_ratio",
+        "failures",
+    }
 
 
 def test_eps_constant_refinement_stable():

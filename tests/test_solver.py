@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -508,7 +509,7 @@ def test_picard_first_iterate_is_marched_without_a_source(monkeypatch):
 def test_a_retried_attempt_is_not_finished(monkeypatch):
     rp = make_problem(steps=32)
     f_in = gaussian_datum(rp.grid)
-    direct = picard_iterate(f_in, rp.with_final_time(rp.t_final / 2.0), n_max=30)
+    direct = picard_iterate(f_in, replace(rp, t_final=rp.t_final / 2.0), n_max=30)
     assert direct.contraction and direct.retries == 0
 
     attempts = []  # iterations of each attempt, read off the verdict's input

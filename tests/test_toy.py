@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from kgl.dyadic import frequency_rings, max_freq_shell, shell_norms
@@ -16,16 +17,17 @@ from kgl.grid import (
 from kgl.params import SoftPotentialParams
 from kgl.toy import (
     BLOCK_FLOOR,
-    BlockLawState,
+    INFIMUM_KMAX,
     ToyModelError,
     ToyParams,
     ToyStepper,
     _dct2,
+    block_decay_rate,
+    block_law,
     chebyshev_symbols,
     effective_coefficient,
     estimate_gevrey_index,
     evolve_toy,
-    sharpness_infimum,
     trajectory_shell_exponents,
     weighted_broadband_data,
 )
@@ -124,12 +126,12 @@ def test_rejects_data_off_the_grid():
 
 def test_block_decay_exact_values():
     # ln M(j, k, t) - ln M(j, k, 0) = -t 2^(2sj) 2^(gamma k) at (j, k) = (4, 2) and (5, 2)
-    law = BlockLawState.with_envelope(PRM, 1.0, range(4, 6), range(2, 3))
-    assert np.array_equal(law.log_magnitudes(0.0), law.log_m0)
-    decay = law.log_magnitudes(1.0) - law.log_m0
-    assert decay[0, 0] == pytest.approx(-4.0)
+    assert block_decay_rate(4, 2, PRM) == pytest.approx(4.0)
     # ratio between consecutive frequency shells
-    assert decay[1, 0] - decay[0, 0] == pytest.approx(-(2.0 ** (2 * PRM.s) - 1.0) * 2.0**4 * 2.0**-2)
+    step = block_decay_rate(5, 2, PRM) - block_decay_rate(4, 2, PRM)
+    assert step == pytest.approx((2.0 ** (2 * PRM.s) - 1.0) * 2.0**4 * 2.0**-2)
+    # the low indices -1 use exponent 0
+    assert block_decay_rate(-1, -1, PRM) == block_decay_rate(0, 0, PRM) == 1.0
 
 
 @pytest.mark.parametrize("n", [48, 96])
@@ -145,35 +147,74 @@ def test_dct2_matches_the_explicit_cosine_sum(n, trailing):
 
 
 def test_sharpness_infimum_examples():
-    res0 = sharpness_infimum(0, PRM, a0=1.0)
-    assert (res0.k_star, res0.value) == (0, 2.0)
-    res10 = sharpness_infimum(10, PRM, a0=1.0)
-    assert (res10.k_star, res10.value) == (3, 192.0)
+    k_star, values = block_law([0, 10], PRM, a0=1.0)
+    assert k_star.tolist() == [0, 3]
+    assert values.tolist() == [2.0, 192.0]
+
+
+def test_block_law_low_shell_uses_the_block_rule():
+    # <eta>^(2s) >= 1 on the low block: j = -1 has exponent 0, as in
+    # block_decay_rate, so E_-1 = min_k 2^(-k) + 2^(2k) = 2, not 1.5
+    k_star, values = block_law([-1, 0], PRM, a0=1.0)
+    assert k_star.tolist() == [0, 0]
+    assert values.tolist() == [2.0, 2.0]
 
 
 def test_sharpness_infimum_ratio_window():
-    for j in range(1, 41):
-        res = sharpness_infimum(j, PRM, a0=1.0)
-        ratio = res.value / 2.0 ** (2.0 * j / 3.0)
-        assert 1.0 / 8.0 <= ratio <= 8.0
-        assert not res.widened
+    k_star, values = block_law(range(1, 41), PRM, a0=1.0)
+    ratios = values / 2.0 ** (2.0 * np.arange(1, 41) / 3.0)
+    assert np.all((1.0 / 8.0 <= ratios) & (ratios <= 8.0))
+    assert k_star.max() < INFIMUM_KMAX  # the first k range holds every minimum
 
 
 def test_sharpness_infimum_widens_past_the_first_k_range():
     # a tiny weight pushes the minimizer beyond k = 64
-    res = sharpness_infimum(40, PRM, a0=1e-60)
+    k_star, values = block_law([40], PRM, a0=1e-60)
     k = np.arange(0, 400, dtype=float)
     vals = 2.0**40 * 2.0 ** (PRM.gamma * k) + 1e-60 * 2.0 ** (2.0 * k)
-    assert res.widened
-    assert (res.k_star, res.value) == (int(np.argmin(vals)), float(np.min(vals)))
-    assert res.k_star > 64
+    assert (k_star[0], values[0]) == (int(np.argmin(vals)), float(np.min(vals)))
+    assert k_star[0] > INFIMUM_KMAX
+
+
+BRUTE_FORCE_K = 1024  # a0 2^(2k) overflows past k = 612 for a0 >= 1e-60
+
+
+def brute_force_law(j, prm, a0, t):
+    """The first argmin of t 2^(2s max(j, 0)) 2^(gamma k) + a0 2^(2k) over one wide k range."""
+    k = np.arange(0, BRUTE_FORCE_K + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        vals = t * 2.0 ** (2.0 * prm.s * max(j, 0)) * 2.0 ** (prm.gamma * k) + a0 * 2.0 ** (2.0 * k)
+    k_star = int(np.argmin(vals))
+    assert k_star < BRUTE_FORCE_K  # the range holds the minimum
+    return k_star, float(vals[k_star])
+
+
+@st.composite
+def admissible_pairs(draw):
+    s = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    gamma = draw(st.floats(max(-3.0, -1.0 - 2.0 * s), 0.0, exclude_min=True, exclude_max=True))
+    return SoftPotentialParams(gamma=gamma, s=s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prm=admissible_pairs(),
+    a0=st.floats(-60.0, 3.0).map(lambda e: 10.0**e),
+    t=st.floats(0.0, 1e10, exclude_min=True),
+    js=st.lists(st.integers(-1, 60), min_size=1, max_size=6),
+)
+@example(prm=SoftPotentialParams(gamma=-1.0, s=0.5), a0=1e-60, t=1.0, js=[40])
+def test_block_law_equals_the_brute_force_minimum(prm, a0, t, js):
+    # the widening range leaves no row on a k range too short for its minimum
+    k_star, values = block_law(js, prm, a0, t)
+    got = list(zip(k_star.tolist(), values.tolist()))
+    assert got == [brute_force_law(j, prm, a0, t) for j in js]
 
 
 def test_block_law_slopes_match_index():
     for gamma, s, r_target in ((-1.0, 0.5, 1.5), (-2.0, 0.75, 4.0 / 3.0)):
         prm = SoftPotentialParams(gamma=gamma, s=s)
-        law = BlockLawState.with_envelope(prm, 1.0, range(16, 41), range(0, 81))
-        fit = estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
+        fit = estimate_gevrey_index(block_law(range(16, 41), prm, 1.0)[1], range(16, 41))
         # three significant figures of the predicted raw slope
         assert abs(fit.slope - 4.0 * s / (2.0 - gamma)) <= 5e-4
         assert fit.estimated_index == pytest.approx(r_target, rel=1e-3)
@@ -182,8 +223,7 @@ def test_block_law_slopes_match_index():
 def test_block_law_heat_type_slope_one():
     # s = 1/2, gamma -> 0: no weight competition, E_j ~ t 2^j
     prm = SoftPotentialParams(gamma=-1e-9, s=0.5)
-    law = BlockLawState.with_envelope(prm, 1.0, range(16, 41), range(0, 81))
-    fit = estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
+    fit = estimate_gevrey_index(block_law(range(16, 41), prm, 1.0)[1], range(16, 41))
     assert fit.slope == pytest.approx(1.0, rel=1e-6)
     assert fit.clamped_index == pytest.approx(1.0, rel=1e-6)
 
@@ -192,8 +232,7 @@ def test_analytic_clamp():
     prm = SoftPotentialParams(gamma=-0.5, s=0.75)
     raw = (2.0 - prm.gamma) / (4.0 * prm.s)
     assert raw == pytest.approx(0.8333, abs=1e-4)
-    law = BlockLawState.with_envelope(prm, 1.0, range(16, 41), range(0, 81))
-    fit = estimate_gevrey_index(law.shell_exponents(1.0), law.j_range)
+    fit = estimate_gevrey_index(block_law(range(16, 41), prm, 1.0)[1], range(16, 41))
     assert fit.estimated_index == pytest.approx(raw, rel=1e-2)
     assert fit.clamped_index == 1.0
 
@@ -254,7 +293,7 @@ def test_infimum_slope_window_high_shells():
     # log2(inf value)/j approaches 4s/(2-gamma); absolute slope deviation
     # over j in [20, 40] stays below 0.05
     js = np.arange(20, 41)
-    vals = np.array([sharpness_infimum(int(j), PRM, a0=1.0).value for j in js])
+    vals = block_law(js, PRM, a0=1.0)[1]
     slope = np.polyfit(js.astype(float), np.log2(vals), 1)[0]
     assert abs(slope - 2.0 / 3.0) <= 0.05
 
