@@ -280,8 +280,10 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     ratios = []
     js = range(p["j_min"], p["j_max"] + 1)
     k_star, values = toy.block_law(js, prm, p["a0"], t=p["t"])
+    # over real k the law's minimum is a gamma-only factor times scale 2^(2 tau j)
+    scale = p["t"] ** (2.0 / (2.0 - prm.gamma)) * p["a0"] ** (-prm.gamma / (2.0 - prm.gamma))
     for j, k, value in zip(js, k_star.tolist(), values.tolist()):
-        predicted = 2.0 ** (slope_target * j)
+        predicted = scale * 2.0 ** (slope_target * j)
         ratio = value / predicted
         ratios.append(ratio)
         rows.append([j, k, value, predicted, ratio])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgl
-from kgl import cli, dyadic, toy
+from kgl import cli, dyadic, toy, vfields
 from kgl.cli import (
     ConfigError,
     DEFAULTS,
@@ -348,6 +348,47 @@ def test_each_norms_check_fails_on_its_mutant(tmp_path, monkeypatch, check, owne
     assert not rep.passed
 
 
+def _sixteenfold_law(law):
+    def values_times_16(*args, **kwargs):
+        k_star, values = law(*args, **kwargs)
+        return k_star, 16.0 * values
+
+    return values_times_16
+
+
+def _law_at_half_s(law):
+    # (gamma, s/2) is still admissible, and 2 tau goes from 2/3 to 1/3 at the defaults
+    return lambda js, prm, a0, t=1.0: law(js, SoftPotentialParams(prm.gamma, prm.s / 2), a0, t=t)
+
+
+def _sums_one_power_too_strong(sums):
+    # (k+1) S_k grows like 0.4 k, so the sup at kmax leaves the one at kmax // 2 behind
+    return lambda kmax: np.arange(1.0, kmax + 2.0) * sums(kmax)
+
+
+SMALL_VECTOR_FIELDS = {"corpus_size": 4, "max_k": 3, "max_alpha": 2, "conv_kmax": 2000}
+
+
+@pytest.mark.parametrize(
+    "check, experiment, params, owner, name, mutant",
+    [
+        ("ratio-bounded", "sharpness", {}, toy, "block_law", _sixteenfold_law),
+        ("slope-matches-index-law", "sharpness", {}, toy, "block_law", _law_at_half_s),
+        ("convolution-sup-stabilizes", "vector-fields", SMALL_VECTOR_FIELDS, vfields, "convolution_sums",
+         _sums_one_power_too_strong),
+    ],
+    ids=["sixteenfold-law", "law-at-half-s", "sums-one-power-too-strong"],
+)
+def test_each_sharpness_and_convolution_check_fails_on_its_mutant(
+    tmp_path, monkeypatch, check, experiment, params, owner, name, mutant
+):
+    assert run(make_cfg(tmp_path / "clean", experiment, **params)).checks[check] is True
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    rep = run(make_cfg(tmp_path / "mutant", experiment, **params))
+    assert rep.checks[check] is False
+    assert not rep.passed
+
+
 def test_defaults_and_runners_cover_the_same_experiments():
     assert set(DEFAULTS) == set(RUNNERS)
     for defaults in DEFAULTS.values():
@@ -450,6 +491,7 @@ def test_sharpness_runs_just_inside_the_float_range(tmp_path, s, t, top):
     assert cli._sharpness_j_top(s, t) == top
     rep = run(make_cfg(tmp_path, "sharpness", s=s, t=t, j_min=top - 3, j_max=top))
     assert all(math.isfinite(v) for v in rep.metrics.values())
+    assert rep.checks["ratio-bounded"]  # E_j against the law's scale t^(2/(2-gamma)) 2^(2 tau j)
     with pytest.raises(ConfigError, match=rf"finite floats, j_max <= {top}$"):
         make_cfg(tmp_path, "sharpness", s=s, t=t, j_max=top + 1)
 

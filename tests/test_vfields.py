@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -20,6 +21,7 @@ from kgl.vfields import (
     apply_H,
     commutator_residuals,
     convolution_bound,
+    convolution_sums,
     generation_coefficients,
     ledger_round_trip_residual,
     ledger_value,
@@ -399,6 +401,37 @@ def test_convolution_bound_matches_the_direct_k_loop(kmax):
 def test_convolution_bound_stabilizes():
     res = convolution_bound(10_000)
     assert res["stabilization_gap"] <= 1e-6
+
+
+def test_convolution_sums_match_the_exact_sums():
+    sums = convolution_sums(300)
+    assert sums[0] == sums[1] == 0.0
+    eps = sys.float_info.epsilon
+    for k in range(2, 301):
+        exact = sum(Fraction((k + 1) ** 3, ((j + 1) * (k - j + 1)) ** 3) for j in range(1, k))
+        assert abs(Fraction(sums[k]) - exact) <= 16 * eps * exact, k
+
+
+def test_convolution_sums_match_the_direct_convolution():
+    kmax = 10_000
+    k = np.arange(kmax + 1, dtype=float)
+    a = np.where(k > 0, (k + 1.0) ** -3, 0.0)
+    direct = (k + 1.0) ** 3 * np.convolve(a, a)[: kmax + 1]
+    np.testing.assert_allclose(convolution_sums(kmax), direct, rtol=1e-13, atol=0.0)
+
+
+def test_convolution_bound_is_linear_in_kmax():
+    # the direct sum would take ~1e12 multiply-adds here; the closed form keeps
+    # at most six float arrays of kmax + 1 alive
+    kmax = 10**6
+    tracemalloc.start()
+    try:
+        res = convolution_bound(kmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res["sup"], res["arg_k"], res["stabilization_gap"]) == (0.683990234375, 6, 0.0)
+    assert peak <= 6 * 8 * (kmax + 1)
 
 
 def test_H_power_composition():
