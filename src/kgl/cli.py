@@ -109,11 +109,13 @@ class ExperimentConfig:
                 f"the Gevrey fit reads; raise grid_n / grid_l"
             )
         for key, least in (
-            ("corpus_size", 1), ("nmax", 3), ("conv_kmax", 2), ("max_k", 0), ("max_alpha", 0),
-            ("snapshot_every", 0), ("j_min", -1),  # no dyadic shell lies below j = -1
+            ("corpus_size", 1), ("nmax", 3), ("conv_kmax", vfields.CONVOLUTION_KMAX_MIN), ("max_k", 0),
+            ("max_alpha", 0), ("snapshot_every", 0), ("j_min", -1),  # no dyadic shell lies below j = -1
         ):
             if p.get(key, least) < least:
-                raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}")
+                why = (": convolution-sup-stabilizes compares the sups up to conv_kmax and conv_kmax // 2, "
+                       "and the sums peak at k = 6") if key == "conv_kmax" else ""
+                raise ConfigError(f"[{name}] {key} = {p[key]} must be at least {least}{why}")
         if name == "sharpness" and p["j_min"] >= p["j_max"]:
             raise ConfigError(f"[{name}] the slope fit needs j_min < j_max, got {p['j_min']}, {p['j_max']}")
         for key in POSITIVE_KEYS.get(name, ()):
@@ -427,31 +429,28 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     size = p["corpus_size"]
     polys = [vfields.random_poly(rng) for _ in range(size)]
     deltas = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3)]
-    failures = []
-    checked = 0  # residual polynomials tested for zero
-    for i, f in enumerate(polys):
-        for delta in deltas:
-            residuals = vfields.commutator_residuals(f, delta, p["max_k"])
-            checked += len(residuals)
-            for k, res in enumerate(residuals):
-                if not res.is_zero():
-                    failures.append(f"commutator f{i} delta={delta} k={k}")
     vp_cases = [
         vfields.VFParams(gamma=Fraction(-1), s=Fraction(1, 2), lam=Fraction(2)),
         vfields.VFParams(gamma=Fraction(-1), s=Fraction(3, 4), lam=Fraction(2)),
         vfields.VFParams(gamma=Fraction(-2), s=Fraction(3, 4), lam=Fraction(3)),
     ]
+    field_pairs = [(vp.delta1, vp.delta2, vfields.generation_coefficients(vp)) for vp in vp_cases]
+    failures, pair_failures = [], []  # every commutator failure first, then the pairs' failures
+    checked = built = 0  # residual polynomials tested for zero, H powers built
     for i, f in enumerate(polys):
-        for vp in vp_cases:
-            rx, rv = vfields.reconstruction_residuals(f, vp)
-            checked += 2
+        commutators, pairs, n = vfields.identity_residuals(f, deltas, field_pairs, p["max_k"], p["max_alpha"])
+        built += n
+        for delta, rows in commutators.items():
+            checked += len(rows)
+            failures += [f"commutator f{i} delta={delta} k={k}" for k, r in enumerate(rows) if not r.is_zero()]
+        for vp, ((rx, rv), mixed) in zip(vp_cases, pairs):
+            checked += 2 + len(mixed)
             if not (rx.is_zero() and rv.is_zero()):
-                failures.append(f"reconstruction f{i} lam={vp.lam}")
-            mixed = vfields.mixed_commutator_residuals(f, vp.delta1, vp.delta2, p["max_alpha"])
-            checked += len(mixed)
-            for (a1, a2), res in mixed.items():
-                if not res.is_zero():
-                    failures.append(f"mixed f{i} alpha=({a1},{a2})")
+                pair_failures.append(f"reconstruction f{i} lam={vp.lam}")
+            pair_failures += [
+                f"mixed f{i} alpha=({a1},{a2})" for (a1, a2), r in mixed.items() if not r.is_zero()
+            ]
+    failures += pair_failures
     rho = p["rho"]
     ledger_rows = []
     for k in range(0, 201):
@@ -477,11 +476,11 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     checks = {
         "identities-exact": not failures,
         "ledger-round-trip": bool(worst_rt <= vfields.LEDGER_TOLERANCE),
-        "convolution-sup-stabilizes": bool(conv["stabilization_gap"] <= 1e-6),
+        "convolution-sup-stabilizes": bool(conv["stabilization_gap"] <= vfields.CONVOLUTION_GAP_TOL),
     }
-    metrics = {"convolution": conv, "ledger_round_trip_worst": worst_rt,
-               "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE, "failure_count": len(failures),
-               "residuals_checked": checked}
+    metrics = {"convolution": conv, "convolution_gap_tolerance": vfields.CONVOLUTION_GAP_TOL,
+               "ledger_round_trip_worst": worst_rt, "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE,
+               "failure_count": len(failures), "residuals_checked": checked, "h_powers_built": built}
     return RunReport(
         config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, id_json]
     )

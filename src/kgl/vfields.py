@@ -4,18 +4,20 @@ Polynomials in (t, x_1..x_3, v_1..v_3) are held exactly: integer
 numerators over one positive denominator, with t-exponents on the lattice
 (1/T_UNIT) Z, so the commutator and derivative-generation identities are
 verified as exact polynomial cancellations, not numerically.  A t-power or
-a field parameter delta off that lattice raises VFError.  Each check builds
-its chains of H powers once, from f and from transport f (H_chain,
-H_table), and reads the residual of every order off them.  Each residual
-is built in one pass: its terms are added into one dict over the lcm of
-their denominators and reduced by one gcd, which gives the canonical
-polynomial, the one the operations composed term by term in
-tests/ref_poly.py give.  The polynomial type itself only builds
-monomials, adds and compares.  Four functions are the only
-statements of the rules the checks test: apply_H (the fields),
-generation_coefficients (the reconstruction coefficients), _add_ladder
-(the delta k t^(delta-1) d/dv term of the commutator) and _add_transport
-(the transport rule, shared by transport()).
+a field parameter delta off that lattice raises VFError.  One builder,
+identity_residuals, keeps one store of chains of H powers per polynomial,
+from f, from transport f and from their H2 powers, for all three identity
+families: each H power is built once per polynomial, every residual is read
+off the chains, and a pure mixed row is the commutator residual it equals.
+The per-family functions are calls into it.  Each residual is built in one
+pass: its terms are added into one dict over the lcm of their denominators
+and reduced by one gcd, which gives the canonical polynomial, the one the
+operations composed term by term in tests/ref_poly.py give.  The
+polynomial type itself only builds monomials, adds and compares.  Four
+functions are the only statements of the rules the checks test: apply_H
+(the fields), generation_coefficients (the reconstruction coefficients),
+_add_ladder (the delta k t^(delta-1) d/dv term of the commutator) and
+_add_transport (the transport rule, shared by transport()).
 The module also evaluates the factorial ledger weights (direct and log
 domain, with their round trip) and the combinatorial convolution bound,
 every sum of it at once by a partial-fraction closed form (convolution_sums).
@@ -27,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -190,25 +193,6 @@ def apply_H(f: PolyFunction, delta) -> PolyFunction:
     return _poly(out, f.den * w)
 
 
-def H_chain(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
-    """[f, H f, ..., H^kmax f], each power applied once to the one before."""
-    if kmax < 0:
-        raise VFError("order must be nonnegative")
-    chain = [f]
-    for _ in range(kmax):
-        chain.append(apply_H(chain[-1], delta))
-    return chain
-
-
-def H_table(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
-    """{(a1, a2): H1^a1 H2^a2 f for a1 + a2 <= max_alpha}, H2 applied first."""
-    return {
-        (a1, a2): h
-        for a2, g in enumerate(H_chain(f, delta2, max_alpha))
-        for a1, h in enumerate(H_chain(g, delta1, max_alpha - a2))
-    }
-
-
 def _add_scaled(out: dict[Key, int], p: PolyFunction, m: int, shift: int = 0) -> None:
     """Add m times the numerators of t^(shift/T_UNIT) p, over p.den, to ``out``."""
     for (t, e), c in p.terms.items():
@@ -250,43 +234,13 @@ def _commutator_sum(h: PolyFunction, th: PolyFunction, ladders) -> PolyFunction:
     return _poly(out, den)
 
 
-def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
-    """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f, k = 0..kmax.
-
-    Identically zero for every polynomial; a nonzero residual exposes the
-    offending monomials.  At k = 0 the coefficient delta k is 0 and no
-    ladder term is added.
-    """
-    h = H_chain(f, delta, kmax)
-    th = H_chain(transport(f), delta, kmax)
-    return [_commutator_sum(h[k], th[k], [(h[k - 1], delta, k)] if k else []) for k in range(kmax + 1)]
-
-
-def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
-    """Residuals of the two-field commutator expansion, |alpha| <= max_alpha.
-
-    [transport, H1^a1 H2^a2] = a1 d1 t^(d1-1) d/dv H1^(a1-1) H2^a2
-                             + a2 d2 t^(d2-1) d/dv H1^a1 H2^(a2-1),
-    the two fields commuting with each other; keyed by alpha in order.  A term
-    whose power would be H^(-1) has coefficient 0 and is left out.
-    """
-    m = H_table(f, delta1, delta2, max_alpha)
-    tm = H_table(transport(f), delta1, delta2, max_alpha)
-    out = {}
-    for a1, a2 in sorted(m):
-        ladders = [(m[a1 - 1, a2], delta1, a1)] if a1 else []
-        if a2:
-            ladders.append((m[a1, a2 - 1], delta2, a2))
-        out[a1, a2] = _commutator_sum(m[a1, a2], tm[a1, a2], ladders)
-    return out
-
-
 @dataclass(frozen=True)
 class VFParams:
     """Field-pair parameters: delta1 = lambda, delta2 set by the regime.
 
     (gamma, s) must be an admissible soft-potential pair, by the rules of
-    ``SoftPotentialParams``; a pair outside them raises VFError.
+    ``SoftPotentialParams``; a pair outside them raises VFError.  tau,
+    strong_singularity, delta1 and delta2 are computed once, on first read.
     """
 
     gamma: Fraction
@@ -310,19 +264,19 @@ class VFParams:
         for name in ("delta1", "delta2"):  # then delta1 - delta2 and lam + 1 are on the lattice too
             _t_units(getattr(self, name), name)
 
-    @property
+    @cached_property
     def tau(self) -> Fraction:
         return 2 * self.s / (2 - self.gamma)
 
-    @property
+    @cached_property
     def strong_singularity(self) -> bool:
         return self.gamma / 2 + 2 * self.s >= 1
 
-    @property
+    @cached_property
     def delta1(self) -> Fraction:
         return self.lam
 
-    @property
+    @cached_property
     def delta2(self) -> Fraction:
         if self.strong_singularity:
             return Fraction(1)
@@ -360,20 +314,100 @@ def _reconstruction_row(f, h1, h2, c1, c2, shift: int, slot: int, lift: int) -> 
     return _poly(out, den)
 
 
+def identity_residuals(f: PolyFunction, deltas, field_pairs, max_k: int, max_alpha: int):
+    """Every residual of the three identity families for the one polynomial f.
+
+    The commutator residuals of each delta of ``deltas``, k = 0..max_k; for
+    each field pair (delta1, delta2, coefficients) the mixed residuals,
+    |alpha| <= max_alpha, and, unless the generation coefficients are None,
+    the two reconstruction rows.  One store of chains [b, H b, H^2 b, ...],
+    keyed by the base b (f, transport f or an H2 power of either) and delta,
+    is extended only through apply_H, so each H power is built once across
+    the families.  A pure mixed row (a1 = 0 or a2 = 0) whose delta is one of
+    ``deltas`` and whose order is at most max_k is that commutator residual.
+
+    Returns (commutators, pairs, built): commutators[delta] the residuals by
+    k; pairs, per field pair, its reconstruction rows (or None) and its mixed
+    residuals keyed by alpha in order; built, the apply_H calls made.
+    """
+    if max_k < 0 or max_alpha < 0:
+        raise VFError("order must be nonnegative")
+    f_and_tf = (f, transport(f))
+    chains: dict = {}  # (id(b), delta): [b, H b, H^2 b, ...]; every base b is held in its chain
+
+    def chain(base: PolyFunction, delta, k: int) -> list[PolyFunction]:
+        """The store's chain of delta from base, extended through H^k base."""
+        c = chains.setdefault((id(base), delta), [base])
+        while len(c) <= k:
+            c.append(apply_H(c[-1], delta))
+        return c
+
+    commutators = {}
+    for delta in deltas:
+        h, th = (chain(g, delta, max_k) for g in f_and_tf)
+        commutators[delta] = [
+            _commutator_sum(h[k], th[k], [(h[k - 1], delta, k)] if k else []) for k in range(max_k + 1)
+        ]
+    pairs = []
+    xs, vs = DIRECTION - 1, DIM + DIRECTION - 1
+    for d1, d2, co in field_pairs:
+        # m[a2][a1] = H1^a1 H2^a2 f, tm[a2][a1] the same of transport f
+        m, tm = (
+            [chain(b, d1, max_alpha - a2) for a2, b in enumerate(chain(g, d2, max_alpha)[:max_alpha + 1])]
+            for g in f_and_tf
+        )
+        mixed = {}
+        for a1 in range(max_alpha + 1):
+            for a2 in range(max_alpha + 1 - a1):
+                pure = None if a1 and a2 else commutators.get(d2 if a2 else d1)
+                if pure is not None and a1 + a2 <= max_k:
+                    mixed[a1, a2] = pure[a1 + a2]
+                    continue
+                ladders = [(m[a2][a1 - 1], d1, a1)] if a1 else []
+                if a2:
+                    ladders.append((m[a2 - 1][a1], d2, a2))
+                mixed[a1, a2] = _commutator_sum(m[a2][a1], tm[a2][a1], ladders)
+        rows = None
+        if co is not None:
+            h1, h2 = chain(f, d1, 1)[1], chain(f, d2, 1)[1]
+            lam = _t_units(d1)  # delta1 = lambda
+            shift = lam - _t_units(d2)
+            rows = (
+                _reconstruction_row(f, h1, h2, co["cx1"], co["cx2"], shift, xs, lam + T_UNIT),
+                _reconstruction_row(f, h1, h2, co["cv1"], co["cv2"], shift, vs, lam),
+            )
+        pairs.append((rows, mixed))
+    return commutators, pairs, sum(len(c) - 1 for c in chains.values())
+
+
+def commutator_residuals(f: PolyFunction, delta, kmax: int) -> list[PolyFunction]:
+    """[transport, H^k] f minus delta k t^(delta-1) d/dv_j H^(k-1) f, k = 0..kmax.
+
+    Identically zero for every polynomial; a nonzero residual exposes the
+    offending monomials.  At k = 0 the coefficient delta k is 0 and no
+    ladder term is added.
+    """
+    return identity_residuals(f, (delta,), (), kmax, 0)[0][delta]
+
+
+def mixed_commutator_residuals(f: PolyFunction, delta1, delta2, max_alpha: int) -> dict:
+    """Residuals of the two-field commutator expansion, |alpha| <= max_alpha.
+
+    [transport, H1^a1 H2^a2] = a1 d1 t^(d1-1) d/dv H1^(a1-1) H2^a2
+                             + a2 d2 t^(d2-1) d/dv H1^a1 H2^(a2-1),
+    the two fields commuting with each other; keyed by alpha in order.  A term
+    whose power would be H^(-1) has coefficient 0 and is left out.
+    """
+    return identity_residuals(f, (), ((delta1, delta2, None),), 0, max_alpha)[1][0][1]
+
+
 def reconstruction_residuals(
     f: PolyFunction, vp: VFParams
 ) -> tuple[PolyFunction, PolyFunction]:
     """The residuals of t^(lam+1) d/dx_j f and t^lam d/dv_j f against their
     reconstruction from the two fields, each row built in one pass."""
-    co = generation_coefficients(vp)
-    d1, d2 = vp.delta1, vp.delta2
-    h1, h2 = apply_H(f, d1), apply_H(f, d2)
-    shift, lam = _t_units(d1 - d2), _t_units(vp.lam)
-    xs, vs = DIRECTION - 1, DIM + DIRECTION - 1
-    return (
-        _reconstruction_row(f, h1, h2, co["cx1"], co["cx2"], shift, xs, lam + T_UNIT),
-        _reconstruction_row(f, h1, h2, co["cv1"], co["cv2"], shift, vs, lam),
-    )
+    pair = (vp.delta1, vp.delta2, generation_coefficients(vp))
+    return identity_residuals(f, (), (pair,), 0, 0)[1][0][0]
 
 
 # --- factorial ledger --------------------------------------------------------
@@ -464,6 +498,12 @@ def convolution_sums(kmax: int) -> np.ndarray:
     n **= 3
     sums /= n
     return sums
+
+
+# convolution-sup-stabilizes holds when the sups up to kmax and kmax // 2 agree within this
+CONVOLUTION_GAP_TOL = 1e-6
+# the sums peak at k = 6, so the sup up to kmax // 2 reaches the peak from kmax = 12 on
+CONVOLUTION_KMAX_MIN = 12
 
 
 def convolution_bound(kmax: int) -> dict:

@@ -366,6 +366,11 @@ def _sums_one_power_too_strong(sums):
     return lambda kmax: np.arange(1.0, kmax + 2.0) * sums(kmax)
 
 
+def _log_ledger_scaled(log_ledger_value):
+    # ln L off by 1e-12 relative: exp(ln L) leaves the direct product by thousands of rounding units
+    return lambda rho, k, exponent: log_ledger_value(rho, k, exponent) * (1 + 1e-12)
+
+
 SMALL_VECTOR_FIELDS = {"corpus_size": 4, "max_k": 3, "max_alpha": 2, "conv_kmax": 2000}
 
 
@@ -376,8 +381,10 @@ SMALL_VECTOR_FIELDS = {"corpus_size": 4, "max_k": 3, "max_alpha": 2, "conv_kmax"
         ("slope-matches-index-law", "sharpness", {}, toy, "block_law", _law_at_half_s),
         ("convolution-sup-stabilizes", "vector-fields", SMALL_VECTOR_FIELDS, vfields, "convolution_sums",
          _sums_one_power_too_strong),
+        ("ledger-round-trip", "vector-fields", SMALL_VECTOR_FIELDS, vfields, "log_ledger_value",
+         _log_ledger_scaled),
     ],
-    ids=["sixteenfold-law", "law-at-half-s", "sums-one-power-too-strong"],
+    ids=["sixteenfold-law", "law-at-half-s", "sums-one-power-too-strong", "log-ledger-scaled"],
 )
 def test_each_sharpness_and_convolution_check_fails_on_its_mutant(
     tmp_path, monkeypatch, check, experiment, params, owner, name, mutant
@@ -387,6 +394,8 @@ def test_each_sharpness_and_convolution_check_fails_on_its_mutant(
     rep = run(make_cfg(tmp_path / "mutant", experiment, **params))
     assert rep.checks[check] is False
     assert not rep.passed
+    if experiment == "vector-fields":  # its three checks read disjoint parts of the run
+        assert rep.checks == {name: name != check for name in rep.checks}
 
 
 def test_defaults_and_runners_cover_the_same_experiments():
@@ -433,6 +442,7 @@ BAD_CONFIGS = {
     "percent-sign": "[sharpness]\nt = 5%\n",
     "no-section-header": "gamma = -1.0\n",
     "unknown-section": "[banana]\n",
+    "conv-kmax-below-twice-the-peak": "[vector-fields]\nconv_kmax = 11\n",
 }
 
 
@@ -469,6 +479,7 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["sharpness", "--t", "-1"],
         ["sharpness", "--t", "0"],
         ["evolve-toy", "--snapshot-every", "-16"],
+        ["vector-fields", "--conv-kmax", "11"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -476,6 +487,15 @@ def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("kgl: error: [")
     assert not (tmp_path / "out").exists()
+
+
+def test_convolution_range_starts_at_twice_the_peak(tmp_path):
+    # the sums peak at k = 6: up to 11 the sup at kmax // 2 <= 5 falls short of it
+    assert vfields.convolution_bound(11)["stabilization_gap"] > vfields.CONVOLUTION_GAP_TOL
+    rep = run(make_cfg(tmp_path, "vector-fields", corpus_size=1, max_k=1, max_alpha=1, conv_kmax=12))
+    assert rep.passed and rep.metrics["convolution"]["stabilization_gap"] == 0.0
+    with pytest.raises(ConfigError, match=r"\[vector-fields\] conv_kmax = 11 must be at least 12: .* k = 6$"):
+        make_cfg(tmp_path, "vector-fields", conv_kmax=11)
 
 
 def test_sharpness_shell_range_starts_at_minus_one(tmp_path):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kgl import cli, vfields
 from kgl.cli import DEFAULTS, ConfigError, ExperimentConfig, run
@@ -16,8 +16,6 @@ from kgl.vfields import (
     PolyFunction,
     VFError,
     VFParams,
-    H_chain,
-    H_table,
     apply_H,
     commutator_residuals,
     convolution_bound,
@@ -436,24 +434,51 @@ def test_convolution_bound_is_linear_in_kmax():
 
 def test_H_power_composition():
     f = random_poly(np.random.default_rng(2))
-    once = apply_H(apply_H(f, Fraction(3, 2)), Fraction(3, 2))
-    twice = H_chain(f, Fraction(3, 2), 2)[2]
-    assert once == twice
+    twice = apply_H(apply_H(f, Fraction(3, 2)), Fraction(3, 2))
+    assert twice == from_reference(H_power(as_reference(f), Fraction(3, 2), 2))
 
 
 def test_chain_and_table_entries_equal_the_composed_powers():
+    # every entry the builder's store holds is apply_H of f, transport f or an
+    # earlier entry; each must equal the reference power of its word, built once
     rng = np.random.default_rng(31)
     d1, d2 = Fraction(2), Fraction(5, 3)
+    exact_H, exact_transport = vfields.apply_H, vfields.transport
     for _ in range(4):
         f = random_poly(rng)
-        chain = H_chain(f, d1, 5)
-        assert len(chain) == 6
-        for k, h in enumerate(chain):
-            assert as_reference(h) == H_power(as_reference(f), d1, k)
-        table = H_table(f, d1, d2, 4)
-        assert sorted(table) == [(a1, a2) for a1 in range(5) for a2 in range(5 - a1)]
-        for (a1, a2), h in table.items():
-            assert as_reference(h) == H_power(H_power(as_reference(f), d2, a2), d1, a1)
+        words = {id(f): ("f", ())}
+        entries = []
+
+        def recorded_transport(g):
+            out = exact_transport(g)
+            words[id(out)] = ("T", ())
+            entries.append((None, out))  # keeps out alive, so its id is not reused
+            return out
+
+        def recorded_H(g, delta):
+            out = exact_H(g, delta)
+            src, word = words[id(g)]
+            words[id(out)] = (src, word + (delta,))
+            entries.append(((src, word + (delta,)), out))
+            return out
+
+        with mock.patch.object(vfields, "transport", recorded_transport), \
+                mock.patch.object(vfields, "apply_H", recorded_H):
+            *_, built = vfields.identity_residuals(f, [d1], [(d1, d2, None)], 5, 4)
+        built_words = [w for w, _ in entries if w is not None]
+        assert built == len(built_words) == len(set(built_words))
+        chain = {(src, (d1,) * k) for src in "fT" for k in range(1, 6)}
+        table = {(src, (d2,) * a2 + (d1,) * a1) for src in "fT" for a1 in range(5) for a2 in range(5 - a1)}
+        assert set(built_words) == (chain | table) - {("f", ()), ("T", ())}
+        sources = {"f": as_reference(f), "T": ref_poly.transport(as_reference(f))}
+        for word, h in entries:
+            if word is None:
+                continue
+            src, fields = word
+            r = sources[src]
+            for delta in fields:
+                r = ref_poly.apply_H(r, delta)
+            assert as_reference(h) == r
 
 
 def test_negative_order_is_rejected():
@@ -491,12 +516,27 @@ def _vector_fields_config(tmp_path, **overrides):
     return ExperimentConfig("vector-fields", params, 0, str(tmp_path / "vector-fields"))
 
 
+RUN_DELTAS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3))  # the runner's commutator fields
+# (delta1, delta2) of the runner's three VFParams
+RUN_PAIRS = ((Fraction(2), Fraction(5, 3)), (Fraction(2), Fraction(1)), (Fraction(3), Fraction(7, 4)))
+
+
 def apply_H_budget(corpus, max_k, max_alpha):
-    """apply_H calls of one vector-fields run: 4 deltas x 2 chains of max_k,
-    3 field pairs x 2 tables of (max_alpha+1)(max_alpha+2)/2 - 1 entries, and
-    3 reconstructions of 2 fields each, per polynomial."""
-    per_poly = 4 * 2 * max_k + 3 * ((max_alpha + 1) * (max_alpha + 2) - 2) + 3 * 2
-    return corpus * per_poly
+    """apply_H calls of one vector-fields run: its distinct chain entries.
+
+    An entry is a source, f or transport f, and the nonempty word of the
+    fields applied to it, H2's before H1's: delta^k for k <= max_k per
+    commutator delta, delta2^a2 delta1^a1 for |alpha| <= max_alpha per field
+    pair, and delta1 and delta2 on f alone for the pair's reconstruction.
+    """
+    words = {(src, (d,) * k) for src in "fT" for d in RUN_DELTAS for k in range(1, max_k + 1)}
+    for d1, d2 in RUN_PAIRS:
+        words |= {
+            (src, (d2,) * a2 + (d1,) * a1)
+            for src in "fT" for a1 in range(max_alpha + 1) for a2 in range(max_alpha + 1 - a1) if a1 + a2
+        }
+        words |= {("f", (d1,)), ("f", (d2,))}
+    return corpus * len(words)
 
 
 @pytest.mark.parametrize("corpus,max_k,max_alpha", [(2, 5, 4), (3, 2, 1), (1, 0, 0)])
@@ -505,9 +545,10 @@ def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, cor
     exact = vfields.apply_H
     monkeypatch.setattr(vfields, "apply_H", lambda *a, **kw: calls.append(1) or exact(*a, **kw))
     cfg = _vector_fields_config(tmp_path, corpus_size=corpus, max_k=max_k, max_alpha=max_alpha)
-    assert run(cfg).metrics["failure_count"] == 0
-    assert len(calls) == apply_H_budget(corpus, max_k, max_alpha)
-    assert apply_H_budget(60, 5, 4) == 7800  # the exact-algebra benchmark settings
+    rep = run(cfg)
+    assert rep.metrics["failure_count"] == 0
+    assert len(calls) == rep.metrics["h_powers_built"] == apply_H_budget(corpus, max_k, max_alpha)
+    assert apply_H_budget(60, 5, 4) == 5520  # the exact-algebra benchmark settings
 
 
 def test_vector_fields_builds_no_fraction_per_H(tmp_path, monkeypatch):
@@ -703,3 +744,49 @@ def test_one_pass_residuals_equal_the_composed_expressions(
         direct_v = ref_poly.mul_t_power(ref_poly.diff_v(r, 1), vp.lam)
         assert as_reference(rx) == ref_poly.add(gx, direct_x, -1)
         assert as_reference(rv) == ref_poly.add(gv, direct_v, -1)
+
+
+# --- property test: the one builder against the per-family oracles ---
+
+
+def _counted(field):
+    """The field (apply_H when None) and the list its calls are counted in."""
+    calls, apply = [], field or vfields.apply_H
+    return (lambda f, delta: calls.append(1) or apply(f, delta)), calls
+
+
+@pytest.mark.parametrize("field,H", FIELDS, ids=["H", "x-blind-H"])
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=poly_pairs(), vp=st.sampled_from(VF_CASES), extra=st.lists(DELTAS, max_size=2),
+    off=st.tuples(DELTAS, DELTAS), max_k=st.integers(0, 2), max_alpha=st.integers(0, 3),
+)
+@example(
+    pair=(X1V1, as_reference(X1V1)), vp=VF_CASES[0], extra=[], off=(Fraction(3), Fraction(7, 4)),
+    max_k=1, max_alpha=3,
+)
+def test_builder_residuals_equal_the_per_family_oracles(field, H, pair, vp, extra, off, max_k, max_alpha):
+    # vp's two fields are commutator deltas, so its pure mixed rows up to max_k are the
+    # shared commutator residuals and those above are built; the pair `off` shares none
+    f, r = pair
+    deltas = list(dict.fromkeys([vp.delta1, vp.delta2, *extra]))
+    assume(not set(off) & set(deltas))
+    pairs = [(vp.delta1, vp.delta2, generation_coefficients(vp)), (*off, None)]
+    counted, calls = _counted(field)
+    with mock.patch.object(vfields, "apply_H", counted):
+        commutators, per_pair, h_powers = vfields.identity_residuals(f, deltas, pairs, max_k, max_alpha)
+    assert h_powers == len(calls)
+    assert list(commutators) == deltas
+    for delta, rows in commutators.items():
+        assert rows == [from_reference(commutator_residual(f, delta, k, H)) for k in range(max_k + 1)]
+    (rows, mixed), (none, off_mixed) = per_pair
+    alphas = [(a1, a2) for a1 in range(max_alpha + 1) for a2 in range(max_alpha + 1 - a1)]
+    for (d1, d2), out in (((vp.delta1, vp.delta2), mixed), (off, off_mixed)):
+        assert list(out) == alphas
+        for alpha, res in out.items():  # equal terms over an equal denominator
+            assert res == from_reference(mixed_commutator_residual(f, d1, d2, alpha, H))
+    gx, gv = reconstructed_derivatives(f, vp, H)
+    direct_x = ref_poly.mul_t_power(ref_poly.diff_x(r, 1), vp.lam + 1)
+    direct_v = ref_poly.mul_t_power(ref_poly.diff_v(r, 1), vp.lam)
+    assert none is None
+    assert rows == tuple(from_reference(ref_poly.add(g, d, -1)) for g, d in ((gx, direct_x), (gv, direct_v)))
