@@ -60,9 +60,11 @@ class ExperimentConfig:
 
     Missing keys take their defaults and every value (string or number) is
     coerced to its default's type.  The library objects the run needs are
-    built here, once: ``prm``, ``grid`` and ``problem`` (the ``ToyParams`` of
-    evolve-toy, the ``RegularizedProblem`` of picard); their validation
-    errors surface as :class:`ConfigError` before any work starts.
+    built here, once: ``prm``, ``grid``, ``problem`` (the ``ToyParams`` of
+    evolve-toy, the ``RegularizedProblem`` of picard) and ``f0`` (evolve-toy's
+    initial data at the config's seed, which must decay at the box edge);
+    their validation errors surface as :class:`ConfigError` before any work
+    starts.
     """
 
     experiment: str
@@ -74,6 +76,7 @@ class ExperimentConfig:
     problem: toy.ToyParams | solver.RegularizedProblem | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    f0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         name = self.experiment
@@ -95,6 +98,10 @@ class ExperimentConfig:
                 self.problem = toy.ToyParams(
                     prm=self.prm, a0=p["a0"], t_final=p["t_final"], grid=self.grid, steps=p["steps"]
                 )
+                self.f0 = toy.weighted_broadband_data(
+                    self.grid, p["a0"], seed=self.seed, rough_amplitude=p["rough_amplitude"]
+                )
+                toy.check_edge_decay(self.f0)
             elif name == "picard":
                 self.problem = solver.RegularizedProblem(
                     eps=p["eps"], prm=self.prm, a0=p["a0"], grid=self.grid,
@@ -275,6 +282,12 @@ DEFAULTS = {
 POSITIVE_KEYS = {"sharpness": ("a0", "t"), "verify-inequalities": ("eps",), "vector-fields": ("rho",)}
 
 
+# ratio-bounded holds when every E_j is within this factor of the law's 2^(2 tau j) scale
+SHARPNESS_RATIO_BOUND = 8.0
+# slope-matches-index-law holds when the fitted log2 slope is within this of 2 tau
+SHARPNESS_SLOPE_TOL = 0.05
+
+
 def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     p, prm = cfg.params, cfg.prm
     rows = []
@@ -293,10 +306,11 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     write_csv(out_csv, ["j", "k_star", "inf_value", "predicted_2pow", "ratio"], rows)
     slope = float(np.polyfit(np.array(js, dtype=float), np.log2(values), 1)[0])
     checks = {
-        "ratio-bounded": bool(all(1.0 / 8.0 <= r <= 8.0 for r in ratios)),
-        "slope-matches-index-law": bool(abs(slope - slope_target) <= 0.05),
+        "ratio-bounded": bool(all(1.0 / SHARPNESS_RATIO_BOUND <= r <= SHARPNESS_RATIO_BOUND for r in ratios)),
+        "slope-matches-index-law": bool(abs(slope - slope_target) <= SHARPNESS_SLOPE_TOL),
     }
-    metrics = {"slope": slope, "slope_target": slope_target, "ratio_min": min(ratios), "ratio_max": max(ratios)}
+    metrics = {"slope": slope, "slope_target": slope_target, "ratio_min": min(ratios), "ratio_max": max(ratios),
+               "ratio_bound": SHARPNESS_RATIO_BOUND, "slope_tolerance": SHARPNESS_SLOPE_TOL}
     return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_csv])
 
 
@@ -307,10 +321,7 @@ TOY_FIT_SHELLS = range(0, 8)  # the frequency shells j of the evolve-toy Gevrey 
 
 
 def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
-    p, prm, params = cfg.params, cfg.prm, cfg.problem
-    f0 = toy.weighted_broadband_data(
-        cfg.grid, params.a0, seed=cfg.seed, rough_amplitude=p["rough_amplitude"]
-    )
+    p, prm, params, f0 = cfg.params, cfg.prm, cfg.problem, cfg.f0
     snap = p["snapshot_every"] or None
     traj = toy.evolve_toy(f0, params, snapshot_every=snap)
     artifacts = []
@@ -435,22 +446,25 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
         vfields.VFParams(gamma=Fraction(-2), s=Fraction(3, 4), lam=Fraction(3)),
     ]
     field_pairs = [(vp.delta1, vp.delta2, vfields.generation_coefficients(vp)) for vp in vp_cases]
-    failures, pair_failures = [], []  # every commutator failure first, then the pairs' failures
-    checked = built = 0  # residual polynomials tested for zero, H powers built
-    for i, f in enumerate(polys):
-        commutators, pairs, n = vfields.identity_residuals(f, deltas, field_pairs, p["max_k"], p["max_alpha"])
-        built += n
-        for delta, rows in commutators.items():
-            checked += len(rows)
-            failures += [f"commutator f{i} delta={delta} k={k}" for k, r in enumerate(rows) if not r.is_zero()]
-        for vp, ((rx, rv), mixed) in zip(vp_cases, pairs):
-            checked += 2 + len(mixed)
-            if not (rx.is_zero() and rv.is_zero()):
-                pair_failures.append(f"reconstruction f{i} lam={vp.lam}")
-            pair_failures += [
-                f"mixed f{i} alpha=({a1},{a2})" for (a1, a2), r in mixed.items() if not r.is_zero()
-            ]
-    failures += pair_failures
+    commutators, pairs, built = vfields.identity_residuals(
+        vfields.stack(polys), deltas, field_pairs, p["max_k"], p["max_alpha"]
+    )
+    # per member, in order: its commutator failures, then its pairs' failures
+    comm_failures, pair_failures = [[] for _ in polys], [[] for _ in polys]
+    for delta, rows in commutators.items():
+        for k, r in enumerate(rows):
+            for i in vfields.members(r):
+                comm_failures[i].append(f"commutator f{i} delta={delta} k={k}")
+    for vp, ((rx, rv), mixed) in zip(vp_cases, pairs):
+        for i in vfields.members(rx) | vfields.members(rv):
+            pair_failures[i].append(f"reconstruction f{i} lam={vp.lam}")
+        for (a1, a2), r in mixed.items():
+            for i in vfields.members(r):
+                pair_failures[i].append(f"mixed f{i} alpha=({a1},{a2})")
+    # every commutator failure first, then the pairs' failures member by member
+    failures = [line for lines in comm_failures + pair_failures for line in lines]
+    # residuals tested for zero, counted per member
+    checked = size * (sum(map(len, commutators.values())) + sum(2 + len(mixed) for _, mixed in pairs))
     rho = p["rho"]
     ledger_rows = []
     for k in range(0, 201):
@@ -486,6 +500,10 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     )
 
 
+# fixed-point-residual holds when the map moves the Picard limit by at most this (weighted sup norm)
+PICARD_FIXED_POINT_TOL = 1e-6
+
+
 def run_picard(cfg: ExperimentConfig) -> RunReport:
     rp, grid = cfg.problem, cfg.grid
     state = solver.picard_iterate(
@@ -513,10 +531,10 @@ def run_picard(cfg: ExperimentConfig) -> RunReport:
         json.dump(state.summary(), fh, sort_keys=True, indent=2, default=_jsonable)
     checks = {
         "contraction": state.contraction,
-        "fixed-point-residual": bool(state.fixed_point_residual <= 1e-6),
+        "fixed-point-residual": bool(state.fixed_point_residual <= PICARD_FIXED_POINT_TOL),
         "groenwall-residuals-nonnegative": not state.energy.violations,
     }
-    metrics = state.summary()
+    metrics = dict(state.summary(), fixed_point_tolerance=PICARD_FIXED_POINT_TOL)
     return RunReport(
         config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, json_path]
     )

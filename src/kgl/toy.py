@@ -238,12 +238,7 @@ def evolve_toy(
     """
     grid = p.grid
     _check_shape(f0, grid)
-    boundary = _edge_peak(f0)
-    peak = float(np.max(np.abs(f0)))
-    if peak > 0 and boundary > 1e-14 * peak:
-        raise ToyModelError(
-            f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
-        )
+    check_edge_decay(f0)
     rings = half_symbol(frequency_rings(grid))
     axes = trailing_axes(grid)
     rows, blocks = [f0], []
@@ -284,9 +279,21 @@ def evolve_toy(
     )
 
 
-def _edge_peak(samples: np.ndarray) -> float:
-    """Largest |f| on the v_i = -L face of every axis i."""
-    return max(float(np.max(np.abs(np.take(samples, 0, axis=a)))) for a in range(samples.ndim))
+EDGE_DECAY_TOL = 1e-14  # the largest |f0| on the box edge, relative to its peak, a march admits
+
+
+def check_edge_decay(f0: np.ndarray) -> None:
+    """ToyModelError unless f0 decays to EDGE_DECAY_TOL of its peak at the box edge.
+
+    The edge is the v_i = -L face of every axis i; the periodic box would
+    otherwise join the data to a jump there.
+    """
+    boundary = max(float(np.max(np.abs(np.take(f0, 0, axis=a)))) for a in range(f0.ndim))
+    peak = float(np.max(np.abs(f0)))
+    if peak > 0 and boundary > EDGE_DECAY_TOL * peak:
+        raise ToyModelError(
+            f"initial data does not decay at the box edge ({boundary / peak:.2e} of peak)"
+        )
 
 
 # --- closed-form block decay law -------------------------------------------

@@ -9,15 +9,19 @@ identity_residuals, keeps one store of chains of H powers per polynomial,
 from f, from transport f and from their H2 powers, for all three identity
 families: each H power is built once per polynomial, every residual is read
 off the chains, and a pure mixed row is the commutator residual it equals.
-The per-family functions are calls into it.  Each residual is built in one
-pass: its terms are added into one dict over the lcm of their denominators
-and reduced by one gcd, which gives the canonical polynomial, the one the
-operations composed term by term in tests/ref_poly.py give.  The
-polynomial type itself only builds monomials, adds and compares.  Four
-functions are the only statements of the rules the checks test: apply_H
-(the fields), generation_coefficients (the reconstruction coefficients),
-_add_ladder (the delta k t^(delta-1) d/dv term of the commutator) and
-_add_transport (the transport rule, shared by transport()).
+The per-family functions are calls into it.  A corpus is checked as one
+polynomial: stack() tags member i's monomials with i in one more exponent
+slot, MEMBER, that no rule reads or changes, so each residual of the stack
+is the sum of its members' residuals, told apart by members().  Each
+residual is built in one pass: its terms are added into one dict over the
+lcm of their denominators and reduced by one gcd, which gives the canonical
+polynomial, the one the operations composed term by term in
+tests/ref_poly.py give.  The polynomial type itself only builds monomials,
+adds and compares.  Four functions are the only statements of the rules the
+checks test: apply_H (the fields), generation_coefficients (the
+reconstruction coefficients), _add_ladder (the delta k t^(delta-1) d/dv term
+of the commutator) and _add_transport (the transport rule, shared by
+transport()).
 The module also evaluates the factorial ledger weights (direct and log
 domain, with their round trip) and the combinatorial convolution bound,
 every sum of it at once by a partial-fraction closed form (convolution_sums).
@@ -41,8 +45,10 @@ DIRECTION = 1  # the index j of x_j and v_j every vector field differentiates al
 # every delta of the runs (1, 3/2, 2, 5/3, 7/4, 3) and its shifts by integers
 T_UNIT = 12
 
-# monomial key: (t-exponent in units of 1/T_UNIT, (x1, x2, x3, v1, v2, v3) integer exponents)
+# monomial key: (t-exponent in units of 1/T_UNIT, (x1, x2, x3, v1, v2, v3) integer exponents),
+# in a stacked polynomial followed by the member index
 Key = tuple[int, tuple[int, ...]]
+MEMBER = 2 * DIM  # the exponent slot of a stacked key's member index
 
 
 class VFError(ValueError):
@@ -86,7 +92,9 @@ class PolyFunction:
     = 1, no zero numerator), so equal polynomials have equal fields;
     ``monomial`` takes a rational coefficient and t-exponent.  Exponents of
     x and v are nonnegative integers; the t-exponent is an integer count of
-    1/T_UNIT, which keeps powers like t^(delta1 - delta2) exact.
+    1/T_UNIT, which keeps powers like t^(delta1 - delta2) exact.  A stacked
+    polynomial (see ``stack``) carries its member index in the exponent slot
+    MEMBER, after the six of x and v; the operations copy it unchanged.
     """
 
     __slots__ = ("terms", "den")
@@ -124,7 +132,9 @@ class PolyFunction:
             mono = [str(Fraction(c, self.den))]
             if t != 0:
                 mono.append(f"t^{Fraction(t, T_UNIT)}")
-            mono += [f"{names[i]}^{p}" for i, p in enumerate(e) if p]
+            mono += [f"{names[i]}^{p}" for i, p in enumerate(e[:MEMBER]) if p]
+            if len(e) > MEMBER:
+                mono[-1] += f"@f{e[MEMBER]}"
             bits.append("*".join(mono))
         return "PolyFunction(" + " + ".join(bits) + ")"
 
@@ -143,6 +153,33 @@ def _poly(terms: dict[Key, int], den: int) -> PolyFunction:
     p = object.__new__(PolyFunction)
     p.terms, p.den = terms, den // g
     return p
+
+
+def stack(polys) -> PolyFunction:
+    """The polynomials as one over the lcm of their denominators, member i's
+    monomials carrying i in the exponent slot MEMBER.
+
+    Every rule acts on one monomial at a time and reads and writes only the
+    slots of t, x and v, so a residual of the stack is the sum over i of
+    member i's residual with its monomials tagged i.
+    """
+    den = math.lcm(*(p.den for p in polys))
+    out: dict[Key, int] = {}
+    for i, p in enumerate(polys):
+        m = den // p.den
+        for (t, e), c in p.terms.items():
+            if len(e) != MEMBER:
+                raise VFError("stack() takes unstacked polynomials")
+            out[t, e + (i,)] = c * m
+    return _poly(out, den)
+
+
+def members(r: PolyFunction) -> set[int]:
+    """The members of a stacked polynomial with a nonzero term in r."""
+    try:
+        return {e[MEMBER] for _, e in r.terms}
+    except IndexError:
+        raise VFError("members() takes a stacked polynomial: a key has no member slot") from None
 
 
 def _add_transport(out: dict[Key, int], f: PolyFunction, m: int) -> None:
@@ -325,6 +362,9 @@ def identity_residuals(f: PolyFunction, deltas, field_pairs, max_k: int, max_alp
     is extended only through apply_H, so each H power is built once across
     the families.  A pure mixed row (a1 = 0 or a2 = 0) whose delta is one of
     ``deltas`` and whose order is at most max_k is that commutator residual.
+    f may be a stack of polynomials (see ``stack``): the rules leave the
+    member slot as it is, so the terms of a residual tagged i are member i's
+    residual, and ``members`` names the members whose residual is nonzero.
 
     Returns (commutators, pairs, built): commutators[delta] the residuals by
     k; pairs, per field pair, its reconstruction rows (or None) and its mixed

@@ -398,6 +398,25 @@ def test_each_sharpness_and_convolution_check_fails_on_its_mutant(
         assert rep.checks == {name: name != check for name in rep.checks}
 
 
+@pytest.mark.parametrize(
+    "check, experiment, params, name, value, key",
+    [
+        ("ratio-bounded", "sharpness", {}, "SHARPNESS_RATIO_BOUND", 1.0, "ratio_bound"),
+        ("slope-matches-index-law", "sharpness", {}, "SHARPNESS_SLOPE_TOL", 0.0, "slope_tolerance"),
+        ("fixed-point-residual", "picard", {"nmax": 15, "steps": 32}, "PICARD_FIXED_POINT_TOL", 0.0,
+         "fixed_point_tolerance"),
+    ],
+)
+def test_each_named_bound_is_read_by_its_check_and_reported(
+    tmp_path, monkeypatch, check, experiment, params, name, value, key
+):
+    rep = run(make_cfg(tmp_path / "clean", experiment, **params))
+    assert rep.checks[check] is True and rep.metrics[key] == getattr(cli, name)
+    monkeypatch.setattr(cli, name, value)
+    rep = run(make_cfg(tmp_path / "tight", experiment, **params))
+    assert rep.checks[check] is False and rep.metrics[key] == value
+
+
 def test_defaults_and_runners_cover_the_same_experiments():
     assert set(DEFAULTS) == set(RUNNERS)
     for defaults in DEFAULTS.values():
@@ -417,15 +436,17 @@ def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):
 
 
 def test_config_builds_the_run_objects_once(tmp_path):
-    toy_cfg = ExperimentConfig("evolve-toy", {"grid_n": "512", "grid_l": "4"}, 0, str(tmp_path))
+    # a0 = 4: at a0 = 1 the data on this box falls only to exp(-16) of its peak at the edge
+    toy_cfg = ExperimentConfig("evolve-toy", {"grid_n": "512", "grid_l": "4", "a0": "4"}, 0, str(tmp_path))
     assert toy_cfg.grid == VelocityGrid(1, 512, 4.0)
     assert isinstance(toy_cfg.problem, ToyParams)
     assert toy_cfg.problem.grid is toy_cfg.grid and toy_cfg.problem.prm is toy_cfg.prm
+    assert np.array_equal(toy_cfg.f0, toy.weighted_broadband_data(toy_cfg.grid, 4.0, seed=0, rough_amplitude=0.5))
     picard = ExperimentConfig("picard", {}, 0, str(tmp_path))
     assert isinstance(picard.problem, RegularizedProblem) and picard.problem.x_points == 0
     assert picard.problem.prm == SoftPotentialParams(-1.0, 0.5)
     vf = ExperimentConfig("vector-fields", {}, 0, str(tmp_path))
-    assert vf.prm is None and vf.grid is None and vf.problem is None
+    assert vf.prm is None and vf.grid is None and vf.problem is None and vf.f0 is None
 
 
 BAD_CONFIGS = {
@@ -443,6 +464,9 @@ BAD_CONFIGS = {
     "no-section-header": "gamma = -1.0\n",
     "unknown-section": "[banana]\n",
     "conv-kmax-below-twice-the-peak": "[vector-fields]\nconv_kmax = 11\n",
+    # the initial data reach 3.67e-14 and 1.04e-7 of their peak at the box edge
+    "toy-data-wide-at-the-edge": "[evolve-toy]\na0 = 0.03\n",
+    "toy-box-narrow-for-the-data": "[evolve-toy]\nsteps = 16\ngrid_n = 512\ngrid_l = 4\n",
 }
 
 
@@ -480,6 +504,8 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
         ["sharpness", "--t", "0"],
         ["evolve-toy", "--snapshot-every", "-16"],
         ["vector-fields", "--conv-kmax", "11"],
+        ["evolve-toy", "--a0", "0.03"],
+        ["evolve-toy", "--steps", "16", "--grid-n", "512", "--grid-l", "4"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -526,7 +552,7 @@ def test_evolve_toy_grid_without_the_fitted_shells_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # pi 2048 / (2 16) = 201 holds shell 7; the check reads the largest radius, not a mesh
     assert ExperimentConfig("evolve-toy", {"grid_n": 2048, "grid_l": 16}, 0, "out").grid
-    assert ExperimentConfig("evolve-toy", {"grid_n": 2**70}, 0, "out").grid
+    assert dyadic.max_freq_shell(VelocityGrid(1, 2**70, 32.0)) >= cli.TOY_FIT_SHELLS[-1]
 
 
 def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):

@@ -39,11 +39,10 @@ def as_reference(p: PolyFunction) -> dict:
 
 
 def from_reference(r: dict) -> PolyFunction:
-    """The library polynomial of a reference one, summed from its monomials."""
-    out = PolyFunction()
-    for (t, e), c in r.items():
-        out = out + PolyFunction.monomial(c, t=t, x=e[:3], v=e[3:])
-    return out
+    """The library polynomial of a reference one, each exponent tuple kept as it
+    is, so a stacked key keeps its member slot."""
+    den = math.lcm(*(c.denominator for c in r.values()))
+    return PolyFunction({(vfields._t_units(t), e): int(c * den) for (t, e), c in r.items()}, den)
 
 
 # --- single-order oracle, composed in the Fraction reference: every power ---
@@ -295,6 +294,18 @@ def test_repr_prints_rational_coefficients_and_t_exponents():
     f = f + PolyFunction.monomial(-3, v=(0, 0, 2))
     assert repr(f) == "PolyFunction(-3*v3^2 + 1/2*t^5/3*x1^1)"
     assert repr(PolyFunction()) == "PolyFunction(0)"
+    stacked = vfields.stack([X1V1, PolyFunction.monomial(-3, v=(0, 0, 2)), PolyFunction.monomial(2)])
+    assert repr(stacked) == "PolyFunction(2@f2 + -3*v3^2@f1 + 1*x1^1*v1^1@f0)"
+
+
+def test_stack_and_members_refuse_the_wrong_kind_of_key():
+    stacked = vfields.stack([X1V1, PolyFunction(), X1V1 + X1V1])
+    assert vfields.members(stacked) == {0, 2}
+    assert vfields.members(PolyFunction()) == set()
+    with pytest.raises(VFError, match="no member slot"):
+        vfields.members(X1V1)
+    with pytest.raises(VFError, match="unstacked"):
+        vfields.stack([X1V1, stacked])
 
 
 def test_generation_coefficients_worked_instance():
@@ -521,8 +532,9 @@ RUN_DELTAS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3))  # the r
 RUN_PAIRS = ((Fraction(2), Fraction(5, 3)), (Fraction(2), Fraction(1)), (Fraction(3), Fraction(7, 4)))
 
 
-def apply_H_budget(corpus, max_k, max_alpha):
-    """apply_H calls of one vector-fields run: its distinct chain entries.
+def apply_H_budget(max_k, max_alpha):
+    """apply_H calls of one vector-fields run: the distinct chain entries of its
+    one builder call on the stacked corpus, whatever the corpus size.
 
     An entry is a source, f or transport f, and the nonempty word of the
     fields applied to it, H2's before H1's: delta^k for k <= max_k per
@@ -536,7 +548,7 @@ def apply_H_budget(corpus, max_k, max_alpha):
             for src in "fT" for a1 in range(max_alpha + 1) for a2 in range(max_alpha + 1 - a1) if a1 + a2
         }
         words |= {("f", (d1,)), ("f", (d2,))}
-    return corpus * len(words)
+    return len(words)
 
 
 @pytest.mark.parametrize("corpus,max_k,max_alpha", [(2, 5, 4), (3, 2, 1), (1, 0, 0)])
@@ -547,8 +559,8 @@ def test_vector_fields_applies_H_once_per_chain_entry(tmp_path, monkeypatch, cor
     cfg = _vector_fields_config(tmp_path, corpus_size=corpus, max_k=max_k, max_alpha=max_alpha)
     rep = run(cfg)
     assert rep.metrics["failure_count"] == 0
-    assert len(calls) == rep.metrics["h_powers_built"] == apply_H_budget(corpus, max_k, max_alpha)
-    assert apply_H_budget(60, 5, 4) == 5520  # the exact-algebra benchmark settings
+    assert len(calls) == rep.metrics["h_powers_built"] == apply_H_budget(max_k, max_alpha)
+    assert apply_H_budget(5, 4) == 92  # the exact-algebra benchmark settings, at any corpus size
 
 
 def test_vector_fields_builds_no_fraction_per_H(tmp_path, monkeypatch):
@@ -636,7 +648,7 @@ def _wrong_generation_coefficient(vp):
     return co
 
 
-@pytest.mark.parametrize(
+MUTANTS = pytest.mark.parametrize(
     "name,mutant,kinds",
     [
         (None, None, set()),
@@ -646,6 +658,9 @@ def _wrong_generation_coefficient(vp):
     ],
     ids=["exact", "delta-k-off-by-one", "H-without-x-part", "wrong-generation-coefficient"],
 )
+
+
+@MUTANTS
 def test_identity_checks_fail_under_a_mutant(tmp_path, monkeypatch, name, mutant, kinds):
     if mutant is not None:
         monkeypatch.setattr(vfields, name, mutant)
@@ -659,6 +674,38 @@ def test_identity_checks_fail_under_a_mutant(tmp_path, monkeypatch, name, mutant
     if "commutator" in kinds:
         # the k = 0 residual carries no delta k term and no H, so it never fails
         assert all(" k=0" not in line for line in failures)
+
+
+def per_family_failures(polys, max_k, max_alpha):
+    """The vector-fields failure list from the per-family calls, one polynomial
+    at a time: every commutator failure, then the reconstruction and mixed
+    failures polynomial by polynomial."""
+    commutators, pairs = [], []
+    for i, f in enumerate(polys):
+        for delta in RUN_DELTAS:
+            rows = commutator_residuals(f, delta, max_k)
+            commutators += [f"commutator f{i} delta={delta} k={k}" for k, r in enumerate(rows) if not r.is_zero()]
+        for vp in VF_CASES[:3]:  # the runner's field pairs
+            rx, rv = reconstruction_residuals(f, vp)
+            if not (rx.is_zero() and rv.is_zero()):
+                pairs.append(f"reconstruction f{i} lam={vp.lam}")
+            mixed = mixed_commutator_residuals(f, vp.delta1, vp.delta2, max_alpha)
+            pairs += [f"mixed f{i} alpha=({a1},{a2})" for (a1, a2), r in mixed.items() if not r.is_zero()]
+    return commutators + pairs
+
+
+@MUTANTS
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_run_lists_the_per_family_failures(tmp_path, monkeypatch, name, mutant, kinds, seed):
+    if mutant is not None:
+        monkeypatch.setattr(vfields, name, mutant)
+    params = dict(DEFAULTS["vector-fields"], corpus_size=8, max_k=5, max_alpha=4, conv_kmax=64)
+    run(ExperimentConfig("vector-fields", params, seed, str(tmp_path)))
+    with open(tmp_path / "identities.json") as fh:
+        failures = json.load(fh)["failures"]
+    rng = np.random.default_rng(seed)
+    assert failures == per_family_failures([random_poly(rng) for _ in range(8)], 5, 4)
+    assert bool(failures) == bool(kinds)
 
 
 # --- property test: the integer representation against the Fraction reference ---
@@ -744,6 +791,42 @@ def test_one_pass_residuals_equal_the_composed_expressions(
         direct_v = ref_poly.mul_t_power(ref_poly.diff_v(r, 1), vp.lam)
         assert as_reference(rx) == ref_poly.add(gx, direct_x, -1)
         assert as_reference(rv) == ref_poly.add(gv, direct_v, -1)
+
+
+# --- property test: a stacked corpus against its members one by one ---
+
+
+def _all_residuals(built):
+    """The residuals of one identity_residuals result, in one fixed order."""
+    commutators, pairs, _ = built
+    out = [r for rows in commutators.values() for r in rows]
+    for rows, mixed in pairs:
+        out += [*(rows or ()), *mixed.values()]
+    return out
+
+
+def _member_part(r: PolyFunction, i: int) -> PolyFunction:
+    """The terms of the stacked r tagged i, as an unstacked polynomial."""
+    m = vfields.MEMBER
+    return PolyFunction({(t, e[:m]): c for (t, e), c in r.terms.items() if e[m] == i}, r.den)
+
+
+@pytest.mark.parametrize("field", [field for field, _ in FIELDS], ids=["H", "x-blind-H"])
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus=st.lists(poly_pairs(), min_size=2, max_size=4), vp=st.sampled_from(VF_CASES),
+    max_k=st.integers(0, 2), max_alpha=st.integers(0, 2),
+)
+def test_members_are_the_members_with_a_nonzero_residual(field, corpus, vp, max_k, max_alpha):
+    # under the x-blind field some residuals are nonzero, so members() is not always empty
+    polys = [lib for lib, _ in corpus]
+    args = ([vp.delta1, vp.delta2], [(vp.delta1, vp.delta2, generation_coefficients(vp))], max_k, max_alpha)
+    with mock.patch.object(vfields, "apply_H", field or vfields.apply_H):
+        stacked = _all_residuals(vfields.identity_residuals(vfields.stack(polys), *args))
+        each = [_all_residuals(vfields.identity_residuals(f, *args)) for f in polys]
+    for n, r in enumerate(stacked):
+        assert vfields.members(r) == {i for i, rows in enumerate(each) if not rows[n].is_zero()}
+        assert [_member_part(r, i) for i in range(len(polys))] == [rows[n] for rows in each]
 
 
 # --- property test: the one builder against the per-family oracles ---
