@@ -26,7 +26,7 @@ import numpy as np
 
 from kgl import dyadic, inequalities as ineq, solver, toy, vfields
 from kgl.corpus import standard_corpus
-from kgl.grid import GridError, VelocityGrid, refine_field, save_field
+from kgl.grid import MAX_GRID_SAMPLES, GridError, VelocityGrid, refine_field, save_field
 from kgl.multipliers import weighted_sobolev_norms
 from kgl.params import AdmissibilityError, SoftPotentialParams
 
@@ -93,6 +93,10 @@ class ExperimentConfig:
             if "gamma" in p:
                 self.prm = SoftPotentialParams(gamma=p["gamma"], s=p["s"])
             if "grid_n" in p:
+                if p["grid_n"] > MAX_GRID_SAMPLES:
+                    raise GridError(
+                        f"grid_n = {p['grid_n']} exceeds the {MAX_GRID_SAMPLES} samples a grid may hold"
+                    )
                 self.grid = VelocityGrid(1, p["grid_n"], p["grid_l"])
             if name == "evolve-toy":
                 self.problem = toy.ToyParams(

@@ -29,6 +29,11 @@ import numpy as np
 
 CONTAINER_MAGIC = b"KGL1"
 CONTAINER_IMAG_TOL = 1e-12  # largest |Im| of loaded samples, relative to their largest |Re|
+# Largest sample count of a grid that a config or a container may name.  The
+# experiments' largest grid has 8192 points; at 2**20 one complex field takes
+# 16 MiB and a run holds tens to hundreds of fields in its stacks, so a larger
+# count is refused where it enters rather than failing inside numpy mid-run.
+MAX_GRID_SAMPLES = 2**20
 
 
 class GridError(ValueError):
@@ -261,6 +266,8 @@ def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
     ns = _unpack(f"<{d}I", data, 8)
     if len(set(ns)) != 1:
         raise GridError(f"anisotropic axis counts {list(ns)} unsupported")
+    if ns[0] ** d > MAX_GRID_SAMPLES:
+        raise GridError(f"{ns[0]}**{d} samples exceed the {MAX_GRID_SAMPLES} a grid may hold")
     (half_width,) = _unpack("<d", data, 8 + 4 * d)
     grid = VelocityGrid(dimension=d, points_per_axis=ns[0], half_width=half_width)
     payload = data[16 + 4 * d :]

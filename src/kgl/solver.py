@@ -14,27 +14,23 @@ contraction; with the time-decreasing Gaussian weight it remains a weighted
 contraction for eps < 1/(2 a0)^2-type smallness, which the energy monitor
 checks step by step.
 
-The march keeps only sequential work in its loop: one forward and one
-inverse transform of H g_n per step (per axis with the space axis on) and
-two in-place additions.  The source halves (dt/2) H S_n and (dt/2) S_{n+1}
-are computed as batches before it, and the states are checked for
-non-finite values once after it.  The additions keep the order of the
-formula above, so the states are bit-identical to it.  The stepper binds
-its per-step constants once per march: H is a closure over the factors
-and kernels, the pointwise and Fourier factors are stored complex (numpy
-would cast a real factor to complex in every product), and the
-velocity-axis transforms call numpy's pocketfft kernels directly with the
-ortho factor 1/sqrt(N) computed as ``np.fft`` computes it.
+``integrate`` marches one problem.  Its loop holds only the sequential
+work: one forward and one inverse transform of H g_n per step (per axis
+with the space axis on) and two in-place additions.  The source halves
+(dt/2) H S_n and (dt/2) S_{n+1} are computed as batches before the loop,
+and the additions keep the order of the formula above, so the states are
+bit-identical to it.  H is a closure built once per march: its pointwise
+and Fourier factors are stored complex (numpy would cast a real factor
+to complex in every product), and its velocity-axis transforms call
+numpy's pocketfft kernels directly, where ``np.fft``'s argument handling
+would cost about as much as a 512-point transform.
 
-A march writes its states into ``out`` and (dt/2) S_{n+1} into ``work``
-when the caller gives them, and allocates them otherwise; beyond these it
-allocates only arrays of one state (the stepper's factors, the initial
-state and the buffer of H g_n) and the time grid.  One
-``picard_iterate`` call owns one workspace: two trajectory buffers that
-swap roles each iterate (the new iterate and the one it is compared
-with), one source buffer and one ``work`` buffer.  Every attempt and the
-final fixed-point march reuse it, so no trajectory is allocated per
-iterate.
+``integrate`` writes its states into ``out`` and (dt/2) S_{n+1} into
+``work`` when the caller gives them, and allocates them otherwise.  One
+``picard_iterate`` call owns one workspace, which every march of the call
+reuses: two trajectories that swap roles each iterate (the new iterate
+and the one it is compared with), one source buffer and one ``work``
+buffer.
 
 Picard retries halve the final time until the iteration contracts; only
 the attempt that is returned is finished with the fixed-point residual
@@ -49,9 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# The kernels behind np.fft.fft/ifft (numpy >= 2.0).  The march calls them
-# once per step on one row, where np.fft's argument handling costs about as
-# much as the 512-point transform itself; the result is the same call.
+# The kernels behind np.fft.fft/ifft (numpy >= 2.0): the same transform,
+# without np.fft's per-call argument handling.
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from kgl.grid import VelocityGrid, l2_norms
@@ -107,95 +102,37 @@ class RegularizedProblem:
         return self.dt * np.arange(self.steps + 1)
 
 
-class RegularizedStepper:
-    """Exact-factor splitting for the homogeneous part plus trapezoidal source."""
-
-    def __init__(self, rp: RegularizedProblem):
-        self.rp = rp
-        grid = rp.grid
-        dt = rp.dt
-        vsq = grid.v_bracket_sq
-        # complex, so no product casts a real factor to complex per call
-        self.pointwise_half = np.exp(
-            -0.5 * rp.eps * dt * vsq ** (rp.weight_power / 2.0)
-        ).astype(complex)
-        eta = grid.axis_frequencies
-        if rp.x_points:
-            xi = 2.0 * np.pi * np.fft.fftfreq(rp.x_points, d=1.0 / rp.x_points)  # torus [0,1)
-            fourier = np.exp(-rp.eps * dt * (xi[:, None] ** 2 + eta[None, :] ** 2))
-            v = grid.axis_points
-            self.transport = np.exp(-1j * dt * xi[:, None] * v[None, :])
-        else:
-            fourier = np.exp(-rp.eps * dt * eta**2)
-            self.transport = None
-        self.fourier = fourier.astype(complex)
-        # the "ortho" factor exactly as np.fft computes it for the kernels
-        self.ortho = np.reciprocal(np.sqrt(grid.points_per_axis, dtype=np.float64))
-
-        self.homogeneous = self._bind()
-
-    def _bind(self):
-        """H with its factors and kernels bound to locals, once per stepper.
-
-        The returned function applies H to a state or to a stack of states
-        (last axes), into ``out``; a march calls it once per step.
-        """
-        pointwise_half, fourier, transport, ortho = (
-            self.pointwise_half, self.fourier, self.transport, self.ortho
-        )
-        multiply, fft, ifft = np.multiply, _pocketfft.fft, _pocketfft.ifft
-
-        def homogeneous(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            if out is None:
-                out = np.empty(np.shape(g), dtype=complex)
-            multiply(pointwise_half, g, out=out)
-            if transport is not None:
-                np.fft.fft(out, axis=-2, norm="ortho", out=out)
-                out *= transport
-            fft(out, ortho, out=out)  # np.fft.fft(out, norm="ortho", out=out)
-            out *= fourier
-            ifft(out, ortho, out=out)
-            if transport is not None:
-                np.fft.ifft(out, axis=-2, norm="ortho", out=out)
-            return multiply(pointwise_half, out, out=out)
-
-        return homogeneous
-
-
-def _march(
-    stepper: RegularizedStepper,
-    g0: np.ndarray,
-    steps: int,
-    source_traj: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """States g_0..g_steps of the trapezoidal step; ``source_traj[n]`` is S_n.
-
-    The states go into ``out`` and (dt/2) S_{n+1} into ``work``; each is
-    allocated when not given.
-    """
-    states = np.empty((steps + 1,) + g0.shape, dtype=complex) if out is None else out
-    states[0] = g0
-    homogeneous = stepper.homogeneous
-    if source_traj is None:
-        for n in range(steps):
-            homogeneous(states[n], out=states[n + 1])
+def _homogeneous_map(rp: RegularizedProblem):
+    """H of one step of ``rp`` as ``H(g, out)``: a state or a stack of states (last axes) into ``out``."""
+    grid, dt = rp.grid, rp.dt
+    # complex, so no product casts a real factor to complex per call
+    pointwise_half = np.exp(
+        -0.5 * rp.eps * dt * grid.v_bracket_sq ** (rp.weight_power / 2.0)
+    ).astype(complex)
+    eta = grid.axis_frequencies
+    transport = None
+    if rp.x_points:
+        xi = 2.0 * np.pi * np.fft.fftfreq(rp.x_points, d=1.0 / rp.x_points)  # torus [0,1)
+        fourier = np.exp(-rp.eps * dt * (xi[:, None] ** 2 + eta[None, :] ** 2)).astype(complex)
+        transport = np.exp(-1j * dt * xi[:, None] * grid.axis_points[None, :])
     else:
-        # states[n+1] holds (dt/2) H S_n until H g_n is added (addition commutes)
-        half_dt = 0.5 * stepper.rp.dt
-        homogeneous(source_traj[:steps], out=states[1:])
-        states[1:] *= half_dt
-        half_next = np.multiply(half_dt, source_traj[1 : steps + 1], out=work)  # added last
-        hg = np.empty_like(g0)
-        for g, nxt, s in zip(states[:-1], states[1:], half_next):
-            nxt += homogeneous(g, out=hg)
-            nxt += s
-    finite = np.isfinite(states).reshape(steps + 1, -1).all(axis=1)
-    if not finite.all():
-        rp = stepper.rp
-        raise SolverAbort(f"non-finite state {np.argmin(finite)} (dt={rp.dt}, eps={rp.eps})")
-    return states
+        fourier = np.exp(-rp.eps * dt * eta**2).astype(complex)
+    ortho = np.reciprocal(np.sqrt(grid.points_per_axis, dtype=np.float64))  # as np.fft computes it
+    multiply, fft, ifft = np.multiply, _pocketfft.fft, _pocketfft.ifft
+
+    def homogeneous(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        multiply(pointwise_half, g, out=out)
+        if transport is not None:
+            np.fft.fft(out, axis=-2, norm="ortho", out=out)
+            out *= transport
+        fft(out, ortho, out=out)  # np.fft.fft(out, norm="ortho", out=out)
+        out *= fourier
+        ifft(out, ortho, out=out)
+        if transport is not None:
+            np.fft.ifft(out, axis=-2, norm="ortho", out=out)
+        return multiply(pointwise_half, out, out=out)
+
+    return homogeneous
 
 
 @dataclass
@@ -217,13 +154,31 @@ def integrate(
     trajectory holds it; ``work`` (steps complex states) receives
     (dt/2) S_(n+1).  Either is allocated when not given.
     """
+    steps = rp.steps
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else (rp.grid.points_per_axis,)
     if out is not None:
-        _check_buffer("out", out, (rp.steps + 1,) + shape, f_in=f_in, source_traj=source_traj)
+        _check_buffer("out", out, (steps + 1,) + shape, f_in=f_in, source_traj=source_traj)
     if work is not None:
-        _check_buffer("work", work, (rp.steps,) + shape, f_in=f_in, source_traj=source_traj, out=out)
-    g0 = np.asarray(f_in, dtype=complex).reshape(shape)
-    states = _march(RegularizedStepper(rp), g0, rp.steps, source_traj, out, work)
+        _check_buffer("work", work, (steps,) + shape, f_in=f_in, source_traj=source_traj, out=out)
+    states = np.empty((steps + 1,) + shape, dtype=complex) if out is None else out
+    states[0] = np.asarray(f_in, dtype=complex).reshape(shape)
+    homogeneous = _homogeneous_map(rp)
+    if source_traj is None:
+        for n in range(steps):
+            homogeneous(states[n], out=states[n + 1])
+    else:
+        # states[n+1] holds (dt/2) H S_n until H g_n is added (addition commutes)
+        half_dt = 0.5 * rp.dt
+        homogeneous(source_traj[:steps], out=states[1:])
+        states[1:] *= half_dt
+        half_next = np.multiply(half_dt, source_traj[1 : steps + 1], out=work)  # added last
+        hg = np.empty(shape, dtype=complex)
+        for g, nxt, s in zip(states[:-1], states[1:], half_next):
+            nxt += homogeneous(g, out=hg)
+            nxt += s
+    finite = np.isfinite(states).reshape(steps + 1, -1).all(axis=1)
+    if not finite.all():
+        raise SolverAbort(f"non-finite state {np.argmin(finite)} (dt={rp.dt}, eps={rp.eps})")
     return Trajectory(times=rp.times, states=states)
 
 
@@ -353,9 +308,9 @@ def moments(
     v = grid.axis_points
     mass = h * np.sum(vals, axis=-1)
     energy = h * np.sum(vals * v**2, axis=-1)
-    with np.errstate(invalid="ignore"):
-        ent_density = np.where(vals > -1.0, vals * np.log1p(np.maximum(vals, -1 + 1e-300)), np.nan)
-    entropy = h * np.sum(ent_density, axis=-1)
+    # x log(1 + x), nan where 1 + x <= 0, whose log1p is never taken
+    log_term = np.log1p(vals, out=np.full(vals.shape, np.nan), where=vals > -1.0)
+    entropy = h * np.sum(vals * log_term, axis=-1)
     flags = {
         "mass_above_vacuum": mass >= m0 / 2.0,
         "mass_bounded": mass <= 2.0 * m_cap,
@@ -377,24 +332,6 @@ def positivity_series(traj: Trajectory) -> np.ndarray:
 def mass_series(rp: RegularizedProblem, traj: Trajectory) -> np.ndarray:
     cell = rp.grid.spacing if not rp.x_points else rp.grid.spacing / rp.x_points
     return cell * np.sum(traj.states.real, axis=_state_axes(traj))
-
-
-def _eventually_contracting(diffs: list[float], threshold: float, window: int = 3) -> bool:
-    """True when the trailing ratios down to the smallest difference pass.
-
-    The smallest recorded difference marks where the sequence meets the
-    rounding floor of the weighted norm; the ``window`` consecutive ratios
-    ending there must all stay at or below the threshold.
-    """
-    if not diffs:
-        return False
-    if max(diffs) == 0.0:
-        return True  # identically zero sequence contracts vacuously
-    m = int(np.argmin(diffs))
-    if m < window:
-        return False
-    ratios = [diffs[i + 1] / diffs[i] for i in range(m - window, m) if diffs[i] > 0]
-    return len(ratios) == window and all(r <= threshold for r in ratios)
 
 
 # --- Picard iteration ----------------------------------------------------------
@@ -448,7 +385,27 @@ def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.n
 
 
 RATIO_THRESHOLD = 0.6  # largest trailing difference ratio read as contraction
+RATIO_WINDOW = 3  # consecutive ratios, ending at the smallest difference, the verdict reads
+FLOOR_FRACTION = 1e-6  # an attempt stops at a non-decreasing difference below this share of its peak
 MAX_RETRIES = 4  # final-time halvings before non-contraction is reported
+
+
+def _eventually_contracting(diffs: list[float]) -> bool:
+    """True when the trailing ratios down to the smallest difference pass.
+
+    The smallest recorded difference marks where the sequence meets the
+    rounding floor of the weighted norm; the ``RATIO_WINDOW`` consecutive
+    ratios ending there must all stay at or below ``RATIO_THRESHOLD``.
+    """
+    if not diffs:
+        return False
+    if max(diffs) == 0.0:
+        return True  # identically zero sequence contracts vacuously
+    m = int(np.argmin(diffs))
+    if m < RATIO_WINDOW:
+        return False
+    ratios = [diffs[i + 1] / diffs[i] for i in range(m - RATIO_WINDOW, m) if diffs[i] > 0]
+    return len(ratios) == RATIO_WINDOW and all(r <= RATIO_THRESHOLD for r in ratios)
 
 
 def picard_iterate(
@@ -488,9 +445,22 @@ def picard_iterate(
     while True:
         # one weight table per attempt, read by its differences and its residual
         weights = weight_values(problem.grid, problem.a0, problem.times[:, None])
-        diffs, ratios, prev, current = _iterate(f_in, problem, weights, n_max, prev, current, source, work)
+        prev.fill(0.0)  # g^0
+        diffs: list[float] = []
+        ratios: list[float] = []
+        for n in range(1, n_max + 1):
+            src = _dissipative_source(problem, prev, out=source) if n > 1 else None
+            integrate(problem, f_in, source_traj=src, out=current, work=work)
+            diffs.append(_weighted_sup_diff(problem.grid, weights, current, prev))  # prev is spent
+            if len(diffs) >= 2 and diffs[-2] > 0:
+                ratios.append(diffs[-1] / diffs[-2])
+            prev, current = current, prev
+            # once far below the transient peak, a non-decreasing difference
+            # marks the weight-amplified rounding floor; later ratios are noise
+            if len(diffs) >= 2 and diffs[-1] <= FLOOR_FRACTION * max(diffs) and diffs[-1] >= diffs[-2]:
+                break
         attempts.append([problem.t_final, len(diffs)])
-        contraction = _eventually_contracting(diffs, RATIO_THRESHOLD)
+        contraction = _eventually_contracting(diffs)
         if contraction or retries >= MAX_RETRIES:
             break
         del weights  # a retried attempt's table is dropped before the next is built
@@ -514,39 +484,3 @@ def picard_iterate(
         energy=energy,
         final_trajectory=traj,
     )
-
-
-def _iterate(
-    f_in: np.ndarray,
-    rp: RegularizedProblem,
-    weights: np.ndarray,
-    n_max: int,
-    prev: np.ndarray,
-    current: np.ndarray,
-    source: np.ndarray,
-    work: np.ndarray,
-) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
-    """Difference norms and ratios of one attempt, its last iterate and the spare buffer.
-
-    The iterates alternate between ``prev`` and ``current``; every march
-    takes its source in ``source`` and (dt/2) S_(n+1) in ``work``.
-    """
-    prev.fill(0.0)  # g^0
-    diffs: list[float] = []
-    ratios: list[float] = []
-    for n in range(1, n_max + 1):
-        src = _dissipative_source(rp, prev, out=source) if n > 1 else None
-        integrate(rp, f_in, source_traj=src, out=current, work=work)
-        diffs.append(_weighted_sup_diff(rp.grid, weights, current, prev))  # prev is spent
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            ratios.append(diffs[-1] / diffs[-2])
-        prev, current = current, prev
-        # once far below the transient peak, a non-decreasing difference
-        # marks the weight-amplified rounding floor; later ratios are noise
-        if (
-            len(diffs) >= 2
-            and diffs[-1] <= 1e-6 * max(diffs)
-            and diffs[-1] >= diffs[-2]
-        ):
-            break
-    return diffs, ratios, prev, current

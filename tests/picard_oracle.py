@@ -33,10 +33,11 @@ def picard_fresh(f_in: np.ndarray, rp: solver.RegularizedProblem, n_max: int) ->
             if len(diffs) >= 2 and diffs[-2] > 0:
                 ratios.append(diffs[-1] / diffs[-2])
             prev = current
-            if len(diffs) >= 2 and diffs[-1] <= 1e-6 * max(diffs) and diffs[-1] >= diffs[-2]:
+            floor = solver.FLOOR_FRACTION * max(diffs)
+            if len(diffs) >= 2 and diffs[-1] <= floor and diffs[-1] >= diffs[-2]:
                 break
         attempts.append([problem.t_final, len(diffs)])
-        contraction = solver._eventually_contracting(diffs, solver.RATIO_THRESHOLD)
+        contraction = solver._eventually_contracting(diffs)
         if contraction or retries >= solver.MAX_RETRIES:
             break
         retries += 1

@@ -29,7 +29,7 @@ from kgl.cli import (
     run,
 )
 from kgl.dyadic import shell_norms
-from kgl.grid import VelocityGrid, refine_field
+from kgl.grid import MAX_GRID_SAMPLES, VelocityGrid, refine_field
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
 from kgl.toy import ToyParams
@@ -553,6 +553,22 @@ def test_evolve_toy_grid_without_the_fitted_shells_exits_2(tmp_path, capsys):
     # pi 2048 / (2 16) = 201 holds shell 7; the check reads the largest radius, not a mesh
     assert ExperimentConfig("evolve-toy", {"grid_n": 2048, "grid_l": 16}, 0, "out").grid
     assert dyadic.max_freq_shell(VelocityGrid(1, 2**70, 32.0)) >= cli.TOY_FIT_SHELLS[-1]
+
+
+@pytest.mark.parametrize("grid_n", [2**70, 2**40, MAX_GRID_SAMPLES + 1])
+@pytest.mark.parametrize("experiment", sorted(name for name in DEFAULTS if "grid_n" in DEFAULTS[name]))
+def test_grid_past_the_sample_bound_exits_2_with_one_line(tmp_path, capsys, experiment, grid_n):
+    argv = [experiment, "--grid-n", str(grid_n), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    bound = f"grid_n = {grid_n} exceeds the {MAX_GRID_SAMPLES} samples a grid may hold"
+    assert capsys.readouterr().err.splitlines() == [f"kgl: error: [{experiment}] {bound}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_at_the_sample_bound_is_admitted():
+    for experiment in ("norms", "picard"):  # neither builds a field in its config
+        cfg = ExperimentConfig(experiment, {"grid_n": MAX_GRID_SAMPLES}, 0, "out")
+        assert cfg.grid.points_per_axis == MAX_GRID_SAMPLES
 
 
 def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):

@@ -8,6 +8,7 @@ from kgl.corpus import standard_corpus
 from kgl.dyadic import block_norms
 from kgl.grid import (
     CONTAINER_MAGIC,
+    MAX_GRID_SAMPLES,
     GridError,
     VelocityGrid,
     from_half_spectrum,
@@ -192,6 +193,21 @@ def test_container_garbage_loads_or_raises_grid_error(container_path, data):
     loaded = _load_or_grid_error(container_path, data)
     if loaded is not None:
         assert np.all(np.isfinite(loaded[1]))
+
+
+# (dimension, points per axis past the sample bound, points per axis within it)
+@pytest.mark.parametrize(
+    "d,past,within", [(1, 2 * MAX_GRID_SAMPLES, MAX_GRID_SAMPLES), (2, 2048, 1024), (3, 128, 64)]
+)
+def test_container_past_the_sample_bound_is_rejected_by_its_header(tmp_path, d, past, within):
+    path = tmp_path / "big.kgl"
+    path.write_bytes(CONTAINER_MAGIC + struct.pack(f"<{d + 1}Id", d, *[past] * d, 1.0))
+    with pytest.raises(GridError, match=rf"^{past}\*\*{d} samples exceed the {MAX_GRID_SAMPLES} "):
+        load_field(str(path))
+    # within the bound the header passes, and the missing payload is what is refused
+    path.write_bytes(CONTAINER_MAGIC + struct.pack(f"<{d + 1}Id", d, *[within] * d, 1.0))
+    with pytest.raises(GridError, match="^payload has 0 bytes"):
+        load_field(str(path))
 
 
 def test_loaded_fields_are_real_and_feed_the_block_norms(tmp_path):
