@@ -34,13 +34,16 @@ buffer.
 
 Picard retries halve the final time until the iteration contracts; only
 the attempt that is returned is finished with the fixed-point residual
-march and the energy monitor.  The final time and iteration count of
+march and the energy monitor.  An attempt stops at ``n_max`` iterates, at
+the rounding floor of its differences, or once they grow above that floor
+(``_stop_reason``).  The final time, iteration count and stop reason of
 every attempt are kept in ``PicardState.attempts``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,6 +83,13 @@ class RegularizedProblem:
             raise SolverError("reduced setting uses a one-dimensional velocity grid")
         if not 0 < self.a0 < math.inf:
             raise SolverError(f"a0={self.a0} must be positive and finite")
+        with np.errstate(over="ignore"):  # the largest entry of weight_values(grid, a0, 0), meshless
+            peak_weight = np.exp(self.a0 * (1.0 + self.grid.v_max**2))
+        if not np.isfinite(peak_weight):
+            raise SolverError(
+                f"a0={self.a0} overflows the weight exp(a0 <v>^2) at |v| = {self.grid.v_max}: "
+                f"a0 (1 + |v|^2) must stay below ln(DBL_MAX) = {math.log(sys.float_info.max):.2f}"
+            )
         if not 0 < self.t_final <= self.a0 / 2.0:
             raise SolverError(
                 f"t_final={self.t_final} outside (0, a0/2] = (0, {self.a0 / 2}]"
@@ -345,7 +355,7 @@ class PicardState:
     ratios: list[float]
     contraction: bool
     retries: int
-    attempts: list[list]  # [t_final, iterations] of each attempt, the returned one last
+    attempts: list[list]  # [t_final, iterations, stop reason] of each attempt, the returned one last
     fixed_point_residual: float
     energy: EnergyReport
     final_trajectory: Trajectory
@@ -387,7 +397,29 @@ def _weighted_sup_diff(grid: VelocityGrid, w: np.ndarray, a: np.ndarray, b: np.n
 RATIO_THRESHOLD = 0.6  # largest trailing difference ratio read as contraction
 RATIO_WINDOW = 3  # consecutive ratios, ending at the smallest difference, the verdict reads
 FLOOR_FRACTION = 1e-6  # an attempt stops at a non-decreasing difference below this share of its peak
+GROWTH_WINDOW = 3  # an attempt stops after this many consecutive growing differences above that share
 MAX_RETRIES = 4  # final-time halvings before non-contraction is reported
+
+
+def _stop_reason(diffs: list[float]) -> str | None:
+    """Why an attempt stops after these differences: "floor", "growth" or None (go on).
+
+    Far below the transient peak, a non-decreasing difference marks the
+    weight-amplified rounding floor, where later ratios are noise.  Above
+    that floor, ``GROWTH_WINDOW`` consecutive ratios above 1 mark a
+    diverging attempt: its verdict, read at the smallest difference, could
+    change only if a later difference fell below that one.  One or two
+    growing ratios do not stop an attempt: the first ratio is a transient,
+    and a non-normal map may grow for a while before it contracts.
+    """
+    if len(diffs) < 2:
+        return None
+    if diffs[-1] <= FLOOR_FRACTION * max(diffs):
+        return "floor" if diffs[-1] >= diffs[-2] else None
+    tail = diffs[-GROWTH_WINDOW - 1 :]
+    if len(tail) > GROWTH_WINDOW and all(0 < a < b for a, b in zip(tail, tail[1:])):
+        return "growth"
+    return None
 
 
 def _eventually_contracting(diffs: list[float]) -> bool:
@@ -455,11 +487,9 @@ def picard_iterate(
             if len(diffs) >= 2 and diffs[-2] > 0:
                 ratios.append(diffs[-1] / diffs[-2])
             prev, current = current, prev
-            # once far below the transient peak, a non-decreasing difference
-            # marks the weight-amplified rounding floor; later ratios are noise
-            if len(diffs) >= 2 and diffs[-1] <= FLOOR_FRACTION * max(diffs) and diffs[-1] >= diffs[-2]:
+            if reason := _stop_reason(diffs):
                 break
-        attempts.append([problem.t_final, len(diffs)])
+        attempts.append([problem.t_final, len(diffs), reason or "nmax"])
         contraction = _eventually_contracting(diffs)
         if contraction or retries >= MAX_RETRIES:
             break

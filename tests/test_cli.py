@@ -97,8 +97,9 @@ def test_picard_experiment_and_plot_data(tmp_path):
     cfg = make_cfg(tmp_path, "picard", nmax=15, steps=32)
     rep = run(cfg)
     assert rep.passed
-    attempts = rep.metrics["attempts"]  # [t_final, iterations], the returned attempt last
-    assert attempts[-1] == [rep.metrics["t_final"], rep.metrics["iterations"]]
+    attempts = rep.metrics["attempts"]  # [t_final, iterations, stop reason], the returned attempt last
+    assert attempts[-1][:2] == [rep.metrics["t_final"], rep.metrics["iterations"]]
+    assert attempts[-1][2] in ("floor", "growth", "nmax")
     assert len(attempts) == rep.metrics["retries"] + 1
     out = emit_plot_data(cfg.out_dir, "picard-ratios", str(tmp_path / "ratios.csv"))
     lines = open(out).read().strip().splitlines()
@@ -569,6 +570,21 @@ def test_grid_at_the_sample_bound_is_admitted():
     for experiment in ("norms", "picard"):  # neither builds a field in its config
         cfg = ExperimentConfig(experiment, {"grid_n": MAX_GRID_SAMPLES}, 0, "out")
         assert cfg.grid.points_per_axis == MAX_GRID_SAMPLES
+
+
+@pytest.mark.parametrize("flags", [["--grid-l", "27"], ["--a0", "20", "--grid-l", "8"]])
+def test_picard_weight_past_the_float_range_exits_2_with_one_line(tmp_path, capsys, flags):
+    # exp(a0 <v>^2) overflows once a0 (1 + L^2) passes ln(DBL_MAX) = 709.78
+    assert main(["picard", *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("kgl: error: [picard] a0=")
+    assert "overflows the weight" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_picard_weight_within_the_float_range_is_admitted():
+    cfg = ExperimentConfig("picard", {"grid_l": 26.0}, 0, "out")  # a0 (1 + L^2) = 677
+    assert cfg.problem.grid.half_width == 26.0
 
 
 def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):

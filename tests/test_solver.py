@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.fft import _pocketfft_umath as _pocketfft
 
+import kgl.cli as cli
 import kgl.solver as solver
 from kgl.grid import VelocityGrid
 from kgl.params import SoftPotentialParams
@@ -24,7 +26,7 @@ from kgl.solver import (
     scalar_step,
     weight_values,
 )
-from tests.picard_oracle import picard_fresh
+from tests.picard_oracle import DIRECT_SOLVE_RTOL, distance_to_direct_solve, picard_fresh
 
 PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
 
@@ -594,10 +596,139 @@ def test_picard_attempts_count_every_march(config, monkeypatch):
     rp = _retrying_problem(*config)
     state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=30)
     # one march per iterate of every attempt, one fixed-point march
-    assert sum(iterations for _, iterations in state.attempts) + 1 == calls["n"]
-    assert [t for t, _ in state.attempts] == [rp.t_final / 2**k for k in range(state.retries + 1)]
-    assert state.attempts[-1] == [state.problem.t_final, state.iterations]
+    assert sum(iterations for _, iterations, _ in state.attempts) + 1 == calls["n"]
+    assert [t for t, _, _ in state.attempts] == [rp.t_final / 2**k for k in range(state.retries + 1)]
+    assert state.attempts[-1][:2] == [state.problem.t_final, state.iterations]
+    assert {reason for _, _, reason in state.attempts} <= {"floor", "growth", "nmax"}
     assert state.summary()["attempts"] == state.attempts
+
+
+# the picard-sweep benchmark configs: (gamma, s, eps) on 512 points, 256 steps
+SWEEP_PICARD = [(-1.0, 0.5, 0.1), (-1.0, 0.5, 0.05), (-2.0, 0.75, 0.05)]
+
+
+def _sweep_problem(gamma, s, eps):
+    return _retrying_problem(512, 256, gamma, s, eps)
+
+
+def test_picard_sweep_attempts_and_their_marches(monkeypatch):
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "integrate", counted)
+    attempts = []
+    for config in SWEEP_PICARD:
+        rp = _sweep_problem(*config)
+        state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=30)
+        assert state.contraction
+        attempts.append(state.attempts)
+    assert attempts == [
+        [[0.2, 15, "floor"], [0.1, 11, "floor"]],
+        [[0.2, 16, "floor"], [0.1, 11, "floor"]],
+        [[0.2, 14, "growth"], [0.1, 25, "floor"], [0.05, 16, "floor"]],  # 30 iterates without the growth stop
+    ]
+    assert calls["n"] == 111  # 127 when only the floor and n_max end an attempt
+
+
+# --- the Picard limit against a direct solve of its fixed point ------------------
+
+
+DIRECT_SOLVE_CASES = {
+    "criterion-10": lambda: make_problem(),
+    "sweep-config-3": lambda: _sweep_problem(*SWEEP_PICARD[2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_SOLVE_CASES))
+def test_picard_limit_is_the_direct_solve_of_its_fixed_point(case):
+    rp = DIRECT_SOLVE_CASES[case]()
+    f_in = gaussian_datum(rp.grid)
+    state = picard_iterate(f_in, rp, n_max=30)
+    assert state.contraction
+    distance = distance_to_direct_solve(state.problem, state.final_trajectory.states, f_in)
+    assert distance <= DIRECT_SOLVE_RTOL
+
+
+def _halved_source(source):
+    def halved(rp, states, out=None):
+        s_half = source(rp, states, out=out)
+        s_half *= 0.5
+        return s_half
+
+    return halved
+
+
+def _lagged_source(source):
+    def lagged(rp, states, out=None):  # S_n built from g_(n-1)
+        s_lag = source(rp, states, out=out)
+        s_lag[1:] = s_lag[:-1].copy()
+        return s_lag
+
+    return lagged
+
+
+@pytest.mark.parametrize("wrong", [_halved_source, _lagged_source])
+@pytest.mark.parametrize("case", sorted(DIRECT_SOLVE_CASES))
+def test_a_wrong_source_passes_the_residual_but_not_the_direct_solve(case, wrong, monkeypatch):
+    rp = DIRECT_SOLVE_CASES[case]()
+    f_in = gaussian_datum(rp.grid)
+    monkeypatch.setattr(solver, "_dissipative_source", wrong(solver._dissipative_source))
+    state = picard_iterate(f_in, rp, n_max=30)
+    assert state.fixed_point_residual <= cli.PICARD_FIXED_POINT_TOL  # the residual cannot tell
+    distance = distance_to_direct_solve(state.problem, state.final_trajectory.states, f_in)
+    assert distance > DIRECT_SOLVE_RTOL
+
+
+# --- the Picard stop rule --------------------------------------------------------
+
+
+def _stops(diffs: list[float]) -> list[tuple[int, str]]:
+    """(iterate, reason) of every prefix at which the rule would end an attempt."""
+    return [(k, r) for k in range(1, len(diffs) + 1) if (r := solver._stop_reason(diffs[:k]))]
+
+
+@pytest.mark.parametrize("first_ratio", [21.7, 27.4])  # picard-sweep configs 1 and 2
+def test_a_transient_first_ratio_then_contraction_is_not_stopped(first_ratio):
+    diffs = [1e-3] + [1e-3 * first_ratio * 0.15**k for k in range(11)]
+    assert _stops(diffs) == []
+    assert solver._eventually_contracting(diffs)
+
+
+def test_a_two_iterate_hump_then_contraction_is_not_stopped():
+    diffs = [1e-3, 2e-2, 5e-3, 8e-3, 1.2e-2, 3e-3, 6e-4, 1e-4, 2e-5]  # ratios 1.6 and 1.5
+    assert _stops(diffs) == []
+    assert solver._eventually_contracting(diffs)
+
+
+def test_three_growing_ratios_above_the_floor_stop_the_attempt():
+    diffs = [1e-3, 2e-2, 5e-3, 2e-3, 2.1e-3, 2.5e-3, 3.1e-3, 4e-3]
+    assert _stops(diffs)[0] == (7, "growth")  # ratios 1.05, 1.19 and 1.24 end at iterate 7
+
+
+def test_growth_below_the_floor_stops_as_floor():
+    diffs = [1e-3, 2e-2, 2e-5, 2e-8, 1e-8, 1.1e-8, 1.3e-8, 1.6e-8, 2e-8]
+    assert _stops(diffs)[0] == (6, "floor")
+    assert all(reason == "floor" for _, reason in _stops(diffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ratios=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=30),
+    rest=st.lists(st.floats(0.0, 1e3), max_size=10),
+)
+def test_cutting_at_the_stop_keeps_the_verdict_when_the_rest_stays_above(ratios, rest):
+    diffs = [1.0]
+    for r in ratios:
+        diffs.append(diffs[-1] * r)
+    stops = _stops(diffs)
+    assume(stops)
+    cut = diffs[: stops[0][0]]
+    smallest = min(cut)
+    full = cut + [smallest * (1.0 + x) for x in rest]  # never below the cut's minimum
+    assert solver._eventually_contracting(full) == solver._eventually_contracting(cut)
 
 
 def test_picard_contracts_on_gaussian():
@@ -618,6 +749,20 @@ def test_problem_validation():
         RegularizedProblem(eps=1.5, prm=PRM, a0=1.0, grid=grid, t_final=0.4, steps=64)
     with pytest.raises(SolverError):
         RegularizedProblem(eps=0.1, prm=PRM, a0=1.0, grid=grid, t_final=0.6, steps=64)
+
+
+@pytest.mark.parametrize("a0,half_width", [(1.0, 27.0), (20.0, 8.0)])
+def test_problem_refuses_a_weight_past_the_float_range(a0, half_width):
+    with pytest.raises(SolverError, match=f"^a0={a0} overflows the weight"):
+        make_problem(a0=a0, grid=VelocityGrid(1, 64, half_width))
+
+
+def test_picard_refuses_a_datum_of_infinite_weighted_norm():
+    rp = make_problem(steps=16)
+    f_in = gaussian_datum(rp.grid)
+    f_in[0] = math.inf
+    with pytest.raises(SolverError, match="weighted norm of the initial datum is not finite"):
+        picard_iterate(f_in, rp, n_max=3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
