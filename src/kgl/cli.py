@@ -1,10 +1,14 @@
 """Experiment runner: configuration, dispatch, reports, and plot data.
 
 Experiments are named sections of a flat ``key = value`` config file (or
-direct subcommands); every run writes a JSON report embedding the resolved
-configuration plus CSV artifacts, and exits 0 only if all enabled checks
-pass.  Runs are deterministic for a fixed (config, seed): corpus members
-are generated from the seed and reductions use a fixed summation order.
+direct subcommands).  Each runner computes and returns ``(checks, metrics,
+files)`` and touches no file: ``files`` maps each artifact name, in write
+order, to its payload, ``(header, rows)`` for ``.csv``, a JSON-able object
+for ``.json`` and a field for ``.kgl``.  :func:`run` alone writes them,
+then the JSON report embedding the resolved configuration; a run exits 0
+only if all enabled checks pass.  Runs are deterministic for a fixed
+(config, seed): corpus members are generated from the seed and reductions
+use a fixed summation order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 import shutil
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -204,23 +208,22 @@ class RunReport:
     config: dict
     checks: dict
     metrics: dict
-    artifacts: list[str] = field(default_factory=list)
-    wall_clock: float = 0.0
+    artifacts: list[str]
+    wall_clock: float
 
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
 
     def to_json(self) -> str:
-        payload = {
+        return _json_text({
             "config": self.config,
             "checks": self.checks,
             "metrics": self.metrics,
             "artifacts": self.artifacts,
             "wall_clock_seconds": self.wall_clock,
             "passed": self.passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
+        })
 
 
 def _jsonable(x):
@@ -231,6 +234,10 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
     raise TypeError(f"not JSON serializable: {type(x)}")
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -292,7 +299,7 @@ SHARPNESS_RATIO_BOUND = 8.0
 SHARPNESS_SLOPE_TOL = 0.05
 
 
-def run_sharpness(cfg: ExperimentConfig) -> RunReport:
+def run_sharpness(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     p, prm = cfg.params, cfg.prm
     rows = []
     slope_target = 2.0 * prm.tau
@@ -306,8 +313,6 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
         ratio = value / predicted
         ratios.append(ratio)
         rows.append([j, k, value, predicted, ratio])
-    out_csv = os.path.join(cfg.out_dir, "sharpness.csv")
-    write_csv(out_csv, ["j", "k_star", "inf_value", "predicted_2pow", "ratio"], rows)
     slope = float(np.polyfit(np.array(js, dtype=float), np.log2(values), 1)[0])
     checks = {
         "ratio-bounded": bool(all(1.0 / SHARPNESS_RATIO_BOUND <= r <= SHARPNESS_RATIO_BOUND for r in ratios)),
@@ -315,7 +320,8 @@ def run_sharpness(cfg: ExperimentConfig) -> RunReport:
     }
     metrics = {"slope": slope, "slope_target": slope_target, "ratio_min": min(ratios), "ratio_max": max(ratios),
                "ratio_bound": SHARPNESS_RATIO_BOUND, "slope_tolerance": SHARPNESS_SLOPE_TOL}
-    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_csv])
+    header = ["j", "k_star", "inf_value", "predicted_2pow", "ratio"]
+    return checks, metrics, {"sharpness.csv": (header, rows)}
 
 
 # a fitted shell exponent at or above -ln(ROUNDING_FACTOR eps) reads the
@@ -324,31 +330,20 @@ ROUNDING_FACTOR = 100.0
 TOY_FIT_SHELLS = range(0, 8)  # the frequency shells j of the evolve-toy Gevrey fit
 
 
-def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
+def run_evolve_toy(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     p, prm, params, f0 = cfg.params, cfg.prm, cfg.problem, cfg.f0
     snap = p["snapshot_every"] or None
     traj = toy.evolve_toy(f0, params, snapshot_every=snap)
-    artifacts = []
-    for t_snap, fsnap in traj.snapshots:
-        path = os.path.join(cfg.out_dir, f"toy_t{t_snap:.4f}.kgl")
-        save_field(cfg.grid, fsnap, path)
-        artifacts.append(path)
+    files = {f"toy_t{t_snap:.4f}.kgl": fsnap for t_snap, fsnap in traj.snapshots}
     ratios = traj.rate_ratios
     lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (None, None)
     exponents = toy.trajectory_shell_exponents(cfg.grid, f0, traj.final, TOY_FIT_SHELLS)
     fit = toy.estimate_gevrey_index(exponents, np.array(TOY_FIT_SHELLS))
-    fit_path = os.path.join(cfg.out_dir, "gevrey_fit.json")
-    fit_payload = fit.summary()
-    fit_payload["shell_exponents"] = [float(e) for e in fit.shell_exponents]
-    with open(fit_path, "w") as fh:
-        json.dump(fit_payload, fh, sort_keys=True, indent=2)
-    artifacts.append(fit_path)
+    files["gevrey_fit.json"] = dict(fit.summary(), shell_exponents=[float(e) for e in fit.shell_exponents])
     norms_final = dyadic.block_norms(cfg.grid, traj.final)
     shells = [a.ravel().tolist() for a in (*dyadic.block_shells(norms_final), norms_final)]
     heat_rows = [(j, k, math.log(mag) if mag > 0 else -math.inf) for j, k, mag in zip(*shells)]
-    heat_path = os.path.join(cfg.out_dir, "block_magnitudes.csv")
-    write_csv(heat_path, ["j", "k", "log_magnitude"], heat_rows)
-    artifacts.append(heat_path)
+    files["block_magnitudes.csv"] = (["j", "k", "log_magnitude"], heat_rows)
     slope_target = 2.0 * prm.tau
     floor_exponent = -math.log(ROUNDING_FACTOR * np.finfo(float).eps)
     checks = {
@@ -365,32 +360,43 @@ def run_evolve_toy(cfg: ExperimentConfig) -> RunReport:
         "final_l2": traj.norms[-1],
         "propagator_rank": traj.propagator_rank,
     }
-    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=artifacts)
+    return checks, metrics, files
 
 
-def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
+def run_verify_inequalities(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     p, prm, grid = cfg.params, cfg.prm, cfg.grid
     gamma, s, eps = prm.gamma, prm.s, p["eps"]
     corpus = standard_corpus(grid, p["corpus_size"], cfg.seed)
     theta = np.array([1e-3, 1e-2, 1e-1, 1.0])[np.arange(len(corpus)) % 4]
     tau_wit = ineq.verify_interpolation_tau(grid, corpus, prm)
     eps_wit = ineq.verify_weighted_eps_split(grid, corpus, s, eps)
-    reg_margin = float(np.min(ineq.verify_regularizer_bounds(grid, corpus, theta).margin))
+    reg_wit = ineq.verify_regularizer_bounds(grid, corpus, theta)
     product_ratio = float(np.max(tau_wit.extras["product_ratio"]))
+    tau_ratio = ineq.fit_constant(tau_wit)
     lhs, grad, wpart = eps_wit.lhs, eps_wit.extras["gradient_norm"], eps_wit.extras["weight_norm"]
     c_eps = ineq.eps_constant((lhs, grad, wpart), eps)
-    eps_margin = float(np.min(eps * grad + c_eps * wpart - lhs))
     # every fifth member, interpolated onto 2N points, must need the same constant
     fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
     fine = ineq.verify_interpolation_tau(fine_grid, refine_field(grid, corpus[::5]), prm)
     refinement = fine.ratio_without_constant() / tau_wit.ratio_without_constant()[::5]
     worst = int(np.argmax(np.abs(refinement - 1.0)))
     refinement_ratio = float(refinement[worst])
-    params = {"gamma": gamma, "s": s}
-    tau_report = ineq.aggregate(
-        "interpolation-tau", params, tau_wit, refinement_ratio=refinement_ratio
-    )
-    tau_ratio = tau_report.fitted_constant
+    # one inequalities.json row each: the margins at the fitted constant, and
+    # the members whose margin is below -1e-12 of that right side (or of 1)
+    rows = []
+    for ineq_id, left, right, fitted, refined in (
+        ("interpolation-tau", tau_wit.lhs, tau_wit.rhs * tau_ratio, tau_ratio, refinement_ratio),
+        ("weighted-eps-split", lhs, eps * grad + c_eps * wpart, c_eps, None),
+        ("regularizer-triple", reg_wit.lhs, reg_wit.rhs, 3.0, None),
+    ):
+        margins = right - left
+        failed = np.flatnonzero(margins < -1e-12 * np.maximum(np.abs(right), 1.0))
+        rows.append({
+            "inequality_id": ineq_id, "params": {"gamma": gamma, "s": s}, "corpus_size": len(corpus),
+            "min_margin": float(np.min(margins)), "fitted_constant": fitted, "refinement_ratio": refined,
+            "failures": [f"u{i}" for i in failed],
+        })
+    reg_margin = rows[-1]["min_margin"]
     scaling = ineq.eps_constant_scaling(grid, s)
     slope_ok = (
         abs(scaling["slope"] - scaling["target_slope"]) <= 0.25 * abs(scaling["target_slope"])
@@ -402,22 +408,6 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
         w = ineq.verify_composition_bound(grid, nonneg, s, name, constant=4.0)
         comp_pass &= bool(np.all(w.passed) and np.all(w.extras["agreement_ok"]))
         comp_agree.extend(np.ravel(w.extras["agreement_factors"]))
-    reports = [tau_report] + [
-        ineq.InequalityReport(
-            inequality_id=ineq_id,
-            params=params,
-            corpus_size=len(corpus),
-            min_margin=margin,
-            fitted_constant=fitted,
-        )
-        for ineq_id, fitted, margin in (
-            ("weighted-eps-split", c_eps, eps_margin),
-            ("regularizer-triple", 3.0, reg_margin),
-        )
-    ]
-    out_json = os.path.join(cfg.out_dir, "inequalities.json")
-    with open(out_json, "w") as fh:
-        json.dump([asdict(r) for r in reports], fh, sort_keys=True, indent=2)
     checks = {
         "interpolation-finite-constant": bool(math.isfinite(tau_ratio) and tau_ratio > 0),
         "interpolation-refinement-stable": bool(abs(refinement_ratio - 1.0) <= 0.1),
@@ -435,10 +425,10 @@ def run_verify_inequalities(cfg: ExperimentConfig) -> RunReport:
         "regularizer_min_margin": reg_margin,
         "composition_agreement_range": [min(comp_agree), max(comp_agree)] if comp_agree else [],
     }
-    return RunReport(config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[out_json])
+    return checks, metrics, {"inequalities.json": rows}
 
 
-def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
+def run_vector_fields(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     size = p["corpus_size"]
@@ -476,21 +466,6 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
         ledger_rows.append([k, math.inf if lv > LOG_FLOAT_MAX else math.exp(lv) if lv > -700 else 0.0, lv])
     worst_rt = vfields.ledger_round_trip_residual(rho, LEDGER_EXPONENT)
     conv = vfields.convolution_bound(p["conv_kmax"])
-    csv_path = os.path.join(cfg.out_dir, "ledger.csv")
-    write_csv(csv_path, ["k", "L_value", "log_L"], ledger_rows)
-    id_json = os.path.join(cfg.out_dir, "identities.json")
-    with open(id_json, "w") as fh:
-        json.dump(
-            {
-                "identity_id": "transport-commutators",
-                "params": {"max_k": p["max_k"], "max_alpha": p["max_alpha"]},
-                "corpus_size": size,
-                "failures": failures,
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
     checks = {
         "identities-exact": not failures,
         "ledger-round-trip": bool(worst_rt <= vfields.LEDGER_TOLERANCE),
@@ -499,16 +474,17 @@ def run_vector_fields(cfg: ExperimentConfig) -> RunReport:
     metrics = {"convolution": conv, "convolution_gap_tolerance": vfields.CONVOLUTION_GAP_TOL,
                "ledger_round_trip_worst": worst_rt, "ledger_round_trip_tolerance": vfields.LEDGER_TOLERANCE,
                "failure_count": len(failures), "residuals_checked": checked, "h_powers_built": built}
-    return RunReport(
-        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, id_json]
-    )
+    identities = {"identity_id": "transport-commutators", "corpus_size": size, "failures": failures,
+                  "params": {"max_k": p["max_k"], "max_alpha": p["max_alpha"]}}
+    ledger = (["k", "L_value", "log_L"], ledger_rows)
+    return checks, metrics, {"ledger.csv": ledger, "identities.json": identities}
 
 
 # fixed-point-residual holds when the map moves the Picard limit by at most this (weighted sup norm)
 PICARD_FIXED_POINT_TOL = 1e-6
 
 
-def run_picard(cfg: ExperimentConfig) -> RunReport:
+def run_picard(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     rp, grid = cfg.problem, cfg.grid
     state = solver.picard_iterate(
         np.exp(-rp.a0 * grid.v_bracket_sq), rp, n_max=cfg.params["nmax"]
@@ -524,27 +500,20 @@ def run_picard(cfg: ExperimentConfig) -> RunReport:
         mom.entropy,
         solver.positivity_series(traj),
     ]
-    csv_path = os.path.join(cfg.out_dir, "picard_series.csv")
-    write_csv(
-        csv_path,
-        ["t", "weighted_norm", "dissipation", "mass", "energy", "entropy", "min_value"],
-        np.column_stack(columns).tolist(),
-    )
-    json_path = os.path.join(cfg.out_dir, "picard_state.json")
-    with open(json_path, "w") as fh:
-        json.dump(state.summary(), fh, sort_keys=True, indent=2, default=_jsonable)
+    header = ["t", "weighted_norm", "dissipation", "mass", "energy", "entropy", "min_value"]
+    summary = state.summary()
     checks = {
         "contraction": state.contraction,
         "fixed-point-residual": bool(state.fixed_point_residual <= PICARD_FIXED_POINT_TOL),
         "groenwall-residuals-nonnegative": not state.energy.violations,
     }
-    metrics = dict(state.summary(), fixed_point_tolerance=PICARD_FIXED_POINT_TOL)
-    return RunReport(
-        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, json_path]
-    )
+    metrics = dict(summary, fixed_point_tolerance=PICARD_FIXED_POINT_TOL)
+    return checks, metrics, {
+        "picard_series.csv": (header, np.column_stack(columns).tolist()), "picard_state.json": summary
+    }
 
 
-def run_norms(cfg: ExperimentConfig) -> RunReport:
+def run_norms(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     prm, grid = cfg.prm, cfg.grid
     gamma, s = prm.gamma, prm.s
     corpus = standard_corpus(grid, cfg.params["corpus_size"], cfg.seed)
@@ -560,23 +529,16 @@ def run_norms(cfg: ExperimentConfig) -> RunReport:
         for i in range(len(corpus))
         for n, (pp, mm) in enumerate(pairs_pm)
     ]
-    csv_path = os.path.join(cfg.out_dir, "norm_ratios.csv")
-    write_csv(
-        csv_path,
-        ["function", "p", "m", "block_norm", "direct_norm", "ratio"],
-        rows,
-    )
     block_rows, tail_converged = dyadic.block_report(norms_matrices[0], gamma / 2.0, s)
-    blocks_path = os.path.join(cfg.out_dir, "block_report.csv")
-    write_csv(blocks_path, dyadic.BLOCK_REPORT_COLUMNS, block_rows)
     checks = {
         "ratios-within-factor-8": bool(worst[0] >= 1 / 8 and worst[1] <= 8),
         "tail-converged": tail_converged,
     }
     metrics = {"ratio_min": worst[0], "ratio_max": worst[1], "pairs": pairs_pm}
-    return RunReport(
-        config=_echo(cfg), checks=checks, metrics=metrics, artifacts=[csv_path, blocks_path]
-    )
+    return checks, metrics, {
+        "norm_ratios.csv": (["function", "p", "m", "block_norm", "direct_norm", "ratio"], rows),
+        "block_report.csv": (dyadic.BLOCK_REPORT_COLUMNS, block_rows),
+    }
 
 
 RUNNERS = {
@@ -598,15 +560,29 @@ def _echo(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _write(path: str, payload, grid: VelocityGrid | None) -> None:
+    """One artifact, in the format its extension names."""
+    if path.endswith(".csv"):
+        write_csv(path, *payload)
+    elif path.endswith(".kgl"):
+        save_field(grid, payload, path)
+    else:
+        with open(path, "w") as fh:
+            fh.write(_json_text(payload))
+
+
 def run(cfg: ExperimentConfig) -> RunReport:
+    """Run one experiment, write its artifacts in order, then its report."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     start = time.perf_counter()
-    report = RUNNERS[cfg.experiment](cfg)
-    report.wall_clock = time.perf_counter() - start
-    report_path = os.path.join(cfg.out_dir, f"report_{cfg.experiment}.json")
-    with open(report_path, "w") as fh:
+    checks, metrics, files = RUNNERS[cfg.experiment](cfg)
+    paths = [os.path.join(cfg.out_dir, name) for name in files]
+    for path, payload in zip(paths, files.values()):
+        _write(path, payload, cfg.grid)
+    report = RunReport(_echo(cfg), checks, metrics, paths, time.perf_counter() - start)
+    with open(os.path.join(cfg.out_dir, f"report_{cfg.experiment}.json"), "w") as fh:
         fh.write(report.to_json())
-    report.artifacts.append(report_path)
+    report.artifacts.append(fh.name)
     return report
 
 

@@ -2,9 +2,9 @@
 
 Each operation checks a whole stack of fields at once (a real array of
 shape ``(members,) + grid.shape``, or one field) and produces one
-:class:`InequalityWitness` for it; corpus-level drivers fit the smallest
-admissible constant, track margins, and check the scaling laws the
-constants must obey.
+:class:`InequalityWitness` for it.  :func:`fit_constant` and
+:func:`eps_constant` fit the smallest admissible constant over the stack,
+and :func:`eps_constant_scaling` checks the scaling law C_eps must obey.
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ class InequalityWitness:
         return _ratio(self.lhs, base, 0.0)
 
 
-@dataclass
-class InequalityReport:
-    inequality_id: str
-    params: dict
-    corpus_size: int
-    min_margin: float
-    fitted_constant: float
-    refinement_ratio: float | None = None
-    failures: list[str] = field(default_factory=list)
-
-
 def _ratio(num, den, fallback: float) -> np.ndarray:
     """num / den where den > 0, else ``fallback``."""
     num, den = np.broadcast_arrays(num, den)
@@ -112,7 +101,6 @@ def verify_interpolation_tau(
             "weighted_l2": a_term,
             "coercive": b_term,
             "theta": theta,
-            "product_rhs": product_rhs,
             "product_ratio": _ratio(lhs, product_rhs, 0.0),
         },
     )
@@ -138,7 +126,7 @@ def verify_weighted_eps_split(
         lhs=lhs,
         rhs=eps * grad + constant * wpart,
         constant_used=constant,
-        extras={"eps": eps, "gradient_norm": grad, "weight_norm": wpart},
+        extras={"gradient_norm": grad, "weight_norm": wpart},
     )
 
 
@@ -257,9 +245,6 @@ def verify_composition_bound(
         rhs=constant * rhs_norm,
         constant_used=constant,
         extras={
-            "map": map_name,
-            "gagliardo_lhs": gag_lhs,
-            "gagliardo_rhs": gag_rhs,
             "gagliardo_pass": gag_lhs <= constant * gag_rhs,
             "agreement_factors": agree,
             "agreement_ok": agree_ok,
@@ -301,37 +286,16 @@ def verify_regularizer_bounds(
         lhs=term_norms[0] + term_norms[1] + term_norms[2],
         rhs=3.0 * base,
         constant_used=3.0,
-        extras={"theta": theta, "term_norms": term_norms},
+        extras={"term_norms": term_norms},
     )
 
 
-# --- corpus drivers ---------------------------------------------------------
+# --- fitted constants and the product form ---------------------------------
 
 
 def fit_constant(w: InequalityWitness) -> float:
     """Empirical best constant: max over the members of lhs/(rhs/C)."""
     return float(np.max(w.ratio_without_constant(), initial=0.0))
-
-
-def aggregate(
-    inequality_id: str,
-    params: dict,
-    w: InequalityWitness,
-    refinement_ratio: float | None = None,
-) -> InequalityReport:
-    fitted = fit_constant(w)
-    scaled_rhs = np.ravel((w.rhs / w.constant_used) * fitted if w.constant_used else w.rhs)
-    margins = scaled_rhs - np.ravel(w.lhs)
-    failed = margins < -1e-12 * np.maximum(np.abs(scaled_rhs), 1.0)
-    return InequalityReport(
-        inequality_id=inequality_id,
-        params=params,
-        corpus_size=margins.size,
-        min_margin=float(np.min(margins, initial=np.inf)) if margins.size else 0.0,
-        fitted_constant=fitted,
-        refinement_ratio=refinement_ratio,
-        failures=[f"u{i}" for i in np.flatnonzero(failed)],
-    )
 
 
 def amgm_implication_holds(w: InequalityWitness) -> np.ndarray:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -276,19 +276,21 @@ class VFParams:
     """Field-pair parameters: delta1 = lambda, delta2 set by the regime.
 
     (gamma, s) must be an admissible soft-potential pair, by the rules of
-    ``SoftPotentialParams``; a pair outside them raises VFError.  tau,
-    strong_singularity, delta1 and delta2 are computed once, on first read.
+    ``SoftPotentialParams``; a pair outside them raises VFError.  tau is
+    that pair's exact ``SoftPotentialParams.tau``; strong_singularity,
+    delta1 and delta2 are computed once, on first read.
     """
 
     gamma: Fraction
     s: Fraction
     lam: Fraction
+    tau: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma", "s", "lam"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         try:
-            SoftPotentialParams(gamma=self.gamma, s=self.s)
+            object.__setattr__(self, "tau", SoftPotentialParams(gamma=self.gamma, s=self.s).tau)
         except AdmissibilityError as exc:
             raise VFError(str(exc)) from exc
         if self.lam <= max(Fraction(1), 1 / (2 * self.tau)):
@@ -300,10 +302,6 @@ class VFParams:
             raise VFError(f"need delta1 > delta2 >= 1, got {self.delta1}, {self.delta2}")
         for name in ("delta1", "delta2"):  # then delta1 - delta2 and lam + 1 are on the lattice too
             _t_units(getattr(self, name), name)
-
-    @cached_property
-    def tau(self) -> Fraction:
-        return 2 * self.s / (2 - self.gamma)
 
     @cached_property
     def strong_singularity(self) -> bool:
@@ -514,30 +512,17 @@ def convolution_sums(kmax: int) -> np.ndarray:
 
     With x = j+1 and n = k+2, partial fractions 1/(x(n-x)) = (1/x + 1/(n-x))/n
     give S_k = (k+1)^3 (2 H_3 + (6 H_2 + 12 H_1/n)/n) / n^3, H_m(k) the sum of
-    x^-m over x = 2..k: three cumulative sums in four float arrays built in
-    place.  Every term is positive, so nothing cancels: S_k is within 6 eps
-    relative of the exact sums for k <= 300, 3e-15 of np.convolve for k <= 10^4.
+    x^-m over x = 2..k: three cumulative sums, with at most five float arrays
+    of kmax + 1 alive at once.  Every term is positive, so nothing cancels:
+    S_k is within 6 eps relative of the exact sums for k <= 300, 3e-15 of
+    np.convolve for k <= 10^4.
     """
     x = np.arange(kmax + 1, dtype=float)
     x[:2] = np.inf  # x runs from 2, so no term at k = 0, 1
-    np.reciprocal(x, out=x)
-    h1 = np.cumsum(x)
-    h2 = np.cumsum(x * x)
-    h3 = np.cumsum(np.power(x, 3, out=x), out=x)
-    n = np.arange(2.0, kmax + 3.0)
-    h1 *= 12.0
-    h1 /= n
-    h2 *= 6.0
-    h2 += h1
-    h2 /= n
-    h3 *= 2.0
-    h3 += h2
-    sums = np.subtract(n, 1.0, out=h1)  # k + 1
-    sums **= 3
-    sums *= h3
-    n **= 3
-    sums /= n
-    return sums
+    x = 1.0 / x
+    n = np.arange(2.0, kmax + 3.0)  # k + 2
+    h = 2.0 * np.cumsum(x**3) + (6.0 * np.cumsum(x * x) + 12.0 * np.cumsum(x) / n) / n
+    return (n - 1.0) ** 3 * h / n**3
 
 
 # convolution-sup-stabilizes holds when the sups up to kmax and kmax // 2 agree within this

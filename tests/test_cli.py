@@ -183,6 +183,28 @@ def test_verify_inequalities_is_deterministic(tmp_path):
     assert tau["failures"] == [] and abs(tau["min_margin"]) <= 1e-12
 
 
+def test_inequalities_json_holds_one_row_per_inequality(tmp_path):
+    cfg = make_cfg(tmp_path, "verify-inequalities", corpus_size=12, grid_n=512)
+    rep = run(cfg)
+    with open(os.path.join(cfg.out_dir, "inequalities.json")) as fh:
+        rows = json.load(fh)
+    assert [row["inequality_id"] for row in rows] == [
+        "interpolation-tau", "weighted-eps-split", "regularizer-triple"
+    ]
+    for row in rows:
+        assert set(row) == {
+            "inequality_id", "params", "corpus_size", "min_margin", "fitted_constant", "refinement_ratio",
+            "failures",
+        }
+        assert row["params"] == {"gamma": -1.0, "s": 0.5}
+        assert row["corpus_size"] == 12 and row["failures"] == []
+    assert [row["fitted_constant"] for row in rows] == [
+        rep.metrics["fitted_interpolation_constant"], rep.metrics["fitted_eps_constant"], 3.0
+    ]
+    assert rows[0]["refinement_ratio"] == rep.metrics["refinement_ratio"]
+    assert rows[2]["min_margin"] == rep.metrics["regularizer_min_margin"]
+
+
 REFINEMENT_RTOL = 1e-13  # a quotient of two witness ratios, each held to NORM_RTOL
 
 
@@ -422,6 +444,41 @@ def test_defaults_and_runners_cover_the_same_experiments():
     assert set(DEFAULTS) == set(RUNNERS)
     for defaults in DEFAULTS.values():
         assert all(type(value) in (int, float) for value in defaults.values())
+
+
+# every runner at a reduced config; evolve-toy keeps two snapshots
+SMALL_RUNS = {
+    "sharpness": {"j_max": 12},
+    "evolve-toy": {"grid_n": 2048, "grid_l": 16.0, "steps": 32},
+    "verify-inequalities": {"corpus_size": 12, "grid_n": 512},
+    "vector-fields": {"corpus_size": 4, "max_k": 3, "max_alpha": 2, "conv_kmax": 2000},
+    "picard": {"nmax": 15, "steps": 32},
+    "norms": {"corpus_size": 8, "grid_n": 512},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNNERS))
+def test_runners_write_nothing_and_run_writes_their_files_in_order(tmp_path, monkeypatch, experiment):
+    monkeypatch.chdir(tmp_path)
+    cfg = make_cfg(tmp_path / "out", experiment, **SMALL_RUNS[experiment])
+    checks, metrics, files = RUNNERS[experiment](cfg)
+    assert os.listdir(tmp_path) == []  # no directory, no file, not even in the working directory
+    assert files and all(os.path.basename(name) == name for name in files)
+    written, write = [], cli._write
+
+    def recording_write(path, *rest):
+        written.append(path)
+        write(path, *rest)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    rep = run(cfg)
+    report = os.path.join(cfg.out_dir, f"report_{experiment}.json")
+    assert written == [os.path.join(cfg.out_dir, name) for name in files]
+    assert rep.artifacts == written + [report]
+    assert sorted(os.listdir(cfg.out_dir)) == sorted([*files, os.path.basename(report)])
+    assert (rep.checks, rep.metrics.keys()) == (checks, metrics.keys())
+    if experiment == "evolve-toy":
+        assert [name for name in files if name.endswith(".kgl")] == ["toy_t0.5000.kgl", "toy_t1.0000.kgl"]
 
 
 def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from kgl.inequalities import (
     InequalityInputError,
     fit_eps_constant,
     amgm_implication_holds,
-    aggregate,
     eps_constant_scaling,
     fit_constant,
     gagliardo_hs_norm_sq,
@@ -182,20 +180,6 @@ def test_fitted_constant_monotone_under_corpus_shrinkage(grid1d):
     full = fit_constant(verify_interpolation_tau(grid1d, corpus, PRM))
     for cut in (20, 10, 5):
         assert fit_constant(verify_interpolation_tau(grid1d, corpus[:cut], PRM)) <= full + 1e-15
-
-
-def test_aggregate_report_shape(grid1d):
-    corpus = standard_corpus(grid1d, 20, seed=5)
-    wits = verify_interpolation_tau(grid1d, corpus, PRM)
-    rep = aggregate("interpolation-tau", {"gamma": PRM.gamma, "s": PRM.s}, wits)
-    assert rep.corpus_size == 20
-    assert rep.failures == []
-    assert rep.min_margin >= -1e-12
-    d = asdict(rep)  # the row inequalities.json holds
-    assert set(d) == {
-        "inequality_id", "params", "corpus_size", "min_margin", "fitted_constant", "refinement_ratio",
-        "failures",
-    }
 
 
 def test_eps_constant_refinement_stable():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,17 @@ from kgl.toy import (
     trajectory_shell_exponents,
     weighted_broadband_data,
 )
+from tests.toy_oracle import exact_semigroup
 
 PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
+
+
+def limit_exponents(gamma, s):
+    """An exponent pair the toy model takes beyond the admissible range (gamma = 0 or -3).
+
+    ``SoftPotentialParams`` refuses it; ``kgl.toy`` reads only ``gamma`` and ``s``.
+    """
+    return SimpleNamespace(gamma=gamma, s=s)
 
 
 def small_params(**kw):
@@ -44,7 +54,7 @@ def small_params(**kw):
 
 def test_gamma_zero_evolution_is_exact():
     grid = VelocityGrid(1, 512, 12.0)
-    prm0 = SoftPotentialParams(gamma=0.0, s=0.5, strict=False)
+    prm0 = limit_exponents(0.0, 0.5)
     p = ToyParams(prm=prm0, a0=1.0, t_final=0.5, grid=grid, steps=32)
     v = grid.v_meshes[0]
     f0 = np.exp(-(v**2))
@@ -303,7 +313,7 @@ def test_gamma_zero_commutes_with_multipliers():
     # with any other multiplier; checked on the stepper since the bracket
     # multiplier's e^{-|v|} kernel tails fail the trajectory decay gate
     grid = VelocityGrid(1, 256, 8.0)
-    prm0 = SoftPotentialParams(gamma=0.0, s=0.5, strict=False)
+    prm0 = limit_exponents(0.0, 0.5)
     p = ToyParams(prm=prm0, a0=1.0, t_final=0.25, grid=grid, steps=16)
     stepper = ToyStepper(p)
     v = grid.v_meshes[0]
@@ -344,7 +354,7 @@ def relative_error(got, want):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_low_rank_step_matches_dense_kernel(gamma, s):
     grid = VelocityGrid(1, 1024, 16.0)
-    prm = SoftPotentialParams(gamma=gamma, s=s, strict=False)
+    prm = limit_exponents(gamma, s)
     stepper = ToyStepper(ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid, steps=16))
     assert stepper.rank > 1
     columns = np.random.default_rng(3).standard_normal((1024, 3))
@@ -352,6 +362,41 @@ def test_low_rank_step_matches_dense_kernel(gamma, s):
     got = stepper.step(columns.T)
     assert relative_error(got, want) <= 1e-12
     assert relative_error(stepper.step(columns[:, 0]), want[0]) <= 1e-12
+
+
+# --- the march against its exact semigroup ------------------------------------
+
+# The frozen-coefficient step is first order in dt: at N = 512, L = 8, T = 1
+# the relative final-L2 error of evolve_toy reads 0.018 dt to 0.151 dt over
+# these three pairs at 64 to 256 steps, halving exactly with dt.
+SEMIGROUP_ERROR_PER_DT = 0.2
+SEMIGROUP_PAIRS = [(-1.0, 0.5), (-2.0, 0.75), (-0.5, 0.25)]
+
+
+def semigroup_errors(prm, march_prm, step_counts):
+    """Relative final-L2 errors of the march with ``march_prm`` against exp(-T A) at ``prm``."""
+    grid = VelocityGrid(1, 512, 8.0)
+    f0 = weighted_broadband_data(grid, 1.0, seed=0)
+    exact = exact_semigroup(ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid), f0)
+    errors = []
+    for n in step_counts:
+        march = ToyParams(prm=march_prm, a0=1.0, t_final=1.0, grid=grid, steps=n)
+        errors.append(relative_error(evolve_toy(f0, march).final, exact))
+    return errors
+
+
+@pytest.mark.parametrize("gamma,s", SEMIGROUP_PAIRS)
+def test_toy_march_converges_to_its_exact_semigroup_at_first_order(gamma, s):
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    coarse, fine = semigroup_errors(prm, prm, (64, 128))
+    assert coarse <= SEMIGROUP_ERROR_PER_DT / 64 and fine <= SEMIGROUP_ERROR_PER_DT / 128
+    assert 1.9 <= coarse / fine <= 2.1
+
+
+def test_a_march_at_the_wrong_s_misses_the_exact_semigroup():
+    prm = SoftPotentialParams(gamma=-1.0, s=0.5)
+    (error,) = semigroup_errors(prm, SoftPotentialParams(gamma=-1.0, s=0.55), (64,))
+    assert error > 5 * SEMIGROUP_ERROR_PER_DT / 64  # 3.0e-2 against the bound's 3.1e-3
 
 
 def test_complex_fields_are_rejected():
