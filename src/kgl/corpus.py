@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from kgl.grid import VelocityGrid, l2_norms, trailing_axes
+from kgl.grid import VelocityGrid, l2_norms
 
 
-def _column(grid: VelocityGrid, values) -> np.ndarray:
+def _column(values) -> np.ndarray:
     """Per-member scalars shaped to broadcast against a stack of fields."""
-    return np.reshape(values, (-1,) + (1,) * grid.dimension)
+    return np.reshape(values, (-1, 1))
 
 
 def _normalized(grid: VelocityGrid, fields: np.ndarray) -> np.ndarray:
@@ -27,23 +27,20 @@ def _normalized(grid: VelocityGrid, fields: np.ndarray) -> np.ndarray:
     complex does, which keeps the members' values bit for bit.
     """
     n = l2_norms(grid, fields.astype(complex).real)
-    return fields * _column(grid, np.divide(1.0, n, out=np.ones_like(n), where=n > 0))
+    return fields * _column(np.divide(1.0, n, out=np.ones_like(n), where=n > 0))
 
 
 def gaussians(grid: VelocityGrid, c, center) -> np.ndarray:
-    """exp(-c |v - center|^2) for each pair of the sequences c and center."""
-    center = _column(grid, center)
-    shifted_sq = sum((m - center) ** 2 for m in grid.v_meshes)
-    return np.exp(-_column(grid, c) * shifted_sq)
+    """exp(-c (v - center)^2) for each pair of the sequences c and center."""
+    shifted_sq = (grid.axis_points - _column(center)) ** 2
+    return np.exp(-_column(c) * shifted_sq)
 
 
 def hermite_functions(grid: VelocityGrid, degrees) -> np.ndarray:
-    """L2-normalized Hermite functions of one variable (tensorized via axis 0)."""
-    x = grid.v_meshes[0]
+    """L2-normalized Hermite functions of the given degrees."""
+    x = grid.axis_points
     polys = [np.polynomial.hermite.hermval(x, np.eye(deg + 1)[deg]) for deg in degrees]
     out = np.reshape(polys, (len(polys),) + grid.shape) * np.exp(-(x**2) / 2.0)
-    if grid.dimension > 1:
-        out *= np.exp(-sum(m**2 for m in grid.v_meshes[1:]) / 2.0)
     return _normalized(grid, out)
 
 
@@ -66,7 +63,7 @@ def band_limited(
     draws = rng.standard_normal((count, 2) + grid.shape)
     amp = (draws[:, 0] + 1j * draws[:, 1]) * (grid.eta_bracket_sq ** (-BAND_DECAY / 2.0))
     amp[:, grid.eta_abs > BAND_FRACTION * grid.nyquist] = 0.0
-    return _normalized(grid, np.fft.ifftn(amp, axes=trailing_axes(grid), norm="ortho").real)
+    return _normalized(grid, np.fft.ifft(amp, norm="ortho").real)
 
 
 def standard_corpus(
@@ -104,5 +101,4 @@ def dilation_family(
 ) -> np.ndarray:
     """Centered Gaussians exp(-v^2 / (2 sigma^2)) on a log grid of scales."""
     sigmas = np.geomspace(scale_min, scale_max, count)
-    vsq = sum(m**2 for m in grid.v_meshes)
-    return np.exp(-vsq / _column(grid, 2.0 * sigmas * sigmas))
+    return np.exp(-(grid.axis_points**2) / _column(2.0 * sigmas * sigmas))

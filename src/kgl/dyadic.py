@@ -25,13 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from kgl.grid import (
-    VelocityGrid,
-    half_power,
-    half_spectrum,
-    half_symbol,
-    summed,
-)
+from kgl.grid import VelocityGrid, half_power, half_spectrum, half_symbol
 
 PSI_FLAT_RADIUS = 1.0
 PSI_SUPPORT_RADIUS = 4.0 / 3.0
@@ -127,33 +121,33 @@ def _frequency_rings_sq(grid: VelocityGrid) -> np.ndarray:
 
 
 def block_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
-    """Block L2 norms of each field on the trailing grid axes of u.
+    """Block L2 norms of each field on the last axis of u.
 
-    Shape ``u.shape[:-d] + (jmax + 2, kmax + 2)``: rows j = -1..jmax, cols
+    Shape ``u.shape[:-1] + (jmax + 2, kmax + 2)``: rows j = -1..jmax, cols
     k = -1..kmax, the grid's shells.  Per phase shell, one real transform of
     the whole stack; all frequency shells of it come from one matrix product
     of the half-spectrum power with the squared ring weights.
     """
     rings_sq = _frequency_rings_sq(grid)
     phases = phase_rings(grid)
-    out = np.empty(u.shape[: u.ndim - grid.dimension] + (len(rings_sq), len(phases)))
+    out = np.empty(u.shape[:-1] + (len(rings_sq), len(phases)))
     buf = coeff = power = None  # one physical, one spectral and one power buffer
     for k, wk in enumerate(phases):
         buf = np.multiply(u, wk, out=buf)
         coeff = half_spectrum(grid, buf, out=coeff)
         power = half_power(grid, coeff, out=power)
-        out[..., k] = np.sqrt(summed(grid, power, rings_sq))
+        out[..., k] = np.sqrt(power @ rings_sq.T)
     return out
 
 
 def shell_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
     """Frequency-shell norms ||Delta_j u|| for j = -1..max_freq_shell (no phase cutoff).
 
-    Shape ``u.shape[:-d] + (jmax + 2,)``, read off one half spectrum of the
+    Shape ``u.shape[:-1] + (jmax + 2,)``, read off one half spectrum of the
     whole stack by Parseval.
     """
     power = half_power(grid, half_spectrum(grid, u))
-    return np.sqrt(summed(grid, power, _frequency_rings_sq(grid)))
+    return np.sqrt(power @ _frequency_rings_sq(grid).T)
 
 
 def block_shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,26 +1,24 @@
 """Periodic velocity grid and the transforms of fields on it.
 
-The truncated domain is the box [-L, L)^d, periodized, with N samples per
-axis (N a power of two).  Transforms are unitary (1/sqrt(N) per axis), so
-the quadrature L2 norm of the samples and the scaled l2 norm of the
-coefficients coincide.  Dual frequencies are eta_m = (pi/L) * m with
-m in [-N/2, N/2)^d.
+The truncated domain is the interval [-L, L), periodized, with N samples (N
+a power of two).  Transforms are unitary (1/sqrt(N)), so the quadrature L2
+norm of the samples and the scaled l2 norm of the coefficients coincide.
+Dual frequencies are eta_m = (pi/L) * m with m in [-N/2, N/2).
 
-A field is the real array of its samples on the grid, of shape
-``grid.shape``; many fields at once are one array of shape
-``(members,) + grid.shape`` (any leading axes stack them).  Every operator
-applied to such a stack here is real, so it goes through the real transform
-along the trailing grid axes (:func:`half_spectrum`), which rejects complex
-input with TypeError, and a norm of the form ||a(D) u|| is read off the
-half spectrum by Parseval (:func:`half_power`).  :func:`l2_norms` is the
-one quadrature norm.  :func:`refine_field` interpolates one-dimensional
-fields onto twice as many points.  Data entering the program from a file
-is validated where it enters: :func:`load_field`.
+A field is the real array of its N samples, of shape ``grid.shape``; many
+fields at once are one array of shape ``(members,) + grid.shape`` (any
+leading axes stack them).  Every operator applied to such a stack here is
+real, so it goes through the real transform along the last axis
+(:func:`half_spectrum`), which rejects complex input with TypeError, and a
+norm of the form ||a(D) u|| is read off the half spectrum by Parseval
+(:func:`half_power`).  :func:`l2_norms` is the one quadrature norm.
+:func:`refine_field` interpolates fields onto twice as many points.  Data
+entering the program from a file is validated where it enters:
+:func:`load_field`.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 CONTAINER_MAGIC = b"KGL1"
+CONTAINER_HEADER = "<IId"  # after the magic: axis count (always 1), N, half-width
 CONTAINER_IMAG_TOL = 1e-12  # largest |Im| of loaded samples, relative to their largest |Re|
 # Largest sample count of a grid that a config or a container may name.  The
 # experiments' largest grid has 8192 points; at 2**20 one complex field takes
@@ -46,22 +45,18 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class VelocityGrid:
-    """Uniform periodic grid on [-L, L)^d.
+    """Uniform periodic grid on [-L, L).
 
     Parameters
     ----------
-    dimension : 1, 2 or 3
     points_per_axis : N, a power of two >= 8
     half_width : L > 0
     """
 
-    dimension: int
     points_per_axis: int
     half_width: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise GridError(f"dimension {self.dimension} not in {{1,2,3}}")
         if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
             raise GridError(
                 f"points_per_axis {self.points_per_axis} must be a power of two >= 8"
@@ -74,16 +69,12 @@ class VelocityGrid:
         return 2.0 * self.half_width / self.points_per_axis
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points_per_axis,) * self.dimension
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing**self.dimension
+    def shape(self) -> tuple[int]:
+        return (self.points_per_axis,)
 
     @property
     def nyquist(self) -> float:
-        """Largest per-axis dual frequency, pi/L * N/2."""
+        """Largest dual frequency, pi/L * N/2."""
         return np.pi / self.half_width * (self.points_per_axis / 2.0)
 
     @cached_property
@@ -96,34 +87,24 @@ class VelocityGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     @cached_property
-    def v_meshes(self) -> tuple[np.ndarray, ...]:
-        return np.meshgrid(*([self.axis_points] * self.dimension), indexing="ij")
-
-    @cached_property
-    def eta_meshes(self) -> tuple[np.ndarray, ...]:
-        return np.meshgrid(*([self.axis_frequencies] * self.dimension), indexing="ij")
-
-    @cached_property
     def v_abs(self) -> np.ndarray:
-        """Euclidean |v| of the principal-domain representative."""
-        return np.sqrt(sum(m**2 for m in self.v_meshes))
+        return np.abs(self.axis_points)
 
     @cached_property
     def eta_abs(self) -> np.ndarray:
-        return np.sqrt(sum(m**2 for m in self.eta_meshes))
+        return np.abs(self.axis_frequencies)
 
     @property
     def v_max(self) -> float:
-        """max(v_abs) without the mesh: |v| at the corner (-L, ..., -L)."""
-        return math.sqrt(self.dimension * (self.half_width * self.half_width))
+        """max(v_abs) without the array: |v| at the first point, -L."""
+        return self.half_width
 
     @property
     def eta_max(self) -> float:
-        """max(eta_abs) without the mesh, at the corner of Nyquist modes formed as
-        ``axis_frequencies`` forms them: 2 pi times fftfreq's (N/2) / (N spacing)."""
+        """max(eta_abs) without the array, at the Nyquist mode formed as
+        ``axis_frequencies`` forms it: 2 pi times fftfreq's (N/2) / (N spacing)."""
         n = self.points_per_axis
-        nyquist = 2.0 * np.pi * ((n // 2) * (1.0 / (n * self.spacing)))
-        return math.sqrt(self.dimension * (nyquist * nyquist))
+        return 2.0 * np.pi * ((n // 2) * (1.0 / (n * self.spacing)))
 
     @cached_property
     def v_bracket_sq(self) -> np.ndarray:
@@ -136,36 +117,32 @@ class VelocityGrid:
 
     @cached_property
     def half_multiplicity(self) -> np.ndarray:
-        """Cell volume times the columns each half-spectrum column stands for.
+        """Spacing times the columns each half-spectrum column stands for.
 
-        The rfftn layout keeps the last axis at 0 .. N/2; columns 1 .. N/2-1
+        The rfft layout keeps the frequencies 0 .. N/2; columns 1 .. N/2-1
         also stand for their conjugate mirrors, so |u_hat|^2 times this sums
         to the squared L2 norm.
         """
-        mult = np.full(self.points_per_axis // 2 + 1, 2.0 * self.cell_volume)
-        mult[[0, -1]] = self.cell_volume
+        mult = np.full(self.points_per_axis // 2 + 1, 2.0 * self.spacing)
+        mult[[0, -1]] = self.spacing
         return mult
 
 
-def trailing_axes(grid: VelocityGrid) -> tuple[int, ...]:
-    return tuple(range(-grid.dimension, 0))
-
-
 def half_symbol(symbol: np.ndarray) -> np.ndarray:
-    """An even Fourier symbol on the rfftn layout (last axis 0 .. N/2)."""
+    """An even Fourier symbol on the rfft layout (frequencies 0 .. N/2)."""
     return symbol[..., : symbol.shape[-1] // 2 + 1]
 
 
 def half_spectrum(grid: VelocityGrid, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary real transform of the real fields on the trailing grid axes of u."""
-    return np.fft.rfftn(u, axes=trailing_axes(grid), norm="ortho", out=out)
+    """Unitary real transform of the real fields on the last axis of u."""
+    return np.fft.rfft(u, norm="ortho", out=out)
 
 
 def from_half_spectrum(
     grid: VelocityGrid, coeff: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Inverse of :func:`half_spectrum`: real fields from their half spectra."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=trailing_axes(grid), norm="ortho", out=out)
+    return np.fft.irfft(coeff, grid.points_per_axis, norm="ortho", out=out)
 
 
 def half_power(grid: VelocityGrid, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -176,41 +153,24 @@ def half_power(grid: VelocityGrid, coeff: np.ndarray, out: np.ndarray | None = N
     return out
 
 
-def _flat(grid: VelocityGrid, a: np.ndarray) -> np.ndarray:
-    """a with its trailing grid axes (full or half spectrum) merged into one."""
-    d = grid.dimension
-    return a.reshape(a.shape[: a.ndim - d] + (int(np.prod(a.shape[a.ndim - d :])),))
-
-
-def summed(grid: VelocityGrid, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum of values * weights over the trailing grid axes, as one matrix product.
-
-    Leading axes of ``weights`` become trailing axes of the result.
-    """
-    return _flat(grid, values) @ _flat(grid, weights).T
-
-
 def l2_norms(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
-    """Quadrature L2 norms of the fields on the trailing grid axes of u.
+    """Quadrature L2 norms of the fields on the last axis of u.
 
     A complex stack is read as its (re, im) float64 pairs.
     """
-    flat = _flat(grid, u)
-    if np.iscomplexobj(flat):
-        flat = flat.view(np.float64)
-    return np.sqrt(grid.cell_volume) * np.sqrt(np.vecdot(flat, flat))
+    if np.iscomplexobj(u):
+        u = u.view(np.float64)
+    return np.sqrt(grid.spacing) * np.sqrt(np.vecdot(u, u))
 
 
 def refine_field(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
-    """Band-limited interpolation of the real fields of u onto 2N points per axis (d = 1).
+    """Band-limited interpolation of the real fields of u onto 2N points.
 
     The half spectrum is zero-padded; the Nyquist mode splits in half
     between +N/2 and its mirror -N/2, so the interpolant stays real and
     agrees with u on the coarse points; sqrt(2) keeps the transforms
     unitary across the two sizes.  The stack axes of u are kept.
     """
-    if grid.dimension != 1:
-        raise GridError("refinement covers d = 1")
     n = grid.points_per_axis
     coeff = np.fft.rfft(u, norm="ortho")
     fine = np.zeros(coeff.shape[:-1] + (n + 1,), dtype=complex)
@@ -222,9 +182,9 @@ def refine_field(grid: VelocityGrid, u: np.ndarray) -> np.ndarray:
 def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:
     """Write the real field ``u`` on ``grid`` as the flat binary container.
 
-    Layout: magic ``KGL1``, uint32 dimension, uint32 N per axis, float64
+    Layout: magic ``KGL1``, uint32 axis count (always 1), uint32 N, float64
     half-width, then little-endian float64 (re, im) pairs of the unitary
-    Fourier coefficients in row-major frequency order.
+    Fourier coefficients in frequency order.
     """
     if np.shape(u) != grid.shape:
         raise GridError(f"field of shape {np.shape(u)} is not on a grid of shape {grid.shape}")
@@ -232,14 +192,11 @@ def save_field(grid: VelocityGrid, u: np.ndarray, path: str) -> None:
         raise GridError("complex samples; a field is real")
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<I", grid.dimension))
-        for _ in range(grid.dimension):
-            fh.write(struct.pack("<I", grid.points_per_axis))
-        fh.write(struct.pack("<d", grid.half_width))
-        flat = np.fft.fftn(u, norm="ortho").ravel()
-        buf = np.empty(2 * flat.size, dtype="<f8")
-        buf[0::2] = flat.real
-        buf[1::2] = flat.imag
+        fh.write(struct.pack(CONTAINER_HEADER, 1, grid.points_per_axis, grid.half_width))
+        coeff = np.fft.fft(u, norm="ortho")
+        buf = np.empty(2 * coeff.size, dtype="<f8")
+        buf[0::2] = coeff.real
+        buf[1::2] = coeff.imag
         fh.write(buf.tobytes())
 
 
@@ -260,25 +217,20 @@ def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
         data = fh.read()
     if data[:4] != CONTAINER_MAGIC:
         raise GridError(f"bad container magic {data[:4]!r}")
-    (d,) = _unpack("<I", data, 4)
-    if d not in (1, 2, 3):
-        raise GridError(f"dimension {d} not in {{1,2,3}}")
-    ns = _unpack(f"<{d}I", data, 8)
-    if len(set(ns)) != 1:
-        raise GridError(f"anisotropic axis counts {list(ns)} unsupported")
-    if ns[0] ** d > MAX_GRID_SAMPLES:
-        raise GridError(f"{ns[0]}**{d} samples exceed the {MAX_GRID_SAMPLES} a grid may hold")
-    (half_width,) = _unpack("<d", data, 8 + 4 * d)
-    grid = VelocityGrid(dimension=d, points_per_axis=ns[0], half_width=half_width)
-    payload = data[16 + 4 * d :]
-    expected = 2 * ns[0] ** d
-    if len(payload) != 8 * expected:
-        raise GridError(f"payload has {len(payload)} bytes, expected {8 * expected}")
+    axes, n, half_width = _unpack(CONTAINER_HEADER, data, len(CONTAINER_MAGIC))
+    if axes != 1:
+        raise GridError(f"container names {axes} axes; the velocity grid has one")
+    if n > MAX_GRID_SAMPLES:
+        raise GridError(f"{n}**1 samples exceed the {MAX_GRID_SAMPLES} a grid may hold")
+    grid = VelocityGrid(points_per_axis=n, half_width=half_width)
+    payload = data[len(CONTAINER_MAGIC) + struct.calcsize(CONTAINER_HEADER) :]
+    if len(payload) != 16 * n:
+        raise GridError(f"payload has {len(payload)} bytes, expected {16 * n}")
     raw = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(raw)):
         raise GridError("payload holds non-finite coefficients")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.ifftn((raw[0::2] + 1j * raw[1::2]).reshape(grid.shape), norm="ortho")
+        samples = np.fft.ifft(raw[0::2] + 1j * raw[1::2], norm="ortho")
     if not np.all(np.isfinite(samples)):
         raise GridError("payload coefficients synthesize non-finite samples")
     imag = float(np.max(np.abs(samples.imag)))

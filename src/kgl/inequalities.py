@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kgl.corpus import dilation_family
-from kgl.grid import (
-    VelocityGrid,
-    half_power,
-    half_spectrum,
-    half_symbol,
-    trailing_axes,
-)
+from kgl.grid import VelocityGrid, half_power, half_spectrum, half_symbol
 from kgl.multipliers import MultiplierError, weighted_sobolev_norm, weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 
@@ -185,7 +179,7 @@ AGREEMENT_FACTOR = 4.0  # the two H^s norms agree within this factor either way
 
 
 def gagliardo_hs_norm_sq(grid: VelocityGrid, g: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm via the pairwise-difference quadrature (d = 1).
+    """Squared H^s norm via the pairwise-difference quadrature.
 
     The lag sum is truncated at |y| <= L/2; the remainder is bounded
     analytically by 4 ||f||^2 integral_{L/2}^inf y^(-1-2s) dy per sign and
@@ -195,8 +189,6 @@ def gagliardo_hs_norm_sq(grid: VelocityGrid, g: np.ndarray, s: float) -> np.ndar
     2 R(0) - 2 R(l).  The real fields on the last axis of g take one
     transform pair in all.
     """
-    if grid.dimension != 1:
-        raise InequalityInputError("pairwise-difference form implemented for d = 1")
     if not (0.0 < s < 1.0):
         raise InequalityInputError(f"s={s} outside (0, 1)")
     h = grid.spacing
@@ -226,9 +218,8 @@ def verify_composition_bound(
     """
     if map_name not in COMPOSITION_MAPS:
         raise InequalityInputError(f"unknown composition map {map_name!r}")
-    axes = trailing_axes(grid)
-    peak = np.maximum(np.max(np.abs(g), axis=axes), 1.0)
-    if np.any(np.min(g, axis=axes) < -1e-12 * peak):
+    peak = np.maximum(np.max(np.abs(g), axis=-1), 1.0)
+    if np.any(np.min(g, axis=-1) < -1e-12 * peak):
         raise InequalityInputError("composition input must be nonnegative")
     fg = COMPOSITION_MAPS[map_name](np.maximum(g, 0.0))
     lhs = weighted_sobolev_norm(grid, fg, 0.0, s)
@@ -260,7 +251,7 @@ def verify_regularizer_bounds(
     g: np.ndarray,
     theta,
 ) -> InequalityWitness:
-    """||R g|| + ||theta^(1/2) R dg|| + ||theta R d^2 g|| <= 3 ||g||, d along axis 0.
+    """||R g|| + ||theta^(1/2) R dg|| + ||theta R d^2 g|| <= 3 ||g||.
 
     Symbol-exact: the three factors are bounded by 1, 1/2 and 1 pointwise,
     so the margin is nonnegative for every field and every theta in (0, 1].
@@ -270,16 +261,15 @@ def verify_regularizer_bounds(
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0.0) & (theta <= 1.0)):
         raise MultiplierError(f"theta={theta} outside (0, 1]")
-    th = theta.reshape(theta.shape + (1,) * grid.dimension)
-    derivative_sq = th * half_symbol(grid.eta_meshes[0]) ** 2
+    th = theta.reshape(theta.shape + (1,))
+    derivative_sq = th * half_symbol(grid.axis_frequencies) ** 2
     resolvent_sq = 1.0 / (1.0 + th * half_symbol(grid.eta_abs) ** 2) ** 2
-    axes = trailing_axes(grid)
 
     power = half_power(grid, half_spectrum(grid, g))
-    sums = [np.sum(power, axis=axes)]
+    sums = [np.sum(power, axis=-1)]
     for factor in (resolvent_sq, derivative_sq, derivative_sq):  # |symbol|^2, q = 0, 1, 2
         power *= factor
-        sums.append(np.sum(power, axis=axes))
+        sums.append(np.sum(power, axis=-1))
     base, *term_norms = np.sqrt(sums)
     return InequalityWitness(
         inequality_id="regularizer-triple",

@@ -11,7 +11,6 @@ from kgl.grid import (
     half_spectrum,
     half_symbol,
     l2_norms,
-    summed,
 )
 
 
@@ -22,20 +21,20 @@ class MultiplierError(ValueError):
 def weighted_sobolev_norms(grid: VelocityGrid, u: np.ndarray, pairs) -> np.ndarray:
     """|| <v>^p <D>^m u || for each (p, m) in ``pairs``, row i for pair i.
 
-    ``u`` holds real fields on the trailing grid axes (a stack of them, or one);
-    the result has shape ``(len(pairs),) + u.shape[:-d]``.  One real
+    ``u`` holds real fields on its last axis (a stack of them, or one);
+    the result has shape ``(len(pairs),) + u.shape[:-1]``.  One real
     transform of ``u`` serves every pair: m = 0 norms are taken on the
     samples, p = 0 norms by Parseval on the half spectrum (all in one
     matrix product), and each other pair costs one inverse transform.
     """
-    out = np.empty((len(pairs),) + u.shape[: u.ndim - grid.dimension])
+    out = np.empty((len(pairs),) + u.shape[:-1])
     bracket_sq = half_symbol(grid.eta_bracket_sq)
     parseval = [i for i, (p, m) in enumerate(pairs) if p == 0 and m != 0]
     inverse = [i for i, (p, m) in enumerate(pairs) if p != 0 and m != 0]
     coeff = half_spectrum(grid, u) if parseval or inverse else None
     if parseval:
         symbols = np.array([bracket_sq ** pairs[i][1] for i in parseval])
-        out[parseval] = np.moveaxis(np.sqrt(summed(grid, half_power(grid, coeff), symbols)), -1, 0)
+        out[parseval] = np.moveaxis(np.sqrt(half_power(grid, coeff) @ symbols.T), -1, 0)
     buf = None  # one physical buffer for every remaining pair
     for i, (p, m) in enumerate(pairs):
         if i in parseval:
@@ -54,5 +53,5 @@ def weighted_sobolev_norms(grid: VelocityGrid, u: np.ndarray, pairs) -> np.ndarr
 
 
 def weighted_sobolev_norm(grid: VelocityGrid, u: np.ndarray, p: float, m: float) -> np.ndarray:
-    """|| <v>^p <D>^m u || of each field on the trailing grid axes of u."""
+    """|| <v>^p <D>^m u || of each field on the last axis of u."""
     return weighted_sobolev_norms(grid, u, [(p, m)])[0]

@@ -32,7 +32,7 @@ from kgl.dyadic import (
     phase_rings,
     shell_norms,
 )
-from kgl.grid import VelocityGrid, half_symbol, l2_norms, trailing_axes
+from kgl.grid import VelocityGrid, half_symbol, l2_norms
 from kgl.params import SoftPotentialParams
 
 
@@ -141,14 +141,14 @@ def chebyshev_symbols(
 
 
 class ToyStepper:
-    """One-step propagator for the model on a fixed grid, any dimension d.
+    """One-step propagator for the model on a fixed grid.
 
     The step applies the frozen kernel exp(-dt m(v) <eta>^(2s)), with m the
     effective coefficient, mode by mode.  The kernel depends on v only
     through m, so its separation in m (see :func:`chebyshev_symbols` for the
     rank rule; ``rank`` holds it) splits the step into rank + 1 transforms:
 
-        step(u) = sum_q a_q(v) * irfftn(b_q(eta) * rfftn(u)).
+        step(u) = sum_q a_q(v) * irfft(b_q(eta) * rfft(u)).
 
     A constant coefficient (gamma = 0) is the rank-1 case, the exact
     multiplier flow.  Every kernel element lies in (0, 1], so the step is
@@ -168,16 +168,15 @@ class ToyStepper:
         self.rank = len(self.symbols)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        """Advance by dt the real fields on the trailing d axes (leading axes stack them)."""
-        shape = self.params.grid.shape
-        axes = trailing_axes(self.params.grid)
-        coeff = np.fft.rfftn(u, axes=axes)
+        """Advance by dt the real fields on the last axis of u (leading axes stack them)."""
+        n = self.params.grid.points_per_axis
+        coeff = np.fft.rfft(u)
         scaled = np.empty_like(coeff)
         out = np.zeros(u.shape)
         # in-place products: a fresh temporary per term costs about as much
         # as the term's transform
         for a, b in zip(self.weights, self.symbols):
-            y = np.fft.irfftn(np.multiply(b, coeff, out=scaled), s=shape, axes=axes)
+            y = np.fft.irfft(np.multiply(b, coeff, out=scaled), n)
             y *= a
             out += y
         return out
@@ -240,11 +239,10 @@ def evolve_toy(
     _check_shape(f0, grid)
     check_edge_decay(f0)
     rings = half_symbol(frequency_rings(grid))
-    axes = trailing_axes(grid)
     rows, blocks = [f0], []
     for k, wk in enumerate(phase_rings(grid), start=-1):
-        gh = np.fft.rfftn(f0 * wk, axes=axes)
-        projected = np.fft.irfftn(rings * gh, s=grid.shape, axes=axes)
+        gh = np.fft.rfft(f0 * wk)
+        projected = np.fft.irfft(rings * gh, grid.points_per_axis)
         for j, (b, norm) in enumerate(zip(projected, l2_norms(grid, projected)), start=-1):
             predicted = p.t_final * block_decay_rate(j, k, p.prm)
             if math.exp(-predicted) * norm >= BLOCK_FLOOR:
@@ -285,10 +283,10 @@ EDGE_DECAY_TOL = 1e-14  # the largest |f0| on the box edge, relative to its peak
 def check_edge_decay(f0: np.ndarray) -> None:
     """ToyModelError unless f0 decays to EDGE_DECAY_TOL of its peak at the box edge.
 
-    The edge is the v_i = -L face of every axis i; the periodic box would
-    otherwise join the data to a jump there.
+    The edge is the first sample, v = -L, where the periodic box would
+    otherwise join the data to a jump.
     """
-    boundary = max(float(np.max(np.abs(np.take(f0, 0, axis=a)))) for a in range(f0.ndim))
+    boundary = abs(float(f0[0]))
     peak = float(np.max(np.abs(f0)))
     if peak > 0 and boundary > EDGE_DECAY_TOL * peak:
         raise ToyModelError(
@@ -444,12 +442,10 @@ def weighted_broadband_data(
     """
     rng = np.random.default_rng(seed)
     n = grid.points_per_axis
-    modes = np.fft.fftfreq(n) * n
-    mesh = np.meshgrid(*([modes] * grid.dimension), indexing="ij")
-    mode_abs = np.sqrt(sum(m**2 for m in mesh))
+    mode_abs = np.abs(np.fft.fftfreq(n) * n)
     band = (mode_abs >= 1) & (mode_abs <= BROADBAND_FRACTION * n / 2)
     phases = np.exp(2j * np.pi * rng.random(grid.shape))
     amp = np.where(band, phases * grid.eta_bracket_sq ** (-0.25), 0.0)
-    q = np.fft.ifftn(amp, norm="ortho").real
+    q = np.fft.ifft(amp, norm="ortho").real
     q = q / max(float(np.max(np.abs(q))), 1e-300) * rough_amplitude
     return np.exp(-a0 * grid.v_bracket_sq) * (1.0 + q)

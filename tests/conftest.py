@@ -26,18 +26,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def grid1d():
-    return VelocityGrid(dimension=1, points_per_axis=1024, half_width=16.0)
+    return VelocityGrid(points_per_axis=1024, half_width=16.0)
 
 
 @pytest.fixture(scope="session")
 def grid1d_small():
-    return VelocityGrid(dimension=1, points_per_axis=256, half_width=8.0)
+    return VelocityGrid(points_per_axis=256, half_width=8.0)
 
 
 @pytest.fixture(scope="session")
 def gaussian_half(grid1d):
     """exp(-v^2/2) on the session grid."""
-    v = grid1d.v_meshes[0]
+    v = grid1d.axis_points
     return np.exp(-(v**2) / 2.0)
 
 

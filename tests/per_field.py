@@ -26,7 +26,7 @@ BLOCK_ATOL = 1e-15
 
 def l2_norm(grid: VelocityGrid, f: np.ndarray) -> float:
     """Quadrature L2 norm of one field."""
-    return float(np.sqrt(grid.cell_volume) * np.linalg.norm(np.ravel(f)))
+    return float(np.sqrt(grid.spacing) * np.linalg.norm(np.ravel(f)))
 
 
 def _unit(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
@@ -43,17 +43,15 @@ def _spectral(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def gaussian(grid: VelocityGrid, c: float, center: float) -> np.ndarray:
-    shifted_sq = sum((m - center) ** 2 for m in grid.v_meshes)
+    shifted_sq = (grid.axis_points - center) ** 2
     return np.exp(-c * shifted_sq).astype(complex)
 
 
 def hermite_function(grid: VelocityGrid, degree: int) -> np.ndarray:
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
-    x = grid.v_meshes[0]
+    x = grid.axis_points
     vals = np.polynomial.hermite.hermval(x, coeffs) * np.exp(-(x**2) / 2.0)
-    if grid.dimension > 1:
-        vals = vals * np.exp(-sum(m**2 for m in grid.v_meshes[1:]) / 2.0)
     return _unit(grid, vals.astype(complex))
 
 
@@ -80,7 +78,7 @@ def standard_corpus(grid: VelocityGrid, size: int, seed: int) -> list[np.ndarray
 
 
 def refine(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
-    """f (d = 1) on 2N points: its full spectrum zero-padded, the Nyquist mode split in half."""
+    """f on 2N points: its full spectrum zero-padded, the Nyquist mode split in half."""
     n = grid.points_per_axis
     fh = np.fft.fft(f, norm="ortho")
     fine = np.zeros(2 * n, dtype=complex)
@@ -91,7 +89,7 @@ def refine(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
 
 
 def dilation_family(grid: VelocityGrid, scale_min: float, scale_max: float, count: int):
-    vsq = sum(m**2 for m in grid.v_meshes)
+    vsq = grid.axis_points**2
     return [
         np.exp(-vsq / (2.0 * s * s)).astype(complex)
         for s in np.geomspace(scale_min, scale_max, count)
@@ -120,7 +118,7 @@ def regularizer_norms(grid: VelocityGrid, f: np.ndarray, theta: float) -> list[f
     """||R f||, ||theta^(1/2) R d f||, ||theta R d^2 f|| and ||f||.
 
     R is the inverse of 1 - theta Lap, symbol (1 + theta |eta|^2)^(-1); the
-    derivative d along axis 0 is spectral, (i eta_0)^q.
+    derivative d is spectral, (i eta)^q.
     """
     fh = np.fft.fftn(f, norm="ortho")
     resolvent = (1.0 / (1.0 + theta * grid.eta_abs**2)).astype(complex)
@@ -128,7 +126,7 @@ def regularizer_norms(grid: VelocityGrid, f: np.ndarray, theta: float) -> list[f
     for q in (0, 1, 2):
         sym = resolvent
         if q > 0:
-            sym = sym * (1j * grid.eta_meshes[0]) ** q * theta ** (q / 2.0)
+            sym = sym * (1j * grid.axis_frequencies) ** q * theta ** (q / 2.0)
         terms.append(l2_norm(grid, np.fft.ifftn(fh * sym, norm="ortho")))
     return terms + [l2_norm(grid, f)]
 
@@ -153,5 +151,5 @@ def block_norms(grid: VelocityGrid, f: np.ndarray) -> np.ndarray:
         gh = np.fft.fftn(f * ring_weight(grid.v_abs, k), norm="ortho")
         for j in range(-1, jmax + 1):
             wj = ring_weight(grid.eta_abs, j)
-            out[j + 1, k + 1] = np.sqrt(grid.cell_volume) * np.linalg.norm((gh * wj).ravel())
+            out[j + 1, k + 1] = np.sqrt(grid.spacing) * np.linalg.norm((gh * wj).ravel())
     return out

@@ -66,7 +66,7 @@ def test_criterion_2_analytic_regime_clamp(record_acceptance):
 def test_criterion_3_pde_vs_block_law(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
-        grid = VelocityGrid(1, 4096, 32.0)
+        grid = VelocityGrid(4096, 32.0)
         params = toy.ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid, steps=64)
         f0 = toy.weighted_broadband_data(grid, 1.0, seed=1)
         traj = toy.evolve_toy(f0, params)
@@ -114,7 +114,7 @@ def test_criterion_4_infimum_brute_force(record_acceptance):
 def test_criterion_5_partition_and_reconstruction(record_acceptance):
     with Timer() as t:
         rng = np.random.default_rng(11)
-        grid = VelocityGrid(1, 1024, 16.0)
+        grid = VelocityGrid(1024, 16.0)
         xs = rng.uniform(0.0, grid.nyquist, size=10_000)
         jmax = dyadic.max_freq_shell(grid)
         rings = dyadic.frequency_rings(grid)
@@ -143,8 +143,8 @@ def test_criterion_6_norm_characterization(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
         pairs_pm = [(0.0, 0.0), (1.0, 0.0), (0.0, prm.tau), (prm.gamma / 2.0, prm.s)]
-        grid = VelocityGrid(1, 1024, 16.0)
-        fine_grid = VelocityGrid(1, 2048, 16.0)
+        grid = VelocityGrid(1024, 16.0)
+        fine_grid = VelocityGrid(2048, 16.0)
         corpus = standard_corpus(grid, 200, seed=6)
         fine = refine_field(grid, corpus)
         norms_c = dyadic.block_norms(grid, corpus)
@@ -170,7 +170,7 @@ def test_criterion_7_inequality_suite(record_acceptance):
     with Timer() as t:
         gamma, s = -1.0, 0.5
         prm = SoftPotentialParams(gamma=gamma, s=s)
-        grid = VelocityGrid(1, 1024, 16.0)
+        grid = VelocityGrid(1024, 16.0)
         corpus = standard_corpus(grid, 500, seed=7)
         failures = []
 
@@ -191,7 +191,7 @@ def test_criterion_7_inequality_suite(record_acceptance):
         c_eps = ineq.fit_eps_constant(grid, corpus, s, eps)
         w = ineq.verify_weighted_eps_split(grid, corpus, s, eps, constant=c_eps)
         flag("eps-split", ~w.passed & (w.margin < -1e-10 * np.maximum(w.rhs, 1.0)))
-        scaling = ineq.eps_constant_scaling(VelocityGrid(1, 8192, 32.0), s)
+        scaling = ineq.eps_constant_scaling(VelocityGrid(8192, 32.0), s)
         slope_ok = abs(scaling["slope"] - scaling["target_slope"]) <= 0.25 * abs(
             scaling["target_slope"]
         )
@@ -286,7 +286,7 @@ def test_criterion_9_ledger_and_combinatorics(record_acceptance):
 def test_criterion_10_picard_surrogate_contraction(record_acceptance):
     with Timer() as t:
         prm = SoftPotentialParams(gamma=-1.0, s=0.5)
-        grid = VelocityGrid(1, 256, 4.0)
+        grid = VelocityGrid(256, 4.0)
         rp = solver.RegularizedProblem(
             eps=0.1, prm=prm, a0=1.0, grid=grid, t_final=0.2, steps=64
         )
@@ -315,13 +315,13 @@ def test_criterion_10_picard_surrogate_contraction(record_acceptance):
 
 def test_criterion_11_moments(record_acceptance):
     with Timer() as t:
-        grid = VelocityGrid(1, 1024, 16.0)
-        v = grid.v_meshes[0]
+        grid = VelocityGrid(1024, 16.0)
+        v = grid.axis_points
         mom = solver.moments(grid, np.exp(-(v**2)), m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
         mass_ok = abs(mom.mass - math.sqrt(math.pi)) <= 1e-8
         energy_ok = abs(mom.energy - math.sqrt(math.pi) / 2.0) <= 1e-8
         # transported-only conservation
-        tgrid = VelocityGrid(1, 128, 4.0)
+        tgrid = VelocityGrid(128, 4.0)
         rp = solver.RegularizedProblem(
             eps=0.0,
             prm=SoftPotentialParams(-1.0, 0.5),

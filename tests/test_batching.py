@@ -13,7 +13,7 @@ from kgl.grid import VelocityGrid
 from kgl.multipliers import weighted_sobolev_norms
 from tests import per_field
 
-GRIDS = [VelocityGrid(1, 256, 8.0), VelocityGrid(2, 32, 8.0)]
+GRIDS = [VelocityGrid(256, 8.0)]
 PAIRS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0 / 3.0), (-0.5, 0.5), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]
 
 
@@ -27,7 +27,7 @@ def fields(u):
     return list(u.astype(complex))
 
 
-@pytest.mark.parametrize("grid", [VelocityGrid(1, 1024, 16.0), *GRIDS])
+@pytest.mark.parametrize("grid", [VelocityGrid(1024, 16.0), *GRIDS])
 @pytest.mark.parametrize("size,seed", [(100, 0), (37, 5)])
 def test_corpus_members_equal_the_per_member_builder_bit_for_bit(grid, size, seed):
     u = corpus.standard_corpus(grid, size, seed)

@@ -211,7 +211,7 @@ REFINEMENT_RTOL = 1e-13  # a quotient of two witness ratios, each held to NORM_R
 def test_refinement_ratio_matches_the_per_member_oracle(tmp_path):
     cfg = make_cfg(tmp_path, "verify-inequalities", corpus_size=100)
     grid, prm = cfg.grid, cfg.prm
-    fine_grid = VelocityGrid(1, 2 * grid.points_per_axis, grid.half_width)
+    fine_grid = VelocityGrid(2 * grid.points_per_axis, grid.half_width)
     law = (prm.gamma, prm.s, prm.tau)
     ratios = np.array(
         [
@@ -496,7 +496,7 @@ def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):
 def test_config_builds_the_run_objects_once(tmp_path):
     # a0 = 4: at a0 = 1 the data on this box falls only to exp(-16) of its peak at the edge
     toy_cfg = ExperimentConfig("evolve-toy", {"grid_n": "512", "grid_l": "4", "a0": "4"}, 0, str(tmp_path))
-    assert toy_cfg.grid == VelocityGrid(1, 512, 4.0)
+    assert toy_cfg.grid == VelocityGrid(512, 4.0)
     assert isinstance(toy_cfg.problem, ToyParams)
     assert toy_cfg.problem.grid is toy_cfg.grid and toy_cfg.problem.prm is toy_cfg.prm
     assert np.array_equal(toy_cfg.f0, toy.weighted_broadband_data(toy_cfg.grid, 4.0, seed=0, rough_amplitude=0.5))
@@ -610,7 +610,7 @@ def test_evolve_toy_grid_without_the_fitted_shells_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # pi 2048 / (2 16) = 201 holds shell 7; the check reads the largest radius, not a mesh
     assert ExperimentConfig("evolve-toy", {"grid_n": 2048, "grid_l": 16}, 0, "out").grid
-    assert dyadic.max_freq_shell(VelocityGrid(1, 2**70, 32.0)) >= cli.TOY_FIT_SHELLS[-1]
+    assert dyadic.max_freq_shell(VelocityGrid(2**70, 32.0)) >= cli.TOY_FIT_SHELLS[-1]
 
 
 @pytest.mark.parametrize("grid_n", [2**70, 2**40, MAX_GRID_SAMPLES + 1])
@@ -629,9 +629,12 @@ def test_grid_at_the_sample_bound_is_admitted():
         assert cfg.grid.points_per_axis == MAX_GRID_SAMPLES
 
 
-@pytest.mark.parametrize("flags", [["--grid-l", "27"], ["--a0", "20", "--grid-l", "8"]])
+@pytest.mark.parametrize(
+    "flags", [["--grid-l", "27"], ["--a0", "20", "--grid-l", "8"], ["--grid-l", "18.82"]]
+)
 def test_picard_weight_past_the_float_range_exits_2_with_one_line(tmp_path, capsys, flags):
-    # exp(a0 <v>^2) overflows once a0 (1 + L^2) passes ln(DBL_MAX) = 709.78
+    # the weighted norms square exp(a0 <v>^2), which overflows once a0 (1 + L^2)
+    # passes ln(DBL_MAX) / 2 = 354.89
     assert main(["picard", *flags, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("kgl: error: [picard] a0=")
@@ -640,8 +643,8 @@ def test_picard_weight_past_the_float_range_exits_2_with_one_line(tmp_path, caps
 
 
 def test_picard_weight_within_the_float_range_is_admitted():
-    cfg = ExperimentConfig("picard", {"grid_l": 26.0}, 0, "out")  # a0 (1 + L^2) = 677
-    assert cfg.problem.grid.half_width == 26.0
+    cfg = ExperimentConfig("picard", {"grid_l": 18.81}, 0, "out")  # a0 (1 + L^2) = 354.82
+    assert cfg.problem.grid.half_width == 18.81
 
 
 def test_removed_kmax_flag_exits_2_with_one_line(tmp_path, capsys):

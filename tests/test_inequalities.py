@@ -28,7 +28,7 @@ PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
 
 def test_tau_theta_values():
     assert PRM.tau == pytest.approx(1.0 / 3.0)
-    w = verify_interpolation_tau(VelocityGrid(1, 256, 8.0), np.zeros(256), PRM)
+    w = verify_interpolation_tau(VelocityGrid(256, 8.0), np.zeros(256), PRM)
     assert w.extras["theta"] == pytest.approx(2.0 / 3.0)
     assert w.lhs == 0.0 and w.margin == 0.0  # zero input: margin exactly zero
 
@@ -36,7 +36,7 @@ def test_tau_theta_values():
 def test_interpolation_constant_stable_under_refinement():
     consts = []
     for n in (1024, 2048):
-        grid = VelocityGrid(1, n, 16.0)
+        grid = VelocityGrid(n, 16.0)
         corpus = standard_corpus(grid, 60, seed=7)
         wits = verify_interpolation_tau(grid, corpus, PRM)
         consts.append(fit_constant(wits))
@@ -45,8 +45,8 @@ def test_interpolation_constant_stable_under_refinement():
 
 
 def test_interpolation_product_form_implies_sum_form():
-    grid = VelocityGrid(1, 1024, 16.0)
-    v = grid.v_meshes[0]
+    grid = VelocityGrid(1024, 16.0)
+    v = grid.axis_points
     w = verify_interpolation_tau(grid, np.exp(-(v**2) / 2.0), PRM)
     # with the fitted product constant, the sum form holds with the same C
     c_prod = w.extras["product_ratio"]
@@ -54,7 +54,7 @@ def test_interpolation_product_form_implies_sum_form():
 
 
 def test_eps_split_constant_mode():
-    grid = VelocityGrid(1, 256, 8.0)
+    grid = VelocityGrid(256, 8.0)
     u = np.ones(256)
     w = verify_weighted_eps_split(grid, u, 0.5, eps=0.25)
     # constant field: <D> acts as identity on the zero mode
@@ -69,14 +69,14 @@ def test_eps_split_rejects_bad_eps(grid1d, gaussian_half):
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_eps_constant_scaling_slope(s):
-    grid = VelocityGrid(1, 8192, 32.0)
+    grid = VelocityGrid(8192, 32.0)
     res = eps_constant_scaling(grid, s)
     target = -s / (1.0 - s)
     assert abs(res["slope"] - target) <= 0.25 * abs(target)
 
 
 def test_eps_split_gaussian_passes_with_fit():
-    grid = VelocityGrid(1, 2048, 16.0)
+    grid = VelocityGrid(2048, 16.0)
     corpus = standard_corpus(grid, 40, seed=3)
     s, eps = 0.75, 0.25
     w = verify_weighted_eps_split(grid, corpus, s, eps)
@@ -88,7 +88,7 @@ def test_eps_split_gaussian_passes_with_fit():
 
 
 def test_composition_zero_and_constant():
-    grid = VelocityGrid(1, 512, 8.0)
+    grid = VelocityGrid(512, 8.0)
     w = verify_composition_bound(grid, np.zeros(512), 0.5, "log1p")
     assert w.lhs == 0.0
     c = 0.7
@@ -99,7 +99,7 @@ def test_composition_zero_and_constant():
 
 
 def test_composition_gaussian_agreement(grid1d):
-    v = grid1d.v_meshes[0]
+    v = grid1d.axis_points
     w = verify_composition_bound(grid1d, np.exp(-(v**2)), 0.5, "log1p", constant=4.0)
     assert w.passed
     assert w.extras["agreement_ok"]
@@ -107,7 +107,7 @@ def test_composition_gaussian_agreement(grid1d):
 
 
 def test_composition_rejects_negative(grid1d):
-    v = grid1d.v_meshes[0]
+    v = grid1d.axis_points
     with pytest.raises(InequalityInputError):
         verify_composition_bound(grid1d, np.sin(v), 0.5, "log1p")
     # one negative member rejects the whole stack
@@ -116,7 +116,7 @@ def test_composition_rejects_negative(grid1d):
 
 
 def test_gagliardo_vs_multiplier_factor(grid1d):
-    v = grid1d.v_meshes[0]
+    v = grid1d.axis_points
     g = np.exp(-(v**2))
     s = 0.5
     ratio = math.sqrt(gagliardo_hs_norm_sq(grid1d, g, s)) / weighted_sobolev_norm(grid1d, g, 0.0, s)
@@ -145,7 +145,7 @@ def real_fields(draw):
     n = 2 ** draw(st.integers(min_value=3, max_value=8))
     g = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
     peak = float(np.max(np.abs(g)))
-    return VelocityGrid(1, n, 16.0), g / peak if peak > 0 else g
+    return VelocityGrid(n, 16.0), g / peak if peak > 0 else g
 
 
 # s >= 1e-6: the analytic tail grows like 1/s and overflows both forms near s = 1e-308
@@ -167,9 +167,9 @@ def test_regularizer_bounds_corpus(grid1d):
 
 
 def test_regularizer_single_mode_ratio():
-    grid = VelocityGrid(1, 128, np.pi)
+    grid = VelocityGrid(128, np.pi)
     theta = 1.0 / 16.0
-    v = grid.v_meshes[0]
+    v = grid.axis_points
     f = np.cos(4.0 * v)  # theta |eta|^2 = 1
     w = verify_regularizer_bounds(grid, f, theta)
     assert w.lhs / (np.sqrt(grid.spacing) * np.linalg.norm(f)) == pytest.approx(1.5, rel=1e-12)
@@ -186,7 +186,7 @@ def test_eps_constant_refinement_stable():
     s, eps = 0.75, 0.25
     consts = []
     for n in (1024, 2048):
-        grid = VelocityGrid(1, n, 16.0)
+        grid = VelocityGrid(n, 16.0)
         corpus = standard_corpus(grid, 40, seed=3)
         consts.append(fit_eps_constant(grid, corpus, s, eps))
     assert consts[1] == pytest.approx(consts[0], rel=0.1)

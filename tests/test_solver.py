@@ -32,7 +32,7 @@ PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
 
 
 def make_problem(**kw):
-    grid = kw.pop("grid", VelocityGrid(1, 256, 4.0))
+    grid = kw.pop("grid", VelocityGrid(256, 4.0))
     defaults = dict(eps=0.1, prm=PRM, a0=1.0, grid=grid, t_final=0.2, steps=64)
     defaults.update(kw)
     return RegularizedProblem(**defaults)
@@ -91,10 +91,10 @@ def test_zero_source_norm_decreasing():
 
 
 def test_single_mode_pure_diffusion_factor():
-    grid = VelocityGrid(1, 256, 4.0)
+    grid = VelocityGrid(256, 4.0)
     rp = make_problem(grid=grid, eps=1.0, t_final=0.1, steps=8)
     eta3 = grid.axis_frequencies[3]
-    v = grid.v_meshes[0]
+    v = grid.axis_points
     g0 = np.exp(1j * eta3 * v)
     traj = integrate(rp, g0)
     # v-independent |g|: the pointwise factor acts pointwise; the Fourier
@@ -181,7 +181,7 @@ def test_march_is_bit_identical_to_the_per_step_formula():
         assert integrate(rp, g0, source_traj=src, out=out, work=work).states is out
         assert np.array_equal(out, states)
     # space axis on: the batched source half is the full two-axis H
-    grid = VelocityGrid(1, 64, 4.0)
+    grid = VelocityGrid(64, 4.0)
     rpx = make_problem(grid=grid, steps=16, x_points=8)
     x = np.arange(8)[:, None] / 8.0
     gx = np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * np.sin(2 * np.pi * x))
@@ -230,7 +230,7 @@ def test_march_refuses_a_bad_buffer_before_any_step(case):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x_points", [0, 8])
 def test_solver_abort_names_the_first_non_finite_state(x_points):
-    grid = VelocityGrid(1, 64, 4.0)
+    grid = VelocityGrid(64, 4.0)
     rp = make_problem(grid=grid, steps=16, x_points=x_points)
     shape = ((x_points,) if x_points else ()) + grid.shape
     g0 = np.broadcast_to(np.exp(-grid.v_bracket_sq), shape)
@@ -289,7 +289,7 @@ def test_direct_kernels_equal_np_fft_ortho(n, lead):
 def test_unregularized_step_is_the_np_fft_ortho_round_trip(n):
     # at eps = 0 every factor of H is 1, so one step is the round trip alone:
     # a kernel scaled by another ortho factor than np.fft's changes its bits
-    rp = make_problem(grid=VelocityGrid(1, n, 4.0), eps=0.0, steps=4)
+    rp = make_problem(grid=VelocityGrid(n, 4.0), eps=0.0, steps=4)
     x = _complex_source((n,), n)
     states = integrate(rp, x).states
     assert np.array_equal(states[1], np.fft.ifft(np.fft.fft(x, norm="ortho"), norm="ortho"))
@@ -331,12 +331,12 @@ def test_stacked_norms_match_the_per_row_oracle():
 def test_picard_rejects_a_datum_off_the_grid():
     rp = make_problem(steps=16)
     with pytest.raises(SolverError, match=r"datum has shape \(512,\), the grid expects \(256,\)"):
-        picard_iterate(gaussian_datum(VelocityGrid(1, 512, 4.0)), rp, n_max=3)
+        picard_iterate(gaussian_datum(VelocityGrid(512, 4.0)), rp, n_max=3)
 
 
 def test_picard_rejects_the_space_axis():
     # the iteration and its energy monitor cover the velocity-only reduction
-    rp = make_problem(grid=VelocityGrid(1, 64, 4.0), steps=16, x_points=8)
+    rp = make_problem(grid=VelocityGrid(64, 4.0), steps=16, x_points=8)
     with pytest.raises(SolverError, match="velocity-only"):
         picard_iterate(gaussian_datum(rp.grid), rp, n_max=3)
 
@@ -352,7 +352,7 @@ def test_weighted_contraction_zero_source():
 
 def test_energy_monitor_eps_scaling_of_dissipation():
     # the eps-terms of the dissipation integrand scale linearly in eps
-    grid = VelocityGrid(1, 256, 4.0)
+    grid = VelocityGrid(256, 4.0)
     g = gaussian_datum(grid)
     rp1 = make_problem(grid=grid, eps=0.1)
     rp2 = make_problem(grid=grid, eps=0.2)
@@ -369,7 +369,7 @@ def test_energy_monitor_eps_scaling_of_dissipation():
 
 def test_groenwall_residuals_with_source_random_suite():
     rng = np.random.default_rng(42)
-    grid = VelocityGrid(1, 256, 4.0)
+    grid = VelocityGrid(256, 4.0)
     for run in range(20):
         rp = make_problem(grid=grid, eps=float(rng.uniform(0.02, 0.2)))
         spec = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
@@ -384,8 +384,8 @@ def test_groenwall_residuals_with_source_random_suite():
 
 
 def test_moments_gaussian_values():
-    grid = VelocityGrid(1, 1024, 16.0)
-    v = grid.v_meshes[0]
+    grid = VelocityGrid(1024, 16.0)
+    v = grid.axis_points
     mom = moments(grid, np.exp(-(v**2)), m0=1.0, m_cap=2.0, e_cap=1.0, h_cap=1.0)
     assert mom.mass == pytest.approx(math.sqrt(math.pi), abs=1e-8)
     assert mom.energy == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-8)
@@ -393,14 +393,14 @@ def test_moments_gaussian_values():
 
 
 def test_moments_vacuum_flag():
-    grid = VelocityGrid(1, 256, 8.0)
+    grid = VelocityGrid(256, 8.0)
     mom = moments(grid, np.zeros(grid.shape), m0=1.0)
     assert not mom.flags["mass_above_vacuum"]
 
 
 def test_moments_violators_flagged():
-    grid = VelocityGrid(1, 512, 16.0)
-    v = grid.v_meshes[0]
+    grid = VelocityGrid(512, 16.0)
+    v = grid.axis_points
     hot = np.exp(-(v**2) / 64.0)  # over-energetic
     mom = moments(grid, hot, m0=0.1, m_cap=100.0, e_cap=1.0, h_cap=100.0)
     assert not mom.flags["energy_bounded"]
@@ -408,14 +408,14 @@ def test_moments_violators_flagged():
 
 
 def test_entropy_constant_on_box():
-    grid = VelocityGrid(1, 256, 4.0)
+    grid = VelocityGrid(256, 4.0)
     c = 0.8
     mom = moments(grid, np.full(grid.shape, c))
     assert mom.entropy == pytest.approx(2 * grid.half_width * c * math.log(1 + c), rel=1e-12)
 
 
 def test_entropy_is_nan_without_a_warning_at_or_below_minus_one():
-    grid = VelocityGrid(1, 64, 4.0)
+    grid = VelocityGrid(64, 4.0)
     clean = np.exp(-grid.v_bracket_sq)
     bad = clean.copy()
     bad[[10, 20]] = -1.0, -2.0  # 1 + x = 0 and < 0: x log(1 + x) is undefined
@@ -439,7 +439,7 @@ def test_positivity_pure_pointwise_decay():
 
 def test_positivity_negative_lobe_reported():
     rp = make_problem(steps=16, t_final=0.1)
-    v = rp.grid.v_meshes[0]
+    v = rp.grid.axis_points
     g = np.exp(-rp.grid.v_bracket_sq) * v  # odd: negative lobe
     traj = integrate(rp, g)
     mins = positivity_series(traj)
@@ -481,7 +481,7 @@ def test_moments_of_a_stack_equal_the_per_state_moments():
 
 
 def test_transport_conserves_mass():
-    grid = VelocityGrid(1, 128, 4.0)
+    grid = VelocityGrid(128, 4.0)
     rp = make_problem(grid=grid, eps=0.0, t_final=0.5, steps=64, x_points=16)
     rng = np.random.default_rng(7)
     base = np.exp(-grid.v_bracket_sq)
@@ -566,7 +566,7 @@ RETRYING_PICARD = [(256, 32, -1.0, 0.5, 0.1), (128, 32, -1.0, 0.5, 0.05), (128, 
 
 def _retrying_problem(n, steps, gamma, s, eps):
     prm = SoftPotentialParams(gamma=gamma, s=s)
-    return make_problem(grid=VelocityGrid(1, n, 4.0), prm=prm, eps=eps, steps=steps)
+    return make_problem(grid=VelocityGrid(n, 4.0), prm=prm, eps=eps, steps=steps)
 
 
 @pytest.mark.parametrize("config", RETRYING_PICARD)
@@ -744,17 +744,17 @@ def test_picard_contracts_on_gaussian():
 
 
 def test_problem_validation():
-    grid = VelocityGrid(1, 256, 4.0)
+    grid = VelocityGrid(256, 4.0)
     with pytest.raises(SolverError):
         RegularizedProblem(eps=1.5, prm=PRM, a0=1.0, grid=grid, t_final=0.4, steps=64)
     with pytest.raises(SolverError):
         RegularizedProblem(eps=0.1, prm=PRM, a0=1.0, grid=grid, t_final=0.6, steps=64)
 
 
-@pytest.mark.parametrize("a0,half_width", [(1.0, 27.0), (20.0, 8.0)])
+@pytest.mark.parametrize("a0,half_width", [(1.0, 27.0), (20.0, 8.0), (1.0, 18.82)])
 def test_problem_refuses_a_weight_past_the_float_range(a0, half_width):
     with pytest.raises(SolverError, match=f"^a0={a0} overflows the weight"):
-        make_problem(a0=a0, grid=VelocityGrid(1, 64, half_width))
+        make_problem(a0=a0, grid=VelocityGrid(64, half_width))
 
 
 def test_picard_refuses_a_datum_of_infinite_weighted_norm():
