@@ -510,16 +510,16 @@ def run_picard(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     state = solver.picard_iterate(
         np.exp(-rp.a0 * grid.v_bracket_sq), rp, n_max=cfg.params["nmax"]
     )
-    traj = state.final_trajectory
-    mom = solver.moments(grid, traj.states)
+    states = state.final_states
+    mom = solver.moments(grid, states)
     columns = [
-        traj.times,
+        state.problem.times,
         state.energy.weighted_norms,
         state.energy.dissipation_integrand,
         mom.mass,
         mom.energy,
         mom.entropy,
-        solver.positivity_series(traj),
+        solver.positivity_series(states),
     ]
     header = ["t", "weighted_norm", "dissipation", "mass", "energy", "entropy", "min_value"]
     summary = state.summary()

@@ -14,23 +14,25 @@ contraction; with the time-decreasing Gaussian weight it remains a weighted
 contraction for eps < 1/(2 a0)^2-type smallness, which the energy monitor
 checks step by step.
 
-``integrate`` marches one problem.  Its loop holds only the sequential
-work: one forward and one inverse transform of H g_n per step (per axis
-with the space axis on) and two in-place additions.  The source halves
-(dt/2) H S_n and (dt/2) S_{n+1} are computed as batches before the loop,
-and the additions keep the order of the formula above, so the states are
-bit-identical to it.  H is a closure built once per march: its pointwise
-and Fourier factors are stored complex (numpy would cast a real factor
-to complex in every product), and its velocity-axis transforms call
-numpy's pocketfft kernels directly, where ``np.fft``'s argument handling
-would cost about as much as a 512-point transform.
+``integrate`` marches one problem and returns its states, one complex
+array of shape (steps+1,) + state shape; the times t_n = n dt belong to
+the problem (``RegularizedProblem.times``).  Its loop holds only the
+sequential work: one forward and one inverse transform of H g_n per step
+(per axis with the space axis on), (dt/2) S_{n+1} formed in a one-state
+scratch, and two in-place additions.  The source half (dt/2) H S_n is
+computed as one batch before the loop, and the additions keep the order
+of the formula above, so the states are bit-identical to it.  H is a
+closure built once per march: its pointwise and Fourier factors are
+stored complex (numpy would cast a real factor to complex in every
+product), and its velocity-axis transforms call numpy's pocketfft kernels
+directly, where ``np.fft``'s argument handling would cost about as much
+as a 512-point transform.
 
-``integrate`` writes its states into ``out`` and (dt/2) S_{n+1} into
-``work`` when the caller gives them, and allocates them otherwise.  One
-``picard_iterate`` call owns one workspace, which every march of the call
-reuses: two trajectories that swap roles each iterate (the new iterate
-and the one it is compared with), one source buffer and one ``work``
-buffer.
+``integrate`` writes its states into ``out`` when the caller gives it and
+allocates them otherwise.  One ``picard_iterate`` call owns one
+workspace, which every march of the call reuses: two trajectories that
+swap roles each iterate (the new iterate and the one it is compared
+with) and one source buffer.
 
 Picard retries halve the final time until the iteration contracts; only
 the attempt that is returned is finished with the fixed-point residual
@@ -148,32 +150,29 @@ def _homogeneous_map(rp: RegularizedProblem):
     return homogeneous
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # (steps+1, N) or (steps+1, Mx, N)
-
-
 def integrate(
     rp: RegularizedProblem,
     f_in: np.ndarray,
     source_traj: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """March the problem from f_in; ``source_traj[n]`` is S at time n dt.
 
-    ``out`` (steps+1 complex states) receives the states, and the returned
-    trajectory holds it; ``work`` (steps complex states) receives
-    (dt/2) S_(n+1).  Either is allocated when not given.
+    Returns the steps+1 complex states, written into ``out`` when it is
+    given and into a new array otherwise.
     """
     steps = rp.steps
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else (rp.grid.points_per_axis,)
+    full = (steps + 1,) + shape
+    if source_traj is not None and np.shape(source_traj) != full:
+        raise SolverError(f"source_traj is {np.shape(source_traj)}, the march needs {full}")
     if out is not None:
-        _check_buffer("out", out, (steps + 1,) + shape, f_in=f_in, source_traj=source_traj)
-    if work is not None:
-        _check_buffer("work", work, (steps,) + shape, f_in=f_in, source_traj=source_traj, out=out)
-    states = np.empty((steps + 1,) + shape, dtype=complex) if out is None else out
+        if out.shape != full or out.dtype != complex:
+            raise SolverError(f"out is {out.dtype} {out.shape}, the march needs complex128 {full}")
+        for name, arr in (("f_in", f_in), ("source_traj", source_traj)):
+            if arr is not None and np.shares_memory(out, arr):
+                raise SolverError(f"out shares memory with {name}")
+    states = np.empty(full, dtype=complex) if out is None else out
     states[0] = np.asarray(f_in, dtype=complex).reshape(shape)
     homogeneous = _homogeneous_map(rp)
     if source_traj is None:
@@ -184,24 +183,14 @@ def integrate(
         half_dt = 0.5 * rp.dt
         homogeneous(source_traj[:steps], out=states[1:])
         states[1:] *= half_dt
-        half_next = np.multiply(half_dt, source_traj[1 : steps + 1], out=work)  # added last
-        hg = np.empty(shape, dtype=complex)
-        for g, nxt, s in zip(states[:-1], states[1:], half_next):
+        hg, half = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for g, nxt, s in zip(states[:-1], states[1:], source_traj[1:]):
             nxt += homogeneous(g, out=hg)
-            nxt += s
+            nxt += np.multiply(half_dt, s, out=half)  # (dt/2) S_(n+1), added last
     finite = np.isfinite(states).reshape(steps + 1, -1).all(axis=1)
     if not finite.all():
         raise SolverAbort(f"non-finite state {np.argmin(finite)} (dt={rp.dt}, eps={rp.eps})")
-    return Trajectory(times=rp.times, states=states)
-
-
-def _check_buffer(name: str, buf: np.ndarray, shape: tuple, **others) -> None:
-    """A march writes into ``buf`` only if it has the given shape and shares no other's memory."""
-    if buf.shape != shape or buf.dtype != complex:
-        raise SolverError(f"{name} is {buf.dtype} {buf.shape}, the march needs complex128 {shape}")
-    for other, arr in others.items():
-        if arr is not None and np.shares_memory(buf, arr):
-            raise SolverError(f"{name} shares memory with {other}")
+    return states
 
 
 # --- scalar reduction oracle --------------------------------------------------
@@ -228,12 +217,8 @@ def weight_values(grid: VelocityGrid, a0: float, t: float) -> np.ndarray:
     return np.exp((a0 - t) * grid.v_bracket_sq)
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 @dataclass
 class EnergyReport:
-    times: np.ndarray
     weighted_norms: np.ndarray
     dissipation_integrand: np.ndarray
     dissipation_integral: float
@@ -246,7 +231,7 @@ GROENWALL_TOL = 1e-9  # relative rounding allowance of a step-wise residual
 
 
 def energy_monitor(
-    traj: Trajectory,
+    states: np.ndarray,
     rp: RegularizedProblem,
     source_traj: np.ndarray | None = None,
 ) -> EnergyReport:
@@ -263,8 +248,9 @@ def energy_monitor(
     if rp.x_points:
         raise SolverError("energy monitor covers the velocity-only reduction")
     vsq = grid.v_bracket_sq
-    weights = weight_values(grid, rp.a0, traj.times[:, None])  # one table for all terms
-    wg = weights * traj.states
+    times = rp.times
+    weights = weight_values(grid, rp.a0, times[:, None])  # one table for all terms
+    wg = weights * states
     wnorms = l2_norms(grid, wg)
     work = np.multiply(np.sqrt(vsq), wg)  # the one work buffer
     a = l2_norms(grid, work) ** 2
@@ -273,7 +259,7 @@ def energy_monitor(
     np.multiply(1j * grid.axis_frequencies, grad, out=grad)
     np.fft.ifft(grad, axis=-1, norm="ortho", out=grad)
     diss = a + rp.eps * l2_norms(grid, grad) ** 2 + rp.eps * c
-    integral = float(_trapezoid(diss, traj.times))
+    integral = float(np.trapezoid(diss, times))
     src = 0.0
     if source_traj is not None:
         snorms = l2_norms(grid, np.multiply(weights, source_traj, out=work))
@@ -281,7 +267,6 @@ def energy_monitor(
     residuals = wnorms[:-1] + src - wnorms[1:]
     violations = np.flatnonzero(residuals < -GROENWALL_TOL * np.maximum(wnorms[:-1], 1.0)).tolist()
     return EnergyReport(
-        times=traj.times,
         weighted_norms=wnorms,
         dissipation_integrand=diss,
         dissipation_integral=integral,
@@ -331,18 +316,14 @@ def moments(
     return KineticMoments(mass=mass, energy=energy, entropy=entropy, flags=flags)
 
 
-def _state_axes(traj: Trajectory) -> tuple[int, ...]:
-    return tuple(range(1, traj.states.ndim))
-
-
-def positivity_series(traj: Trajectory) -> np.ndarray:
+def positivity_series(states: np.ndarray) -> np.ndarray:
     """Minimum real sample per snapshot; measurement only, never judged."""
-    return np.min(traj.states.real, axis=_state_axes(traj))
+    return np.min(states.real, axis=tuple(range(1, states.ndim)))
 
 
-def mass_series(rp: RegularizedProblem, traj: Trajectory) -> np.ndarray:
+def mass_series(rp: RegularizedProblem, states: np.ndarray) -> np.ndarray:
     cell = rp.grid.spacing if not rp.x_points else rp.grid.spacing / rp.x_points
-    return cell * np.sum(traj.states.real, axis=_state_axes(traj))
+    return cell * np.sum(states.real, axis=tuple(range(1, states.ndim)))
 
 
 # --- Picard iteration ----------------------------------------------------------
@@ -359,7 +340,7 @@ class PicardState:
     attempts: list[list]  # [t_final, iterations, stop reason] of each attempt, the returned one last
     fixed_point_residual: float
     energy: EnergyReport
-    final_trajectory: Trajectory
+    final_states: np.ndarray
 
     def summary(self) -> dict:
         return {
@@ -467,11 +448,10 @@ def picard_iterate(
     if not math.isfinite(l2_norms(rp.grid, weight_values(rp.grid, rp.a0, 0.0) * f_in)):
         raise SolverError("weighted norm of the initial datum is not finite")
     # one workspace for every march of the call: two trajectories that swap
-    # roles each iterate, the source S_n and (dt/2) S_(n+1)
+    # roles each iterate, and the source
     prev, current, source = (
         np.empty((rp.steps + 1, rp.grid.points_per_axis), dtype=complex) for _ in range(3)
     )
-    work = np.empty_like(source[1:])
     problem = rp
     retries = 0
     attempts = []
@@ -483,7 +463,7 @@ def picard_iterate(
         ratios: list[float] = []
         for n in range(1, n_max + 1):
             src = _dissipative_source(problem, prev, out=source) if n > 1 else None
-            integrate(problem, f_in, source_traj=src, out=current, work=work)
+            integrate(problem, f_in, source_traj=src, out=current)
             diffs.append(_weighted_sup_diff(problem.grid, weights, current, prev))  # prev is spent
             if len(diffs) >= 2 and diffs[-2] > 0:
                 ratios.append(diffs[-1] / diffs[-2])
@@ -499,10 +479,10 @@ def picard_iterate(
         problem = replace(problem, t_final=problem.t_final / 2.0)
     # fixed-point residual: rerun with the source built from the limit (prev)
     final_source = _dissipative_source(problem, prev, out=source)
-    traj = integrate(problem, f_in, source_traj=final_source, out=current, work=work)
-    residual = _weighted_sup_diff(problem.grid, weights, traj.states, prev)
-    del prev, work  # spent; freed before the monitor's work buffers are built
-    energy = energy_monitor(traj, problem, source_traj=final_source)
+    states = integrate(problem, f_in, source_traj=final_source, out=current)
+    residual = _weighted_sup_diff(problem.grid, weights, states, prev)
+    del prev  # spent; freed before the monitor's work buffers are built
+    energy = energy_monitor(states, problem, source_traj=final_source)
     return PicardState(
         problem=problem,
         iterations=len(diffs),
@@ -513,5 +493,5 @@ def picard_iterate(
         attempts=attempts,
         fixed_point_residual=residual,
         energy=energy,
-        final_trajectory=traj,
+        final_states=states,
     )

@@ -32,7 +32,7 @@ def picard_fresh(f_in: np.ndarray, rp: solver.RegularizedProblem, n_max: int) ->
         ratios: list[float] = []
         for n in range(1, n_max + 1):
             source = solver._dissipative_source(problem, prev) if n > 1 else None
-            current = solver.integrate(problem, f_in, source_traj=source).states
+            current = solver.integrate(problem, f_in, source_traj=source)
             diffs.append(solver._weighted_sup_diff(problem.grid, weights, current, prev))
             if len(diffs) >= 2 and diffs[-2] > 0:
                 ratios.append(diffs[-1] / diffs[-2])
@@ -46,8 +46,8 @@ def picard_fresh(f_in: np.ndarray, rp: solver.RegularizedProblem, n_max: int) ->
         retries += 1
         problem = replace(problem, t_final=problem.t_final / 2.0)
     final_source = solver._dissipative_source(problem, prev)
-    traj = solver.integrate(problem, f_in, source_traj=final_source)
-    residual = solver._weighted_sup_diff(problem.grid, weights, traj.states, prev)
+    states = solver.integrate(problem, f_in, source_traj=final_source)
+    residual = solver._weighted_sup_diff(problem.grid, weights, states, prev)
     return SimpleNamespace(
         difference_norms=diffs,
         ratios=ratios,
@@ -55,7 +55,7 @@ def picard_fresh(f_in: np.ndarray, rp: solver.RegularizedProblem, n_max: int) ->
         retries=retries,
         attempts=attempts,
         fixed_point_residual=residual,
-        states=traj.states,
+        states=states,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -85,8 +86,8 @@ def test_scalar_global_order_richardson():
 def test_zero_source_norm_decreasing():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g)
-    norms = [np.linalg.norm(s) for s in traj.states]
+    states = integrate(rp, g)
+    norms = [np.linalg.norm(s) for s in states]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
@@ -96,7 +97,7 @@ def test_single_mode_pure_diffusion_factor():
     eta3 = grid.axis_frequencies[3]
     v = grid.axis_points
     g0 = np.exp(1j * eta3 * v)
-    traj = integrate(rp, g0)
+    states = integrate(rp, g0)
     # v-independent |g|: the pointwise factor acts pointwise; the Fourier
     # factor multiplies the single mode by exp(-eps dt eta^2) exactly
     pw = np.exp(-rp.eps * rp.dt * grid.v_bracket_sq ** (1 / (1 - PRM.s) / 1) ** 1)
@@ -111,7 +112,7 @@ def test_single_mode_pure_diffusion_factor():
             norm="ortho",
         )
         expected = np.exp(-0.5 * rp.eps * rp.dt * grid.v_bracket_sq ** 2) * expected
-    assert np.max(np.abs(traj.states[-1] - expected)) <= 1e-12
+    assert np.max(np.abs(states[-1] - expected)) <= 1e-12
 
 
 def _per_step_oracle(rp, f_in, source_traj=None):
@@ -173,12 +174,11 @@ def test_march_is_bit_identical_to_the_per_step_formula():
     g0 = gaussian_datum(rp.grid)
     full = (rp.steps + 1,) + rp.grid.shape
     for src in (None, _band_source(rp.grid, rp.steps, 1), _complex_source(full, 2)):
-        states = integrate(rp, g0, source_traj=src).states
+        states = integrate(rp, g0, source_traj=src)
         assert np.array_equal(states, _per_step_oracle(rp, g0, src))
-        # into given buffers: every entry is overwritten, whatever they held
+        # into a given buffer: every entry is overwritten, whatever it held
         out = np.full(full, np.nan, dtype=complex)
-        work = np.full((rp.steps,) + rp.grid.shape, np.nan, dtype=complex)
-        assert integrate(rp, g0, source_traj=src, out=out, work=work).states is out
+        assert integrate(rp, g0, source_traj=src, out=out) is out
         assert np.array_equal(out, states)
     # space axis on: the batched source half is the full two-axis H
     grid = VelocityGrid(64, 4.0)
@@ -186,29 +186,36 @@ def test_march_is_bit_identical_to_the_per_step_formula():
     x = np.arange(8)[:, None] / 8.0
     gx = np.exp(-grid.v_bracket_sq) * (1.0 + 0.3 * np.sin(2 * np.pi * x))
     src = _complex_source((rpx.steps + 1, 8) + grid.shape, 3)
-    states = integrate(rpx, gx, source_traj=src).states
+    states = integrate(rpx, gx, source_traj=src)
     assert np.array_equal(states, _per_step_oracle(rpx, gx, src))
     out = np.full(src.shape, np.nan, dtype=complex)
-    work = np.full(src[1:].shape, np.nan, dtype=complex)
-    assert integrate(rpx, gx, source_traj=src, out=out, work=work).states is out
+    assert integrate(rpx, gx, source_traj=src, out=out) is out
     assert np.array_equal(out, states)
 
 
-# case -> (error message, f_in, out, work) from the datum g0, the source and
-# a good states buffer whose first state holds the datum
+# case -> (error message, f_in, source, out) from the datum g0, a good source
+# and a good states buffer whose first state holds the datum
 BAD_BUFFERS = {
-    "out-shape": lambda g0, src, good: ("out is complex128 (17, 128)", g0, good[:, ::2], None),
-    "out-one-state": lambda g0, src, good: ("out is complex128 (256,)", g0, good[0], None),
-    "out-complex64": lambda g0, src, good: ("out is complex64", g0, good.astype(np.complex64), None),
-    "out-real": lambda g0, src, good: ("out is float64", g0, good.real.copy(), None),
-    "out-is-the-source": lambda g0, src, good: ("out shares memory with source_traj", g0, src, None),
-    "out-holds-the-datum": lambda g0, src, good: ("out shares memory with f_in", good[0], good, None),
-    "work-shape": lambda g0, src, good: ("work is complex128 (17, 256)", g0, good, good.copy()),
-    "work-real": lambda g0, src, good: ("work is float64", g0, good, src[1:].real.copy()),
-    "work-in-the-source": lambda g0, src, good: (
-        "work shares memory with source_traj", g0, good, src[1:]
+    "out-shape": lambda g0, src, good: ("out is complex128 (17, 128)", g0, src, good[:, ::2]),
+    "out-one-state": lambda g0, src, good: ("out is complex128 (256,)", g0, src, good[0]),
+    "out-complex64": lambda g0, src, good: ("out is complex64", g0, src, good.astype(np.complex64)),
+    "out-real": lambda g0, src, good: ("out is float64", g0, src, good.real.copy()),
+    "out-is-the-source": lambda g0, src, good: ("out shares memory with source_traj", g0, src, src),
+    "out-holds-the-datum": lambda g0, src, good: ("out shares memory with f_in", good[0], src, good),
+    # a source one row short would end the march a step early
+    "source-one-row-short": lambda g0, src, good: (
+        "source_traj is (16, 256), the march needs (17, 256)", g0, src[:-1], good
     ),
-    "work-in-out": lambda g0, src, good: ("work shares memory with out", g0, good, good[1:]),
+    "source-one-row-long": lambda g0, src, good: (
+        "source_traj is (18, 256), the march needs (17, 256)", g0, np.concatenate([src, src[:1]]),
+        None,
+    ),
+    "source-wrong-width": lambda g0, src, good: (
+        "source_traj is (17, 128), the march needs (17, 256)", g0, src[:, ::2], good
+    ),
+    "source-one-state": lambda g0, src, good: (
+        "source_traj is (256,), the march needs (17, 256)", g0, src[0], None
+    ),
 }
 
 
@@ -219,12 +226,28 @@ def test_march_refuses_a_bad_buffer_before_any_step(case):
     g0 = gaussian_datum(rp.grid)
     good = np.full(src.shape, np.nan, dtype=complex)
     good[0] = g0
-    message, f_in, out, work = BAD_BUFFERS[case](g0, src, good)
-    arrays = [a for a in (f_in, src, out, work) if a is not None]
+    message, f_in, source, out = BAD_BUFFERS[case](g0, src, good)
+    arrays = [a for a in (f_in, source, out) if a is not None]
     kept = [a.copy() for a in arrays]
     with pytest.raises(SolverError, match="^" + re.escape(message)):
-        integrate(rp, f_in, source_traj=src, out=out, work=work)
+        integrate(rp, f_in, source_traj=source, out=out)
     assert all(np.array_equal(a, k, equal_nan=True) for a, k in zip(arrays, kept))
+
+
+def test_a_march_into_its_buffer_allocates_no_second_trajectory():
+    rp = make_problem(grid=VelocityGrid(512, 4.0), steps=256)
+    g0 = gaussian_datum(rp.grid)
+    src = _band_source(rp.grid, rp.steps, 9).astype(complex)
+    out = np.empty_like(src)
+    integrate(rp, g0, source_traj=src, out=out)  # warm: first-call caches are not the march's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        integrate(rp, g0, source_traj=src, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -267,9 +290,9 @@ def test_transform_counts_of_one_march_and_of_the_energy_monitor(monkeypatch):
         src = _band_source(rp.grid, steps, 5)
         # two sequential transforms per step, two batched ones for the source
         assert count(integrate, rp, g0)[0] == 2 * steps
-        n, traj = count(integrate, rp, g0, source_traj=src)
+        n, states = count(integrate, rp, g0, source_traj=src)
         assert n == 2 * steps + 2
-        monitor_counts.add(count(energy_monitor, traj, rp, source_traj=src)[0])
+        monitor_counts.add(count(energy_monitor, states, rp, source_traj=src)[0])
     assert len(monitor_counts) == 1
 
 
@@ -291,7 +314,7 @@ def test_unregularized_step_is_the_np_fft_ortho_round_trip(n):
     # a kernel scaled by another ortho factor than np.fft's changes its bits
     rp = make_problem(grid=VelocityGrid(n, 4.0), eps=0.0, steps=4)
     x = _complex_source((n,), n)
-    states = integrate(rp, x).states
+    states = integrate(rp, x)
     assert np.array_equal(states[1], np.fft.ifft(np.fft.fft(x, norm="ortho"), norm="ortho"))
 
 
@@ -307,23 +330,23 @@ def test_stacked_norms_match_the_per_row_oracle():
     rp = make_problem(steps=32)
     grid, steps = rp.grid, rp.steps
     src = _band_source(grid, steps, 7)
-    traj = integrate(rp, gaussian_datum(grid), source_traj=src)
-    prev = integrate(rp, gaussian_datum(grid)).states
-    w = weight_values(grid, rp.a0, traj.times[:, None])
-    want = max(_row_l2(grid, wn * (a - b)) for wn, a, b in zip(w, traj.states, prev))
-    got = solver._weighted_sup_diff(grid, w, traj.states, prev)
+    states = integrate(rp, gaussian_datum(grid), source_traj=src)
+    prev = integrate(rp, gaussian_datum(grid))
+    w = weight_values(grid, rp.a0, rp.times[:, None])
+    want = max(_row_l2(grid, wn * (a - b)) for wn, a, b in zip(w, states, prev))
+    got = solver._weighted_sup_diff(grid, w, states, prev)
     assert got == pytest.approx(want, rel=ROW_NORM_RTOL, abs=0)
-    rep = energy_monitor(traj, rp, source_traj=src)
-    wnorms = np.array([_row_l2(grid, wn * g) for wn, g in zip(w, traj.states)])
+    rep = energy_monitor(states, rp, source_traj=src)
+    wnorms = np.array([_row_l2(grid, wn * g) for wn, g in zip(w, states)])
     np.testing.assert_allclose(rep.weighted_norms, wnorms, rtol=ROW_NORM_RTOL, atol=0)
     vsq = grid.v_bracket_sq
-    spectrum = np.fft.fft(w * traj.states, norm="ortho")
+    spectrum = np.fft.fft(w * states, norm="ortho")
     grad = np.fft.ifft(1j * grid.axis_frequencies * spectrum, norm="ortho")
     diss = [
         _row_l2(grid, np.sqrt(vsq) * row) ** 2
         + rp.eps * _row_l2(grid, g) ** 2
         + rp.eps * _row_l2(grid, vsq ** (1.0 / (2.0 * (1.0 - rp.prm.s))) * row) ** 2
-        for row, g in zip(w * traj.states, grad)
+        for row, g in zip(w * states, grad)
     ]
     np.testing.assert_allclose(rep.dissipation_integrand, diss, rtol=ROW_NORM_RTOL, atol=0)
 
@@ -344,8 +367,7 @@ def test_picard_rejects_the_space_axis():
 def test_weighted_contraction_zero_source():
     rp = make_problem()
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g)
-    rep = energy_monitor(traj, rp)
+    rep = energy_monitor(integrate(rp, g), rp)
     assert not rep.violations
     assert rep.sup_weighted_norm <= rep.weighted_norms[0] * (1 + 1e-12)
 
@@ -356,9 +378,9 @@ def test_energy_monitor_eps_scaling_of_dissipation():
     g = gaussian_datum(grid)
     rp1 = make_problem(grid=grid, eps=0.1)
     rp2 = make_problem(grid=grid, eps=0.2)
-    traj = integrate(rp1, g)
-    rep1 = energy_monitor(traj, rp1)
-    rep2 = energy_monitor(traj, rp2)  # same states, different eps bookkeeping
+    states = integrate(rp1, g)
+    rep1 = energy_monitor(states, rp1)
+    rep2 = energy_monitor(states, rp2)  # same states, different eps bookkeeping
     base = rep1.dissipation_integrand - 0.1 * (
         (rep2.dissipation_integrand - rep1.dissipation_integrand) / 0.1
     )
@@ -378,8 +400,7 @@ def test_groenwall_residuals_with_source_random_suite():
         band = np.exp(-grid.v_bracket_sq) * rough
         g0 = np.exp(-grid.v_bracket_sq) * (1 + 0.3 * rough)
         src = np.broadcast_to(band, (rp.steps + 1,) + grid.shape).copy()
-        traj = integrate(rp, g0, source_traj=src)
-        rep = energy_monitor(traj, rp, source_traj=src)
+        rep = energy_monitor(integrate(rp, g0, source_traj=src), rp, source_traj=src)
         assert not rep.violations, f"run {run}: steps {rep.violations}"
 
 
@@ -431,8 +452,7 @@ def test_positivity_pure_pointwise_decay():
     # measured through the full splitting it may dip by rounding only
     rp = make_problem(steps=16, t_final=0.1)
     g = gaussian_datum(rp.grid)
-    traj = integrate(rp, g)
-    mins = positivity_series(traj)
+    mins = positivity_series(integrate(rp, g))
     assert mins[0] >= 0.0
     assert mins.min() >= -1e-8 * float(np.max(np.abs(g)))
 
@@ -441,8 +461,7 @@ def test_positivity_negative_lobe_reported():
     rp = make_problem(steps=16, t_final=0.1)
     v = rp.grid.axis_points
     g = np.exp(-rp.grid.v_bracket_sq) * v  # odd: negative lobe
-    traj = integrate(rp, g)
-    mins = positivity_series(traj)
+    mins = positivity_series(integrate(rp, g))
     assert mins[0] < 0.0
 
 
@@ -451,13 +470,13 @@ def test_series_equal_the_per_state_reductions(x_points):
     rp = make_problem(steps=16, t_final=0.1, x_points=x_points)
     rng = np.random.default_rng(8)
     shape = ((x_points,) if x_points else ()) + rp.grid.shape
-    traj = integrate(rp, gaussian_datum(rp.grid) * (1.0 + 0.5 * rng.standard_normal(shape)))
-    mins = positivity_series(traj)
+    states = integrate(rp, gaussian_datum(rp.grid) * (1.0 + 0.5 * rng.standard_normal(shape)))
+    mins = positivity_series(states)
     assert mins.shape == (rp.steps + 1,)
-    assert np.array_equal(mins, [np.min(s.real) for s in traj.states])
+    assert np.array_equal(mins, [np.min(s.real) for s in states])
     cell = rp.grid.spacing / (x_points or 1)
-    want = [cell * np.sum(s.real) for s in traj.states]
-    masses = mass_series(rp, traj)
+    want = [cell * np.sum(s.real) for s in states]
+    masses = mass_series(rp, states)
     if x_points:  # the per-state sum may group a 2-D state in another order
         np.testing.assert_allclose(masses, want, rtol=1e-14, atol=0)
     else:
@@ -467,7 +486,7 @@ def test_series_equal_the_per_state_reductions(x_points):
 def test_moments_of_a_stack_equal_the_per_state_moments():
     rp = make_problem(steps=32)
     state = picard_iterate(gaussian_datum(rp.grid), rp, n_max=10)
-    states = state.final_trajectory.states
+    states = state.final_states
     caps = dict(m0=1.3, m_cap=0.3, e_cap=0.155, h_cap=0.06)  # each flag takes both values
     stacked = moments(rp.grid, states, **caps)
     single = [moments(rp.grid, g, **caps) for g in states]
@@ -486,8 +505,7 @@ def test_transport_conserves_mass():
     rng = np.random.default_rng(7)
     base = np.exp(-grid.v_bracket_sq)
     g0 = np.array([base * (1 + 0.2 * math.sin(2 * math.pi * m / 16)) for m in range(16)])
-    traj = integrate(rp, g0)
-    masses = mass_series(rp, traj)
+    masses = mass_series(rp, integrate(rp, g0))
     drift = abs(masses[-1] - masses[0]) / rp.t_final
     assert drift <= 1e-10 * abs(masses[0]) / rp.t_final + 1e-12
 
@@ -506,11 +524,11 @@ def test_picard_first_difference_is_first_iterate():
     state = picard_iterate(f_in, rp, n_max=3)
     # g^0 = 0, so the first recorded difference is sup_t ||w g^1||
     src = np.zeros((rp.steps + 1,) + rp.grid.shape, dtype=complex)
-    traj = integrate(rp, f_in, source_traj=src)
+    states = integrate(rp, f_in, source_traj=src)
     worst = 0.0
     for n in range(rp.steps + 1):
-        w = weight_values(rp.grid, rp.a0, traj.times[n])
-        worst = max(worst, math.sqrt(rp.grid.spacing) * np.linalg.norm(w * traj.states[n]))
+        w = weight_values(rp.grid, rp.a0, rp.times[n])
+        worst = max(worst, math.sqrt(rp.grid.spacing) * np.linalg.norm(w * states[n]))
     assert state.difference_norms[0] == pytest.approx(worst, rel=1e-12)
 
 
@@ -556,7 +574,7 @@ def test_a_retried_attempt_is_not_finished(monkeypatch):
     assert state.iterations == attempts[1] == direct.iterations
     assert state.difference_norms == direct.difference_norms
     assert state.fixed_point_residual == direct.fixed_point_residual
-    assert np.array_equal(state.final_trajectory.states, direct.final_trajectory.states)
+    assert np.array_equal(state.final_states, direct.final_states)
     assert state.problem.t_final == rp.t_final / 2.0
 
 
@@ -581,7 +599,7 @@ def test_picard_workspace_equals_the_fresh_allocation_loop_bit_for_bit(config):
     assert state.ratios == ref.ratios
     assert state.contraction == ref.contraction
     assert state.fixed_point_residual == ref.fixed_point_residual
-    assert np.array_equal(state.final_trajectory.states, ref.states)
+    assert np.array_equal(state.final_states, ref.states)
 
 
 @pytest.mark.parametrize("config", RETRYING_PICARD)
@@ -648,7 +666,7 @@ def test_picard_limit_is_the_direct_solve_of_its_fixed_point(case):
     f_in = gaussian_datum(rp.grid)
     state = picard_iterate(f_in, rp, n_max=30)
     assert state.contraction
-    distance = distance_to_direct_solve(state.problem, state.final_trajectory.states, f_in)
+    distance = distance_to_direct_solve(state.problem, state.final_states, f_in)
     assert distance <= DIRECT_SOLVE_RTOL
 
 
@@ -678,7 +696,7 @@ def test_a_wrong_source_passes_the_residual_but_not_the_direct_solve(case, wrong
     monkeypatch.setattr(solver, "_dissipative_source", wrong(solver._dissipative_source))
     state = picard_iterate(f_in, rp, n_max=30)
     assert state.fixed_point_residual <= cli.PICARD_FIXED_POINT_TOL  # the residual cannot tell
-    distance = distance_to_direct_solve(state.problem, state.final_trajectory.states, f_in)
+    distance = distance_to_direct_solve(state.problem, state.final_states, f_in)
     assert distance > DIRECT_SOLVE_RTOL
 
 
