@@ -621,10 +621,9 @@ def emit_plot_data(report_dir: str, kind: str, out_path: str) -> str:
             fit = json.load(fh)
         j0, j1 = fit["j_range"]
         slope, c = fit["slope"], math.log2(fit["constant"])
-        exps = fit.get("shell_exponents") or [""] * (j1 - j0 + 1)
         rows = [
             [j, e, 2.0 ** (slope * j + c)]
-            for j, e in zip(range(j0, j1 + 1), exps)
+            for j, e in zip(range(j0, j1 + 1), fit["shell_exponents"])
         ]
         write_csv(out_path, ["j", "E_j", "fitted_line"], rows)
     elif kind == "picard-ratios":

@@ -91,13 +91,11 @@ def _max_shell(largest: float) -> int:
     return top
 
 
-@lru_cache(maxsize=8)
 def max_phase_shell(grid: VelocityGrid) -> int:
     """Largest k whose phase ring is nonzero somewhere on the grid."""
-    return _max_shell(grid.v_max)
+    return _max_shell(grid.half_width)
 
 
-@lru_cache(maxsize=8)
 def max_freq_shell(grid: VelocityGrid) -> int:
     """Largest j whose frequency ring is nonzero somewhere on the grid."""
     return _max_shell(grid.eta_max)

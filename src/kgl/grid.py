@@ -95,11 +95,6 @@ class VelocityGrid:
         return np.abs(self.axis_frequencies)
 
     @property
-    def v_max(self) -> float:
-        """max(v_abs) without the array: |v| at the first point, -L."""
-        return self.half_width
-
-    @property
     def eta_max(self) -> float:
         """max(eta_abs) without the array, at the Nyquist mode formed as
         ``axis_frequencies`` forms it: 2 pi times fftfreq's (N/2) / (N spacing)."""
@@ -221,7 +216,7 @@ def load_field(path: str) -> tuple[VelocityGrid, np.ndarray]:
     if axes != 1:
         raise GridError(f"container names {axes} axes; the velocity grid has one")
     if n > MAX_GRID_SAMPLES:
-        raise GridError(f"{n}**1 samples exceed the {MAX_GRID_SAMPLES} a grid may hold")
+        raise GridError(f"{n} samples exceed the {MAX_GRID_SAMPLES} a grid may hold")
     grid = VelocityGrid(points_per_axis=n, half_width=half_width)
     payload = data[len(CONTAINER_MAGIC) + struct.calcsize(CONTAINER_HEADER) :]
     if len(payload) != 16 * n:

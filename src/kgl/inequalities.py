@@ -15,7 +15,7 @@ import numpy as np
 
 from kgl.corpus import dilation_family
 from kgl.grid import VelocityGrid, half_power, half_spectrum, half_symbol
-from kgl.multipliers import MultiplierError, weighted_sobolev_norm, weighted_sobolev_norms
+from kgl.multipliers import weighted_sobolev_norm, weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 
 
@@ -32,7 +32,6 @@ class InequalityWitness:
     in reports.
     """
 
-    inequality_id: str
     lhs: np.ndarray
     rhs: np.ndarray
     constant_used: float
@@ -87,7 +86,6 @@ def verify_interpolation_tau(
     theta = 2.0 / (2.0 - prm.gamma)
     product_rhs = b_term**theta * a_term ** (1.0 - theta)
     return InequalityWitness(
-        inequality_id="interpolation-tau",
         lhs=lhs,
         rhs=a_term + b_term,
         constant_used=1.0,
@@ -116,7 +114,6 @@ def verify_weighted_eps_split(
     lhs, grad, wpart = _eps_split_norms(grid, u, s)
     _finite_or_raise(lhs, grad, wpart)
     return InequalityWitness(
-        inequality_id="weighted-eps-split",
         lhs=lhs,
         rhs=eps * grad + constant * wpart,
         constant_used=constant,
@@ -231,7 +228,6 @@ def verify_composition_bound(
         np.maximum(*agree) <= AGREEMENT_FACTOR
     )
     return InequalityWitness(
-        inequality_id="composition-hs",
         lhs=lhs,
         rhs=constant * rhs_norm,
         constant_used=constant,
@@ -260,7 +256,7 @@ def verify_regularizer_bounds(
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0.0) & (theta <= 1.0)):
-        raise MultiplierError(f"theta={theta} outside (0, 1]")
+        raise InequalityInputError(f"theta={theta} outside (0, 1]")
     th = theta.reshape(theta.shape + (1,))
     derivative_sq = th * half_symbol(grid.axis_frequencies) ** 2
     resolvent_sq = 1.0 / (1.0 + th * half_symbol(grid.eta_abs) ** 2) ** 2
@@ -272,7 +268,6 @@ def verify_regularizer_bounds(
         sums.append(np.sum(power, axis=-1))
     base, *term_norms = np.sqrt(sums)
     return InequalityWitness(
-        inequality_id="regularizer-triple",
         lhs=term_norms[0] + term_norms[1] + term_norms[2],
         rhs=3.0 * base,
         constant_used=3.0,

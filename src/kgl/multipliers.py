@@ -14,10 +14,6 @@ from kgl.grid import (
 )
 
 
-class MultiplierError(ValueError):
-    pass
-
-
 def weighted_sobolev_norms(grid: VelocityGrid, u: np.ndarray, pairs) -> np.ndarray:
     """|| <v>^p <D>^m u || for each (p, m) in ``pairs``, row i for pair i.
 

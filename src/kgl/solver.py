@@ -88,7 +88,7 @@ class RegularizedProblem:
             raise SolverError(f"eps={self.eps} outside [0, 1]")
         if not 0 < self.a0 < math.inf:
             raise SolverError(f"a0={self.a0} must be positive and finite")
-        v_max = self.grid.v_max
+        v_max = self.grid.half_width
         if not self.a0 * (1.0 + v_max * v_max) <= WEIGHT_EXPONENT_MAX:
             raise SolverError(
                 f"a0={self.a0} overflows the weight exp(a0 <v>^2), squared in the weighted norms, "
@@ -164,6 +164,8 @@ def integrate(
     steps = rp.steps
     shape = (rp.x_points, rp.grid.points_per_axis) if rp.x_points else (rp.grid.points_per_axis,)
     full = (steps + 1,) + shape
+    if np.shape(f_in) != shape:
+        raise SolverError(f"f_in is {np.shape(f_in)}, the march needs {shape}")
     if source_traj is not None and np.shape(source_traj) != full:
         raise SolverError(f"source_traj is {np.shape(source_traj)}, the march needs {full}")
     if out is not None:
@@ -173,7 +175,7 @@ def integrate(
             if arr is not None and np.shares_memory(out, arr):
                 raise SolverError(f"out shares memory with {name}")
     states = np.empty(full, dtype=complex) if out is None else out
-    states[0] = np.asarray(f_in, dtype=complex).reshape(shape)
+    states[0] = f_in
     homogeneous = _homogeneous_map(rp)
     if source_traj is None:
         for n in range(steps):
@@ -411,8 +413,6 @@ def _eventually_contracting(diffs: list[float]) -> bool:
     rounding floor of the weighted norm; the ``RATIO_WINDOW`` consecutive
     ratios ending there must all stay at or below ``RATIO_THRESHOLD``.
     """
-    if not diffs:
-        return False
     if max(diffs) == 0.0:
         return True  # identically zero sequence contracts vacuously
     m = int(np.argmin(diffs))
@@ -453,29 +453,24 @@ def picard_iterate(
         np.empty((rp.steps + 1, rp.grid.points_per_axis), dtype=complex) for _ in range(3)
     )
     problem = rp
-    retries = 0
     attempts = []
     while True:
         # one weight table per attempt, read by its differences and its residual
         weights = weight_values(problem.grid, problem.a0, problem.times[:, None])
         prev.fill(0.0)  # g^0
         diffs: list[float] = []
-        ratios: list[float] = []
         for n in range(1, n_max + 1):
             src = _dissipative_source(problem, prev, out=source) if n > 1 else None
             integrate(problem, f_in, source_traj=src, out=current)
             diffs.append(_weighted_sup_diff(problem.grid, weights, current, prev))  # prev is spent
-            if len(diffs) >= 2 and diffs[-2] > 0:
-                ratios.append(diffs[-1] / diffs[-2])
             prev, current = current, prev
             if reason := _stop_reason(diffs):
                 break
         attempts.append([problem.t_final, len(diffs), reason or "nmax"])
         contraction = _eventually_contracting(diffs)
-        if contraction or retries >= MAX_RETRIES:
+        if contraction or len(attempts) > MAX_RETRIES:
             break
         del weights  # a retried attempt's table is dropped before the next is built
-        retries += 1
         problem = replace(problem, t_final=problem.t_final / 2.0)
     # fixed-point residual: rerun with the source built from the limit (prev)
     final_source = _dissipative_source(problem, prev, out=source)
@@ -487,9 +482,9 @@ def picard_iterate(
         problem=problem,
         iterations=len(diffs),
         difference_norms=diffs,
-        ratios=ratios,
+        ratios=[b / a for a, b in zip(diffs, diffs[1:]) if a > 0],
         contraction=contraction,
-        retries=retries,
+        retries=len(attempts) - 1,
         attempts=attempts,
         fixed_point_residual=residual,
         energy=energy,

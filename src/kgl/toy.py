@@ -70,8 +70,6 @@ def effective_coefficient(
     blending to the constant edge value beyond ``BLEND_START * L`` restores
     smooth periodicity.  Data in acceptance runs is below 1e-300 there.
     """
-    if gamma == 0.0:
-        return np.ones(grid.shape)
     raw = grid.v_bracket_sq ** (gamma / 2.0)
     r = grid.v_abs
     lo = BLEND_START * grid.half_width

@@ -119,9 +119,17 @@ def test_plot_data_of_a_missing_or_truncated_artifact_exits_2(tmp_path, capsys):
         fh.write(text[: len(text) // 2])
     truncated = ["plot-data", "--report-dir", cfg.out_dir, "--kind", "picard-ratios"]
     assert main(truncated + ["--out", str(tmp_path / "ratios.csv")]) == 2
+    # a fit without its shell exponents is malformed, not a blank E_j column
+    (tmp_path / "fit").mkdir()
+    fit = {"j_range": [0, 7], "slope": 0.6, "constant": 1.0}
+    (tmp_path / "fit" / "gevrey_fit.json").write_text(json.dumps(fit))
+    no_exponents = ["plot-data", "--report-dir", str(tmp_path / "fit"), "--kind", "gevrey-fit"]
+    assert main(no_exponents + ["--out", str(tmp_path / "fit.csv")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("kgl: error: plot-data ") for line in err)
+    assert len(err) == 3 and all(line.startswith("kgl: error: plot-data ") for line in err)
     assert "FileNotFoundError" in err[0] and "JSONDecodeError" in err[1]
+    assert err[2].startswith("kgl: error: plot-data gevrey-fit ")
+    assert err[2].endswith("KeyError: 'shell_exponents'")
     assert not (tmp_path / "fit.csv").exists() and not (tmp_path / "ratios.csv").exists()
 
 
@@ -457,6 +465,14 @@ SMALL_RUNS = {
 }
 
 
+def _run_outputs(rep):
+    """A run's artifact bytes in write order, and its report text without timing and paths."""
+    *artifacts, report = rep.artifacts
+    payload = json.loads(Path(report).read_text())
+    del payload["wall_clock_seconds"], payload["artifacts"], payload["config"]["out_dir"]
+    return [Path(path).read_bytes() for path in artifacts], json.dumps(payload, sort_keys=True)
+
+
 @pytest.mark.parametrize("experiment", sorted(RUNNERS))
 def test_runners_write_nothing_and_run_writes_their_files_in_order(tmp_path, monkeypatch, experiment):
     monkeypatch.chdir(tmp_path)
@@ -479,6 +495,9 @@ def test_runners_write_nothing_and_run_writes_their_files_in_order(tmp_path, mon
     assert (rep.checks, rep.metrics.keys()) == (checks, metrics.keys())
     if experiment == "evolve-toy":
         assert [name for name in files if name.endswith(".kgl")] == ["toy_t0.5000.kgl", "toy_t1.0000.kgl"]
+    # a second run in the same process writes the same bytes and the same report
+    again = run(make_cfg(tmp_path / "again", experiment, **SMALL_RUNS[experiment]))
+    assert _run_outputs(again) == _run_outputs(rep)
 
 
 def test_params_are_coerced_to_the_types_of_the_defaults(tmp_path):

@@ -8,8 +8,8 @@ from kgl.grid import (
     half_symbol,
     l2_norms,
 )
-from kgl.inequalities import gagliardo_hs_norm_sq, verify_regularizer_bounds
-from kgl.multipliers import MultiplierError, weighted_sobolev_norm, weighted_sobolev_norms
+from kgl.inequalities import InequalityInputError, gagliardo_hs_norm_sq, verify_regularizer_bounds
+from kgl.multipliers import weighted_sobolev_norm, weighted_sobolev_norms
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem, SolverError, weight_values
 from tests import per_field
@@ -100,7 +100,7 @@ def test_weight_rejects_late_time(grid1d_small):
 def test_regularizer_rejects_theta_out_of_range(grid1d_small):
     f = np.ones(grid1d_small.shape)
     for theta in (0.0, -0.5, 1.5, [0.5, 2.0]):
-        with pytest.raises(MultiplierError, match="theta"):
+        with pytest.raises(InequalityInputError, match="theta"):
             verify_regularizer_bounds(grid1d_small, np.stack([f, f]), theta)
 
 

@@ -216,6 +216,11 @@ BAD_BUFFERS = {
     "source-one-state": lambda g0, src, good: (
         "source_traj is (256,), the march needs (17, 256)", g0, src[0], None
     ),
+    # a datum of another shape is refused, not reshaped, even at the state's size
+    "datum-one-row-stack": lambda g0, src, good: (
+        "f_in is (1, 256), the march needs (256,)", g0[None], src, good
+    ),
+    "datum-half-width": lambda g0, src, good: ("f_in is (128,), the march needs (256,)", g0[::2], src, good),
 }
 
 
@@ -232,6 +237,14 @@ def test_march_refuses_a_bad_buffer_before_any_step(case):
     with pytest.raises(SolverError, match="^" + re.escape(message)):
         integrate(rp, f_in, source_traj=source, out=out)
     assert all(np.array_equal(a, k, equal_nan=True) for a, k in zip(arrays, kept))
+
+
+# a transposed datum has the state's size, so a reshape would march it as another field
+@pytest.mark.parametrize("datum", [(64, 8), (64,)], ids=["transposed", "velocity-only"])
+def test_space_axis_march_refuses_a_datum_not_of_the_state_shape(datum):
+    rp = make_problem(grid=VelocityGrid(64, 4.0), steps=16, x_points=8)
+    with pytest.raises(SolverError, match="^" + re.escape(f"f_in is {datum}, the march needs (8, 64)")):
+        integrate(rp, np.ones(datum))
 
 
 def test_a_march_into_its_buffer_allocates_no_second_trajectory():
