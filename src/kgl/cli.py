@@ -67,7 +67,8 @@ class ExperimentConfig:
     built here, once: ``prm``, ``grid``, ``problem`` (the ``ToyParams`` of
     evolve-toy, the ``RegularizedProblem`` of picard) and ``f0`` (evolve-toy's
     initial data at the config's seed, which must decay at the box edge);
-    their validation errors surface as :class:`ConfigError` before any work
+    their validation errors, and a value that overflows the grid's squared
+    brackets or that data, surface as :class:`ConfigError` before any work
     starts.
     """
 
@@ -101,13 +102,20 @@ class ExperimentConfig:
                     raise GridError(
                         f"grid_n = {p['grid_n']} exceeds the {MAX_GRID_SAMPLES} samples a grid may hold"
                     )
-                self.grid = VelocityGrid(p["grid_n"], p["grid_l"])
+                self.grid = grid = VelocityGrid(p["grid_n"], p["grid_l"])
+                _refuse_overflow(
+                    name, "grid_l", p["grid_l"], "1 + |v|^2 or 1 + |eta|^2 on the grid",
+                    lambda: (grid.v_bracket_sq, grid.eta_bracket_sq),
+                )
             if name == "evolve-toy":
                 self.problem = toy.ToyParams(
                     prm=self.prm, a0=p["a0"], t_final=p["t_final"], grid=self.grid, steps=p["steps"]
                 )
-                self.f0 = toy.weighted_broadband_data(
-                    self.grid, p["a0"], seed=self.seed, rough_amplitude=p["rough_amplitude"]
+                self.f0 = _refuse_overflow(
+                    name, "a0", p["a0"], "the initial weight exp(-a0 <v>^2)",
+                    lambda: toy.weighted_broadband_data(
+                        self.grid, p["a0"], seed=self.seed, rough_amplitude=p["rough_amplitude"]
+                    ),
                 )
                 toy.check_edge_decay(self.f0)
             elif name == "picard":
@@ -148,6 +156,15 @@ class ExperimentConfig:
                 f"[{name}] rho = {p['rho']} must keep rho**{top - 1} and the ledger values "
                 f"L(1..{top + 1}) normal floats, about {lo:.3g} <= rho <= {hi:.3g}"
             )
+
+
+def _refuse_overflow(experiment: str, key: str, value, what: str, build):
+    """``build()`` with float overflow raised: an overflow is a ConfigError naming ``key``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return build()
+    except FloatingPointError as exc:
+        raise ConfigError(f"[{experiment}] {key} = {value!r} overflows {what} ({exc})") from None
 
 
 def _shell_weight_is_finite(j: int, s: float, t: float) -> bool:
@@ -368,6 +385,7 @@ def run_evolve_toy(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
         "blocks_compared": int(ratios.size),
         "final_l2": traj.norms[-1],
         "propagator_rank": traj.propagator_rank,
+        "marched_grids": [list(g) for g in traj.marched_grids],
     }
     return checks, metrics, files
 

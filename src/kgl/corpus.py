@@ -58,11 +58,14 @@ def band_limited(
 
     Coefficient magnitudes follow <eta>^-BAND_DECAY with uniform random phases;
     Hermitian symmetry is imposed by taking the real part.  Each member
-    draws its real then its imaginary parts from ``rng``.
+    draws its real then its imaginary parts from ``rng``.  The band is cut
+    on the integer mode index, |m| <= BAND_FRACTION (N // 2), so whether
+    the edge mode is kept does not hang on the rounding of its frequency.
     """
+    n = grid.points_per_axis
     draws = rng.standard_normal((count, 2) + grid.shape)
     amp = (draws[:, 0] + 1j * draws[:, 1]) * (grid.eta_bracket_sq ** (-BAND_DECAY / 2.0))
-    amp[:, grid.eta_abs > BAND_FRACTION * grid.nyquist] = 0.0
+    amp[:, np.abs(np.fft.fftfreq(n) * n) > BAND_FRACTION * (n // 2)] = 0.0
     return _normalized(grid, np.fft.ifft(amp, norm="ortho").real)
 
 

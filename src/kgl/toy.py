@@ -13,19 +13,22 @@ one statement of those exponents, E_j = min over k >= 0 of
 a0 2^(2k) + t 2^(2sj) 2^(gamma k), for any set of shells.
 
 :func:`evolve_toy` checks the law in one march: the field and the dyadic
-blocks of it whose decay can be compared are the rows of one stack,
-advanced together by one :class:`ToyStepper`.
+blocks of it whose decay can be compared advance together, each block on
+the coarsest grid of the box that holds its frequency ring and the
+coefficient's bandwidth (:func:`march_grid`), one stack and one
+:class:`ToyStepper` per grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from kgl.dyadic import (
+    PSI_SUPPORT_RADIUS,
     _bridge,
     frequency_rings,
     max_freq_shell,
@@ -187,11 +190,13 @@ class ToyTrajectory:
     ``norms``, ``final`` and ``snapshots`` follow f0.  The block arrays hold
     one entry per compared block: its shell indices j and k, its initial
     norm, and its measured and law-predicted decay exponents.
+    ``marched_grids`` holds one (points, rows, rank) triple per grid
+    marched, the full grid first.
     """
 
     norms: np.ndarray
     final: np.ndarray
-    propagator_rank: int
+    marched_grids: list[tuple[int, int, int]]
     block_j: np.ndarray
     block_k: np.ndarray
     block_norms: np.ndarray
@@ -202,6 +207,11 @@ class ToyTrajectory:
     @property
     def rate_ratios(self) -> np.ndarray:
         return self.measured_exponents / self.predicted_exponents
+
+    @property
+    def propagator_rank(self) -> int:
+        """The rank of the full grid's stepper, the one that marches f0."""
+        return self.marched_grids[0][2]
 
 
 def _check_shape(u: np.ndarray, grid: VelocityGrid) -> None:
@@ -214,6 +224,36 @@ def _check_shape(u: np.ndarray, grid: VelocityGrid) -> None:
 
 
 BLOCK_FLOOR = 1e-12  # a block is compared when its law-predicted final norm clears this
+# A coarse march drops the coefficient's spectrum above this share of its
+# mean.  What spills past the coarse Nyquist enters a block's squared norm,
+# so a spill of about sqrt(eps) costs rounding.
+SPILL_TOL = 1e-8
+
+
+def coefficient_bandwidth(grid: VelocityGrid, gamma: float) -> float:
+    """The largest |eta| where |rfft| of the effective coefficient exceeds SPILL_TOL of its mean mode.
+
+    The coefficient is analytic in a strip, so its spectrum decays
+    exponentially and the bandwidth sits far below the Nyquist (17.3 at the
+    evolve-toy defaults, against 201).
+    """
+    spectrum = np.abs(np.fft.rfft(effective_coefficient(grid, gamma)))
+    return float(np.max(half_symbol(grid.eta_abs)[spectrum > SPILL_TOL * spectrum[0]]))
+
+
+def march_grid(grid: VelocityGrid, j: int, bandwidth: float) -> VelocityGrid:
+    """The coarsest grid of the box whose Nyquist clears ring j's top plus ``bandwidth``.
+
+    Ring j lies below PSI_SUPPORT_RADIUS 2^(j+1), and a step multiplies by
+    functions of the coefficient, which spread it by about ``bandwidth``.
+    The coarse points are every (N / n)-th fine point, so the samples of a
+    block below the coarse Nyquist are its fine samples subsampled, exactly.
+    """
+    top = PSI_SUPPORT_RADIUS * 2.0 ** (j + 1) + bandwidth
+    n = grid.points_per_axis
+    while n > 8 and VelocityGrid(n // 2, grid.half_width).nyquist > top:
+        n //= 2
+    return VelocityGrid(n, grid.half_width)
 
 
 def evolve_toy(
@@ -226,46 +266,58 @@ def evolve_toy(
     A dyadic block Delta_j (phi_k f0) is compared when its law-predicted
     norm at t_final, exp(-t_final 2^(2sj) 2^(gamma k)) times its initial
     norm, is at least ``BLOCK_FLOOR`` (so its initial norm is too); the
-    other blocks are dropped before any step.  f0 and the compared blocks
-    are the rows of one stack, and each row is marched on its own by one
-    stepper.  The coefficient and symbol are blockwise within a bounded
-    ratio of their dyadic representatives, so a block's measured exponent
+    other blocks are dropped before any step.  Each compared block is
+    marched on its :func:`march_grid`, with the coefficient bandwidth
+    measured once per run; blocks that share a grid are the rows of one
+    stack, marched by that grid's own stepper.  f0 is row 0 of the full
+    grid's stack.  At the defaults the 24 compared blocks ride on the
+    4096-, 2048-, 1024- and 512-point grids, 1, 3, 8 and 12 of them.  The
+    coefficient and symbol are blockwise within a bounded ratio of their
+    dyadic representatives, so a block's measured exponent
     -ln(||b(T)|| / ||b(0)||) must land within a factor 4 of the predicted
     one.  The L2 norm of f0 is recorded after every step.
     """
     grid = p.grid
     _check_shape(f0, grid)
     check_edge_decay(f0)
+    bandwidth = coefficient_bandwidth(grid, p.prm.gamma)
     rings = half_symbol(frequency_rings(grid))
-    rows, blocks = [f0], []
+    stacks = {grid: [f0]}  # the rows of each grid marched
+    blocks, rows = [], []  # each compared block's metadata, and its (grid, row)
     for k, wk in enumerate(phase_rings(grid), start=-1):
         gh = np.fft.rfft(f0 * wk)
         projected = np.fft.irfft(rings * gh, grid.points_per_axis)
         for j, (b, norm) in enumerate(zip(projected, l2_norms(grid, projected)), start=-1):
             predicted = p.t_final * block_decay_rate(j, k, p.prm)
             if math.exp(-predicted) * norm >= BLOCK_FLOOR:
-                rows.append(b)
+                coarse = march_grid(grid, j, bandwidth)
+                stack = stacks.setdefault(coarse, [])
+                rows.append((coarse, len(stack)))
+                stack.append(b[:: grid.points_per_axis // coarse.points_per_axis])
                 blocks.append((j, k, norm, predicted))
-    stepper = ToyStepper(p)
-    u = np.array(rows)  # shape (1 + blocks,) + grid.shape
+    marched = sorted(stacks, key=lambda g: -g.points_per_axis)  # the full grid first
+    steppers = {g: ToyStepper(replace(p, grid=g)) for g in marched}
+    u = {g: np.array(stacks[g]) for g in marched}
     norms = [l2_norms(grid, f0)]
     snaps: list[tuple[float, np.ndarray]] = []
     for n in range(p.steps):
-        u = stepper.step(u)
-        f = u[0].copy()  # a snapshot keeps f alone, not the whole stack
+        for g in marched:
+            u[g] = steppers[g].step(u[g])
+        f = u[grid][0].copy()  # a snapshot keeps f alone, not the whole stack
         norms.append(l2_norms(grid, f))
         if snapshot_every and (n + 1) % snapshot_every == 0:
-            snaps.append(((n + 1) * stepper.dt, f))
+            snaps.append(((n + 1) * steppers[grid].dt, f))
+    finals = {g: l2_norms(g, u[g]) for g in marched}
     meta = np.array(blocks, dtype=float).reshape(-1, 4)
     # math.log as for the other scalars: numpy's vector log may differ by an ulp
     measured = [
-        -math.log(max(float(nb), 1e-300) / nb0)
-        for nb, nb0 in zip(l2_norms(grid, u[1:]), meta[:, 2])
+        -math.log(max(float(finals[g][row]), 1e-300) / nb0)
+        for (g, row), nb0 in zip(rows, meta[:, 2])
     ]
     return ToyTrajectory(
         norms=np.array(norms),
         final=f,
-        propagator_rank=stepper.rank,
+        marched_grids=[(g.points_per_axis, len(u[g]), steppers[g].rank) for g in marched],
         block_j=meta[:, 0].astype(int),
         block_k=meta[:, 1].astype(int),
         block_norms=meta[:, 2],

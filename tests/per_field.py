@@ -59,7 +59,8 @@ def band_limited(grid: VelocityGrid, rng: np.random.Generator) -> np.ndarray:
     amp = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (
         grid.eta_bracket_sq ** (-2.0 / 2.0)
     )
-    amp[grid.eta_abs > 0.5 * grid.nyquist] = 0.0
+    n = grid.points_per_axis
+    amp[np.abs(np.fft.fftfreq(n) * n) > 0.5 * (n // 2)] = 0.0
     return _unit(grid, np.fft.ifftn(amp, norm="ortho").real.astype(complex))
 
 

@@ -39,6 +39,16 @@ def test_corpus_members_equal_the_per_member_builder_bit_for_bit(grid, size, see
     assert np.array_equal(fam, want)
 
 
+@pytest.mark.parametrize("half_width", [16.0, 27.4263])
+def test_band_limited_members_keep_the_half_nyquist_mode(half_width):
+    # at L = 27.4263 the frequency of mode N/4 rounds one ulp above half the Nyquist
+    grid = VelocityGrid(1024, half_width)
+    spectra = np.abs(np.fft.rfft(corpus.band_limited(grid, np.random.default_rng(0), 4)))
+    edge = grid.points_per_axis // 4
+    assert np.all(spectra[:, edge] > 1e-6 * spectra.max(axis=1))
+    assert np.all(spectra[:, edge + 1 :] <= 1e-12 * spectra.max())
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 def test_weighted_norms_match_the_per_field_oracle(grid):
     u = members(grid)

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from kgl.cli import (
     run,
 )
 from kgl.dyadic import shell_norms
-from kgl.grid import MAX_GRID_SAMPLES, VelocityGrid, refine_field
+from kgl.grid import MAX_GRID_SAMPLES, VelocityGrid, l2_norms, refine_field
 from kgl.params import SoftPotentialParams
 from kgl.solver import RegularizedProblem
 from kgl.toy import ToyParams
@@ -300,15 +301,38 @@ def test_plot_data_of_an_evolve_toy_run(tmp_path):
         assert float(row[2]) == pytest.approx(line, rel=1e-12)
 
 
-def test_evolve_toy_builds_one_stepper_and_marches_once(tmp_path, monkeypatch):
-    builds, steps = [], []
-    init, step = toy.ToyStepper.__init__, toy.ToyStepper.step
-    monkeypatch.setattr(toy.ToyStepper, "__init__", lambda self, p: builds.append(p) or init(self, p))
-    monkeypatch.setattr(toy.ToyStepper, "step", lambda self, u: steps.append(u.shape) or step(self, u))
+def test_evolve_toy_builds_one_stepper_per_grid_and_marches_each_block_once(tmp_path, monkeypatch):
+    builds, first_stacks, steps, trajs = [], {}, Counter(), []
+    init, step, evolve = toy.ToyStepper.__init__, toy.ToyStepper.step, toy.evolve_toy
+
+    def stepping(self, u):
+        first_stacks.setdefault(self.params.grid, u.copy())
+        steps[self.params.grid] += 1
+        return step(self, u)
+
+    monkeypatch.setattr(toy.ToyStepper, "__init__", lambda self, p: builds.append(p.grid) or init(self, p))
+    monkeypatch.setattr(toy.ToyStepper, "step", stepping)
+    monkeypatch.setattr(toy, "evolve_toy", lambda *args, **kw: trajs.append(evolve(*args, **kw)) or trajs[-1])
     rep = small_toy_run(tmp_path)
-    assert len(builds) == 1 and len(steps) == 32
-    # each step carries the field and every compared block
-    assert set(steps) == {(1 + rep.metrics["blocks_compared"], 2048)}
+    (traj,) = trajs
+    full = VelocityGrid(2048, 16.0)
+    bandwidth = toy.coefficient_bandwidth(full, -1.0)
+    named = [toy.march_grid(full, j, bandwidth) for j in traj.block_j]
+    # one stepper per grid used, and each grid marched `steps` times
+    assert len(builds) == len(set(builds)) == len(set(named) | {full}) > 1
+    assert steps == {grid: 32 for grid in builds}
+    # f0 is row 0 of the full grid's stack; every block rides the grid its
+    # shell names, subsampled there without loss of norm
+    assert np.array_equal(first_stacks[full][0], toy.weighted_broadband_data(full, 1.0, seed=0))
+    for grid, stack in first_stacks.items():
+        rows = stack[1:] if grid == full else stack
+        want = sorted(norm for norm, g in zip(traj.block_norms, named) if g == grid)
+        assert np.allclose(sorted(l2_norms(grid, rows)), want, rtol=1e-12, atol=0.0)
+    marched = rep.metrics["marched_grids"]
+    by_size = sorted(first_stacks, key=lambda g: -g.points_per_axis)
+    assert [m[:2] for m in marched] == [[g.points_per_axis, len(first_stacks[g])] for g in by_size]
+    assert rep.metrics["propagator_rank"] == marched[0][2]
+    assert sum(m[1] for m in marched) == 1 + rep.metrics["blocks_compared"]
 
 
 def _grown_step(step):
@@ -736,6 +760,21 @@ config_text = st.one_of(
         )
     ),
 )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid_l", "1.3407807929942597e+154"),  # 1 + |v|^2 overflows
+        ("grid_l", "4.86900049045091e-290"),  # 1 + |eta|^2 overflows
+        ("a0", "1.7538469608412838e+305"),  # a0 <v>^2 overflows
+    ],
+)
+def test_an_overflowing_evolve_toy_value_raises_config_error(tmp_path, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[evolve-toy]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^\[evolve-toy\] {key} = {re.escape(value)} overflows [^\n]*$"):
+        load_config(str(path), seed=0, out_dir="out")
 
 
 @settings(max_examples=300, deadline=None)

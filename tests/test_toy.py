@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.fft import _pocketfft_umath as _pocketfft
 
+from kgl import toy
 from kgl.dyadic import frequency_rings, max_freq_shell, shell_norms
 from kgl.grid import (
     VelocityGrid,
@@ -32,7 +33,7 @@ from kgl.toy import (
     trajectory_shell_exponents,
     weighted_broadband_data,
 )
-from tests.toy_oracle import exact_semigroup
+from tests.toy_oracle import exact_semigroup, one_grid_blocks
 
 PRM = SoftPotentialParams(gamma=-1.0, s=0.5)
 
@@ -394,6 +395,56 @@ def test_a_march_at_the_wrong_s_misses_the_exact_semigroup():
     prm = SoftPotentialParams(gamma=-1.0, s=0.5)
     (error,) = semigroup_errors(prm, SoftPotentialParams(gamma=-1.0, s=0.55), (64,))
     assert error > 5 * SEMIGROUP_ERROR_PER_DT / 64  # 3.0e-2 against the bound's 3.1e-3
+
+
+# --- the grouped march against the one-grid march ---------------------------
+
+# Every compared block marched on the full grid, as the rows of one stack,
+# is the oracle of the march on each block's coarsest grid.  Over these
+# cases the rate ratios of the two agree to 5.7e-12 relative at most.
+ONE_GRID_RTOL = 1e-10
+ONE_GRID_PAIRS = [(-1.0, 0.5), (-2.0, 0.75), (-0.5, 0.25), (-2.5, 0.9), (-1.5, 0.5)]
+
+
+def grouped_and_one_grid(grid, prm, seed):
+    p = ToyParams(prm=prm, a0=1.0, t_final=1.0, grid=grid)
+    f0 = weighted_broadband_data(grid, p.a0, seed=seed)
+    return evolve_toy(f0, p), one_grid_blocks(f0, p)
+
+
+def rate_ratio_drift(traj, ref):
+    assert np.array_equal(traj.block_j, ref.block_j) and np.array_equal(traj.block_k, ref.block_k)
+    return float(np.max(np.abs(traj.rate_ratios / ref.rate_ratios - 1.0)))
+
+
+@pytest.mark.parametrize("grid", [VelocityGrid(1024, 16.0), VelocityGrid(2048, 16.0), VelocityGrid(1024, 8.0)])
+@pytest.mark.parametrize("gamma,s", ONE_GRID_PAIRS)
+def test_grouped_march_matches_the_one_grid_march(grid, gamma, s):
+    prm = SoftPotentialParams(gamma=gamma, s=s)
+    for seed in range(4):
+        traj, ref = grouped_and_one_grid(grid, prm, seed)
+        assert np.array_equal(traj.final, ref.final) and np.array_equal(traj.norms, ref.norms)
+        assert traj.propagator_rank == ref.propagator_rank
+        assert rate_ratio_drift(traj, ref) <= ONE_GRID_RTOL
+
+
+def test_a_march_without_the_coefficient_margin_misses_the_one_grid_march(monkeypatch):
+    # with only the ring's top to clear, what a step spreads past the coarse
+    # Nyquist folds back (4.4e-2 here, 4.6e-2 at the evolve-toy defaults)
+    monkeypatch.setattr(toy, "coefficient_bandwidth", lambda grid, gamma: 0.0)
+    traj, ref = grouped_and_one_grid(VelocityGrid(1024, 16.0), PRM, seed=0)
+    assert np.array_equal(traj.final, ref.final)
+    assert rate_ratio_drift(traj, ref) > 1e3 * ONE_GRID_RTOL
+
+
+def test_blocks_march_on_the_coarsest_grid_their_ring_and_the_margin_allow():
+    grid = VelocityGrid(4096, 32.0)
+    bandwidth = toy.coefficient_bandwidth(grid, PRM.gamma)
+    assert 17.0 < bandwidth < 17.5  # against a Nyquist of 201
+    points = [toy.march_grid(grid, j, bandwidth).points_per_axis for j in range(-1, 8)]
+    assert points == [512, 512, 512, 1024, 1024, 2048, 4096, 4096, 4096]
+    assert toy.march_grid(grid, 7, bandwidth) == grid
+    assert toy.march_grid(VelocityGrid(8, 1.0), -1, 0.0).points_per_axis == 8
 
 
 def test_complex_fields_are_rejected():
